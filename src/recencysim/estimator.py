@@ -4,19 +4,33 @@ The effective MDRI re-weights the test-recent curve by the probability that
 an infected individual of a given duration survives both selective
 attendance and the testing-based exclusion; its ratio to the plain MDRI
 gives the asymptotic multiplicative bias of the incidence estimator.
+
+For exponential (Poisson) test schedules every analytic quantity is an
+integral of one survey weight
+
+    w(u) = r * P(T <= u, T > c | U = u) + P(T > u, T > c | U = u),
+
+integrated in closed form against 1 (`survey_weight_integral`) and against
+the test-recent curve (`effective_mdri_closed`).  Numerical quadrature
+(`effective_mdri_numeric`) is kept only as an independent check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .population import PopulationParams, SurveyCounts
-from .quadrature import adaptive_simpson, adaptive_simpson_sqrt0
-from .recency_model import RecencyAssay, mdri, phi
+from .recency_model import (
+    RecencyAssay,
+    curve_integral,
+    discounted_curve_integral,
+    mdri,
+    phi,
+)
 from .testing_history import (
     ExponentialInterTest,
     ObservationRule,
@@ -26,8 +40,6 @@ from .testing_history import (
     residual_cdf,
     sample_residual,
 )
-
-QUAD_TOL = 1e-10
 
 
 class UndefinedEstimateError(ValueError):
@@ -137,45 +149,39 @@ def effective_mdri_numeric(
     """Effective MDRI by direct quadrature of its defining integral.
 
     Exponential schedules use the closed piecewise conditional laws inside
-    an adaptive quadrature.  Uniform schedules under Stop-When-Positive have
+    `scipy.integrate.quad`.  Uniform schedules under Stop-When-Positive have
     no closed conditional law; those conditionals are estimated per node by
     Monte Carlo (mc_draws each), so the result carries a stochastic error of
     order 1/sqrt(mc_draws) and is evaluated on a fixed Simpson grid.
     """
+    # imported here: scipy.integrate adds a quarter second to the CLI import
+    from scipy import integrate
+
     assay, law, rule = q.assay, q.process.inter_test_law, q.process.observation_rule
     tstar, c, r = assay.recency_cutoff, q.c, q.r
 
-    if isinstance(law, ExponentialInterTest):
-        denom = math.exp(-law.theta * c)
-
+    def quadrature(conditionals):
         def integrand(u):
-            below, above = _exp_conditionals(rule, law.theta, u, c)
+            below, above = conditionals(u)
             return phi(u, assay) * (r * below + above)
 
-        # split at the kink u = c; sqrt substitution at the origin where
-        # the assay curve's derivative is singular
-        if 0.0 < c < tstar:
-            total = adaptive_simpson_sqrt0(integrand, 0.0, c, tol=tol)
-            total += adaptive_simpson(integrand, c, tstar, tol=tol)
-        else:
-            total = adaptive_simpson_sqrt0(integrand, 0.0, tstar, tol=tol)
-        return total / denom
+        # split at the kink u = c
+        total, _ = integrate.quad(
+            integrand, 0.0, tstar, epsabs=tol, epsrel=tol, limit=200,
+            points=[c] if 0.0 < c < tstar else None,
+        )
+        return total
+
+    if isinstance(law, ExponentialInterTest):
+        total = quadrature(lambda u: _exp_conditionals(rule, law.theta, u, c))
+        return total / math.exp(-law.theta * c)
 
     denom = 1.0 - residual_cdf(c, law)
     if denom <= 0:
         raise ValueError("exclusion window covers the entire residual support")
 
     if rule is ObservationRule.REGULAR:
-
-        def integrand(u):
-            below, above = _uniform_regular_conditionals(law, u, c)
-            return phi(u, assay) * (r * below + above)
-
-        if 0.0 < c < tstar:
-            total = adaptive_simpson_sqrt0(integrand, 0.0, c, tol=tol)
-            total += adaptive_simpson(integrand, c, tstar, tol=tol)
-        else:
-            total = adaptive_simpson_sqrt0(integrand, 0.0, tstar, tol=tol)
+        total = quadrature(lambda u: _uniform_regular_conditionals(law, u, c))
         return total / denom
 
     # SWP + uniform law: composite Simpson with per-node Monte Carlo
@@ -193,15 +199,30 @@ def effective_mdri_numeric(
     return float(np.sum(weights * vals) * h / 3.0 / denom)
 
 
-def _k_integral(assay: RecencyAssay, theta: float, c: float, tol: float = QUAD_TOL):
-    """K(c) = int_c^{T*} phi(u) * (1 - e^{theta*(c-u)}) du, zero for c >= T*."""
-    tstar = assay.recency_cutoff
-    if c >= tstar:
-        return 0.0
-    f = lambda u: phi(u, assay) * (1.0 - math.exp(theta * (c - u)))
-    if c == 0.0:
-        return adaptive_simpson_sqrt0(f, 0.0, tstar, tol=tol)
-    return adaptive_simpson(f, c, tstar, tol=tol)
+def _weight_integral(rule, theta, r, c, x, integral, discounted):
+    """int_0^x f(u) * w(u) du / e^{-theta*c} for a curve f, in closed form.
+
+    `integral(y)` is int_0^y f and `discounted(y)` is
+    int_c^y f(u) * e^{-theta*(u-c)} du.  Divided by e^{-theta*c}, the weight
+    is 1 on u <= c and a + (1 - a) * e^{-theta*(u-c)} beyond, with a = r
+    under the Regular rule and a = r*e^{theta*c} under Stop-When-Positive.
+    """
+    if c >= x:
+        return integral(x)
+    a = r if rule is ObservationRule.REGULAR else r * math.exp(theta * c)
+    head = integral(c)
+    return head + a * (integral(x) - head) + (1.0 - a) * discounted(x)
+
+
+def survey_weight_integral(
+    rule: ObservationRule, theta: float, r: float, c: float, horizon: float
+) -> float:
+    """W = int_0^horizon w(u) du / e^{-theta*c}: survey positives per surveyed
+    negative, per unit incidence, over durations up to the horizon."""
+    return _weight_integral(
+        rule, theta, r, c, horizon,
+        lambda y: y, lambda y: -math.expm1(-theta * (y - c)) / theta,
+    )
 
 
 def effective_mdri_closed(
@@ -213,17 +234,19 @@ def effective_mdri_closed(
 ) -> float:
     """Closed-form effective MDRI for exponential (Poisson) test schedules.
 
+    R = int_0^{T*} phi(u) * w(u) du / e^{-theta*c}.  Equivalently,
     Regular rule:       MDRI - (1 - r) * K(c)
     Stop-When-Positive: MDRI - (1 - r*e^{theta*c}) * K(c)
-    with K(c) the weighted tail integral of the test-recent curve.
+    with K(c) = int_c^{T*} phi(u) * (1 - e^{theta*(c-u)}) du.  Exactly
+    mdri(assay) when c >= T* or when r = 1 and c = 0.
     """
     if assay.frr != 0.0:
         raise ValueError("effective MDRI is defined for zero-FRR assays only")
-    omega = mdri(assay)
-    k = _k_integral(assay, theta, c)
-    if rule is ObservationRule.REGULAR:
-        return omega - (1.0 - r) * k
-    return omega - (1.0 - r * math.exp(theta * c)) * k
+    return _weight_integral(
+        rule, theta, r, c, assay.recency_cutoff,
+        lambda y: curve_integral(assay, y),
+        lambda y: discounted_curve_integral(assay, theta, y, start=c),
+    )
 
 
 def analytic_bias(
@@ -237,7 +260,8 @@ def analytic_bias(
     """Asymptotic bias of the incidence estimate when the plain MDRI is used.
 
     Equals incidence * (effective MDRI / MDRI - 1); exactly zero once the
-    exclusion window reaches the recency cutoff.
+    exclusion window reaches the recency cutoff, and with neither exclusion
+    nor selective attendance (r = 1, c = 0).
     """
     omega = mdri(assay)
     omega_eff = effective_mdri_closed(assay, theta, r, c, rule)
@@ -250,7 +274,6 @@ def survey_composition(
     r: float,
     c: float,
     params: PopulationParams,
-    tol: float = 1e-9,
 ) -> Tuple[float, float]:
     """Analytic (p_star, p_r) of the assembled survey population.
 
@@ -261,31 +284,8 @@ def survey_composition(
     law = process.inter_test_law
     if not isinstance(law, ExponentialInterTest):
         raise ValueError("closed survey composition requires exponential schedules")
-    theta = law.theta
     rule = process.observation_rule
-    lam, p = params.incidence, params.prevalence
-    tstar_pop = params.horizon
-
-    def weight(u):
-        below, above = _exp_conditionals(rule, theta, u, c)
-        return r * below + above
-
-    pieces = sorted({0.0, min(c, tstar_pop), tstar_pop})
-    w_total = sum(
-        adaptive_simpson(weight, lo, hi, tol=tol)
-        for lo, hi in zip(pieces[:-1], pieces[1:])
-    )
-    cut = assay.recency_cutoff
-    pieces_r = sorted({0.0, min(c, cut), cut})
-    recent_integrand = lambda u: phi(u, assay) * weight(u)
-    w_recent = 0.0
-    for lo, hi in zip(pieces_r[:-1], pieces_r[1:]):
-        if lo == 0.0:
-            w_recent += adaptive_simpson_sqrt0(recent_integrand, lo, hi, tol=tol)
-        else:
-            w_recent += adaptive_simpson(recent_integrand, lo, hi, tol=tol)
-    pos_mass = lam * (1.0 - p) * w_total
-    neg_mass = (1.0 - p) * math.exp(-theta * c)
-    p_star = pos_mass / (pos_mass + neg_mass)
-    p_r = w_recent / w_total
-    return p_star, p_r
+    weight = survey_weight_integral(rule, law.theta, r, c, params.horizon)
+    recent = effective_mdri_closed(assay, law.theta, r, c, rule)
+    pos_per_neg = params.incidence * weight
+    return pos_per_neg / (pos_per_neg + 1.0), recent / weight

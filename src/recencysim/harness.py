@@ -103,7 +103,6 @@ class Scenario:
     replications: int
     seed: int
     index: int = 0
-    mdri_noise_sd: float = 0.0  # optional gaussian perturbation of the MDRI input
 
 
 @dataclass
@@ -190,15 +189,11 @@ def run_replication(scenario: Scenario, replication: int):
         rng,
     )
     counts = rows.counts()
-    mdri_hat = mdri(scenario.assay)
-    if scenario.mdri_noise_sd > 0:
-        mdri_hat += rng.normal(0.0, scenario.mdri_noise_sd)
-    frr_hat = scenario.assay.frr
     try:
         inp = EstimatorInputs(
             counts=counts,
-            mdri_hat=mdri_hat,
-            frr_hat=frr_hat,
+            mdri_hat=mdri(scenario.assay),
+            frr_hat=scenario.assay.frr,
             recency_cutoff=scenario.assay.recency_cutoff,
         )
         estimate = kassanjee_estimate(inp)
@@ -352,20 +347,19 @@ def write_results(
         for res in results:
             sc = res.scenario
             law, theta, a, b = _law_fields(sc.process)
+            row = [
+                sc.label, sc.process.observation_rule.value, law, theta, a, b,
+                _fmt(sc.policy.attendance_ratio),
+                _fmt(sc.policy.exclusion_window),
+                _fmt(sc.assay.frr), sc.replications, sc.n_target,
+            ]
             if res.error is not None:
                 ok = False
-                row = [sc.label, sc.process.observation_rule.value, law, theta, a, b,
-                       sc.policy.attendance_ratio, sc.policy.exclusion_window,
-                       sc.assay.frr, sc.replications, sc.n_target,
-                       "", "", "", "", "", "", "", "", "", "", f"error:{res.error}"]
+                row += ["", "", "", "", "", "", "", "", "", "", f"error:{res.error}"]
             else:
                 s = res.summary()
                 ab, av = _analytic_columns(sc)
-                row = [
-                    sc.label, sc.process.observation_rule.value, law, theta, a, b,
-                    _fmt(sc.policy.attendance_ratio),
-                    _fmt(sc.policy.exclusion_window),
-                    _fmt(sc.assay.frr), sc.replications, sc.n_target,
+                row += [
                     _fmt(s["median"]), _fmt(s["mean"]), _fmt(s["q025"]),
                     _fmt(s["q975"]), _fmt(s["var_log"]), s["n_negative"],
                     s["n_undefined"], _fmt(s["mean_screened"]), ab, av, "ok",
@@ -460,7 +454,7 @@ def _table_grid_bias(assay, theta, r, c, params):
     """Bias with integrals on a left-endpoint grid of 0.001 years.
 
     This is the reporting convention for the analytic table; analytic_bias
-    gives the continuum quadrature value.
+    gives the exact continuum value.
     """
     tstar = assay.recency_cutoff
     u = np.arange(0.0, tstar, TABLE_GRID_STEP)
@@ -482,8 +476,8 @@ def emit_table1(
     """Analytic bias and screening-burden report under Stop-When-Positive.
 
     One row per (exclusion period, testing frequency, attendance ratio).
-    Bias is reported both at the table grid convention and from exact
-    quadrature; screening burden comes from the closed inclusion
+    Bias is reported both at the table grid convention and in exact closed
+    form; screening burden comes from the closed inclusion
     probability.
     """
     rows = []

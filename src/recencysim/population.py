@@ -9,8 +9,7 @@ most recent test falls within the last c years.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .recency_model import RecencyAssay, phi
 from .testing_history import (
     ObservationRule,
     TestingProcess,
-    observe_most_recent,
     observe_most_recent_many,
     sample_residual,
 )
@@ -77,21 +75,6 @@ class ScreeningPolicy:
         return self.q1 / self.q0
 
 
-@dataclass
-class Individual:
-    d: bool
-    u: Optional[float]
-    t_since_test: float
-    aware: bool
-    attended: Optional[bool] = None
-    eligible: Optional[bool] = None
-    recent: Optional[bool] = None
-
-    @property
-    def surveyed(self) -> bool:
-        return bool(self.attended) and bool(self.eligible)
-
-
 @dataclass(frozen=True)
 class SurveyCounts:
     n_total: int
@@ -105,40 +88,6 @@ class SurveyCounts:
             raise ValueError("n_pos + n_neg must equal n_total")
         if self.n_rec > self.n_pos:
             raise ValueError("n_rec cannot exceed n_pos")
-
-
-def sample_individual(
-    params: PopulationParams, process: TestingProcess, rng: np.random.Generator
-) -> Individual:
-    """Draw one general-population individual with testing history."""
-    d = rng.random() < params.prevalence
-    u = rng.uniform(0.0, params.max_duration) if d else None
-    residual = sample_residual(process, rng)
-    t = observe_most_recent(residual, u, process, rng)
-    aware = d and u >= t
-    return Individual(d=d, u=u, t_since_test=t, aware=aware)
-
-
-def apply_screening(
-    ind: Individual, policy: ScreeningPolicy, rng: np.random.Generator
-) -> Individual:
-    """Decide attendance and the testing-based eligibility for one individual."""
-    q = policy.q1 if ind.aware else policy.q0
-    attended = rng.random() < q
-    eligible = ind.t_since_test > policy.exclusion_window
-    return replace(ind, attended=attended, eligible=eligible)
-
-
-def run_recency_test(
-    ind: Individual, assay: RecencyAssay, rng: np.random.Generator
-) -> Individual:
-    """Run the recency assay on a surveyed HIV-positive individual."""
-    if not ind.d:
-        raise ValueError("recency test requires an HIV-positive individual")
-    if not ind.surveyed:
-        raise ValueError("recency test requires a surveyed individual")
-    recent = rng.random() < phi(ind.u, assay)
-    return replace(ind, recent=recent)
 
 
 @dataclass

@@ -3,20 +3,23 @@
 An assay is described by a gamma-survival test-recent curve on [0, T*] plus a
 constant false-recent rate beyond the cutoff.  Durations are in years
 throughout; day-denominated values use 365.25 days per year.
+
+Below the cutoff the curve is Q(s, b*u), the regularized upper incomplete
+gamma function, so its integrals against 1 and e^{-theta*u} have closed
+forms in regularized incomplete gammas (DLMF 8.2): `curve_integral` and
+`discounted_curve_integral`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
-
-from .quadrature import adaptive_simpson_sqrt0
+from scipy.special import gammainc, gammaincc
 
 DAYS_PER_YEAR = 365.25
-
-QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -66,17 +69,41 @@ def phi(u, assay: RecencyAssay):
     return out
 
 
-def mdri(assay: RecencyAssay, tol: float = QUAD_TOL) -> float:
+def curve_integral(assay: RecencyAssay, x: float) -> float:
+    """G(x) = int_0^x Q(s, b*u) du = x*Q(s, b*x) + (s/b)*P(s+1, b*x).
+
+    The integral of the gamma-survival part of the curve; x should not
+    exceed the cutoff for it to be an integral of phi.
+    """
+    s, b = assay.gamma_shape, assay.gamma_rate
+    return x * float(gammaincc(s, b * x)) + s / b * float(gammainc(s + 1.0, b * x))
+
+
+def discounted_curve_integral(
+    assay: RecencyAssay, theta: float, x: float, start: float = 0.0
+) -> float:
+    """H(x) = int_start^x Q(s, b*u) * e^{-theta*(u-start)} du, by parts.
+
+    With start = 0 this is [1 - e^{-theta*x}*Q(s, b*x) - k*P(s, (b+theta)*x)]
+    / theta, k = (b/(b+theta))^s.  Discounting from `start` rather than from
+    0 keeps full precision when the result is scaled by e^{theta*start}.
+    """
+    s, b = assay.gamma_shape, assay.gamma_rate
+    k = (b / (b + theta)) ** s
+    head = float(gammaincc(s, b * start))
+    tail = math.exp(-theta * (x - start)) * float(gammaincc(s, b * x))
+    # P(s, (b+theta)*x) - P(s, (b+theta)*start), as a difference of upper tails
+    mixed = math.exp(theta * start) * float(
+        gammaincc(s, (b + theta) * start) - gammaincc(s, (b + theta) * x)
+    )
+    return (head - tail - k * mixed) / theta
+
+
+@functools.cache
+def mdri(assay: RecencyAssay) -> float:
     """Mean duration of recent infection: integral of phi over [0, T*].
 
     The false-recent rate does not enter; only the curve below the cutoff
-    is integrated.
+    is integrated.  Closed form G(T*), computed once per assay.
     """
-    # sqrt substitution at 0: the curve's derivative is singular there
-    # whenever gamma_shape < 1
-    return adaptive_simpson_sqrt0(
-        lambda u: 1.0 - gammainc(assay.gamma_shape, assay.gamma_rate * u),
-        0.0,
-        assay.recency_cutoff,
-        tol=tol,
-    )
+    return curve_integral(assay, assay.recency_cutoff)

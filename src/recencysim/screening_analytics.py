@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimator import survey_weight_integral
 from .population import PopulationParams, ScreeningPolicy, _sample_batch
-from .testing_history import ObservationRule, TestingProcess, UniformInterTest
+from .testing_history import ObservationRule, TestingProcess
 
 
 class InclusionProbabilityError(ValueError):
@@ -28,36 +29,30 @@ class ScreeningForecast:
 
 def inclusion_probability(
     rule: ObservationRule,
-    incidence: float,
-    prevalence: float,
+    params: PopulationParams,
     theta: float,
     r: float,
     c: float,
-    t_star: float,
 ) -> float:
     """P(pass the exclusion criterion | attends screening), closed form.
 
-    Exponential inter-test times only.  The shared denominator is the
-    attendance probability normalized by q0*(1-p).
+    Exponential inter-test times only.  Per surveyed-eligible negative
+    (weight e^{-theta*c}) the positives contribute incidence * W_c, so
+
+        s = e^{-theta*c} * (1 + incidence * W_c) / (1 + incidence * W_0)
+
+    with W_c = survey_weight_integral(..., c, horizon); the denominator is
+    the attendance probability normalized by q0*(1-p).  The window must not
+    exceed the horizon.
     """
-    lam, p = incidence, prevalence
-    pr = p / (1.0 - p)
-    ec = math.exp(-theta * c)
-    et = math.exp(-theta * t_star)
-    denom = lam * (r - 1.0) * (et - 1.0) / theta + 1.0 + r * pr
-    if rule is ObservationRule.REGULAR:
-        num = lam * (r - 1.0) * (et / theta - ec / theta - c * ec) + ec * (r * pr + 1.0)
-    else:
-        num = (
-            lam
-            * (
-                r * (math.exp(theta * c - theta * t_star) / theta - c - 1.0 / theta)
-                + (c * ec - et / theta + ec / theta)
-            )
-            + ec
-            + r * pr
+    if c > params.horizon:
+        raise InclusionProbabilityError(
+            f"exclusion window {c} exceeds the horizon {params.horizon}"
         )
-    s = num / denom
+    lam, horizon = params.incidence, params.horizon
+    included = 1.0 + lam * survey_weight_integral(rule, theta, r, c, horizon)
+    attending = 1.0 + lam * survey_weight_integral(rule, theta, r, 0.0, horizon)
+    s = math.exp(-theta * c) * included / attending
     if not 0.0 < s <= 1.0 + 1e-12:
         raise InclusionProbabilityError(
             f"inclusion probability {s} outside (0, 1]; check parameters"
@@ -82,9 +77,7 @@ def forecast(
     c: float,
     n_target: int,
 ) -> ScreeningForecast:
-    s = inclusion_probability(
-        rule, params.incidence, params.prevalence, theta, r, c, params.horizon
-    )
+    s = inclusion_probability(rule, params, theta, r, c)
     return ScreeningForecast(
         inclusion_probability=s, required_screened=required_screening(n_target, s)
     )
@@ -121,5 +114,4 @@ __all__ = [
     "inclusion_probability_mc",
     "required_screening",
     "forecast",
-    "UniformInterTest",
 ]

@@ -114,38 +114,6 @@ def _draw_gaps(law: InterTestLaw, rng: np.random.Generator, size: int):
     return rng.uniform(law.a, law.b, size=size)
 
 
-def observe_most_recent(
-    residual_id: float,
-    u: Optional[float],
-    process: TestingProcess,
-    rng: np.random.Generator,
-) -> float:
-    """Time since the most recent *observed* test for one individual.
-
-    residual_id is the Regular-rule time since last test; u is the infection
-    duration (None for HIV-negative individuals).  Under the Regular rule,
-    or whenever the last scheduled test predates infection, the value is
-    returned unchanged.  Under Stop-When-Positive with residual_id < u, the
-    schedule is extended backwards in survey time (gap by gap) and the last
-    test time not exceeding u is returned: that test is the first one after
-    infection in calendar order, so testing stopped there.
-    """
-    if residual_id < 0:
-        raise ValueError("residual_id must be nonnegative")
-    if process.observation_rule is ObservationRule.REGULAR or u is None:
-        return residual_id
-    if u < 0:
-        raise ValueError("infection duration must be nonnegative")
-    t = residual_id
-    if t >= u:
-        return t
-    while True:
-        gap = float(_draw_gaps(process.inter_test_law, rng, 1)[0])
-        if t + gap > u:
-            return t
-        t += gap
-
-
 def observe_most_recent_many(
     residual_id: np.ndarray,
     u: np.ndarray,
@@ -153,9 +121,16 @@ def observe_most_recent_many(
     process: TestingProcess,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized observe_most_recent over a batch.
+    """Time since the most recent *observed* test, over a batch.
 
-    `u` is only read where `infected` is True.  Gap draws are consumed in
+    residual_id is the Regular-rule time since last test and u the infection
+    duration, only read where `infected` is True.  Under the Regular rule,
+    for uninfected individuals, or whenever the last scheduled test predates
+    infection (residual_id >= u), the value is returned unchanged.  Under
+    Stop-When-Positive with residual_id < u, the schedule is extended
+    backwards in survey time (gap by gap) and the last test time not
+    exceeding u is returned: that test is the first one after infection in
+    calendar order, so testing stopped there.  Gap draws are consumed in
     rounds over the still-active individuals, so the result is deterministic
     for a given generator state.
     """

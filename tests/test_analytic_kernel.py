@@ -1,0 +1,181 @@
+"""Closed-form analytic layer against scipy.integrate.quad of its defining integrals.
+
+The survey weight is written here from the model, independently of the
+package: with T the time since the most recent observed test and U the
+infection duration,
+
+    w(u) = r * P(T <= u, T > c | U = u) + P(T > u, T > c | U = u),
+
+and the package's W (survey_weight_integral) and R (effective_mdri_closed)
+are int_0^horizon w and int_0^{T*} phi * w, both divided by e^{-theta*c}.
+"""
+
+import math
+
+import pytest
+from scipy import integrate
+from scipy.special import gammaincc
+
+from recencysim.estimator import (
+    analytic_bias,
+    effective_mdri_closed,
+    survey_weight_integral,
+)
+from recencysim.population import DEFAULT_PARAMS
+from recencysim.recency_model import (
+    DEFAULT_ASSAY,
+    LONG_ASSAY,
+    curve_integral,
+    discounted_curve_integral,
+    mdri,
+)
+from recencysim.screening_analytics import inclusion_probability
+from recencysim.testing_history import ObservationRule
+
+RTOL = 1e-10
+HORIZON = DEFAULT_PARAMS.horizon
+T_STAR = DEFAULT_ASSAY.recency_cutoff
+ASSAYS = pytest.mark.parametrize("assay", [DEFAULT_ASSAY, LONG_ASSAY], ids=["default", "long"])
+RULES = pytest.mark.parametrize("rule", list(ObservationRule), ids=lambda r: r.value)
+THETAS = pytest.mark.parametrize("theta", [0.3, 1.0, 3.3])
+RS = pytest.mark.parametrize("r", [0.0, 0.6, 1.0])
+CS = pytest.mark.parametrize("c", [0.0, 0.25, 1.99, T_STAR, 2.5, HORIZON + 2.0])
+XS = pytest.mark.parametrize("x", [0.0, 0.25, 1.0, 1.99, T_STAR])
+
+
+def quad(f, a, b, kink=None):
+    points = [kink] if kink is not None and a < kink < b else None
+    value, _ = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500,
+                              points=points)
+    return value
+
+
+def curve(assay):
+    return lambda u: gammaincc(assay.gamma_shape, assay.gamma_rate * u)
+
+
+def weight(rule, theta, r, c, u):
+    above = math.exp(-theta * max(u, c))
+    if u <= c:
+        below = 0.0
+    elif rule is ObservationRule.REGULAR:  # T ~ Exp(theta), independent of U
+        below = math.exp(-theta * c) - math.exp(-theta * u)
+    else:  # Stop-When-Positive: u - T ~ Exp(theta) for the first post-infection test
+        below = 1.0 - math.exp(-theta * (u - c))
+    return (r * below + above) / math.exp(-theta * c)
+
+
+def close(got, want):
+    return got == pytest.approx(want, rel=RTOL, abs=0.0)
+
+
+@ASSAYS
+@XS
+def test_curve_integral(assay, x):
+    assert close(curve_integral(assay, x), quad(curve(assay), 0.0, x))
+
+
+@ASSAYS
+@THETAS
+@pytest.mark.parametrize(
+    "start, x",
+    [(0.0, x) for x in (0.0, 0.25, 1.0, 1.99, T_STAR)]
+    + [(0.25, 0.25), (0.25, T_STAR), (1.99, T_STAR), (T_STAR, T_STAR)],
+)
+def test_discounted_curve_integral(assay, theta, start, x):
+    f = curve(assay)
+    want = quad(lambda u: f(u) * math.exp(-theta * (u - start)), start, x)
+    got = discounted_curve_integral(assay, theta, x, start=start)
+    assert got == pytest.approx(want, rel=RTOL, abs=1e-300)
+
+
+@RULES
+@THETAS
+@RS
+@CS
+def test_survey_weight_integral(rule, theta, r, c):
+    want = quad(lambda u: weight(rule, theta, r, c, u), 0.0, HORIZON, kink=c)
+    assert close(survey_weight_integral(rule, theta, r, c, HORIZON), want)
+
+
+@ASSAYS
+@RULES
+@THETAS
+@RS
+@CS
+def test_recent_weight_integral(assay, rule, theta, r, c):
+    f = curve(assay)
+    tstar = assay.recency_cutoff
+    want = quad(lambda u: f(u) * weight(rule, theta, r, c, u), 0.0, tstar, kink=c)
+    assert close(effective_mdri_closed(assay, theta, r, c, rule), want)
+
+
+@ASSAYS
+@RULES
+@THETAS
+@RS
+@pytest.mark.parametrize("c", [T_STAR, 2.5, HORIZON + 2.0])
+def test_bias_exactly_zero_past_cutoff(assay, rule, theta, r, c):
+    assert effective_mdri_closed(assay, theta, r, c, rule) == mdri(assay)
+    assert analytic_bias(assay, theta, r, c, rule, DEFAULT_PARAMS) == 0.0
+
+
+@ASSAYS
+@RULES
+@THETAS
+def test_bias_exactly_zero_without_selection(assay, rule, theta):
+    assert analytic_bias(assay, theta, 1.0, 0.0, rule, DEFAULT_PARAMS) == 0.0
+
+
+@RULES
+@THETAS
+@RS
+@pytest.mark.parametrize("c", [0.0, 0.25, 1.99, T_STAR, 2.5, 6.0, HORIZON])
+def test_inclusion_probability(rule, theta, r, c):
+    # admitted / attending, per surveyed-eligible negative: e^{-theta*c} * (1 + lam*W_c)
+    # over 1 + lam*W_0 (W in units of e^{-theta*c}, as weight() returns)
+    lam = DEFAULT_PARAMS.incidence
+    w_c = quad(lambda u: weight(rule, theta, r, c, u), 0.0, HORIZON, kink=c)
+    w_0 = quad(lambda u: weight(rule, theta, r, 0.0, u), 0.0, HORIZON)
+    want = math.exp(-theta * c) * (1.0 + lam * w_c) / (1.0 + lam * w_0)
+    got = inclusion_probability(rule, DEFAULT_PARAMS, theta, r, c)
+    assert close(got, min(want, 1.0))
+
+
+def inclusion_probability_hand(rule, incidence, prevalence, theta, r, c, t_star):
+    """The closed form as first derived by hand, for c <= t_star.
+
+    It cancels catastrophically as c approaches t_star at high theta (the
+    kernel form does not; test_inclusion_probability covers that end).
+    """
+    lam, p = incidence, prevalence
+    pr = p / (1.0 - p)
+    ec = math.exp(-theta * c)
+    et = math.exp(-theta * t_star)
+    denom = lam * (r - 1.0) * (et - 1.0) / theta + 1.0 + r * pr
+    if rule is ObservationRule.REGULAR:
+        num = lam * (r - 1.0) * (et / theta - ec / theta - c * ec) + ec * (r * pr + 1.0)
+    else:
+        num = (
+            lam
+            * (
+                r * (math.exp(theta * c - theta * t_star) / theta - c - 1.0 / theta)
+                + (c * ec - et / theta + ec / theta)
+            )
+            + ec
+            + r * pr
+        )
+    return num / denom
+
+
+@RULES
+@THETAS
+@RS
+@pytest.mark.parametrize("c", [0.0, 0.25, 1.99, T_STAR, 2.5, 6.0])
+def test_inclusion_probability_matches_hand_algebra(rule, theta, r, c):
+    p = DEFAULT_PARAMS
+    want = inclusion_probability_hand(
+        rule, p.incidence, p.prevalence, theta, r, c, p.horizon
+    )
+    got = inclusion_probability(rule, p, theta, r, c)
+    assert got == pytest.approx(min(want, 1.0), rel=1e-12, abs=0.0)

@@ -7,7 +7,9 @@ import pytest
 from recencysim.cli import main as cli_main
 from recencysim.estimator import analytic_bias, log_variance, survey_composition
 from recencysim.harness import (
+    SUMMARY_COLUMNS,
     Scenario,
+    ScenarioResult,
     build_grid,
     build_sensitivity,
     emit_histogram,
@@ -204,6 +206,32 @@ class TestOutputsAndCli:
         assert manifest["seed"] == 7
         assert manifest["scenarios"] == len(results)
         assert manifest["errors"] == []
+
+    def test_error_rows_formatted_like_ok_rows(self, tmp_path):
+        # r = 1.0, c = 0.0 and frr = 0.0 are floats that _fmt prints as 1 / 0
+        scenario = Scenario(
+            label="swp_theta1_r1_c0",
+            assay=DEFAULT_ASSAY,
+            process=TestingProcess(
+                ExponentialInterTest(1.0), ObservationRule.STOP_WHEN_POSITIVE
+            ),
+            policy=ScreeningPolicy(q0=1.0, q1=1.0, exclusion_window=0.0),
+            params=DEFAULT_PARAMS,
+            n_target=200,
+            replications=1,
+            seed=3,
+        )
+        good = run_scenario(scenario)
+        bad = ScenarioResult(scenario=scenario, error="attempt cap hit")
+        assert not write_results([good, bad], tmp_path, config_echo={}, seed=3,
+                                 wall_time=0.0)
+        with open(tmp_path / "summary.csv") as fh:
+            ok_row, err_row = list(csv.DictReader(fh))
+        assert ok_row["status"] == "ok"
+        assert err_row["status"] == "error:attempt cap hit"
+        shared = SUMMARY_COLUMNS[: SUMMARY_COLUMNS.index("n_target") + 1]
+        assert [err_row[k] for k in shared] == [ok_row[k] for k in shared]
+        assert (ok_row["r"], ok_row["c"], ok_row["frr"]) == ("1", "0", "0")
 
     def test_cli_grid_with_yaml_config(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

@@ -3,15 +3,12 @@ import pytest
 
 from recencysim.population import (
     DEFAULT_PARAMS,
-    Individual,
     PopulationParams,
     ScreeningPolicy,
     SurveyCounts,
-    apply_screening,
+    _sample_batch,
     assemble_survey,
     assemble_survey_rows,
-    run_recency_test,
-    sample_individual,
 )
 from recencysim.recency_model import DEFAULT_ASSAY, RecencyAssay
 from recencysim.screening_analytics import inclusion_probability
@@ -52,95 +49,113 @@ class TestScreeningPolicy:
             ScreeningPolicy(exclusion_window=-0.1)
 
 
-class TestSampleIndividual:
+class TestSampleBatch:
     def test_prevalence_and_durations(self):
         rng = np.random.default_rng(11)
         n = 200_000
-        inds = [sample_individual(DEFAULT_PARAMS, REGULAR1, rng) for _ in range(n)]
-        frac_pos = sum(i.d for i in inds) / n
-        assert frac_pos == pytest.approx(0.29, abs=0.005)
-        us = np.array([i.u for i in inds if i.d])
+        d, u, t, aware, attended, eligible = _sample_batch(
+            DEFAULT_PARAMS, REGULAR1, OPEN_DOOR, rng, n
+        )
+        assert d.sum() / n == pytest.approx(0.29, abs=0.005)
+        us = u[d]
         assert us.min() >= 0.0
         assert us.max() <= DEFAULT_PARAMS.max_duration
         # Uniform(0, tau) mean
         assert us.mean() == pytest.approx(DEFAULT_PARAMS.max_duration / 2, rel=0.02)
-        for i in inds[:1000]:
-            if not i.d:
-                assert i.u is None and not i.aware
+        assert np.all(np.isnan(u[~d]))
+        assert not aware[~d].any()
 
     def test_awareness_definition(self):
         rng = np.random.default_rng(12)
-        for _ in range(2000):
-            ind = sample_individual(DEFAULT_PARAMS, SWP1, rng)
-            if ind.d:
-                assert ind.aware == (ind.u >= ind.t_since_test)
-            else:
-                assert not ind.aware
+        d, u, t, aware, attended, eligible = _sample_batch(
+            DEFAULT_PARAMS, SWP1, OPEN_DOOR, rng, 2000
+        )
+        assert np.array_equal(aware[d], u[d] >= t[d])
+        assert not aware[~d].any()
+        assert aware.any() and (d & ~aware).any()
 
 
-class TestApplyScreening:
+class TestScreening:
     def test_eligibility_is_strict_window(self):
-        rng = np.random.default_rng(13)
         policy = ScreeningPolicy(q1=1.0, exclusion_window=1.0)
-        near = Individual(d=False, u=None, t_since_test=0.5, aware=False)
-        far = Individual(d=False, u=None, t_since_test=1.5, aware=False)
-        assert not apply_screening(near, policy, rng).eligible
-        assert apply_screening(far, policy, rng).eligible
+        d, u, t, aware, attended, eligible = _sample_batch(
+            DEFAULT_PARAMS, REGULAR1, policy, np.random.default_rng(13), 2000
+        )
+        assert np.array_equal(eligible, t > 1.0)
+        assert eligible.any() and not eligible.all()
+        # a window equal to a drawn test time excludes that individual: the
+        # draws do not depend on the window, so the same stream repeats them
+        edge = ScreeningPolicy(q1=1.0, exclusion_window=float(t[0]))
+        again = _sample_batch(
+            DEFAULT_PARAMS, REGULAR1, edge, np.random.default_rng(13), 2000
+        )
+        assert np.array_equal(again[2], t)
+        assert not again[5][0]
 
     def test_aware_attendance_uses_q1(self):
-        rng = np.random.default_rng(14)
         policy = ScreeningPolicy(q0=1.0, q1=0.0, exclusion_window=0.0)
-        aware = Individual(d=True, u=2.0, t_since_test=0.5, aware=True)
-        unaware = Individual(d=True, u=0.1, t_since_test=0.5, aware=False)
-        assert not apply_screening(aware, policy, rng).attended
-        assert apply_screening(unaware, policy, rng).attended
+        d, u, t, aware, attended, eligible = _sample_batch(
+            DEFAULT_PARAMS, SWP1, policy, np.random.default_rng(14), 2000
+        )
+        assert aware.any() and (~aware).any()
+        assert not attended[aware].any()
+        assert attended[~aware].all()
 
     def test_surveyed_requires_both(self):
-        ind = Individual(
-            d=False, u=None, t_since_test=1.0, aware=False,
-            attended=True, eligible=False,
+        # q1 = 0 bars aware attendees and the window bars recent testers;
+        # only individuals passing both are admitted
+        policy = ScreeningPolicy(q0=1.0, q1=0.0, exclusion_window=1.0)
+        rows = assemble_survey_rows(
+            DEFAULT_PARAMS, SWP1, policy, DEFAULT_ASSAY, 5000,
+            np.random.default_rng(19),
         )
-        assert not ind.surveyed
+        assert not rows.aware.any()
+        assert np.all(rows.t_since_test > 1.0)
 
 
-class TestRunRecencyTest:
-    def test_requires_positive(self):
-        rng = np.random.default_rng(15)
-        neg = Individual(
-            d=False, u=None, t_since_test=1.0, aware=False,
-            attended=True, eligible=True,
+class TestRecencyTesting:
+    def test_only_positives_tested(self):
+        # with a nonzero FRR a tested negative could read recent
+        assay = RecencyAssay(0.352, 1.273, 2.0, frr=0.5)
+        rows = assemble_survey_rows(
+            DEFAULT_PARAMS, REGULAR1, OPEN_DOOR, assay, 5000,
+            np.random.default_rng(15),
         )
-        with pytest.raises(ValueError):
-            run_recency_test(neg, DEFAULT_ASSAY, rng)
+        assert (~rows.d).any()
+        assert not rows.recent[~rows.d].any()
+        assert rows.recent[rows.d].any()
 
-    def test_requires_surveyed(self):
-        rng = np.random.default_rng(16)
-        pos = Individual(
-            d=True, u=1.0, t_since_test=0.5, aware=False,
-            attended=True, eligible=False,
+    def test_only_surveyed_tested(self):
+        # recency results exist only for admitted rows, one per admission:
+        # none belongs to a non-attendee (aware, q1 = 0) or an excluded one
+        policy = ScreeningPolicy(q1=0.0, exclusion_window=1.0)
+        rows = assemble_survey_rows(
+            DEFAULT_PARAMS, SWP1, policy, DEFAULT_ASSAY, 3000,
+            np.random.default_rng(16),
         )
-        with pytest.raises(ValueError):
-            run_recency_test(pos, DEFAULT_ASSAY, rng)
+        assert rows.recent.shape == rows.d.shape == (3000,)
+        assert not rows.aware.any()
+        assert np.all(rows.t_since_test > 1.0)
 
     def test_old_infection_frr(self):
         # zero FRR: durations beyond the cutoff can never test recent
-        rng = np.random.default_rng(17)
-        pos = Individual(
-            d=True, u=5.0, t_since_test=0.5, aware=True,
-            attended=True, eligible=True,
+        rows = assemble_survey_rows(
+            DEFAULT_PARAMS, REGULAR1, OPEN_DOOR, DEFAULT_ASSAY, 5000,
+            np.random.default_rng(17),
         )
-        for _ in range(200):
-            assert not run_recency_test(pos, DEFAULT_ASSAY, rng).recent
+        old = rows.d & (rows.u > DEFAULT_ASSAY.recency_cutoff)
+        assert old.sum() >= 200
+        assert not rows.recent[old].any()
 
     def test_frr_rate_empirical(self):
         assay = RecencyAssay(0.352, 1.273, 2.0, frr=0.01)
-        rng = np.random.default_rng(18)
-        pos = Individual(
-            d=True, u=5.0, t_since_test=0.5, aware=True,
-            attended=True, eligible=True,
+        rows = assemble_survey_rows(
+            DEFAULT_PARAMS, REGULAR1, OPEN_DOOR, assay, 420_000,
+            np.random.default_rng(18),
         )
-        hits = sum(run_recency_test(pos, assay, rng).recent for _ in range(100_000))
-        assert hits / 100_000 == pytest.approx(0.01, abs=0.002)
+        old = rows.d & (rows.u > assay.recency_cutoff)
+        assert old.sum() >= 100_000
+        assert rows.recent[old].mean() == pytest.approx(0.01, abs=0.002)
 
 
 class TestSurveyCounts:
@@ -165,8 +180,7 @@ class TestAssembleSurvey:
         # SWP, theta=1, r=0.6, c=2: expected ~3.75 attendees per admission
         policy = ScreeningPolicy(q1=0.6, exclusion_window=2.0)
         s = inclusion_probability(
-            ObservationRule.STOP_WHEN_POSITIVE, 0.032, 0.29, 1.0, 0.6, 2.0,
-            DEFAULT_PARAMS.horizon,
+            ObservationRule.STOP_WHEN_POSITIVE, DEFAULT_PARAMS, 1.0, 0.6, 2.0
         )
         rng = np.random.default_rng(22)
         counts = assemble_survey(

@@ -15,11 +15,8 @@ from recencysim.testing_history import (
     UniformInterTest,
 )
 
-T_STAR = DEFAULT_PARAMS.horizon
-
-
 def s_closed(rule, theta, r, c):
-    return inclusion_probability(rule, 0.032, 0.29, theta, r, c, T_STAR)
+    return inclusion_probability(rule, DEFAULT_PARAMS, theta, r, c)
 
 
 class TestInclusionProbability:
@@ -66,7 +63,7 @@ class TestInclusionProbability:
     def test_invalid_combination_raises(self):
         with pytest.raises(InclusionProbabilityError):
             inclusion_probability(
-                ObservationRule.REGULAR, 0.032, 0.29, 1.0, 0.0, 60.0, T_STAR
+                ObservationRule.REGULAR, DEFAULT_PARAMS, 1.0, 0.0, 60.0
             )
 
 

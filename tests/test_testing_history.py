@@ -2,16 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
-from recencysim.quadrature import adaptive_simpson
 from recencysim.testing_history import (
     ExponentialInterTest,
     ObservationRule,
     TestingProcess,
     UniformInterTest,
     _residual_from_uniform01,
-    observe_most_recent,
     observe_most_recent_many,
     residual_cdf,
     sample_residual,
@@ -21,6 +19,10 @@ from recencysim.testing_history import (
 
 EXP1 = TestingProcess(ExponentialInterTest(1.0), ObservationRule.REGULAR)
 SWP1 = TestingProcess(ExponentialInterTest(1.0), ObservationRule.STOP_WHEN_POSITIVE)
+
+
+def quad(f, a, b):
+    return integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-12)[0]
 
 
 class TestResidualSampler:
@@ -58,22 +60,42 @@ class TestResidualSampler:
         assert res.pvalue > 0.01
 
 
+def observe_one(residual, u, process, seed):
+    """observe_most_recent_many for one individual; u=None is uninfected."""
+    infected = u is not None
+    t = observe_most_recent_many(
+        np.array([residual]), np.array([u if infected else np.nan]),
+        np.array([infected]), process, np.random.default_rng(seed),
+    )
+    return float(t[0])
+
+
 class TestObserveMostRecent:
     def test_infection_after_last_test(self):
-        rng = np.random.default_rng(1)
-        assert observe_most_recent(1.5, 0.5, SWP1, rng) == 1.5
+        assert observe_one(1.5, 0.5, SWP1, 1) == 1.5
+
+    def test_last_test_at_infection(self):
+        # residual == u: the last test is not before infection, so unchanged
+        assert observe_one(0.5, 0.5, SWP1, 9) == 0.5
 
     def test_regular_rule_never_modifies(self):
-        rng = np.random.default_rng(2)
-        assert observe_most_recent(0.2, 3.0, EXP1, rng) == 0.2
+        assert observe_one(0.2, 3.0, EXP1, 2) == 0.2
 
     def test_negative_individual_never_modified(self):
-        rng = np.random.default_rng(3)
-        assert observe_most_recent(0.2, None, SWP1, rng) == 0.2
+        assert observe_one(0.2, None, SWP1, 3) == 0.2
+
+    def test_negatives_unchanged_within_batch(self):
+        rng = np.random.default_rng(10)
+        n = 10_000
+        tid = sample_residual(SWP1, rng, size=n)
+        infected = rng.random(n) < 0.5
+        u = np.where(infected, rng.uniform(0, 5, n), np.nan)
+        t = observe_most_recent_many(tid, u, infected, SWP1, rng)
+        assert np.array_equal(t[~infected], tid[~infected])
+        assert (t[infected] != tid[infected]).any()
 
     def test_zero_duration_reduces_to_regular(self):
-        rng = np.random.default_rng(4)
-        assert observe_most_recent(0.7, 0.0, SWP1, rng) == 0.7
+        assert observe_one(0.7, 0.0, SWP1, 4) == 0.7
 
     def test_monotone_relation_per_draw(self):
         rng = np.random.default_rng(5)
@@ -146,26 +168,22 @@ class TestSwpConditionalDensity:
 
     def test_integrates_to_one(self):
         for u, theta in [(0.7, 1.5), (0.0, 1.0), (2.0, 0.4), (5.0, 2.0)]:
-            below = adaptive_simpson(
-                lambda t: swp_conditional_density(t, u, theta), 0.0, u, tol=1e-12
-            )
+            below = quad(lambda t: swp_conditional_density(t, u, theta), 0.0, u)
             # the density jumps at t=u, so start the tail just beyond it
-            tail = adaptive_simpson(
+            tail = quad(
                 lambda t: swp_conditional_density(t, u, theta),
                 float(np.nextafter(u, np.inf)),
                 u + 60.0 / theta,
-                tol=1e-12,
             )
             assert below + tail == pytest.approx(1.0, abs=1e-8)
 
     def test_survival_helper_consistent(self):
         for u, theta, c in [(2.0, 1.0, 0.5), (0.3, 2.0, 1.0), (4.0, 0.4, 2.0)]:
             lo = max(c, 0.0)
-            num = adaptive_simpson(
+            num = quad(
                 lambda t: swp_conditional_density(t, u, theta),
                 lo,
                 min(u, 50.0) if u > lo else lo,
-                tol=1e-12,
             )
             tail_lo = max(u, c)
             tail = math.exp(-theta * tail_lo)
