@@ -44,11 +44,33 @@ def _add_common(p):
     p.add_argument("--config", type=Path, default=None, help="YAML config file")
 
 
+CONFIG_KEYS = {"seed", "replications", "n_target", "out_dir", "workers", "grid"}
+GRID_KEYS = {"rules", "theta", "r", "c", "frr", "uniform_b", "assay"}
+
+
+class ConfigError(ValueError):
+    """A config file that is not a mapping of known keys."""
+
+
+def _check_keys(block, allowed, where):
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a mapping, got {type(block).__name__}")
+    unknown = sorted(set(block) - allowed, key=str)
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) {', '.join(map(repr, unknown))} in {where}; "
+            f"expected some of: {', '.join(sorted(allowed))}"
+        )
+
+
 def _load_config(path):
     if path is None:
         return {}
     with open(path) as fh:
-        return yaml.safe_load(fh) or {}
+        cfg = yaml.safe_load(fh) or {}
+    _check_keys(cfg, CONFIG_KEYS, f"config {path}")
+    _check_keys(cfg.get("grid") or {}, GRID_KEYS, f"the grid: block of {path}")
+    return cfg
 
 
 def _resolved(args, cfg):
@@ -83,7 +105,7 @@ def _run_and_write(scenarios, opts, cfg, label):
 def cmd_grid(args) -> int:
     cfg = _load_config(args.config)
     opts = _resolved(args, cfg)
-    grid_cfg = cfg.get("grid", {})
+    grid_cfg = cfg.get("grid") or {}
     rules = [
         ObservationRule(r) for r in grid_cfg.get("rules", ["regular", "swp"])
     ]
@@ -207,7 +229,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_mdri)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

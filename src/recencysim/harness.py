@@ -16,6 +16,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -318,65 +319,88 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@contextmanager
+def _atomic_open(path: Path, newline=None):
+    """Open a sibling temporary file; os.replace it onto `path` on success.
+
+    If the body raises, the temporary file is removed and `path` is left as
+    it was, so no reader ever sees a half-written file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_results(
     results: Sequence[ScenarioResult], out_dir: Path, config_echo: dict, seed: int,
     wall_time: float,
 ) -> bool:
     """Write per-replication CSV, summary CSV, and the JSON manifest.
 
-    Returns True when every scenario completed without error.
+    Returns True when every scenario completed without error.  The three
+    files are replaced together only after all of them are written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    with _atomic_open(out_dir / "replications.csv", newline="") as rep_fh, \
+            _atomic_open(out_dir / "summary.csv", newline="") as sum_fh, \
+            _atomic_open(out_dir / "manifest.json") as man_fh:
+        _write_replications(results, rep_fh)
+        ok = _write_summary(results, sum_fh)
+        manifest = {
+            "config": config_echo,
+            "seed": seed,
+            "version": __version__,
+            "scenarios": len(results),
+            "errors": [r.scenario.label for r in results if r.error is not None],
+            "wall_time_s": round(wall_time, 3),
+        }
+        json.dump(manifest, man_fh, indent=2, sort_keys=True)
+        man_fh.write("\n")
+    return ok
+
+
+def _write_replications(results, fh):
+    w = csv.writer(fh)
+    w.writerow(REPLICATION_COLUMNS)
+    for res in results:
+        for rep, (counts, est, status) in enumerate(
+            zip(res.count_rows, res.estimates, res.statuses)
+        ):
+            w.writerow([res.scenario.label, rep, *counts, _fmt(est), status])
+
+
+def _write_summary(results, fh) -> bool:
     ok = True
-
-    with open(out_dir / "replications.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(REPLICATION_COLUMNS)
-        for res in results:
-            for rep, (counts, est, status) in enumerate(
-                zip(res.count_rows, res.estimates, res.statuses)
-            ):
-                w.writerow(
-                    [res.scenario.label, rep, *counts, _fmt(est), status]
-                )
-
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SUMMARY_COLUMNS)
-        for res in results:
-            sc = res.scenario
-            law, theta, a, b = _law_fields(sc.process)
-            row = [
-                sc.label, sc.process.observation_rule.value, law, theta, a, b,
-                _fmt(sc.policy.attendance_ratio),
-                _fmt(sc.policy.exclusion_window),
-                _fmt(sc.assay.frr), sc.replications, sc.n_target,
+    w = csv.writer(fh)
+    w.writerow(SUMMARY_COLUMNS)
+    for res in results:
+        sc = res.scenario
+        law, theta, a, b = _law_fields(sc.process)
+        row = [
+            sc.label, sc.process.observation_rule.value, law, theta, a, b,
+            _fmt(sc.policy.attendance_ratio),
+            _fmt(sc.policy.exclusion_window),
+            _fmt(sc.assay.frr), sc.replications, sc.n_target,
+        ]
+        if res.error is not None:
+            ok = False
+            row += ["", "", "", "", "", "", "", "", "", "", f"error:{res.error}"]
+        else:
+            s = res.summary()
+            ab, av = _analytic_columns(sc)
+            row += [
+                _fmt(s["median"]), _fmt(s["mean"]), _fmt(s["q025"]),
+                _fmt(s["q975"]), _fmt(s["var_log"]), s["n_negative"],
+                s["n_undefined"], _fmt(s["mean_screened"]), ab, av, "ok",
             ]
-            if res.error is not None:
-                ok = False
-                row += ["", "", "", "", "", "", "", "", "", "", f"error:{res.error}"]
-            else:
-                s = res.summary()
-                ab, av = _analytic_columns(sc)
-                row += [
-                    _fmt(s["median"]), _fmt(s["mean"]), _fmt(s["q025"]),
-                    _fmt(s["q975"]), _fmt(s["var_log"]), s["n_negative"],
-                    s["n_undefined"], _fmt(s["mean_screened"]), ab, av, "ok",
-                ]
-            w.writerow(row)
-
-    manifest = {
-        "config": config_echo,
-        "seed": seed,
-        "version": __version__,
-        "scenarios": len(results),
-        "errors": [r.scenario.label for r in results if r.error is not None],
-        "wall_time_s": round(wall_time, 3),
-    }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        w.writerow(row)
     return ok
 
 
@@ -431,7 +455,7 @@ def emit_histogram(
 
 
 def write_histogram(rows, out_path: Path):
-    with open(out_path, "w", newline="") as fh:
+    with _atomic_open(out_path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(
             ["bin_lo", "bin_hi", "aware_included", "aware_excluded",
@@ -509,7 +533,7 @@ def emit_table1(
 
 
 def write_table1(rows, out_path: Path):
-    with open(out_path, "w", newline="") as fh:
+    with _atomic_open(out_path, newline="") as fh:
         w = csv.writer(fh)
         cols = list(rows[0].keys())
         w.writerow(cols)

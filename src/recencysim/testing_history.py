@@ -9,7 +9,6 @@ Stop-When-Positive (testing stops at the first post-infection test).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -108,12 +107,6 @@ def sample_residual(
     return out
 
 
-def _draw_gaps(law: InterTestLaw, rng: np.random.Generator, size: int):
-    if isinstance(law, ExponentialInterTest):
-        return rng.exponential(1.0 / law.theta, size=size)
-    return rng.uniform(law.a, law.b, size=size)
-
-
 def observe_most_recent_many(
     residual_id: np.ndarray,
     u: np.ndarray,
@@ -128,18 +121,29 @@ def observe_most_recent_many(
     for uninfected individuals, or whenever the last scheduled test predates
     infection (residual_id >= u), the value is returned unchanged.  Under
     Stop-When-Positive with residual_id < u, the schedule is extended
-    backwards in survey time (gap by gap) and the last test time not
-    exceeding u is returned: that test is the first one after infection in
-    calendar order, so testing stopped there.  Gap draws are consumed in
-    rounds over the still-active individuals, so the result is deterministic
+    backwards in survey time and the last test time T not exceeding u is
+    returned: that test is the first one after infection in calendar order,
+    so testing stopped there, and residual_id <= T <= u.
+
+    Exponential gaps take one exact draw per active individual: the times
+    since the earlier tests form a Poisson(theta) process beyond
+    residual_id, so T = max(residual_id, u - E) with E ~ Exp(theta).  This
+    includes the atom T = residual_id, of probability
+    exp(-theta * (u - residual_id)).  Uniform gaps are walked gap by gap, in
+    rounds over the still-active individuals.  Both routes are deterministic
     for a given generator state.
     """
     t = np.array(residual_id, dtype=float, copy=True)
     if process.observation_rule is ObservationRule.REGULAR:
         return t
     active = np.flatnonzero(infected & (t < np.where(infected, u, -np.inf)))
+    law = process.inter_test_law
+    if isinstance(law, ExponentialInterTest):
+        back = rng.exponential(1.0 / law.theta, active.size)
+        t[active] = np.maximum(t[active], u[active] - back)
+        return t
     while active.size:
-        gaps = _draw_gaps(process.inter_test_law, rng, active.size)
+        gaps = rng.uniform(law.a, law.b, active.size)
         done = t[active] + gaps > u[active]
         keep = ~done
         t[active[keep]] += gaps[keep]
@@ -169,12 +173,3 @@ def swp_conditional_density(t, u: float, theta: float):
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(out)
     return out
-
-
-def swp_conditional_survival(c: float, u: float, theta: float) -> float:
-    """P(T > c | U = u) under Stop-When-Positive with exponential gaps."""
-    if c <= 0:
-        return 1.0
-    if u <= c:
-        return math.exp(-theta * c)
-    return 1.0 - math.exp(-theta * (u - c)) + math.exp(-theta * u)

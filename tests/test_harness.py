@@ -6,6 +6,7 @@ import pytest
 
 from recencysim.cli import main as cli_main
 from recencysim.estimator import analytic_bias, log_variance, survey_composition
+from recencysim import harness
 from recencysim.harness import (
     SUMMARY_COLUMNS,
     Scenario,
@@ -17,7 +18,9 @@ from recencysim.harness import (
     run_grid,
     run_replication,
     run_scenario,
+    write_histogram,
     write_results,
+    write_table1,
 )
 from recencysim.population import DEFAULT_PARAMS, ScreeningPolicy
 from recencysim.recency_model import DEFAULT_ASSAY
@@ -274,3 +277,85 @@ class TestOutputsAndCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "effective mdri" in out
+
+    @pytest.mark.parametrize(
+        "body,key",
+        [
+            ("seed: 5\nreplication: 3\n", "'replication'"),
+            ("seed: 5\ngrid:\n  thetas: [1.0]\n", "'thetas'"),
+        ],
+    )
+    def test_cli_rejects_unknown_config_key(self, tmp_path, capsys, body, key):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(body + f"out_dir: {tmp_path / 'out'}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["grid", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unknown key(s) {key}" in err
+        assert not (tmp_path / "out").exists()
+
+
+class Boom:
+    """A cell value whose formatting fails, as a crash partway through."""
+
+    def __str__(self):
+        raise RuntimeError("boom")
+
+
+class TestAtomicWriters:
+    def test_write_results_keeps_old_files_on_failure(self, tmp_path, monkeypatch):
+        results = run_grid(small_grid(reps=1, n_target=200), workers=1)
+        assert write_results(results, tmp_path, config_echo={}, seed=7,
+                             wall_time=0.0)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["manifest.json", "replications.csv", "summary.csv"]
+
+        calls = []
+        real = harness._analytic_columns
+
+        def fail_on_second_row(scenario):
+            calls.append(scenario)
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return real(scenario)
+
+        monkeypatch.setattr(harness, "_analytic_columns", fail_on_second_row)
+        with pytest.raises(RuntimeError, match="boom"):
+            write_results(results[::-1], tmp_path, config_echo={"run": 2},
+                          seed=8, wall_time=0.0)
+        assert len(calls) == 2
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_write_results_leaves_nothing_on_first_failure(self, tmp_path,
+                                                           monkeypatch):
+        results = run_grid(small_grid(reps=1, n_target=200), workers=1)
+        def fail(scenario):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness, "_analytic_columns", fail)
+        with pytest.raises(RuntimeError):
+            write_results(results, tmp_path, config_echo={}, seed=7,
+                          wall_time=0.0)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "writer,good,bad",
+        [
+            (write_histogram, [(0.0, 0.25, 1, 2, 3, 4)] * 3,
+             [(0.0, 0.25, 1, 2, 3, 4), (0.25, 0.5, 5, Boom(), 7, 8)]),
+            (write_table1, [{"c": 0.0, "r": 1.0}] * 3,
+             [{"c": 0.0, "r": 1.0}, {"c": 2.0, "r": Boom()}]),
+        ],
+    )
+    def test_row_writers(self, tmp_path, writer, good, bad):
+        out = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError):
+            writer(bad, out)
+        assert list(tmp_path.iterdir()) == []
+        writer(good, out)
+        before = out.read_bytes()
+        with pytest.raises(RuntimeError):
+            writer(bad, out)
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_bytes() == before
