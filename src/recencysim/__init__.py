@@ -10,18 +10,15 @@ from .testing_history import (
     TestingProcess,
     UniformInterTest,
     sample_residual,
-    swp_conditional_density,
 )
 from .population import (
     DEFAULT_PARAMS,
     PopulationParams,
     ScreeningPolicy,
     SurveyCounts,
-    assemble_survey,
 )
 from .estimator import (
     EstimatorInputs,
-    EffectiveMdriQuery,
     analytic_bias,
     effective_mdri_closed,
     effective_mdri_numeric,
@@ -47,14 +44,11 @@ __all__ = [
     "ObservationRule",
     "TestingProcess",
     "sample_residual",
-    "swp_conditional_density",
     "DEFAULT_PARAMS",
     "PopulationParams",
     "ScreeningPolicy",
     "SurveyCounts",
-    "assemble_survey",
     "EstimatorInputs",
-    "EffectiveMdriQuery",
     "analytic_bias",
     "effective_mdri_closed",
     "effective_mdri_numeric",

@@ -8,6 +8,7 @@ Subcommands:
   mdri         one-shot effective-MDRI query
 
 A YAML config file can set any grid parameter; CLI flags override it.
+Unknown config keys and out-of-range values are usage errors (exit 2).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .harness import (
     write_table1,
 )
 from .population import DEFAULT_PARAMS
-from .recency_model import DEFAULT_ASSAY, LONG_ASSAY, mdri
-from .testing_history import ExponentialInterTest, ObservationRule, TestingProcess
+from .recency_model import ASSAYS, mdri
+from .testing_history import ExponentialInterTest, ObservationRule
 
 
 def _add_common(p):
@@ -49,7 +50,7 @@ GRID_KEYS = {"rules", "theta", "r", "c", "frr", "uniform_b", "assay"}
 
 
 class ConfigError(ValueError):
-    """A config file that is not a mapping of known keys."""
+    """A config file or argument the program cannot use; a usage error."""
 
 
 def _check_keys(block, allowed, where):
@@ -106,21 +107,24 @@ def cmd_grid(args) -> int:
     cfg = _load_config(args.config)
     opts = _resolved(args, cfg)
     grid_cfg = cfg.get("grid") or {}
-    rules = [
-        ObservationRule(r) for r in grid_cfg.get("rules", ["regular", "swp"])
-    ]
-    scenarios = build_grid(
-        seed=opts["seed"],
-        replications=opts["reps"],
-        n_target=opts["n_target"],
-        rules=rules,
-        thetas=grid_cfg.get("theta", (0.4, 1.0, 1.5, 2.0)),
-        rs=grid_cfg.get("r", (0.0, 0.3, 0.6, 1.0)),
-        cs=grid_cfg.get("c", (0.0, 0.25, 1.0, 1.5, 2.0)),
-        frrs=grid_cfg.get("frr", (0.0,)),
-        uniform_bs=grid_cfg.get("uniform_b", ()),
-        assay_name=grid_cfg.get("assay", "default"),
-    )
+    try:
+        rules = [
+            ObservationRule(r) for r in grid_cfg.get("rules", ["regular", "swp"])
+        ]
+        scenarios = build_grid(
+            seed=opts["seed"],
+            replications=opts["reps"],
+            n_target=opts["n_target"],
+            rules=rules,
+            thetas=grid_cfg.get("theta", (0.4, 1.0, 1.5, 2.0)),
+            rs=grid_cfg.get("r", (0.0, 0.3, 0.6, 1.0)),
+            cs=grid_cfg.get("c", (0.0, 0.25, 1.0, 1.5, 2.0)),
+            frrs=grid_cfg.get("frr", (0.0,)),
+            uniform_bs=grid_cfg.get("uniform_b", ()),
+            assay_name=grid_cfg.get("assay", "default"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value in the grid: block of {args.config}: {exc}")
     return _run_and_write(scenarios, opts, cfg, "grid")
 
 
@@ -136,15 +140,17 @@ def cmd_sensitivity(args) -> int:
 def cmd_histogram(args) -> int:
     cfg = _load_config(args.config)
     opts = _resolved(args, cfg)
+    rule = ObservationRule(args.rule)
+    try:
+        law = ExponentialInterTest(args.theta)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    if not args.c >= 0.0:
+        raise ConfigError(f"c must be nonnegative, got {args.c!r}")
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    rule = ObservationRule(args.rule)
     rows = emit_histogram(
-        rule,
-        ExponentialInterTest(args.theta),
-        args.c,
-        n_infected=args.n_infected,
-        seed=opts["seed"],
+        rule, law, args.c, n_infected=args.n_infected, seed=opts["seed"]
     )
     out = out_dir / f"histogram_{rule.value}_theta{args.theta:g}_c{args.c:g}.csv"
     write_histogram(rows, out)
@@ -172,25 +178,20 @@ def cmd_table1(args) -> int:
 
 
 def cmd_mdri(args) -> int:
-    assay = LONG_ASSAY if args.assay == "long" else DEFAULT_ASSAY
+    assay = ASSAYS[args.assay]
     rule = ObservationRule(args.rule)
     omega = mdri(assay)
-    omega_eff = effective_mdri_closed(assay, args.theta, args.r, args.c, rule)
+    try:
+        omega_eff = effective_mdri_closed(assay, args.theta, args.r, args.c, rule)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     bias = analytic_bias(assay, args.theta, args.r, args.c, rule, DEFAULT_PARAMS)
     print(f"mdri            = {omega:.6f} years ({omega * 365.25:.1f} days)")
     print(f"effective mdri  = {omega_eff:.6f} years")
     print(f"analytic bias   = {bias * 1e3:+.3f} x 1e-3 per person-year")
     if args.check_numeric:
-        from .estimator import EffectiveMdriQuery
-
-        q = EffectiveMdriQuery(
-            assay=assay,
-            process=TestingProcess(ExponentialInterTest(args.theta), rule),
-            r=args.r,
-            c=args.c,
-            params=DEFAULT_PARAMS,
-        )
-        print(f"numeric mdri    = {effective_mdri_numeric(q):.6f} years")
+        numeric = effective_mdri_numeric(assay, args.theta, args.r, args.c, rule)
+        print(f"numeric mdri    = {numeric:.6f} years")
     return 0
 
 
@@ -224,7 +225,7 @@ def main(argv=None) -> int:
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--assay", choices=["default", "long"], default="default")
+    p.add_argument("--assay", choices=list(ASSAYS), default="default")
     p.add_argument("--check-numeric", action="store_true")
     p.set_defaults(func=cmd_mdri)
 

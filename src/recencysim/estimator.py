@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from .population import PopulationParams, SurveyCounts
 from .recency_model import (
     RecencyAssay,
@@ -31,15 +29,7 @@ from .recency_model import (
     mdri,
     phi,
 )
-from .testing_history import (
-    ExponentialInterTest,
-    ObservationRule,
-    TestingProcess,
-    UniformInterTest,
-    observe_most_recent_many,
-    residual_cdf,
-    sample_residual,
-)
+from .testing_history import ExponentialInterTest, ObservationRule, TestingProcess
 
 
 class UndefinedEstimateError(ValueError):
@@ -88,21 +78,16 @@ def log_variance(n_total: int, p_star: float, p_r: float) -> float:
     return (1.0 / n_total) * (1.0 / (p_r * p_star) + 1.0 / (1.0 - p_star))
 
 
-@dataclass(frozen=True)
-class EffectiveMdriQuery:
-    assay: RecencyAssay
-    process: TestingProcess
-    r: float
-    c: float
-    params: PopulationParams
-
-    def __post_init__(self):
-        if self.assay.frr != 0.0:
-            raise ValueError("effective MDRI is defined for zero-FRR assays only")
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError("r must lie in [0, 1]")
-        if self.c < 0:
-            raise ValueError("c must be nonnegative")
+def _check_effective_mdri_args(assay: RecencyAssay, theta: float, r: float, c: float):
+    """Input checks shared by the closed form and the numeric oracle."""
+    if assay.frr != 0.0:
+        raise ValueError("effective MDRI is defined for zero-FRR assays only")
+    if not theta > 0.0:
+        raise ValueError(f"theta must be positive, got {theta!r}")
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"r must lie in [0, 1], got {r!r}")
+    if not c >= 0.0:
+        raise ValueError(f"c must be nonnegative, got {c!r}")
 
 
 def _exp_conditionals(rule: ObservationRule, theta: float, u: float, c: float):
@@ -118,85 +103,36 @@ def _exp_conditionals(rule: ObservationRule, theta: float, u: float, c: float):
     return below, above
 
 
-def _uniform_regular_conditionals(law: UniformInterTest, u: float, c: float):
-    Fu = residual_cdf(u, law)
-    Fc = residual_cdf(c, law)
-    below = max(0.0, Fu - Fc) if u > c else 0.0
-    above = 1.0 - residual_cdf(max(u, c), law)
-    return below, above
-
-
-def _uniform_swp_conditionals(
-    law: UniformInterTest, u: float, c: float, draws: int, rng: np.random.Generator
-):
-    process = TestingProcess(law, ObservationRule.STOP_WHEN_POSITIVE)
-    residual = sample_residual(process, rng, size=draws)
-    uu = np.full(draws, u)
-    t = observe_most_recent_many(
-        residual, uu, np.ones(draws, dtype=bool), process, rng
-    )
-    below = float(np.mean((t <= u) & (t > c)))
-    above = float(np.mean((t > u) & (t > c)))
-    return below, above
-
-
 def effective_mdri_numeric(
-    q: EffectiveMdriQuery,
-    tol: float = 1e-9,
-    mc_draws: int = 100_000,
-    seed: int = 20240901,
+    assay: RecencyAssay,
+    theta: float,
+    r: float,
+    c: float,
+    rule: ObservationRule,
 ) -> float:
-    """Effective MDRI by direct quadrature of its defining integral.
+    """Effective MDRI by `scipy.integrate.quad` of its defining integral.
 
-    Exponential schedules use the closed piecewise conditional laws inside
-    `scipy.integrate.quad`.  Uniform schedules under Stop-When-Positive have
-    no closed conditional law; those conditionals are estimated per node by
-    Monte Carlo (mc_draws each), so the result carries a stochastic error of
-    order 1/sqrt(mc_draws) and is evaluated on a fixed Simpson grid.
+    The independent check on `effective_mdri_closed`, with the same
+    arguments: exponential (Poisson) schedules, with the piecewise
+    conditional laws of the most recent test time written out directly
+    rather than through the closed-form kernel.
     """
     # imported here: scipy.integrate adds a quarter second to the CLI import
     from scipy import integrate
 
-    assay, law, rule = q.assay, q.process.inter_test_law, q.process.observation_rule
-    tstar, c, r = assay.recency_cutoff, q.c, q.r
+    _check_effective_mdri_args(assay, theta, r, c)
+    tstar = assay.recency_cutoff
 
-    def quadrature(conditionals):
-        def integrand(u):
-            below, above = conditionals(u)
-            return phi(u, assay) * (r * below + above)
+    def integrand(u):
+        below, above = _exp_conditionals(rule, theta, u, c)
+        return phi(u, assay) * (r * below + above)
 
-        # split at the kink u = c
-        total, _ = integrate.quad(
-            integrand, 0.0, tstar, epsabs=tol, epsrel=tol, limit=200,
-            points=[c] if 0.0 < c < tstar else None,
-        )
-        return total
-
-    if isinstance(law, ExponentialInterTest):
-        total = quadrature(lambda u: _exp_conditionals(rule, law.theta, u, c))
-        return total / math.exp(-law.theta * c)
-
-    denom = 1.0 - residual_cdf(c, law)
-    if denom <= 0:
-        raise ValueError("exclusion window covers the entire residual support")
-
-    if rule is ObservationRule.REGULAR:
-        total = quadrature(lambda u: _uniform_regular_conditionals(law, u, c))
-        return total / denom
-
-    # SWP + uniform law: composite Simpson with per-node Monte Carlo
-    rng = np.random.default_rng(seed)
-    n_nodes = 201  # even number of panels over [0, T*]
-    grid = np.linspace(0.0, tstar, n_nodes)
-    vals = np.empty(n_nodes)
-    for i, u in enumerate(grid):
-        below, above = _uniform_swp_conditionals(law, float(u), c, mc_draws, rng)
-        vals[i] = phi(float(u), assay) * (r * below + above)
-    h = grid[1] - grid[0]
-    weights = np.ones(n_nodes)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(np.sum(weights * vals) * h / 3.0 / denom)
+    # split at the kink u = c
+    total, _ = integrate.quad(
+        integrand, 0.0, tstar, epsabs=1e-9, epsrel=1e-9, limit=200,
+        points=[c] if 0.0 < c < tstar else None,
+    )
+    return total / math.exp(-theta * c)
 
 
 def _weight_integral(rule, theta, r, c, x, integral, discounted):
@@ -240,8 +176,7 @@ def effective_mdri_closed(
     with K(c) = int_c^{T*} phi(u) * (1 - e^{theta*(c-u)}) du.  Exactly
     mdri(assay) when c >= T* or when r = 1 and c = 0.
     """
-    if assay.frr != 0.0:
-        raise ValueError("effective MDRI is defined for zero-FRR assays only")
+    _check_effective_mdri_args(assay, theta, r, c)
     return _weight_integral(
         rule, theta, r, c, assay.recency_cutoff,
         lambda y: curve_integral(assay, y),

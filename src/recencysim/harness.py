@@ -3,8 +3,9 @@
 Each scenario is a full survey-simulation configuration; a grid runs every
 scenario for a number of replications and writes one per-replication CSV,
 one summary CSV, and a JSON run manifest.  Replication substreams are
-derived from (seed, scenario index, replication index), so output is
-identical for any worker count.
+derived from (seed, scenario label, replication index), so output is
+identical for any worker count and a scenario draws the same surveys in
+whichever grid it appears.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import hashlib
 import json
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -27,7 +27,6 @@ from . import __version__
 from .estimator import (
     EstimatorInputs,
     analytic_bias,
-    effective_mdri_closed,
     kassanjee_estimate,
     log_variance,
     survey_composition,
@@ -39,16 +38,16 @@ from .population import (
     ScreeningPolicy,
     assemble_survey_rows,
 )
-from .recency_model import DEFAULT_ASSAY, LONG_ASSAY, RecencyAssay, mdri, phi
+from .recency_model import ASSAYS, DEFAULT_ASSAY, RecencyAssay, mdri, phi
 from .screening_analytics import forecast
 from .testing_history import (
     ExponentialInterTest,
     ObservationRule,
     TestingProcess,
     UniformInterTest,
+    observe_most_recent_many,
+    sample_residual,
 )
-
-TRUE_INCIDENCE = DEFAULT_PARAMS.incidence
 
 THETA_GRID = (0.4, 1.0, 1.5, 2.0)
 R_GRID = (0.0, 0.3, 0.6, 1.0)
@@ -103,14 +102,12 @@ class Scenario:
     n_target: int
     replications: int
     seed: int
-    index: int = 0
 
 
 @dataclass
 class ScenarioResult:
     scenario: Scenario
     estimates: List[float] = field(default_factory=list)
-    statuses: List[str] = field(default_factory=list)
     count_rows: List[tuple] = field(default_factory=list)
     error: Optional[str] = None
 
@@ -179,7 +176,7 @@ def replication_rng(seed: int, label: str, replication: int):
 
 
 def run_replication(scenario: Scenario, replication: int):
-    """One survey replication: counts, estimate, and a status flag."""
+    """One survey replication: its counts and the estimate (nan if undefined)."""
     rng = replication_rng(scenario.seed, scenario.label, replication)
     rows = assemble_survey_rows(
         scenario.params,
@@ -198,19 +195,17 @@ def run_replication(scenario: Scenario, replication: int):
             recency_cutoff=scenario.assay.recency_cutoff,
         )
         estimate = kassanjee_estimate(inp)
-        status = "negative" if estimate < 0 else "ok"
     except ValueError:
-        estimate, status = math.nan, "undefined"
-    return counts, estimate, status
+        estimate = math.nan
+    return counts, estimate
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     result = ScenarioResult(scenario=scenario)
     try:
         for rep in range(scenario.replications):
-            counts, estimate, status = run_replication(scenario, rep)
+            counts, estimate = run_replication(scenario, rep)
             result.estimates.append(estimate)
-            result.statuses.append(status)
             result.count_rows.append(
                 (counts.n_total, counts.n_pos, counts.n_neg, counts.n_rec,
                  counts.n_screened)
@@ -261,12 +256,15 @@ def build_grid(
     assay_name: str = "default",
     params: PopulationParams = DEFAULT_PARAMS,
 ) -> List[Scenario]:
-    base = DEFAULT_ASSAY if assay_name == "default" else LONG_ASSAY
+    if assay_name not in ASSAYS:
+        raise ValueError(
+            f"unknown assay {assay_name!r}; expected one of: {', '.join(ASSAYS)}"
+        )
+    base = ASSAYS[assay_name]
     laws: List = [ExponentialInterTest(t) for t in thetas]
     if uniform_bs:
         laws = [UniformInterTest(0.0, b) for b in uniform_bs]
     scenarios = []
-    idx = 0
     for rule in rules:
         for law in laws:
             for frr in frrs:
@@ -287,10 +285,8 @@ def build_grid(
                                 n_target=n_target,
                                 replications=replications,
                                 seed=seed,
-                                index=idx,
                             )
                         )
-                        idx += 1
     return scenarios
 
 
@@ -366,14 +362,19 @@ def write_results(
     return ok
 
 
+def _status(estimate: float) -> str:
+    """Replication status: the estimate is undefined (nan), negative, or ok."""
+    if math.isnan(estimate):
+        return "undefined"
+    return "negative" if estimate < 0 else "ok"
+
+
 def _write_replications(results, fh):
     w = csv.writer(fh)
     w.writerow(REPLICATION_COLUMNS)
     for res in results:
-        for rep, (counts, est, status) in enumerate(
-            zip(res.count_rows, res.estimates, res.statuses)
-        ):
-            w.writerow([res.scenario.label, rep, *counts, _fmt(est), status])
+        for rep, (counts, est) in enumerate(zip(res.count_rows, res.estimates)):
+            w.writerow([res.scenario.label, rep, *counts, _fmt(est), _status(est)])
 
 
 def _write_summary(results, fh) -> bool:
@@ -426,8 +427,6 @@ def emit_histogram(
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 777]))
     process = TestingProcess(law, rule)
-    from .testing_history import observe_most_recent_many, sample_residual
-
     u = rng.uniform(0.0, params.max_duration, size=n_infected)
     residual = sample_residual(process, rng, size=n_infected)
     t = observe_most_recent_many(

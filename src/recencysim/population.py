@@ -66,9 +66,11 @@ class ScreeningPolicy:
         if not 0.0 < self.q0 <= 1.0:
             raise ValueError("q0 must lie in (0, 1]")
         if not 0.0 <= self.q1 <= self.q0:
-            raise ValueError("need 0 <= q1 <= q0")
-        if self.exclusion_window < 0:
-            raise ValueError("exclusion window must be nonnegative")
+            raise ValueError(f"need 0 <= q1 <= q0, got q1={self.q1!r}, q0={self.q0!r}")
+        if not self.exclusion_window >= 0:
+            raise ValueError(
+                f"exclusion window must be nonnegative, got {self.exclusion_window!r}"
+            )
 
     @property
     def attendance_ratio(self) -> float:
@@ -133,7 +135,6 @@ def assemble_survey_rows(
     assay: RecencyAssay,
     n_target: int,
     rng: np.random.Generator,
-    attempt_cap: int = ATTEMPT_CAP,
 ) -> SurveyRows:
     """Sample the population until n_target eligible attendees are admitted.
 
@@ -141,7 +142,9 @@ def assemble_survey_rows(
     (attended=1) evaluated against the criterion up to and including the one
     completing the survey.  Recency tests run on every admitted positive.
     Batched sampling with a fixed batch size keeps the draw sequence, and
-    hence the result, deterministic for a given generator.
+    hence the result, deterministic for a given generator.  Raises
+    InfeasibleScenarioError once ATTEMPT_CAP individuals have been drawn
+    without filling the survey.
     """
     if n_target <= 0:
         raise ValueError("n_target must be positive")
@@ -150,7 +153,7 @@ def assemble_survey_rows(
     n_screened = 0
     sampled = 0
     while admitted_so_far < n_target:
-        if sampled >= attempt_cap:
+        if sampled >= ATTEMPT_CAP:
             raise InfeasibleScenarioError(
                 f"sampled {sampled} individuals without filling the survey"
             )
@@ -183,17 +186,3 @@ def assemble_survey_rows(
         d=d, u=u, t_since_test=t, aware=aware, recent=recent, n_screened=n_screened
     )
 
-
-def assemble_survey(
-    params: PopulationParams,
-    process: TestingProcess,
-    policy: ScreeningPolicy,
-    assay: RecencyAssay,
-    n_target: int,
-    rng: np.random.Generator,
-    attempt_cap: int = ATTEMPT_CAP,
-) -> SurveyCounts:
-    """Aggregate counts for one assembled cross-sectional survey."""
-    return assemble_survey_rows(
-        params, process, policy, assay, n_target, rng, attempt_cap
-    ).counts()

@@ -43,7 +43,7 @@ class RecencyAssay:
         if self.recency_cutoff <= 0:
             raise ValueError("recency_cutoff must be positive")
         if not 0.0 <= self.frr < 1.0:
-            raise ValueError("frr must lie in [0, 1)")
+            raise ValueError(f"frr must lie in [0, 1), got {self.frr!r}")
 
 
 #: Short-window assay used as the default throughout (MDRI about 98 days).
@@ -51,6 +51,9 @@ DEFAULT_ASSAY = RecencyAssay(gamma_shape=0.352, gamma_rate=1.273, recency_cutoff
 
 #: Longer-window assay for the sensitivity runs (MDRI about 224 days).
 LONG_ASSAY = RecencyAssay(gamma_shape=0.681, gamma_rate=1.003, recency_cutoff=2.0)
+
+#: The assays by the names the CLI and YAML configs use.
+ASSAYS = {"default": DEFAULT_ASSAY, "long": LONG_ASSAY}
 
 
 def phi(u, assay: RecencyAssay):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -28,11 +28,7 @@ class ExponentialInterTest:
 
     def __post_init__(self):
         if self.theta <= 0:
-            raise ValueError("theta must be positive")
-
-    @property
-    def mean(self) -> float:
-        return 1.0 / self.theta
+            raise ValueError(f"theta must be positive, got {self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -44,11 +40,7 @@ class UniformInterTest:
 
     def __post_init__(self):
         if self.a < 0 or self.b <= self.a:
-            raise ValueError("need 0 <= a < b")
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.a + self.b)
+            raise ValueError(f"need 0 <= a < b, got a={self.a!r}, b={self.b!r}")
 
 
 InterTestLaw = Union[ExponentialInterTest, UniformInterTest]
@@ -89,22 +81,17 @@ def _residual_from_uniform01(e, law: UniformInterTest):
 
 
 def sample_residual(
-    process: TestingProcess, rng: np.random.Generator, size: Optional[int] = None
-):
-    """Draw the time since the most recent test from the stationary law.
+    process: TestingProcess, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Draw `size` times since the most recent test from the stationary law.
 
-    With `size=None` returns a float; otherwise an array of that length.
     The observation rule is irrelevant here: this is the Regular-rule time,
     which is also the starting point of the Stop-When-Positive correction.
     """
     law = process.inter_test_law
     if isinstance(law, ExponentialInterTest):
-        out = rng.exponential(1.0 / law.theta, size=size)
-    else:
-        out = _residual_from_uniform01(rng.uniform(size=size), law)
-    if size is None:
-        return float(out)
-    return out
+        return rng.exponential(1.0 / law.theta, size=size)
+    return _residual_from_uniform01(rng.uniform(size=size), law)
 
 
 def observe_most_recent_many(
@@ -150,26 +137,3 @@ def observe_most_recent_many(
         active = active[keep]
     return t
 
-
-def swp_conditional_density(t, u: float, theta: float):
-    """Density of the Stop-When-Positive most-recent-test time given U = u.
-
-    Piecewise exponential: theta*exp(-theta*(u-t)) for t <= u (the first
-    post-infection test) and theta*exp(-theta*t) for t > u (the last test
-    predates infection).  Exponential inter-test law only.
-    """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    if u < 0:
-        raise ValueError("u must be nonnegative")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("t must be nonnegative")
-    out = np.where(
-        t_arr <= u,
-        theta * np.exp(-theta * (u - t_arr)),
-        theta * np.exp(-theta * t_arr),
-    )
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(out)
-    return out

@@ -14,7 +14,6 @@ import pytest
 from scipy import stats
 
 from recencysim.estimator import (
-    EffectiveMdriQuery,
     effective_mdri_closed,
     effective_mdri_numeric,
     log_variance,
@@ -172,14 +171,7 @@ def test_criterion_3_closed_vs_quadrature():
             for r in (0.0, 0.3, 0.6, 1.0):
                 for c in (0.0, 0.25, 1.0, 1.5, 2.0):
                     closed = effective_mdri_closed(DEFAULT_ASSAY, theta, r, c, rule)
-                    q = EffectiveMdriQuery(
-                        assay=DEFAULT_ASSAY,
-                        process=TestingProcess(ExponentialInterTest(theta), rule),
-                        r=r,
-                        c=c,
-                        params=DEFAULT_PARAMS,
-                    )
-                    numeric = effective_mdri_numeric(q)
+                    numeric = effective_mdri_numeric(DEFAULT_ASSAY, theta, r, c, rule)
                     worst = max(worst, abs(numeric - closed) / closed)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 10.0

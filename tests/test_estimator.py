@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from recencysim.estimator import (
-    EffectiveMdriQuery,
     EstimatorInputs,
     UndefinedEstimateError,
     analytic_bias,
@@ -141,55 +140,42 @@ class TestEffectiveMdriNumeric:
     @pytest.mark.parametrize("r", [0.0, 0.6, 1.0])
     @pytest.mark.parametrize("c", [0.0, 0.25, 1.0, 2.0])
     def test_matches_closed_form(self, rule, theta, r, c):
-        q = EffectiveMdriQuery(
-            assay=DEFAULT_ASSAY,
-            process=TestingProcess(ExponentialInterTest(theta), rule),
-            r=r,
-            c=c,
-            params=DEFAULT_PARAMS,
-        )
-        num = effective_mdri_numeric(q)
+        num = effective_mdri_numeric(DEFAULT_ASSAY, theta, r, c, rule)
         closed = effective_mdri_closed(DEFAULT_ASSAY, theta, r, c, rule)
         assert num == pytest.approx(closed, rel=1e-6)
 
-    def test_uniform_regular_without_selection(self):
-        # r=1, c=0 under any schedule leaves the plain MDRI
-        q = EffectiveMdriQuery(
-            assay=DEFAULT_ASSAY,
-            process=TestingProcess(
-                UniformInterTest(0.0, 2.0), ObservationRule.REGULAR
-            ),
-            r=1.0,
-            c=0.0,
-            params=DEFAULT_PARAMS,
-        )
-        assert effective_mdri_numeric(q) == pytest.approx(OMEGA, rel=1e-6)
 
-    def test_uniform_swp_monte_carlo_sanity(self):
-        # stochastic path: bounded by the plain MDRI analogue and positive
-        q = EffectiveMdriQuery(
-            assay=DEFAULT_ASSAY,
-            process=TestingProcess(
-                UniformInterTest(0.0, 2.0), ObservationRule.STOP_WHEN_POSITIVE
-            ),
-            r=0.0,
-            c=0.5,
-            params=DEFAULT_PARAMS,
-        )
-        val = effective_mdri_numeric(q, mc_draws=20_000)
-        assert 0.0 < val < OMEGA
+class TestEffectiveMdriArgs:
+    """The closed form and the numeric oracle share one input check."""
 
-    def test_query_validation(self):
-        with pytest.raises(ValueError):
-            EffectiveMdriQuery(
-                assay=DEFAULT_ASSAY,
-                process=TestingProcess(
-                    ExponentialInterTest(1.0), ObservationRule.REGULAR
-                ),
-                r=1.5,
-                c=0.0,
-                params=DEFAULT_PARAMS,
-            )
+    @pytest.mark.parametrize("fn", [effective_mdri_closed, effective_mdri_numeric])
+    @pytest.mark.parametrize(
+        "theta,r,c,message",
+        [
+            (1.0, 1.5, 0.0, "r must lie in [0, 1], got 1.5"),
+            (1.0, -0.1, 0.0, "r must lie in [0, 1], got -0.1"),
+            (1.0, 0.6, -1.0, "c must be nonnegative, got -1.0"),
+            (1.0, 0.6, math.nan, "c must be nonnegative, got nan"),
+            (0.0, 0.6, 0.25, "theta must be positive, got 0.0"),
+            (-1.0, 0.6, 0.25, "theta must be positive, got -1.0"),
+        ],
+    )
+    def test_rejects_out_of_range(self, fn, theta, r, c, message):
+        with pytest.raises(ValueError) as exc:
+            fn(DEFAULT_ASSAY, theta, r, c, ObservationRule.STOP_WHEN_POSITIVE)
+        assert str(exc.value) == message
+
+    def test_numeric_rejects_nonzero_frr(self):
+        from recencysim.recency_model import RecencyAssay
+
+        assay = RecencyAssay(0.352, 1.273, 2.0, frr=0.01)
+        with pytest.raises(ValueError, match="zero-FRR"):
+            effective_mdri_numeric(assay, 1.0, 1.0, 0.0, ObservationRule.REGULAR)
+
+    @pytest.mark.parametrize("fn", [effective_mdri_closed, effective_mdri_numeric])
+    def test_accepts_range_ends(self, fn):
+        for r in (0.0, 1.0):
+            assert fn(DEFAULT_ASSAY, 1.0, r, 0.0, ObservationRule.REGULAR) > 0.0
 
 
 class TestSurveyComposition:

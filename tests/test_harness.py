@@ -1,8 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import recencysim
+from recencysim import population
 
 from recencysim.cli import main as cli_main
 from recencysim.estimator import analytic_bias, log_variance, survey_composition
@@ -23,7 +30,7 @@ from recencysim.harness import (
     write_table1,
 )
 from recencysim.population import DEFAULT_PARAMS, ScreeningPolicy
-from recencysim.recency_model import DEFAULT_ASSAY
+from recencysim.recency_model import DEFAULT_ASSAY, LONG_ASSAY
 from recencysim.testing_history import (
     ExponentialInterTest,
     ObservationRule,
@@ -52,6 +59,18 @@ class TestGridConstruction:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             build_sensitivity("nope", 1, 1)
+
+    def test_assay_by_name(self):
+        long = build_grid(1, 1, thetas=(1.0,), rs=(1.0,), cs=(0.0,), assay_name="long")
+        assert [s.label for s in long] == ["regular_theta1_r1_c0_long",
+                                           "swp_theta1_r1_c0_long"]
+        assert long[0].assay.gamma_shape == LONG_ASSAY.gamma_shape
+        default = build_grid(1, 1, thetas=(1.0,), rs=(1.0,), cs=(0.0,))
+        assert default[0].assay == DEFAULT_ASSAY
+
+    def test_unknown_assay(self):
+        with pytest.raises(ValueError, match="unknown assay 'defualt'"):
+            build_grid(1, 1, assay_name="defualt")
 
 
 class TestDeterminism:
@@ -294,6 +313,122 @@ class TestOutputsAndCli:
         err = capsys.readouterr().err
         assert f"unknown key(s) {key}" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ("rules: [swpp]", "'swpp' is not a valid ObservationRule"),
+            ("assay: defualt", "unknown assay 'defualt'"),
+            ("theta: [0]", "theta must be positive, got 0"),
+            ("c: [-1]", "exclusion window must be nonnegative, got -1"),
+            ("r: [1.5]", "got q1=1.5"),
+            ("frr: [1.5]", "frr must lie in [0, 1), got 1.5"),
+            ("uniform_b: [0]", "need 0 <= a < b, got a=0.0, b=0"),
+            ("theta: 1.0", "not iterable"),
+        ],
+    )
+    def test_cli_rejects_bad_grid_value(self, tmp_path, capsys, grid, message):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"out_dir: {tmp_path / 'out'}\ngrid:\n  {grid}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["grid", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"bad value in the grid: block of {cfg}" in err
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["mdri", "--r", "1.5", "--c", "0.25"], "r must lie in [0, 1], got 1.5"),
+            (["mdri", "--c", "-1"], "c must be nonnegative, got -1.0"),
+            (["mdri", "--c", "-1", "--check-numeric"],
+             "c must be nonnegative, got -1.0"),
+            (["mdri", "--theta", "0"], "theta must be positive, got 0.0"),
+            (["histogram", "--theta", "-1"], "theta must be positive, got -1.0"),
+            (["histogram", "--c", "-0.5"], "c must be nonnegative, got -0.5"),
+        ],
+    )
+    def test_cli_rejects_out_of_range_argument(self, tmp_path, capsys, argv,
+                                               message):
+        if argv[0] == "histogram":
+            argv = argv + ["--n-infected", "100", "--out-dir", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
+class TestInfeasibleCell:
+    """A cell that cannot fill its survey within the attempt cap."""
+
+    # SWP, theta = 2, r = 0, c = 20: an attendee is admitted only if the
+    # last test was more than 20 years ago, of probability about e^-40
+    GRID = "  rules: [swp]\n  theta: [2]\n  r: [0]\n  c: [0, 20]\n"
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(population, "ATTEMPT_CAP", 3 * population._BATCH)
+
+    def test_run_scenario_records_error(self):
+        (infeasible,) = build_grid(
+            5, 2, n_target=200, rules=(ObservationRule.STOP_WHEN_POSITIVE,),
+            thetas=(2.0,), rs=(0.0,), cs=(20.0,),
+        )
+        res = run_scenario(infeasible)
+        assert res.error == (
+            f"sampled {3 * population._BATCH} individuals without filling the survey"
+        )
+        assert res.estimates == [] and res.count_rows == []
+
+    def test_cli_grid_writes_error_row_and_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "out"
+        cfg.write_text(
+            f"seed: 5\nreplications: 2\nn_target: 200\nout_dir: {out}\n"
+            "grid:\n" + self.GRID
+        )
+        assert cli_main(["grid", "--config", str(cfg), "--workers", "1"]) == 1
+        capsys.readouterr()
+        with open(out / "summary.csv") as fh:
+            ok_row, err_row = list(csv.DictReader(fh))
+        assert (ok_row["scenario"], ok_row["status"]) == ("swp_theta2_r0_c0", "ok")
+        assert err_row["scenario"] == "swp_theta2_r0_c20"
+        assert err_row["status"] == (
+            f"error:sampled {3 * population._BATCH} individuals "
+            "without filling the survey"
+        )
+        for key in SUMMARY_COLUMNS[1:SUMMARY_COLUMNS.index("n_target") + 1]:
+            want = "20" if key == "c" else ok_row[key]
+            assert err_row[key] == want, key
+        for key in SUMMARY_COLUMNS[SUMMARY_COLUMNS.index("median"):-1]:
+            assert err_row[key] == "", key
+        with open(out / "replications.csv") as fh:
+            reps = list(csv.DictReader(fh))
+        assert [r["scenario"] for r in reps] == ["swp_theta2_r0_c0"] * 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["errors"] == ["swp_theta2_r0_c20"]
+
+
+def test_cli_import_leaves_scipy_integrate_and_stats_unloaded():
+    # the numeric oracle imports scipy.integrate lazily; loading it (or
+    # scipy.stats) at CLI import time would add to every command's start-up
+    src = str(Path(recencysim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, recencysim.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class Boom:

@@ -7,7 +7,6 @@ from recencysim.population import (
     ScreeningPolicy,
     SurveyCounts,
     _sample_batch,
-    assemble_survey,
     assemble_survey_rows,
 )
 from recencysim.recency_model import DEFAULT_ASSAY, RecencyAssay
@@ -169,9 +168,9 @@ class TestSurveyCounts:
 class TestAssembleSurvey:
     def test_no_exclusions_everyone_admitted(self):
         rng = np.random.default_rng(21)
-        counts = assemble_survey(
+        counts = assemble_survey_rows(
             DEFAULT_PARAMS, REGULAR1, OPEN_DOOR, DEFAULT_ASSAY, 5000, rng
-        )
+        ).counts()
         assert counts.n_total == 5000
         assert counts.n_screened == 5000
         assert counts.n_pos + counts.n_neg == 5000
@@ -183,18 +182,18 @@ class TestAssembleSurvey:
             ObservationRule.STOP_WHEN_POSITIVE, DEFAULT_PARAMS, 1.0, 0.6, 2.0
         )
         rng = np.random.default_rng(22)
-        counts = assemble_survey(
+        counts = assemble_survey_rows(
             DEFAULT_PARAMS, SWP1, policy, DEFAULT_ASSAY, 20_000, rng
-        )
+        ).counts()
         assert counts.n_total == 20_000
         assert counts.n_screened / 20_000 == pytest.approx(1.0 / s, rel=0.02)
 
     def test_prevalence_within_sampling_error(self):
         rng = np.random.default_rng(23)
         n = 50_000
-        counts = assemble_survey(
+        counts = assemble_survey_rows(
             DEFAULT_PARAMS, REGULAR1, OPEN_DOOR, DEFAULT_ASSAY, n, rng
-        )
+        ).counts()
         se = np.sqrt(0.29 * 0.71 / n)
         assert abs(counts.n_pos / n - 0.29) < 3 * se
 
@@ -225,19 +224,19 @@ class TestAssembleSurvey:
 
     def test_deterministic_given_seed(self):
         policy = ScreeningPolicy(q1=0.3, exclusion_window=1.0)
-        a = assemble_survey(
+        a = assemble_survey_rows(
             DEFAULT_PARAMS, SWP1, policy, DEFAULT_ASSAY, 3000,
             np.random.default_rng(99),
-        )
-        b = assemble_survey(
+        ).counts()
+        b = assemble_survey_rows(
             DEFAULT_PARAMS, SWP1, policy, DEFAULT_ASSAY, 3000,
             np.random.default_rng(99),
-        )
+        ).counts()
         assert a == b
 
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
-            assemble_survey(
+            assemble_survey_rows(
                 DEFAULT_PARAMS, REGULAR1, OPEN_DOOR, DEFAULT_ASSAY, 0,
                 np.random.default_rng(1),
             )

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 
 from recencysim.testing_history import (
     ExponentialInterTest,
@@ -14,15 +14,10 @@ from recencysim.testing_history import (
     observe_most_recent_many,
     residual_cdf,
     sample_residual,
-    swp_conditional_density,
 )
 
 EXP1 = TestingProcess(ExponentialInterTest(1.0), ObservationRule.REGULAR)
 SWP1 = TestingProcess(ExponentialInterTest(1.0), ObservationRule.STOP_WHEN_POSITIVE)
-
-
-def quad(f, a, b):
-    return integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-12)[0]
 
 
 def swp_conditional_survival(c: float, u: float, theta: float) -> float:
@@ -281,49 +276,6 @@ class TestUniformSwpUnchanged:
             "987db01b3f485ae1bcbf072ead39173ed6151f0af894b0624f0e9a482185e427"
         )
         assert after == 0.7019081205537804
-
-
-class TestSwpConditionalDensity:
-    def test_left_branch_at_equal_times(self):
-        assert swp_conditional_density(1.0, 1.0, 1.0) == pytest.approx(1.0)
-
-    def test_right_branch(self):
-        assert swp_conditional_density(2.0, 1.0, 1.0) == pytest.approx(
-            math.exp(-2.0), abs=1e-12
-        )
-
-    def test_integrates_to_one(self):
-        for u, theta in [(0.7, 1.5), (0.0, 1.0), (2.0, 0.4), (5.0, 2.0)]:
-            below = quad(lambda t: swp_conditional_density(t, u, theta), 0.0, u)
-            # the density jumps at t=u, so start the tail just beyond it
-            tail = quad(
-                lambda t: swp_conditional_density(t, u, theta),
-                float(np.nextafter(u, np.inf)),
-                u + 60.0 / theta,
-            )
-            assert below + tail == pytest.approx(1.0, abs=1e-8)
-
-    def test_survival_helper_consistent(self):
-        for u, theta, c in [(2.0, 1.0, 0.5), (0.3, 2.0, 1.0), (4.0, 0.4, 2.0)]:
-            lo = max(c, 0.0)
-            num = quad(
-                lambda t: swp_conditional_density(t, u, theta),
-                lo,
-                min(u, 50.0) if u > lo else lo,
-            )
-            tail_lo = max(u, c)
-            tail = math.exp(-theta * tail_lo)
-            assert num + tail == pytest.approx(
-                swp_conditional_survival(c, u, theta), abs=1e-8
-            )
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            swp_conditional_density(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            swp_conditional_density(-1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            swp_conditional_density(1.0, -1.0, 1.0)
 
 
 class TestLawValidation:
