@@ -74,18 +74,29 @@ def _load_config(path):
     return cfg
 
 
+def _positive_int(value, what):
+    """`value` if it is an integer >= 1; a usage error naming `what` if not."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
 def _resolved(args, cfg):
     """Merge config-file values and CLI overrides (CLI wins)."""
+    if args.reps is not None:
+        reps = _positive_int(args.reps, "--reps")
+    else:
+        reps = _positive_int(cfg.get("replications", 1000), "replications")
     return {
         "seed": args.seed if args.seed is not None else cfg.get("seed", 12345),
-        "reps": args.reps if args.reps is not None else cfg.get("replications", 1000),
+        "reps": reps,
         "out_dir": args.out_dir
         if args.out_dir is not None
         else Path(cfg.get("out_dir", default_out_dir())),
         "workers": args.workers
         if args.workers is not None
         else cfg.get("workers", 1),
-        "n_target": cfg.get("n_target", 5000),
+        "n_target": _positive_int(cfg.get("n_target", 5000), "n_target"),
     }
 
 
@@ -147,6 +158,7 @@ def cmd_histogram(args) -> int:
         raise ConfigError(str(exc))
     if not args.c >= 0.0:
         raise ConfigError(f"c must be nonnegative, got {args.c!r}")
+    _positive_int(args.n_infected, "--n-infected")
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = emit_histogram(

@@ -82,6 +82,11 @@ def _check_effective_mdri_args(assay: RecencyAssay, theta: float, r: float, c: f
     """Input checks shared by the closed form and the numeric oracle."""
     if assay.frr != 0.0:
         raise ValueError("effective MDRI is defined for zero-FRR assays only")
+    _check_weight_args(theta, r, c)
+
+
+def _check_weight_args(theta: float, r: float, c: float):
+    """Checks on the arguments of the survey weight."""
     if not theta > 0.0:
         raise ValueError(f"theta must be positive, got {theta!r}")
     if not 0.0 <= r <= 1.0:
@@ -177,8 +182,14 @@ def effective_mdri_closed(
     mdri(assay) when c >= T* or when r = 1 and c = 0.
     """
     _check_effective_mdri_args(assay, theta, r, c)
+    return _recent_weight_integral(assay, theta, r, c, rule, assay.recency_cutoff)
+
+
+def _recent_weight_integral(assay, theta, r, c, rule, x):
+    """int_0^x Q(s, b*u) * w(u) du / e^{-theta*c}: the curve below the cutoff
+    (x <= T*) weighted by the survey weight."""
     return _weight_integral(
-        rule, theta, r, c, assay.recency_cutoff,
+        rule, theta, r, c, x,
         lambda y: curve_integral(assay, y),
         lambda y: discounted_curve_integral(assay, theta, y, start=c),
     )
@@ -213,14 +224,25 @@ def survey_composition(
     """Analytic (p_star, p_r) of the assembled survey population.
 
     p_star is the survey prevalence and p_r the probability that a surveyed
-    positive tests recent (zero-FRR assay).  Exponential schedules only;
-    q0 = 1 is assumed so the attendance ratio r applies to aware positives.
+    positive tests recent: the curve integrated up to min(T*, horizon), plus
+    the false-recent rate over the durations from T* to the horizon,
+
+        p_r = (R + frr * (W(horizon) - W(T*))) / W(horizon).
+
+    Exponential schedules only; the attendance ratio r applies to aware
+    positives.
     """
     law = process.inter_test_law
     if not isinstance(law, ExponentialInterTest):
         raise ValueError("closed survey composition requires exponential schedules")
-    rule = process.observation_rule
-    weight = survey_weight_integral(rule, law.theta, r, c, params.horizon)
-    recent = effective_mdri_closed(assay, law.theta, r, c, rule)
+    _check_weight_args(law.theta, r, c)
+    rule, theta, horizon = process.observation_rule, law.theta, params.horizon
+    cutoff = min(assay.recency_cutoff, horizon)
+    weight = survey_weight_integral(rule, theta, r, c, horizon)
+    recent = _recent_weight_integral(assay, theta, r, c, rule, cutoff)
+    if assay.frr:
+        recent += assay.frr * (
+            weight - survey_weight_integral(rule, theta, r, c, cutoff)
+        )
     pos_per_neg = params.incidence * weight
     return pos_per_neg / (pos_per_neg + 1.0), recent / weight

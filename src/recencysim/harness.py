@@ -11,6 +11,7 @@ whichever grid it appears.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -39,7 +40,7 @@ from .population import (
     assemble_survey_rows,
 )
 from .recency_model import ASSAYS, DEFAULT_ASSAY, RecencyAssay, mdri, phi
-from .screening_analytics import forecast
+from .screening_analytics import SurveyLaw, forecast, survey_law
 from .testing_history import (
     ExponentialInterTest,
     ObservationRule,
@@ -102,6 +103,11 @@ class Scenario:
     n_target: int
     replications: int
     seed: int
+
+    @functools.cached_property
+    def count_law(self) -> SurveyLaw:
+        """The survey's closed-form count law (exponential inter-test laws)."""
+        return survey_law(self.assay, self.process, self.policy, self.params)
 
 
 @dataclass
@@ -176,17 +182,24 @@ def replication_rng(seed: int, label: str, replication: int):
 
 
 def run_replication(scenario: Scenario, replication: int):
-    """One survey replication: its counts and the estimate (nan if undefined)."""
+    """One survey replication: its counts and the estimate (nan if undefined).
+
+    Exponential inter-test laws draw the counts from the scenario's
+    closed-form count law; uniform laws assemble the survey individual by
+    individual.
+    """
     rng = replication_rng(scenario.seed, scenario.label, replication)
-    rows = assemble_survey_rows(
-        scenario.params,
-        scenario.process,
-        scenario.policy,
-        scenario.assay,
-        scenario.n_target,
-        rng,
-    )
-    counts = rows.counts()
+    if isinstance(scenario.process.inter_test_law, ExponentialInterTest):
+        counts = scenario.count_law.draw(scenario.n_target, rng)
+    else:
+        counts = assemble_survey_rows(
+            scenario.params,
+            scenario.process,
+            scenario.policy,
+            scenario.assay,
+            scenario.n_target,
+            rng,
+        ).counts()
     try:
         inp = EstimatorInputs(
             counts=counts,

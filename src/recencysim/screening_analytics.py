@@ -1,19 +1,31 @@
-"""Closed-form survey inclusion probabilities and screening-effort forecasts.
+"""Closed-form survey inclusion probabilities, screening-effort forecasts,
+and the count-level law of a survey.
 
 For exponential test schedules the probability that an attendee passes the
 testing-based criterion has a closed form under both observation rules; the
 required number of attendees to fill a survey of size N is then N / s.
+Admitted attendees are iid, so a whole survey's counts follow one
+multinomial and one negative binomial law (`survey_law`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
-from .estimator import survey_weight_integral
-from .population import PopulationParams, ScreeningPolicy, _sample_batch
+from . import population
+from .estimator import survey_composition, survey_weight_integral
+from .population import (
+    InfeasibleScenarioError,
+    PopulationParams,
+    ScreeningPolicy,
+    SurveyCounts,
+    _sample_batch,
+)
+from .recency_model import RecencyAssay
 from .testing_history import ObservationRule, TestingProcess
 
 
@@ -49,15 +61,91 @@ def inclusion_probability(
         raise InclusionProbabilityError(
             f"exclusion window {c} exceeds the horizon {params.horizon}"
         )
-    lam, horizon = params.incidence, params.horizon
-    included = 1.0 + lam * survey_weight_integral(rule, theta, r, c, horizon)
-    attending = 1.0 + lam * survey_weight_integral(rule, theta, r, 0.0, horizon)
-    s = math.exp(-theta * c) * included / attending
+    included, attending = _admission_terms(rule, params, theta, r, c)
+    s = included / attending
     if not 0.0 < s <= 1.0 + 1e-12:
         raise InclusionProbabilityError(
             f"inclusion probability {s} outside (0, 1]; check parameters"
         )
     return min(s, 1.0)
+
+
+def _admission_terms(rule, params, theta, r, c):
+    """Per-draw probabilities of (admission, attendance) over q0*(1-p).
+
+    admitted = e^{-theta*c} * (1 + incidence * W_c) and attending =
+    1 + incidence * W_0; their ratio is the inclusion probability.  Valid
+    for every c >= 0.
+    """
+    lam, horizon = params.incidence, params.horizon
+    eligible = 1.0 + lam * survey_weight_integral(rule, theta, r, c, horizon)
+    attending = 1.0 + lam * survey_weight_integral(rule, theta, r, 0.0, horizon)
+    return math.exp(-theta * c) * eligible, attending
+
+
+@dataclass(frozen=True)
+class SurveyLaw:
+    """Count-level law of one survey under an exponential test schedule.
+
+    `composition` is the law of one admitted attendee: (recent positive,
+    other positive, negative) = (p_star*p_r, p_star*(1-p_r), 1-p_star).
+    `inclusion` is s = P(admitted | attends) and `admit` the probability
+    that one draw from the population is admitted.
+    """
+
+    composition: Tuple[float, float, float]
+    inclusion: float
+    admit: float
+
+    def draw(self, n_target: int, rng: np.random.Generator) -> SurveyCounts:
+        """Counts of one survey of n_target admitted attendees.
+
+        (n_rec, n_pos - n_rec, n_neg) is one multinomial draw and the
+        attendees screened to fill the survey are n_target plus one
+        negative binomial draw.  Raises InfeasibleScenarioError when the
+        expected number of population draws, n_target / admit, exceeds
+        population.ATTEMPT_CAP, the individual sampler's cap.
+        """
+        if n_target <= 0:
+            raise ValueError("n_target must be positive")
+        if n_target > self.admit * population.ATTEMPT_CAP:
+            raise InfeasibleScenarioError(
+                f"expected draws to fill {n_target} places exceed "
+                f"{population.ATTEMPT_CAP} (admit probability {self.admit:.3g} "
+                "per draw)"
+            )
+        n_rec, n_other, n_neg = rng.multinomial(n_target, self.composition)
+        n_screened = n_target + rng.negative_binomial(n_target, self.inclusion)
+        return SurveyCounts(
+            n_total=n_target,
+            n_pos=int(n_rec + n_other),
+            n_neg=int(n_neg),
+            n_rec=int(n_rec),
+            n_screened=int(n_screened),
+        )
+
+
+def survey_law(
+    assay: RecencyAssay,
+    process: TestingProcess,
+    policy: ScreeningPolicy,
+    params: PopulationParams,
+) -> SurveyLaw:
+    """The closed-form count law of a survey; exponential schedules only.
+
+    Every rule, attendance ratio, window c >= 0 (also past the horizon)
+    and false-recent rate.
+    """
+    r, c = policy.attendance_ratio, policy.exclusion_window
+    p_star, p_r = survey_composition(assay, process, r, c, params)
+    admitted, attending = _admission_terms(
+        process.observation_rule, params, process.inter_test_law.theta, r, c
+    )
+    return SurveyLaw(
+        composition=(p_star * p_r, p_star * (1.0 - p_r), 1.0 - p_star),
+        inclusion=min(admitted / attending, 1.0),
+        admit=policy.q0 * (1.0 - params.prevalence) * admitted,
+    )
 
 
 def required_screening(n_target: int, s: float) -> int:
@@ -109,6 +197,8 @@ def inclusion_probability_mc(
 
 __all__ = [
     "ScreeningForecast",
+    "SurveyLaw",
+    "survey_law",
     "InclusionProbabilityError",
     "inclusion_probability",
     "inclusion_probability_mc",

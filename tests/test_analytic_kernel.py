@@ -19,18 +19,24 @@ from scipy.special import gammaincc
 from recencysim.estimator import (
     analytic_bias,
     effective_mdri_closed,
+    survey_composition,
     survey_weight_integral,
 )
-from recencysim.population import DEFAULT_PARAMS
+from recencysim.population import DEFAULT_PARAMS, PopulationParams
 from recencysim.recency_model import (
     DEFAULT_ASSAY,
     LONG_ASSAY,
+    RecencyAssay,
     curve_integral,
     discounted_curve_integral,
     mdri,
 )
 from recencysim.screening_analytics import inclusion_probability
-from recencysim.testing_history import ObservationRule
+from recencysim.testing_history import (
+    ExponentialInterTest,
+    ObservationRule,
+    TestingProcess,
+)
 
 RTOL = 1e-10
 HORIZON = DEFAULT_PARAMS.horizon
@@ -125,6 +131,39 @@ def test_bias_exactly_zero_past_cutoff(assay, rule, theta, r, c):
 @THETAS
 def test_bias_exactly_zero_without_selection(assay, rule, theta):
     assert analytic_bias(assay, theta, 1.0, 0.0, rule, DEFAULT_PARAMS) == 0.0
+
+
+@RULES
+@THETAS
+@RS
+@pytest.mark.parametrize("c", [0.0, 0.25, 1.5, 2.5])
+@pytest.mark.parametrize("frr", [0.0, 0.02])
+@pytest.mark.parametrize(
+    "params",
+    [DEFAULT_PARAMS, PopulationParams(0.032, 0.05), PopulationParams(0.3, 0.23)],
+    ids=["tau12.76", "tau1.64", "tau1.00"],
+)
+def test_survey_composition(rule, theta, r, c, frr, params):
+    # p_r = int_0^tau phi * w / int_0^tau w, with phi = frr past T*; the
+    # curve part stops at the horizon when tau < T*
+    assay = RecencyAssay(
+        DEFAULT_ASSAY.gamma_shape, DEFAULT_ASSAY.gamma_rate, T_STAR, frr
+    )
+    tau, f = params.horizon, curve(assay)
+
+    def w(u):
+        return weight(rule, theta, r, c, u)
+
+    cut = min(T_STAR, tau)
+    total = quad(w, 0.0, tau, kink=c)
+    recent = quad(lambda u: f(u) * w(u), 0.0, cut, kink=c)
+    if tau > T_STAR:
+        recent += frr * quad(w, T_STAR, tau, kink=c)
+    lam = params.incidence
+    process = TestingProcess(ExponentialInterTest(theta), rule)
+    p_star, p_r = survey_composition(assay, process, r, c, params)
+    assert close(p_star, lam * total / (lam * total + 1.0))
+    assert close(p_r, recent / total)
 
 
 @RULES

@@ -1,0 +1,198 @@
+"""The count-level survey engine against the individual sampler.
+
+For exponential test schedules `harness.run_replication` draws a survey's
+counts from `screening_analytics.survey_law`: one multinomial draw for
+(n_rec, n_pos - n_rec, n_neg) and one negative binomial draw for the
+attendees screened beyond N.  The individual sampler
+(`population.assemble_survey_rows`) stays the reference engine here and the
+only engine for uniform schedules.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from recencysim import harness
+from recencysim.estimator import (
+    EstimatorInputs,
+    UndefinedEstimateError,
+    kassanjee_estimate,
+    survey_composition,
+    survey_weight_integral,
+)
+from recencysim.harness import (
+    build_grid,
+    build_sensitivity,
+    replication_rng,
+    run_replication,
+)
+from recencysim.population import (
+    DEFAULT_PARAMS,
+    PopulationParams,
+    ScreeningPolicy,
+    assemble_survey_rows,
+)
+from recencysim.recency_model import DEFAULT_ASSAY, mdri
+from recencysim.screening_analytics import inclusion_probability, survey_law
+from recencysim.testing_history import (
+    ExponentialInterTest,
+    ObservationRule,
+    TestingProcess,
+    UniformInterTest,
+)
+
+REGULAR = ObservationRule.REGULAR
+SWP = ObservationRule.STOP_WHEN_POSITIVE
+
+SEED = 515
+REPS = 300
+KS_ALPHA = 0.01
+
+
+def _estimate(scenario, counts):
+    try:
+        return kassanjee_estimate(
+            EstimatorInputs(
+                counts=counts,
+                mdri_hat=mdri(scenario.assay),
+                frr_hat=scenario.assay.frr,
+                recency_cutoff=scenario.assay.recency_cutoff,
+            )
+        )
+    except UndefinedEstimateError:
+        return math.nan
+
+
+def _reference_replication(scenario, replication):
+    """One survey from the individual sampler, on a stream of its own."""
+    rng = replication_rng(SEED + 1, scenario.label, replication)
+    counts = assemble_survey_rows(
+        scenario.params, scenario.process, scenario.policy, scenario.assay,
+        scenario.n_target, rng,
+    ).counts()
+    return counts, _estimate(scenario, counts)
+
+
+def _cell(scenarios, label):
+    (scenario,) = [s for s in scenarios if s.label == label]
+    return scenario
+
+
+MAIN = build_grid(SEED, REPS)
+CROSS_ENGINE_CELLS = [
+    _cell(MAIN, "swp_theta1_r0.6_c2"),
+    _cell(MAIN, "regular_theta1.5_r0.3_c1.5"),
+    _cell(build_sensitivity("frr", SEED, REPS), "swp_theta0.4_r0.6_c2_frr0.02"),
+    _cell(build_sensitivity("long_mdri", SEED, REPS), "swp_theta1_r0.3_c1_long"),
+]
+
+
+@pytest.mark.parametrize("scenario", CROSS_ENGINE_CELLS, ids=lambda s: s.label)
+def test_count_law_matches_individual_sampler(scenario):
+    # two-sample KS over REPS surveys per engine; fixed seeds
+    count_side = [run_replication(scenario, rep) for rep in range(REPS)]
+    reference = [_reference_replication(scenario, rep) for rep in range(REPS)]
+    for name, pick in (
+        ("estimate", lambda row: row[1]),
+        ("n_screened", lambda row: row[0].n_screened),
+        ("n_pos", lambda row: row[0].n_pos),
+    ):
+        a = np.array([pick(row) for row in count_side], dtype=float)
+        b = np.array([pick(row) for row in reference], dtype=float)
+        assert np.isfinite(a).all() and np.isfinite(b).all()
+        p = stats.ks_2samp(a, b).pvalue
+        assert p > KS_ALPHA, f"{name}: KS p = {p:.4f}"
+
+
+def test_engine_follows_the_inter_test_law(monkeypatch):
+    calls = []
+    real = harness.assemble_survey_rows
+
+    def counting(*args):
+        calls.append(args[1].inter_test_law)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "assemble_survey_rows", counting)
+    (exponential,) = build_grid(3, 1, n_target=200, thetas=(1.0,), rs=(0.6,),
+                                cs=(1.0,), rules=(SWP,))
+    run_replication(exponential, 0)
+    assert calls == []
+    (uniform,) = build_grid(3, 1, n_target=200, rs=(0.6,), cs=(1.0,),
+                            rules=(SWP,), uniform_bs=(3.0,))
+    run_replication(uniform, 0)
+    assert calls == [UniformInterTest(0.0, 3.0)]
+
+
+class TestSurveyLaw:
+    @pytest.mark.parametrize("rule", list(ObservationRule), ids=lambda r: r.value)
+    @pytest.mark.parametrize("r,c", [(1.0, 0.0), (0.3, 0.25), (0.0, 2.0), (0.6, 6.0)])
+    def test_built_on_composition_and_inclusion(self, rule, r, c):
+        process = TestingProcess(ExponentialInterTest(1.5), rule)
+        policy = ScreeningPolicy(q0=1.0, q1=r, exclusion_window=c)
+        law = survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS)
+        p_star, p_r = survey_composition(DEFAULT_ASSAY, process, r, c, DEFAULT_PARAMS)
+        assert law.composition == (p_star * p_r, p_star * (1.0 - p_r), 1.0 - p_star)
+        s = inclusion_probability(rule, DEFAULT_PARAMS, 1.5, r, c)
+        assert law.inclusion == s
+        # admit = P(attend) * s, P(attend) = q0 * (1 - p) * (1 + lam * W_0)
+        w_0 = survey_weight_integral(rule, 1.5, r, 0.0, DEFAULT_PARAMS.horizon)
+        attending = (1.0 - DEFAULT_PARAMS.prevalence) * (
+            1.0 + DEFAULT_PARAMS.incidence * w_0
+        )
+        assert law.admit == pytest.approx(attending * s, rel=1e-12)
+
+    def test_window_past_the_horizon(self):
+        # no c <= horizon guard: every positive then has u < c, so with r = 1
+        # everyone's weight is P(T > c) and s = e^{-theta*c}
+        process = TestingProcess(ExponentialInterTest(0.4), REGULAR)
+        c = DEFAULT_PARAMS.horizon + 1.0
+        policy = ScreeningPolicy(q1=1.0, exclusion_window=c)
+        law = survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS)
+        assert law.inclusion == pytest.approx(math.exp(-0.4 * c), rel=1e-12)
+        counts = law.draw(500, np.random.default_rng(1))
+        assert counts.n_total == 500 and counts.n_screened >= 500
+
+    def test_draw_counts_add_up(self):
+        process = TestingProcess(ExponentialInterTest(1.0), SWP)
+        policy = ScreeningPolicy(q1=0.6, exclusion_window=1.0)
+        law = survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS)
+        counts = law.draw(5000, np.random.default_rng(2))
+        assert counts.n_pos + counts.n_neg == 5000
+        assert 0 <= counts.n_rec <= counts.n_pos
+        assert all(type(v) is int for v in (counts.n_pos, counts.n_neg,
+                                            counts.n_rec, counts.n_screened))
+
+    def test_rejects_uniform_schedules(self):
+        process = TestingProcess(UniformInterTest(0.0, 3.0), SWP)
+        with pytest.raises(ValueError, match="exponential"):
+            survey_law(DEFAULT_ASSAY, process, ScreeningPolicy(), DEFAULT_PARAMS)
+
+    def test_rejects_bad_target(self):
+        process = TestingProcess(ExponentialInterTest(1.0), SWP)
+        law = survey_law(DEFAULT_ASSAY, process, ScreeningPolicy(), DEFAULT_PARAMS)
+        with pytest.raises(ValueError, match="n_target must be positive"):
+            law.draw(0, np.random.default_rng(1))
+
+
+# A duration support shorter than the recency cutoff: tau = 0.996 < T* = 2
+SHORT = PopulationParams(incidence=0.3, prevalence=0.23)
+
+
+@pytest.mark.parametrize(
+    "rule,r,c", [(SWP, 0.6, 0.25), (REGULAR, 1.0, 0.0)], ids=["swp", "regular"]
+)
+def test_short_horizon_composition_matches_sampler(rule, r, c):
+    # integrating the curve to T* instead of tau put p_r 0.03 too high here
+    process = TestingProcess(ExponentialInterTest(1.0), rule)
+    policy = ScreeningPolicy(q1=r, exclusion_window=c)
+    p_star, p_r = survey_composition(DEFAULT_ASSAY, process, r, c, SHORT)
+    n = 400_000
+    counts = assemble_survey_rows(
+        SHORT, process, policy, DEFAULT_ASSAY, n, np.random.default_rng(31)
+    ).counts()
+    se_star = math.sqrt(p_star * (1.0 - p_star) / n)
+    se_r = math.sqrt(p_r * (1.0 - p_r) / counts.n_pos)
+    assert abs(counts.n_pos / n - p_star) < 4.0 * se_star
+    assert abs(counts.n_rec / counts.n_pos - p_r) < 4.0 * se_r

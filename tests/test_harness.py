@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -96,6 +97,22 @@ class TestDeterminism:
                 for name in ("replications.csv", "summary.csv")
             }
         assert files[1] == files[2]
+
+    def test_uniform_suite_streams_unchanged(self, tmp_path):
+        # uniform laws keep the individual sampler: sha256 of the files
+        # written by the code before the count-level engine existed
+        results = run_grid(build_sensitivity("uniform_intertest", 11, 2, n_target=500))
+        write_results(results, tmp_path, config_echo={}, seed=11, wall_time=0.0)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("replications.csv", "summary.csv")
+        }
+        assert digests == {
+            "replications.csv":
+                "24f46eefb2979a337dc5010e622d51a71ee139054e427a68b87638e186555ab0",
+            "summary.csv":
+                "ebd8352c93283d1a956e437e76ae4a3a351a2ef505baf737398fc547722406be",
+        }
 
     def test_label_keyed_streams_match_across_grids(self):
         # an frr=0 sensitivity scenario reproduces its main-grid twin
@@ -338,6 +355,31 @@ class TestOutputsAndCli:
         assert message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["grid"], ["sensitivity", "frr"]])
+    @pytest.mark.parametrize(
+        "body,argv,message",
+        [
+            ("n_target: 0\n", [], "n_target must be a positive integer, got 0"),
+            ("n_target: 2.5\n", [], "n_target must be a positive integer, got 2.5"),
+            ("replications: -2\n", [],
+             "replications must be a positive integer, got -2"),
+            ("replications: true\n", [],
+             "replications must be a positive integer, got True"),
+            ("", ["--reps", "-2"], "--reps must be a positive integer, got -2"),
+            ("replications: 3\n", ["--reps", "0"],
+             "--reps must be a positive integer, got 0"),
+        ],
+    )
+    def test_cli_rejects_bad_count(self, tmp_path, capsys, command, body, argv,
+                                   message):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(body + f"out_dir: {tmp_path / 'out'}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*command, "--config", str(cfg), *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "argv,message",
         [
@@ -348,12 +390,18 @@ class TestOutputsAndCli:
             (["mdri", "--theta", "0"], "theta must be positive, got 0.0"),
             (["histogram", "--theta", "-1"], "theta must be positive, got -1.0"),
             (["histogram", "--c", "-0.5"], "c must be nonnegative, got -0.5"),
+            (["histogram", "--n-infected", "0"],
+             "--n-infected must be a positive integer, got 0"),
+            (["histogram", "--n-infected", "-5"],
+             "--n-infected must be a positive integer, got -5"),
         ],
     )
     def test_cli_rejects_out_of_range_argument(self, tmp_path, capsys, argv,
                                                message):
         if argv[0] == "histogram":
-            argv = argv + ["--n-infected", "100", "--out-dir", str(tmp_path / "out")]
+            if "--n-infected" not in argv:
+                argv = argv + ["--n-infected", "100"]
+            argv = argv + ["--out-dir", str(tmp_path / "out")]
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         assert exc.value.code == 2
@@ -370,6 +418,12 @@ class TestInfeasibleCell:
     # last test was more than 20 years ago, of probability about e^-40
     GRID = "  rules: [swp]\n  theta: [2]\n  r: [0]\n  c: [0, 20]\n"
 
+    # the count-level engine rejects an exponential cell before sampling
+    ERROR = (
+        f"expected draws to fill 200 places exceed {3 * population._BATCH} "
+        "(admit probability 4.25e-18 per draw)"
+    )
+
     @pytest.fixture(autouse=True)
     def small_cap(self, monkeypatch):
         monkeypatch.setattr(population, "ATTEMPT_CAP", 3 * population._BATCH)
@@ -378,6 +432,17 @@ class TestInfeasibleCell:
         (infeasible,) = build_grid(
             5, 2, n_target=200, rules=(ObservationRule.STOP_WHEN_POSITIVE,),
             thetas=(2.0,), rs=(0.0,), cs=(20.0,),
+        )
+        res = run_scenario(infeasible)
+        assert res.error == self.ERROR
+        assert res.estimates == [] and res.count_rows == []
+
+    def test_uniform_law_hits_the_sampling_cap(self):
+        # uniform laws run the individual sampler, which stops at the cap:
+        # with gaps of at most 3 years no attendee is admitted at c = 20
+        (infeasible,) = build_grid(
+            5, 2, n_target=200, rules=(ObservationRule.STOP_WHEN_POSITIVE,),
+            rs=(0.0,), cs=(20.0,), uniform_bs=(3.0,),
         )
         res = run_scenario(infeasible)
         assert res.error == (
@@ -398,10 +463,7 @@ class TestInfeasibleCell:
             ok_row, err_row = list(csv.DictReader(fh))
         assert (ok_row["scenario"], ok_row["status"]) == ("swp_theta2_r0_c0", "ok")
         assert err_row["scenario"] == "swp_theta2_r0_c20"
-        assert err_row["status"] == (
-            f"error:sampled {3 * population._BATCH} individuals "
-            "without filling the survey"
-        )
+        assert err_row["status"] == f"error:{self.ERROR}"
         for key in SUMMARY_COLUMNS[1:SUMMARY_COLUMNS.index("n_target") + 1]:
             want = "20" if key == "c" else ok_row[key]
             assert err_row[key] == want, key
