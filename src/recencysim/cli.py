@@ -74,28 +74,31 @@ def _load_config(path):
     return cfg
 
 
-def _positive_int(value, what):
-    """`value` if it is an integer >= 1; a usage error naming `what` if not."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+def _positive_int(value, what, low=1):
+    """`value` if it is an integer >= low (1 unless given); a usage error
+    naming `what` if not."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        kind = "positive" if low == 1 else "nonnegative"
+        raise ConfigError(f"{what} must be a {kind} integer, got {value!r}")
     return value
 
 
 def _resolved(args, cfg):
     """Merge config-file values and CLI overrides (CLI wins)."""
-    if args.reps is not None:
-        reps = _positive_int(args.reps, "--reps")
-    else:
-        reps = _positive_int(cfg.get("replications", 1000), "replications")
+
+    def pick(flag, key, default, low=1):
+        value = getattr(args, flag)
+        if value is not None:
+            return _positive_int(value, f"--{flag}", low)
+        return _positive_int(cfg.get(key, default), key, low)
+
     return {
-        "seed": args.seed if args.seed is not None else cfg.get("seed", 12345),
-        "reps": reps,
+        "seed": pick("seed", "seed", 12345, low=0),
+        "reps": pick("reps", "replications", 1000),
         "out_dir": args.out_dir
         if args.out_dir is not None
         else Path(cfg.get("out_dir", default_out_dir())),
-        "workers": args.workers
-        if args.workers is not None
-        else cfg.get("workers", 1),
+        "workers": pick("workers", "workers", 1),
         "n_target": _positive_int(cfg.get("n_target", 5000), "n_target"),
     }
 

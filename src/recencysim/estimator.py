@@ -5,13 +5,17 @@ an infected individual of a given duration survives both selective
 attendance and the testing-based exclusion; its ratio to the plain MDRI
 gives the asymptotic multiplicative bias of the incidence estimator.
 
-For exponential (Poisson) test schedules every analytic quantity is an
-integral of one survey weight
+Every analytic quantity is an integral of one survey weight
 
     w(u) = r * P(T <= u, T > c | U = u) + P(T > u, T > c | U = u),
 
-integrated in closed form against 1 (`survey_weight_integral`) and against
-the test-recent curve (`effective_mdri_closed`).  Numerical quadrature
+integrated in closed form against 1 and against the test-recent curve
+(`survey_weight`).  With F the stationary residual CDF of the test schedule,
+P(c < T <= u | u) is F(u) - F(c) under the Regular rule and F(u - c) under
+Stop-When-Positive, and P(T > u, T > c | u) = 1 - F(max(u, c)).  For
+exponential (Poisson) schedules w is piecewise a combination of 1 and
+e^{-theta*u} (`survey_weight_integral`, `effective_mdri_closed`); for
+uniform ones it is piecewise quadratic.  Numerical quadrature
 (`effective_mdri_numeric`) is kept only as an independent check.
 """
 
@@ -25,11 +29,20 @@ from .population import PopulationParams, SurveyCounts
 from .recency_model import (
     RecencyAssay,
     curve_integral,
+    curve_moment,
     discounted_curve_integral,
     mdri,
     phi,
 )
-from .testing_history import ExponentialInterTest, ObservationRule, TestingProcess
+from .testing_history import (
+    ExponentialInterTest,
+    ObservationRule,
+    TestingProcess,
+    UniformInterTest,
+    residual_cdf,
+    uniform_cdf_piece,
+    uniform_cdf_pieces,
+)
 
 
 class UndefinedEstimateError(ValueError):
@@ -82,13 +95,13 @@ def _check_effective_mdri_args(assay: RecencyAssay, theta: float, r: float, c: f
     """Input checks shared by the closed form and the numeric oracle."""
     if assay.frr != 0.0:
         raise ValueError("effective MDRI is defined for zero-FRR assays only")
-    _check_weight_args(theta, r, c)
-
-
-def _check_weight_args(theta: float, r: float, c: float):
-    """Checks on the arguments of the survey weight."""
     if not theta > 0.0:
         raise ValueError(f"theta must be positive, got {theta!r}")
+    _check_weight_args(r, c)
+
+
+def _check_weight_args(r: float, c: float):
+    """Checks on the arguments of the survey weight."""
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must lie in [0, 1], got {r!r}")
     if not c >= 0.0:
@@ -205,13 +218,79 @@ def analytic_bias(
 ) -> float:
     """Asymptotic bias of the incidence estimate when the plain MDRI is used.
 
-    Equals incidence * (effective MDRI / MDRI - 1); exactly zero once the
-    exclusion window reaches the recency cutoff, and with neither exclusion
-    nor selective attendance (r = 1, c = 0).
+    The estimate tends to incidence * R / MDRI, with R the test-recent curve
+    integrated up to min(T*, horizon) against the survey weight.  With the
+    horizon past T*, R is the effective MDRI and the bias is exactly zero
+    once the exclusion window reaches the recency cutoff, and with neither
+    exclusion nor selective attendance (r = 1, c = 0).
     """
     omega = mdri(assay)
-    omega_eff = effective_mdri_closed(assay, theta, r, c, rule)
+    if params.horizon >= assay.recency_cutoff:
+        omega_eff = effective_mdri_closed(assay, theta, r, c, rule)
+    else:
+        _check_effective_mdri_args(assay, theta, r, c)
+        omega_eff = _recent_weight_integral(assay, theta, r, c, rule, params.horizon)
     return params.incidence * (omega_eff / omega - 1.0)
+
+
+def _uniform_weight_integral(law: UniformInterTest, rule, r, c, x, moment):
+    """int_0^x f(u) * w(u) du for a uniform inter-test law, from the moments
+    moment(k, y) = int_0^y u^k * f(u) du, k <= 2.
+
+    Between consecutive knees of F(u), of F(u - c) and the window c, F is one
+    quadratic piece (`uniform_cdf_piece`, chosen at the midpoint), so w is a
+    quadratic in u there.
+    """
+    knees, _ = uniform_cdf_pieces(law)
+    breaks = {0.0, x, c, *knees}
+    if rule is ObservationRule.STOP_WHEN_POSITIVE:
+        breaks.update(c + knees)
+    edges = sorted(e for e in breaks if 0.0 <= e <= x)
+    survive_c = 1.0 - residual_cdf(c, law)
+    total = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        mid = 0.5 * (lo + hi)
+        k0, k1, k2 = uniform_cdf_piece(mid, law)  # F(u) = k0 + k1*u + k2*u^2
+        if mid <= c:  # 1 - F(c)
+            coef = (survive_c, 0.0, 0.0)
+        elif rule is ObservationRule.REGULAR:  # (1 - r)*(1 - F(u)) + r*(1 - F(c))
+            coef = ((1.0 - r) * (1.0 - k0) + r * survive_c, (r - 1.0) * k1,
+                    (r - 1.0) * k2)
+        else:  # r*F(u - c) + 1 - F(u)
+            g0, g1, g2 = uniform_cdf_piece(mid - c, law)
+            coef = (r * (g0 - c * (g1 - c * g2)) + 1.0 - k0,
+                    r * (g1 - 2.0 * c * g2) - k1, r * g2 - k2)
+        total += sum(
+            g * (moment(k, hi) - moment(k, lo)) for k, g in enumerate(coef) if g
+        )
+    return float(total)
+
+
+def survey_weight(process: TestingProcess, r: float, c: float, x: float, assay=None):
+    """The survey weight integrated in closed form, for either inter-test law.
+
+    Returns (scale, negatives, integral): integral = int_0^x w(u) du, or
+    int_0^x Q(s, b*u) * w(u) du (x <= T*) when an assay is given, and
+    negatives = P(T > c), both divided by `scale`.  Exponential schedules
+    use scale = e^{-theta*c}, so negatives = 1; uniform ones use scale = 1,
+    so a window past the longest gap (P(T > c) = 0) divides by nothing.
+    """
+    law, rule = process.inter_test_law, process.observation_rule
+    if isinstance(law, ExponentialInterTest):
+        theta = law.theta
+        if assay is None:
+            integral = survey_weight_integral(rule, theta, r, c, x)
+        else:
+            integral = _recent_weight_integral(assay, theta, r, c, rule, x)
+        return math.exp(-theta * c), 1.0, integral
+    if assay is None:
+        def moment(k, y):
+            return y ** (k + 1) / (k + 1)
+    else:
+        def moment(k, y):
+            return curve_moment(assay, y, k)
+    negatives = 1.0 - residual_cdf(c, law)
+    return 1.0, negatives, _uniform_weight_integral(law, rule, r, c, x, moment)
 
 
 def survey_composition(
@@ -229,20 +308,17 @@ def survey_composition(
 
         p_r = (R + frr * (W(horizon) - W(T*))) / W(horizon).
 
-    Exponential schedules only; the attendance ratio r applies to aware
-    positives.
+    Either inter-test law; the attendance ratio r applies to aware
+    positives.  Raises ValueError when no attendee passes the window.
     """
-    law = process.inter_test_law
-    if not isinstance(law, ExponentialInterTest):
-        raise ValueError("closed survey composition requires exponential schedules")
-    _check_weight_args(law.theta, r, c)
-    rule, theta, horizon = process.observation_rule, law.theta, params.horizon
+    _check_weight_args(r, c)
+    horizon = params.horizon
     cutoff = min(assay.recency_cutoff, horizon)
-    weight = survey_weight_integral(rule, theta, r, c, horizon)
-    recent = _recent_weight_integral(assay, theta, r, c, rule, cutoff)
+    _, negatives, weight = survey_weight(process, r, c, horizon)
+    if not weight > 0.0:
+        raise ValueError(f"no attendee passes the exclusion window c={c!r}")
+    recent = survey_weight(process, r, c, cutoff, assay)[2]
     if assay.frr:
-        recent += assay.frr * (
-            weight - survey_weight_integral(rule, theta, r, c, cutoff)
-        )
-    pos_per_neg = params.incidence * weight
-    return pos_per_neg / (pos_per_neg + 1.0), recent / weight
+        recent += assay.frr * (weight - survey_weight(process, r, c, cutoff)[2])
+    positives = params.incidence * weight
+    return positives / (positives + negatives), recent / weight

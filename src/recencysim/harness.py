@@ -37,7 +37,6 @@ from .population import (
     InfeasibleScenarioError,
     PopulationParams,
     ScreeningPolicy,
-    assemble_survey_rows,
 )
 from .recency_model import ASSAYS, DEFAULT_ASSAY, RecencyAssay, mdri, phi
 from .screening_analytics import SurveyLaw, forecast, survey_law
@@ -106,7 +105,7 @@ class Scenario:
 
     @functools.cached_property
     def count_law(self) -> SurveyLaw:
-        """The survey's closed-form count law (exponential inter-test laws)."""
+        """The survey's closed-form count law."""
         return survey_law(self.assay, self.process, self.policy, self.params)
 
 
@@ -184,22 +183,11 @@ def replication_rng(seed: int, label: str, replication: int):
 def run_replication(scenario: Scenario, replication: int):
     """One survey replication: its counts and the estimate (nan if undefined).
 
-    Exponential inter-test laws draw the counts from the scenario's
-    closed-form count law; uniform laws assemble the survey individual by
-    individual.
+    The counts are drawn from the scenario's closed-form count law, for
+    either inter-test law.
     """
     rng = replication_rng(scenario.seed, scenario.label, replication)
-    if isinstance(scenario.process.inter_test_law, ExponentialInterTest):
-        counts = scenario.count_law.draw(scenario.n_target, rng)
-    else:
-        counts = assemble_survey_rows(
-            scenario.params,
-            scenario.process,
-            scenario.policy,
-            scenario.assay,
-            scenario.n_target,
-            rng,
-        ).counts()
+    counts = scenario.count_law.draw(scenario.n_target, rng)
     try:
         inp = EstimatorInputs(
             counts=counts,

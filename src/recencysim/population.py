@@ -1,32 +1,24 @@
-"""General-population sampling, selective attendance, and survey assembly.
+"""The population, the screening policy, and a survey's counts.
 
 Under constant incidence and prevalence the infection-duration density among
 positives is flat at lambda*(1-p)/p, so durations are Uniform(0, tau) with
 tau = p / (lambda*(1-p)).  Screening attendance depends on status awareness
 (probabilities q0/q1) and the testing-based criterion excludes anyone whose
-most recent test falls within the last c years.
+most recent test falls within the last c years.  A survey is drawn at the
+level of its counts (`screening_analytics.survey_law`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .recency_model import RecencyAssay, phi
-from .testing_history import (
-    ObservationRule,
-    TestingProcess,
-    observe_most_recent_many,
-    sample_residual,
-)
-
+#: Population draws a survey may need on average before it is infeasible.
 ATTEMPT_CAP = 100_000_000
-_BATCH = 8192
 
 
 class InfeasibleScenarioError(RuntimeError):
-    """Survey assembly hit the attempt cap without filling the target size."""
+    """A scenario cannot fill its survey: no draw can be admitted, or the
+    expected number of population draws exceeds ATTEMPT_CAP."""
 
 
 @dataclass(frozen=True)
@@ -90,99 +82,3 @@ class SurveyCounts:
             raise ValueError("n_pos + n_neg must equal n_total")
         if self.n_rec > self.n_pos:
             raise ValueError("n_rec cannot exceed n_pos")
-
-
-@dataclass
-class SurveyRows:
-    """Per-individual arrays for the admitted survey members (in order)."""
-
-    d: np.ndarray
-    u: np.ndarray  # nan for negatives
-    t_since_test: np.ndarray
-    aware: np.ndarray
-    recent: np.ndarray  # False for negatives
-    n_screened: int
-
-    def counts(self) -> SurveyCounts:
-        n_total = int(self.d.size)
-        n_pos = int(self.d.sum())
-        return SurveyCounts(
-            n_total=n_total,
-            n_pos=n_pos,
-            n_neg=n_total - n_pos,
-            n_rec=int(self.recent.sum()),
-            n_screened=self.n_screened,
-        )
-
-
-def _sample_batch(params, process, policy, rng, size):
-    d = rng.random(size) < params.prevalence
-    u = rng.uniform(0.0, params.max_duration, size=size)
-    u = np.where(d, u, np.nan)
-    residual = sample_residual(process, rng, size=size)
-    t = observe_most_recent_many(residual, u, d, process, rng)
-    aware = d & (u >= t)
-    q = np.where(aware, policy.q1, policy.q0)
-    attended = rng.random(size) < q
-    eligible = t > policy.exclusion_window
-    return d, u, t, aware, attended, eligible
-
-
-def assemble_survey_rows(
-    params: PopulationParams,
-    process: TestingProcess,
-    policy: ScreeningPolicy,
-    assay: RecencyAssay,
-    n_target: int,
-    rng: np.random.Generator,
-) -> SurveyRows:
-    """Sample the population until n_target eligible attendees are admitted.
-
-    Individuals are processed in draw order; n_screened counts attendees
-    (attended=1) evaluated against the criterion up to and including the one
-    completing the survey.  Recency tests run on every admitted positive.
-    Batched sampling with a fixed batch size keeps the draw sequence, and
-    hence the result, deterministic for a given generator.  Raises
-    InfeasibleScenarioError once ATTEMPT_CAP individuals have been drawn
-    without filling the survey.
-    """
-    if n_target <= 0:
-        raise ValueError("n_target must be positive")
-    parts = []
-    admitted_so_far = 0
-    n_screened = 0
-    sampled = 0
-    while admitted_so_far < n_target:
-        if sampled >= ATTEMPT_CAP:
-            raise InfeasibleScenarioError(
-                f"sampled {sampled} individuals without filling the survey"
-            )
-        d, u, t, aware, attended, eligible = _sample_batch(
-            params, process, policy, rng, _BATCH
-        )
-        sampled += _BATCH
-        admitted = attended & eligible
-        cum = np.cumsum(admitted)
-        need = n_target - admitted_so_far
-        if cum[-1] >= need:
-            stop = int(np.searchsorted(cum, need))  # index of the completing draw
-            sel = slice(0, stop + 1)
-        else:
-            sel = slice(None)
-        keep = admitted[sel]
-        n_screened += int(attended[sel].sum())
-        admitted_so_far += int(keep.sum())
-        parts.append((d[sel][keep], u[sel][keep], t[sel][keep], aware[sel][keep]))
-
-    d = np.concatenate([p[0] for p in parts])
-    u = np.concatenate([p[1] for p in parts])
-    t = np.concatenate([p[2] for p in parts])
-    aware = np.concatenate([p[3] for p in parts])
-    recent = np.zeros(d.size, dtype=bool)
-    pos = np.flatnonzero(d)
-    if pos.size:
-        recent[pos] = rng.random(pos.size) < phi(u[pos], assay)
-    return SurveyRows(
-        d=d, u=u, t_since_test=t, aware=aware, recent=recent, n_screened=n_screened
-    )
-

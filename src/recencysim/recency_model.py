@@ -5,9 +5,9 @@ constant false-recent rate beyond the cutoff.  Durations are in years
 throughout; day-denominated values use 365.25 days per year.
 
 Below the cutoff the curve is Q(s, b*u), the regularized upper incomplete
-gamma function, so its integrals against 1 and e^{-theta*u} have closed
-forms in regularized incomplete gammas (DLMF 8.2): `curve_integral` and
-`discounted_curve_integral`.
+gamma function, so its integrals against 1, powers of u and e^{-theta*u}
+have closed forms in regularized incomplete gammas (DLMF 8.2):
+`curve_integral`, `curve_moment` and `discounted_curve_integral`.
 """
 
 from __future__ import annotations
@@ -80,6 +80,24 @@ def curve_integral(assay: RecencyAssay, x: float) -> float:
     """
     s, b = assay.gamma_shape, assay.gamma_rate
     return x * float(gammaincc(s, b * x)) + s / b * float(gammainc(s + 1.0, b * x))
+
+
+def curve_moment(assay: RecencyAssay, x: float, k: int) -> float:
+    """int_0^x u^k * Q(s, b*u) du, by parts (DLMF 8.2):
+
+        [x^{k+1} * Q(s, b*x) + s*(s+1)*...*(s+k) / b^{k+1} * P(s+k+1, b*x)] / (k+1).
+
+    k = 0 is `curve_integral`, which the exponential kernel calls in its
+    hot path.
+    """
+    s, b = assay.gamma_shape, assay.gamma_rate
+    rising = s
+    for j in range(1, k + 1):
+        rising *= s + j
+    return (
+        x ** (k + 1) * float(gammaincc(s, b * x))
+        + rising / b ** (k + 1) * float(gammainc(s + k + 1.0, b * x))
+    ) / (k + 1)
 
 
 def discounted_curve_integral(

@@ -1,8 +1,8 @@
 """Closed-form survey inclusion probabilities, screening-effort forecasts,
 and the count-level law of a survey.
 
-For exponential test schedules the probability that an attendee passes the
-testing-based criterion has a closed form under both observation rules; the
+The probability s that an attendee passes the testing-based criterion has a
+closed form under both observation rules and for either inter-test law; the
 required number of attendees to fill a survey of size N is then N / s.
 Admitted attendees are iid, so a whole survey's counts follow one
 multinomial and one negative binomial law (`survey_law`).
@@ -17,16 +17,15 @@ from typing import Tuple
 import numpy as np
 
 from . import population
-from .estimator import survey_composition, survey_weight_integral
+from .estimator import survey_composition, survey_weight
 from .population import (
     InfeasibleScenarioError,
     PopulationParams,
     ScreeningPolicy,
     SurveyCounts,
-    _sample_batch,
 )
 from .recency_model import RecencyAssay
-from .testing_history import ObservationRule, TestingProcess
+from .testing_history import ExponentialInterTest, ObservationRule, TestingProcess
 
 
 class InclusionProbabilityError(ValueError):
@@ -61,7 +60,8 @@ def inclusion_probability(
         raise InclusionProbabilityError(
             f"exclusion window {c} exceeds the horizon {params.horizon}"
         )
-    included, attending = _admission_terms(rule, params, theta, r, c)
+    process = TestingProcess(ExponentialInterTest(theta), rule)
+    included, attending = _admission_terms(process, params, r, c)
     s = included / attending
     if not 0.0 < s <= 1.0 + 1e-12:
         raise InclusionProbabilityError(
@@ -70,22 +70,23 @@ def inclusion_probability(
     return min(s, 1.0)
 
 
-def _admission_terms(rule, params, theta, r, c):
+def _admission_terms(process, params, r, c):
     """Per-draw probabilities of (admission, attendance) over q0*(1-p).
 
-    admitted = e^{-theta*c} * (1 + incidence * W_c) and attending =
-    1 + incidence * W_0; their ratio is the inclusion probability.  Valid
-    for every c >= 0.
+    admitted = P(T > c) + incidence * W_c and attending = 1 + incidence * W_0,
+    with W_c the survey weight at window c integrated over the horizon;
+    their ratio is the inclusion probability.  Valid for every c >= 0.
     """
     lam, horizon = params.incidence, params.horizon
-    eligible = 1.0 + lam * survey_weight_integral(rule, theta, r, c, horizon)
-    attending = 1.0 + lam * survey_weight_integral(rule, theta, r, 0.0, horizon)
-    return math.exp(-theta * c) * eligible, attending
+    scale, negatives, weight = survey_weight(process, r, c, horizon)
+    eligible = negatives + lam * weight
+    attending = 1.0 + lam * survey_weight(process, r, 0.0, horizon)[2]
+    return scale * eligible, attending
 
 
 @dataclass(frozen=True)
 class SurveyLaw:
-    """Count-level law of one survey under an exponential test schedule.
+    """Count-level law of one survey.
 
     `composition` is the law of one admitted attendee: (recent positive,
     other positive, negative) = (p_star*p_r, p_star*(1-p_r), 1-p_star).
@@ -104,7 +105,7 @@ class SurveyLaw:
         attendees screened to fill the survey are n_target plus one
         negative binomial draw.  Raises InfeasibleScenarioError when the
         expected number of population draws, n_target / admit, exceeds
-        population.ATTEMPT_CAP, the individual sampler's cap.
+        population.ATTEMPT_CAP.
         """
         if n_target <= 0:
             raise ValueError("n_target must be positive")
@@ -131,16 +132,20 @@ def survey_law(
     policy: ScreeningPolicy,
     params: PopulationParams,
 ) -> SurveyLaw:
-    """The closed-form count law of a survey; exponential schedules only.
+    """The closed-form count law of a survey.
 
-    Every rule, attendance ratio, window c >= 0 (also past the horizon)
-    and false-recent rate.
+    Either inter-test law, every rule, attendance ratio, window c >= 0
+    (also past the horizon) and false-recent rate.  Raises
+    InfeasibleScenarioError when no draw can be admitted.
     """
     r, c = policy.attendance_ratio, policy.exclusion_window
+    admitted, attending = _admission_terms(process, params, r, c)
+    if not admitted > 0.0:
+        raise InfeasibleScenarioError(
+            f"no attendee can pass the exclusion window c={c:g} "
+            "(admit probability 0 per draw)"
+        )
     p_star, p_r = survey_composition(assay, process, r, c, params)
-    admitted, attending = _admission_terms(
-        process.observation_rule, params, process.inter_test_law.theta, r, c
-    )
     return SurveyLaw(
         composition=(p_star * p_r, p_star * (1.0 - p_r), 1.0 - p_star),
         inclusion=min(admitted / attending, 1.0),
@@ -171,37 +176,12 @@ def forecast(
     )
 
 
-def inclusion_probability_mc(
-    process: TestingProcess,
-    params: PopulationParams,
-    policy: ScreeningPolicy,
-    n_attendees: int = 1_000_000,
-    seed: int = 7,
-) -> float:
-    """Monte Carlo inclusion probability; the only route for uniform schedules.
-
-    Stochastic: standard error is about sqrt(s*(1-s)/n_attendees).
-    """
-    rng = np.random.default_rng(seed)
-    attended_total = 0
-    included = 0
-    batch = 65536
-    while attended_total < n_attendees:
-        d, u, t, aware, attended, eligible = _sample_batch(
-            params, process, policy, rng, batch
-        )
-        attended_total += int(attended.sum())
-        included += int((attended & eligible).sum())
-    return included / attended_total
-
-
 __all__ = [
     "ScreeningForecast",
     "SurveyLaw",
     "survey_law",
     "InclusionProbabilityError",
     "inclusion_probability",
-    "inclusion_probability_mc",
     "required_screening",
     "forecast",
 ]

@@ -52,19 +52,38 @@ class TestingProcess:
     observation_rule: ObservationRule = ObservationRule.REGULAR
 
 
+def uniform_cdf_pieces(law: UniformInterTest):
+    """Knees and quadratic pieces of the stationary residual CDF of a
+    Uniform[a, b] law.
+
+    Returns (knees, coefs) with knees = (0, a, b): from knees[i] up to the
+    next knee, F(x) = k0 + k1*x + k2*x^2 with (k0, k1, k2) = coefs[i].
+    That is x/mu below a, 1 - (b - x)^2 / (b^2 - a^2) up to b, and 1 beyond.
+    """
+    a, b = law.a, law.b
+    m = b * b - a * a
+    knees = np.array([0.0, a, b])
+    coefs = np.array(
+        [[0.0, 2.0 / (a + b), 0.0], [-a * a / m, 2.0 * b / m, -1.0 / m], [1.0, 0.0, 0.0]]
+    )
+    return knees, coefs
+
+
+def uniform_cdf_piece(x, law: UniformInterTest):
+    """Coefficients (k0, k1, k2) of the piece of F that holds x >= 0."""
+    knees, coefs = uniform_cdf_pieces(law)
+    return coefs[np.searchsorted(knees, x, side="right") - 1]
+
+
 def residual_cdf(x, law: InterTestLaw):
     """CDF of the stationary residual life: (1/mu) * int_0^x (1-F(y)) dy."""
     x_arr = np.asarray(x, dtype=float)
     if isinstance(law, ExponentialInterTest):
         out = 1.0 - np.exp(-law.theta * np.clip(x_arr, 0.0, None))
     else:
-        a, b = law.a, law.b
         xc = np.clip(x_arr, 0.0, None)
-        out = np.where(
-            xc < a,
-            2.0 * xc / (a + b),
-            np.where(xc <= b, (-xc * xc + 2.0 * b * xc - a * a) / (b * b - a * a), 1.0),
-        )
+        k = uniform_cdf_piece(xc, law)
+        out = k[..., 0] + xc * (k[..., 1] + xc * k[..., 2])
     if np.isscalar(x) or x_arr.ndim == 0:
         return float(out)
     return out

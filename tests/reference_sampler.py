@@ -1,0 +1,149 @@
+"""The individual survey sampler: the reference engine for the count law.
+
+The package draws a survey's counts from its closed-form law
+(`screening_analytics.survey_law`).  This module builds surveys person by
+person instead, from the model's primitives: prevalence, a Uniform(0, tau)
+infection duration, the time since the most recent observed test
+(`testing_history.sample_residual` and `observe_most_recent_many`),
+awareness-dependent attendance and the exclusion window.  The tests compare
+the two engines; nothing in the package imports this module.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from recencysim import population
+from recencysim.population import (
+    InfeasibleScenarioError,
+    PopulationParams,
+    ScreeningPolicy,
+    SurveyCounts,
+)
+from recencysim.recency_model import RecencyAssay, phi
+from recencysim.testing_history import (
+    TestingProcess,
+    observe_most_recent_many,
+    sample_residual,
+)
+
+_BATCH = 8192
+
+
+@dataclass
+class SurveyRows:
+    """Per-individual arrays for the admitted survey members (in order)."""
+
+    d: np.ndarray
+    u: np.ndarray  # nan for negatives
+    t_since_test: np.ndarray
+    aware: np.ndarray
+    recent: np.ndarray  # False for negatives
+    n_screened: int
+
+    def counts(self) -> SurveyCounts:
+        n_total = int(self.d.size)
+        n_pos = int(self.d.sum())
+        return SurveyCounts(
+            n_total=n_total,
+            n_pos=n_pos,
+            n_neg=n_total - n_pos,
+            n_rec=int(self.recent.sum()),
+            n_screened=self.n_screened,
+        )
+
+
+def _sample_batch(params, process, policy, rng, size):
+    d = rng.random(size) < params.prevalence
+    u = rng.uniform(0.0, params.max_duration, size=size)
+    u = np.where(d, u, np.nan)
+    residual = sample_residual(process, rng, size=size)
+    t = observe_most_recent_many(residual, u, d, process, rng)
+    aware = d & (u >= t)
+    q = np.where(aware, policy.q1, policy.q0)
+    attended = rng.random(size) < q
+    eligible = t > policy.exclusion_window
+    return d, u, t, aware, attended, eligible
+
+
+def assemble_survey_rows(
+    params: PopulationParams,
+    process: TestingProcess,
+    policy: ScreeningPolicy,
+    assay: RecencyAssay,
+    n_target: int,
+    rng: np.random.Generator,
+) -> SurveyRows:
+    """Sample the population until n_target eligible attendees are admitted.
+
+    Individuals are processed in draw order; n_screened counts attendees
+    (attended=1) evaluated against the criterion up to and including the one
+    completing the survey.  Recency tests run on every admitted positive.
+    Batched sampling with a fixed batch size keeps the draw sequence, and
+    hence the result, deterministic for a given generator.  Raises
+    InfeasibleScenarioError once population.ATTEMPT_CAP individuals have
+    been drawn without filling the survey.
+    """
+    if n_target <= 0:
+        raise ValueError("n_target must be positive")
+    parts = []
+    admitted_so_far = 0
+    n_screened = 0
+    sampled = 0
+    while admitted_so_far < n_target:
+        if sampled >= population.ATTEMPT_CAP:
+            raise InfeasibleScenarioError(
+                f"sampled {sampled} individuals without filling the survey"
+            )
+        d, u, t, aware, attended, eligible = _sample_batch(
+            params, process, policy, rng, _BATCH
+        )
+        sampled += _BATCH
+        admitted = attended & eligible
+        cum = np.cumsum(admitted)
+        need = n_target - admitted_so_far
+        if cum[-1] >= need:
+            stop = int(np.searchsorted(cum, need))  # index of the completing draw
+            sel = slice(0, stop + 1)
+        else:
+            sel = slice(None)
+        keep = admitted[sel]
+        n_screened += int(attended[sel].sum())
+        admitted_so_far += int(keep.sum())
+        parts.append((d[sel][keep], u[sel][keep], t[sel][keep], aware[sel][keep]))
+
+    d = np.concatenate([p[0] for p in parts])
+    u = np.concatenate([p[1] for p in parts])
+    t = np.concatenate([p[2] for p in parts])
+    aware = np.concatenate([p[3] for p in parts])
+    recent = np.zeros(d.size, dtype=bool)
+    pos = np.flatnonzero(d)
+    if pos.size:
+        recent[pos] = rng.random(pos.size) < phi(u[pos], assay)
+    return SurveyRows(
+        d=d, u=u, t_since_test=t, aware=aware, recent=recent, n_screened=n_screened
+    )
+
+
+def inclusion_probability_mc(
+    process: TestingProcess,
+    params: PopulationParams,
+    policy: ScreeningPolicy,
+    n_attendees: int = 1_000_000,
+    seed: int = 7,
+) -> float:
+    """Monte Carlo inclusion probability: the fraction of attendees admitted.
+
+    Stochastic: standard error is about sqrt(s*(1-s)/n_attendees).
+    """
+    rng = np.random.default_rng(seed)
+    attended_total = 0
+    included = 0
+    batch = 65536
+    while attended_total < n_attendees:
+        d, u, t, aware, attended, eligible = _sample_batch(
+            params, process, policy, rng, batch
+        )
+        attended_total += int(attended.sum())
+        included += int((attended & eligible).sum())
+    return included / attended_total

@@ -8,6 +8,10 @@ infection duration,
 
 and the package's W (survey_weight_integral) and R (effective_mdri_closed)
 are int_0^horizon w and int_0^{T*} phi * w, both divided by e^{-theta*c}.
+For uniform inter-test laws the conditionals are written from the
+stationary residual CDF F (`residual_cdf_from_definition`): P(c < T <= u | u)
+is F(u) - F(c) under the Regular rule and F(u - c) under Stop-When-Positive,
+and P(T > u, T > c | u) = 1 - F(max(u, c)).
 """
 
 import math
@@ -20,9 +24,15 @@ from recencysim.estimator import (
     analytic_bias,
     effective_mdri_closed,
     survey_composition,
+    survey_weight,
     survey_weight_integral,
 )
-from recencysim.population import DEFAULT_PARAMS, PopulationParams
+from recencysim.population import (
+    DEFAULT_PARAMS,
+    InfeasibleScenarioError,
+    PopulationParams,
+    ScreeningPolicy,
+)
 from recencysim.recency_model import (
     DEFAULT_ASSAY,
     LONG_ASSAY,
@@ -31,11 +41,12 @@ from recencysim.recency_model import (
     discounted_curve_integral,
     mdri,
 )
-from recencysim.screening_analytics import inclusion_probability
+from recencysim.screening_analytics import inclusion_probability, survey_law
 from recencysim.testing_history import (
     ExponentialInterTest,
     ObservationRule,
     TestingProcess,
+    UniformInterTest,
 )
 
 RTOL = 1e-10
@@ -50,7 +61,9 @@ XS = pytest.mark.parametrize("x", [0.0, 0.25, 1.0, 1.99, T_STAR])
 
 
 def quad(f, a, b, kink=None):
-    points = [kink] if kink is not None and a < kink < b else None
+    """int_a^b f, split at `kink` (a number or a tuple of them)."""
+    kinks = kink if isinstance(kink, tuple) else (kink,)
+    points = sorted({k for k in kinks if k is not None and a < k < b}) or None
     value, _ = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500,
                               points=points)
     return value
@@ -218,3 +231,127 @@ def test_inclusion_probability_matches_hand_algebra(rule, theta, r, c):
     )
     got = inclusion_probability(rule, p, theta, r, c)
     assert got == pytest.approx(min(want, 1.0), rel=1e-12, abs=0.0)
+
+
+@ASSAYS
+@RULES
+@THETAS
+@RS
+@pytest.mark.parametrize("c", [0.0, 0.25, 1.5, T_STAR, 2.5])
+@pytest.mark.parametrize(
+    "params",
+    [DEFAULT_PARAMS, PopulationParams(0.032, 0.05), PopulationParams(0.3, 0.23)],
+    ids=["tau12.76", "tau1.64", "tau1.00"],
+)
+def test_analytic_bias(assay, rule, theta, r, c, params):
+    # the estimate's limit is incidence * R / MDRI, with the curve weighted
+    # up to min(T*, tau); as a ratio 1 + bias / incidence = R / MDRI
+    f, tstar = curve(assay), assay.recency_cutoff
+    recent = quad(lambda u: f(u) * weight(rule, theta, r, c, u), 0.0,
+                  min(tstar, params.horizon), kink=c)
+    got = analytic_bias(assay, theta, r, c, rule, params)
+    assert close(1.0 + got / params.incidence, recent / quad(f, 0.0, tstar))
+
+
+def test_analytic_bias_at_a_short_horizon():
+    # tau = 1.645 < T*: without selection the bias is
+    # incidence * (G(tau) / G(T*) - 1), not 0
+    params = PopulationParams(0.032, 0.05)
+    bias = analytic_bias(DEFAULT_ASSAY, 1.0, 1.0, 0.0,
+                         ObservationRule.STOP_WHEN_POSITIVE, params)
+    want = 0.032 * (curve_integral(DEFAULT_ASSAY, params.horizon)
+                    / mdri(DEFAULT_ASSAY) - 1.0)
+    assert close(bias, want)
+    assert bias == pytest.approx(-0.000799, abs=5e-7)
+
+
+# ---------------------------------------------------------------------------
+# uniform inter-test laws
+
+UNIFORM_LAWS = [UniformInterTest(0.0, 3.0), UniformInterTest(0.0, 4.0),
+                UniformInterTest(0.5, 2.5), UniformInterTest(1.0, 4.0)]
+UNIFORM_CELLS = pytest.mark.parametrize(
+    "law, c",
+    [
+        (law, c)
+        for law in UNIFORM_LAWS
+        for c in sorted({0.0, 0.25, law.a, 1.99, law.b, law.b + 1.0, HORIZON + 2.0})
+    ],
+    ids=lambda v: f"uni{v.a:g}-{v.b:g}" if isinstance(v, UniformInterTest) else f"c{v:g}",
+)
+TAUS = pytest.mark.parametrize(
+    "params", [DEFAULT_PARAMS, PopulationParams(0.032, 0.05)],
+    ids=["tau12.76", "tau1.64"],
+)
+
+
+def residual_cdf_from_definition(x, law):
+    """F(x) = (1/mu) * int_0^x P(gap > y) dy for Uniform[a, b] gaps."""
+    a, b = law.a, law.b
+    if x >= b:
+        return 1.0
+    x = max(x, 0.0)
+    y = min(max(x, a), b)  # P(gap > y) = (b - y) / (b - a) on [a, b]
+    within = ((b - a) ** 2 - (b - y) ** 2) / (2.0 * (b - a))
+    return (min(x, a) + within) / (0.5 * (a + b))
+
+
+def uniform_weight(rule, law, r, c, u):
+    def F(x):
+        return residual_cdf_from_definition(x, law)
+
+    if u <= c:
+        below = 0.0
+    elif rule is ObservationRule.REGULAR:
+        below = F(u) - F(c)
+    else:
+        below = F(u - c)
+    return r * below + 1.0 - F(max(u, c))
+
+
+def uniform_oracle(rule, law, r, c, x, f=None):
+    """int_0^x f(u) * w(u) du by quad, split at every knee of w."""
+    kinks = (c, law.a, law.b, c + law.a, c + law.b)
+    if f is None:
+        return quad(lambda u: uniform_weight(rule, law, r, c, u), 0.0, x, kinks)
+    return quad(lambda u: f(u) * uniform_weight(rule, law, r, c, u), 0.0, x, kinks)
+
+
+@UNIFORM_CELLS
+@RULES
+@RS
+@TAUS
+def test_uniform_weight_integrals(law, c, rule, r, params):
+    process = TestingProcess(law, rule)
+    tau, x = params.horizon, min(T_STAR, params.horizon)
+    scale, negatives, total = survey_weight(process, r, c, tau)
+    assert scale == 1.0
+    assert close(negatives, 1.0 - residual_cdf_from_definition(c, law))
+    assert close(total, uniform_oracle(rule, law, r, c, tau))
+    recent = survey_weight(process, r, c, x, DEFAULT_ASSAY)[2]
+    assert close(recent, uniform_oracle(rule, law, r, c, x, curve(DEFAULT_ASSAY)))
+
+
+@UNIFORM_CELLS
+@RULES
+@RS
+@TAUS
+def test_uniform_composition_and_inclusion(law, c, rule, r, params):
+    # per q0*(1-p): admitted negatives 1 - F(c), admitted positives
+    # incidence * W_c; attendees 1 + incidence * W_0
+    lam, tau = params.incidence, params.horizon
+    process = TestingProcess(law, rule)
+    negatives = 1.0 - residual_cdf_from_definition(c, law)
+    w_c = uniform_oracle(rule, law, r, c, tau)
+    policy = ScreeningPolicy(q1=r, exclusion_window=c)
+    if negatives + lam * w_c == 0.0:  # no attendee passes the window
+        with pytest.raises(InfeasibleScenarioError, match="admit probability 0"):
+            survey_law(DEFAULT_ASSAY, process, policy, params)
+        return
+    recent = uniform_oracle(rule, law, r, c, min(T_STAR, tau), curve(DEFAULT_ASSAY))
+    w_0 = uniform_oracle(rule, law, r, 0.0, tau)
+    p_star, p_r = survey_composition(DEFAULT_ASSAY, process, r, c, params)
+    assert close(p_star, lam * w_c / (lam * w_c + negatives))
+    assert close(p_r, recent / w_c)
+    s = survey_law(DEFAULT_ASSAY, process, policy, params).inclusion
+    assert close(s, min((negatives + lam * w_c) / (1.0 + lam * w_0), 1.0))

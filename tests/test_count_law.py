@@ -1,13 +1,14 @@
 """The count-level survey engine against the individual sampler.
 
-For exponential test schedules `harness.run_replication` draws a survey's
-counts from `screening_analytics.survey_law`: one multinomial draw for
+For every test schedule `harness.run_replication` draws a survey's counts
+from `screening_analytics.survey_law`: one multinomial draw for
 (n_rec, n_pos - n_rec, n_neg) and one negative binomial draw for the
 attendees screened beyond N.  The individual sampler
-(`population.assemble_survey_rows`) stays the reference engine here and the
-only engine for uniform schedules.
+(`reference_sampler.assemble_survey_rows`, built person by person from the
+model's primitives) is the reference engine here.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,9 +31,9 @@ from recencysim.harness import (
 )
 from recencysim.population import (
     DEFAULT_PARAMS,
+    InfeasibleScenarioError,
     PopulationParams,
     ScreeningPolicy,
-    assemble_survey_rows,
 )
 from recencysim.recency_model import DEFAULT_ASSAY, mdri
 from recencysim.screening_analytics import inclusion_probability, survey_law
@@ -42,6 +43,7 @@ from recencysim.testing_history import (
     TestingProcess,
     UniformInterTest,
 )
+from reference_sampler import assemble_survey_rows
 
 REGULAR = ObservationRule.REGULAR
 SWP = ObservationRule.STOP_WHEN_POSITIVE
@@ -81,11 +83,23 @@ def _cell(scenarios, label):
 
 
 MAIN = build_grid(SEED, REPS)
+UNIFORM = build_sensitivity("uniform_intertest", SEED, REPS)
+# a uniform law with a > 0, which puts a knee inside the residual CDF
+SHIFTED = dataclasses.replace(
+    _cell(UNIFORM, "swp_uni0-4_r0.3_c1"),
+    label="swp_uni1-4_r0.3_c1",
+    process=TestingProcess(UniformInterTest(1.0, 4.0), SWP),
+)
 CROSS_ENGINE_CELLS = [
     _cell(MAIN, "swp_theta1_r0.6_c2"),
     _cell(MAIN, "regular_theta1.5_r0.3_c1.5"),
     _cell(build_sensitivity("frr", SEED, REPS), "swp_theta0.4_r0.6_c2_frr0.02"),
     _cell(build_sensitivity("long_mdri", SEED, REPS), "swp_theta1_r0.3_c1_long"),
+    _cell(UNIFORM, "swp_uni0-3_r0.6_c2"),
+    _cell(UNIFORM, "swp_uni0-4_r0_c1"),
+    _cell(UNIFORM, "regular_uni0-3_r0.3_c1.5"),
+    _cell(UNIFORM, "regular_uni0-4_r0.6_c1"),
+    SHIFTED,
 ]
 
 
@@ -106,23 +120,21 @@ def test_count_law_matches_individual_sampler(scenario):
         assert p > KS_ALPHA, f"{name}: KS p = {p:.4f}"
 
 
-def test_engine_follows_the_inter_test_law(monkeypatch):
-    calls = []
-    real = harness.assemble_survey_rows
+def test_every_law_draws_from_the_count_law(monkeypatch):
+    laws = []
+    real = harness.survey_law
 
-    def counting(*args):
-        calls.append(args[1].inter_test_law)
-        return real(*args)
+    def counting(assay, process, policy, params):
+        laws.append(process.inter_test_law)
+        return real(assay, process, policy, params)
 
-    monkeypatch.setattr(harness, "assemble_survey_rows", counting)
-    (exponential,) = build_grid(3, 1, n_target=200, thetas=(1.0,), rs=(0.6,),
-                                cs=(1.0,), rules=(SWP,))
-    run_replication(exponential, 0)
-    assert calls == []
-    (uniform,) = build_grid(3, 1, n_target=200, rs=(0.6,), cs=(1.0,),
-                            rules=(SWP,), uniform_bs=(3.0,))
-    run_replication(uniform, 0)
-    assert calls == [UniformInterTest(0.0, 3.0)]
+    monkeypatch.setattr(harness, "survey_law", counting)
+    for uniform_bs in ((), (3.0,)):
+        (cell,) = build_grid(3, 1, n_target=200, thetas=(1.0,), rs=(0.6,),
+                             cs=(1.0,), rules=(SWP,), uniform_bs=uniform_bs)
+        counts, _ = run_replication(cell, 0)
+        assert counts == cell.count_law.draw(200, replication_rng(3, cell.label, 0))
+    assert laws == [ExponentialInterTest(1.0), UniformInterTest(0.0, 3.0)]
 
 
 class TestSurveyLaw:
@@ -164,10 +176,26 @@ class TestSurveyLaw:
         assert all(type(v) is int for v in (counts.n_pos, counts.n_neg,
                                             counts.n_rec, counts.n_screened))
 
-    def test_rejects_uniform_schedules(self):
-        process = TestingProcess(UniformInterTest(0.0, 3.0), SWP)
-        with pytest.raises(ValueError, match="exponential"):
-            survey_law(DEFAULT_ASSAY, process, ScreeningPolicy(), DEFAULT_PARAMS)
+    @pytest.mark.parametrize("a,b", [(0.0, 3.0), (1.0, 4.0)])
+    def test_uniform_schedule_without_selection(self, a, b):
+        # r = 1 and c = 0 give every positive weight 1: the survey keeps the
+        # population prevalence and everyone who attends is admitted
+        process = TestingProcess(UniformInterTest(a, b), SWP)
+        law = survey_law(DEFAULT_ASSAY, process, ScreeningPolicy(), DEFAULT_PARAMS)
+        p_star = sum(law.composition[:2])
+        assert p_star == pytest.approx(DEFAULT_PARAMS.prevalence, rel=1e-12)
+        assert law.inclusion == pytest.approx(1.0, rel=1e-12)
+        assert law.admit == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("rule", list(ObservationRule), ids=lambda r: r.value)
+    def test_rejects_a_window_no_one_passes(self, rule):
+        # gaps of at most 3 years and c = 20 past the horizon: admit is 0
+        process = TestingProcess(UniformInterTest(0.0, 3.0), rule)
+        policy = ScreeningPolicy(q1=0.6, exclusion_window=20.0)
+        with pytest.raises(InfeasibleScenarioError, match="admit probability 0"):
+            survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS)
+        with pytest.raises(ValueError, match="no attendee passes"):
+            survey_composition(DEFAULT_ASSAY, process, 0.6, 20.0, DEFAULT_PARAMS)
 
     def test_rejects_bad_target(self):
         process = TestingProcess(ExponentialInterTest(1.0), SWP)

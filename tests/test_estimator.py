@@ -209,9 +209,14 @@ class TestSurveyComposition:
         v2 = log_variance(5000, p2, pr2)
         assert v2 > v0
 
-    def test_requires_exponential_schedule(self):
-        process = TestingProcess(
-            UniformInterTest(0.0, 2.0), ObservationRule.REGULAR
+    @pytest.mark.parametrize("rule", list(ObservationRule), ids=lambda r: r.value)
+    def test_uniform_schedule_without_selection(self, rule):
+        # r = 1, c = 0: every positive has weight 1 under any inter-test
+        # law, so the survey keeps the population's prevalence and p_r is
+        # the MDRI over the duration support
+        process = TestingProcess(UniformInterTest(0.0, 2.0), rule)
+        p_star, p_r = survey_composition(
+            DEFAULT_ASSAY, process, 1.0, 0.0, DEFAULT_PARAMS
         )
-        with pytest.raises(ValueError):
-            survey_composition(DEFAULT_ASSAY, process, 1.0, 0.0, DEFAULT_PARAMS)
+        assert p_star == pytest.approx(DEFAULT_PARAMS.prevalence, rel=1e-12)
+        assert p_r == pytest.approx(OMEGA / DEFAULT_PARAMS.max_duration, rel=1e-12)

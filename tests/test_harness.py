@@ -99,8 +99,8 @@ class TestDeterminism:
         assert files[1] == files[2]
 
     def test_uniform_suite_streams_unchanged(self, tmp_path):
-        # uniform laws keep the individual sampler: sha256 of the files
-        # written by the code before the count-level engine existed
+        # sha256 of the files written when uniform laws moved onto the
+        # count-level engine
         results = run_grid(build_sensitivity("uniform_intertest", 11, 2, n_target=500))
         write_results(results, tmp_path, config_echo={}, seed=11, wall_time=0.0)
         digests = {
@@ -109,9 +109,9 @@ class TestDeterminism:
         }
         assert digests == {
             "replications.csv":
-                "24f46eefb2979a337dc5010e622d51a71ee139054e427a68b87638e186555ab0",
+                "ab480a26a284eddce736bc68a5348ad806405a8f10d16ba3be4538b4129964c1",
             "summary.csv":
-                "ebd8352c93283d1a956e437e76ae4a3a351a2ef505baf737398fc547722406be",
+                "0fb0765a6e9e7f157bb3045be1fe96085d9fb4a70a93dcd6f6d7cdf3b9a99e3f",
         }
 
     def test_label_keyed_streams_match_across_grids(self):
@@ -368,6 +368,14 @@ class TestOutputsAndCli:
             ("", ["--reps", "-2"], "--reps must be a positive integer, got -2"),
             ("replications: 3\n", ["--reps", "0"],
              "--reps must be a positive integer, got 0"),
+            ("", ["--seed", "-1"], "--seed must be a nonnegative integer, got -1"),
+            ("seed: -1\n", [], "seed must be a nonnegative integer, got -1"),
+            ("seed: 1.5\n", [], "seed must be a nonnegative integer, got 1.5"),
+            ("workers: abc\n", [], "workers must be a positive integer, got 'abc'"),
+            ("workers: 1.5\n", [], "workers must be a positive integer, got 1.5"),
+            ("workers: 2\n", ["--workers", "0"],
+             "--workers must be a positive integer, got 0"),
+            ("", ["--workers", "-3"], "--workers must be a positive integer, got -3"),
         ],
     )
     def test_cli_rejects_bad_count(self, tmp_path, capsys, command, body, argv,
@@ -417,16 +425,17 @@ class TestInfeasibleCell:
     # SWP, theta = 2, r = 0, c = 20: an attendee is admitted only if the
     # last test was more than 20 years ago, of probability about e^-40
     GRID = "  rules: [swp]\n  theta: [2]\n  r: [0]\n  c: [0, 20]\n"
+    CAP = 24_576
 
-    # the count-level engine rejects an exponential cell before sampling
+    # the count-level engine rejects the cell before sampling
     ERROR = (
-        f"expected draws to fill 200 places exceed {3 * population._BATCH} "
+        f"expected draws to fill 200 places exceed {CAP} "
         "(admit probability 4.25e-18 per draw)"
     )
 
     @pytest.fixture(autouse=True)
     def small_cap(self, monkeypatch):
-        monkeypatch.setattr(population, "ATTEMPT_CAP", 3 * population._BATCH)
+        monkeypatch.setattr(population, "ATTEMPT_CAP", self.CAP)
 
     def test_run_scenario_records_error(self):
         (infeasible,) = build_grid(
@@ -437,18 +446,33 @@ class TestInfeasibleCell:
         assert res.error == self.ERROR
         assert res.estimates == [] and res.count_rows == []
 
-    def test_uniform_law_hits_the_sampling_cap(self):
-        # uniform laws run the individual sampler, which stops at the cap:
-        # with gaps of at most 3 years no attendee is admitted at c = 20
+    def test_uniform_cell_admits_no_one(self):
+        # with gaps of at most 3 years no attendee passes c = 20: the admit
+        # probability is exactly 0, rejected before any draw
         (infeasible,) = build_grid(
             5, 2, n_target=200, rules=(ObservationRule.STOP_WHEN_POSITIVE,),
             rs=(0.0,), cs=(20.0,), uniform_bs=(3.0,),
         )
         res = run_scenario(infeasible)
         assert res.error == (
-            f"sampled {3 * population._BATCH} individuals without filling the survey"
+            "no attendee can pass the exclusion window c=20 "
+            "(admit probability 0 per draw)"
         )
         assert res.estimates == [] and res.count_rows == []
+
+    def test_cli_grid_writes_uniform_error_row(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "out"
+        cfg.write_text(
+            f"replications: 2\nn_target: 200\nout_dir: {out}\ngrid:\n"
+            "  rules: [swp]\n  uniform_b: [3]\n  r: [0]\n  c: [20]\n"
+        )
+        assert cli_main(["grid", "--config", str(cfg)]) == 1
+        capsys.readouterr()
+        with open(out / "summary.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["scenario"] == "swp_uni0-3_r0_c20"
+        assert row["status"].startswith("error:no attendee can pass")
 
     def test_cli_grid_writes_error_row_and_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"

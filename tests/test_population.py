@@ -6,8 +6,6 @@ from recencysim.population import (
     PopulationParams,
     ScreeningPolicy,
     SurveyCounts,
-    _sample_batch,
-    assemble_survey_rows,
 )
 from recencysim.recency_model import DEFAULT_ASSAY, RecencyAssay
 from recencysim.screening_analytics import inclusion_probability
@@ -16,6 +14,7 @@ from recencysim.testing_history import (
     ObservationRule,
     TestingProcess,
 )
+from reference_sampler import _sample_batch, assemble_survey_rows
 
 REGULAR1 = TestingProcess(ExponentialInterTest(1.0), ObservationRule.REGULAR)
 SWP1 = TestingProcess(ExponentialInterTest(1.0), ObservationRule.STOP_WHEN_POSITIVE)

@@ -1,12 +1,13 @@
 import pytest
 
 from recencysim.population import DEFAULT_PARAMS, ScreeningPolicy
+from recencysim.recency_model import DEFAULT_ASSAY
 from recencysim.screening_analytics import (
     InclusionProbabilityError,
     forecast,
     inclusion_probability,
-    inclusion_probability_mc,
     required_screening,
+    survey_law,
 )
 from recencysim.testing_history import (
     ExponentialInterTest,
@@ -14,6 +15,7 @@ from recencysim.testing_history import (
     TestingProcess,
     UniformInterTest,
 )
+from reference_sampler import inclusion_probability_mc
 
 def s_closed(rule, theta, r, c):
     return inclusion_probability(rule, DEFAULT_PARAMS, theta, r, c)
@@ -104,3 +106,21 @@ class TestUniformScheduleMc:
             process, DEFAULT_PARAMS, policy, n_attendees=100_000, seed=3
         )
         assert mc == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "rule, a, b, r, c",
+        [
+            (ObservationRule.REGULAR, 0.0, 3.0, 0.0, 1.0),
+            (ObservationRule.REGULAR, 1.0, 4.0, 0.6, 2.0),
+            (ObservationRule.STOP_WHEN_POSITIVE, 0.0, 4.0, 0.6, 2.0),
+            (ObservationRule.STOP_WHEN_POSITIVE, 0.5, 2.5, 0.3, 1.5),
+        ],
+    )
+    def test_closed_form_matches_monte_carlo(self, rule, a, b, r, c):
+        process = TestingProcess(UniformInterTest(a, b), rule)
+        policy = ScreeningPolicy(q0=1.0, q1=r, exclusion_window=c)
+        law = survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS)
+        mc = inclusion_probability_mc(
+            process, DEFAULT_PARAMS, policy, n_attendees=400_000, seed=5
+        )
+        assert mc == pytest.approx(law.inclusion, rel=0.02)
