@@ -18,7 +18,6 @@ from .population import (
     SurveyCounts,
 )
 from .estimator import (
-    EstimatorInputs,
     analytic_bias,
     effective_mdri_closed,
     effective_mdri_numeric,
@@ -48,7 +47,6 @@ __all__ = [
     "PopulationParams",
     "ScreeningPolicy",
     "SurveyCounts",
-    "EstimatorInputs",
     "analytic_bias",
     "effective_mdri_closed",
     "effective_mdri_numeric",

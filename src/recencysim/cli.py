@@ -112,6 +112,7 @@ def _run_and_write(scenarios, opts, cfg, label):
         config_echo={"command": label, **cfg, **{k: str(v) for k, v in opts.items()}},
         seed=opts["seed"],
         wall_time=time.time() - t0,
+        workers=opts["workers"],
     )
     print(f"{label}: {len(results)} scenarios -> {opts['out_dir']}")
     return 0 if ok else 1

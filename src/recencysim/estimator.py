@@ -22,8 +22,9 @@ uniform ones it is piecewise quadratic.  Numerical quadrature
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
+
+import numpy as np
 
 from .population import PopulationParams, SurveyCounts
 from .recency_model import (
@@ -45,35 +46,23 @@ from .testing_history import (
 )
 
 
-class UndefinedEstimateError(ValueError):
-    """The estimator denominator is zero or negative."""
+def kassanjee_estimate(
+    counts: SurveyCounts, mdri_hat: float, frr_hat: float, recency_cutoff: float
+) -> np.ndarray:
+    """Incidence estimates from survey counts and external assay estimates.
 
-
-@dataclass(frozen=True)
-class EstimatorInputs:
-    counts: SurveyCounts
-    mdri_hat: float
-    frr_hat: float
-    recency_cutoff: float
-
-    def __post_init__(self):
-        if self.mdri_hat <= self.frr_hat * self.recency_cutoff:
-            raise UndefinedEstimateError(
-                "mdri_hat must exceed frr_hat * recency_cutoff"
-            )
-
-
-def kassanjee_estimate(inp: EstimatorInputs) -> float:
-    """Incidence estimate from survey counts and external assay estimates.
-
-    (n_rec - n_pos*frr_hat) / (n_neg * (mdri_hat - frr_hat*T*)).  Negative
-    values (possible when frr_hat > 0) are returned as-is.
+    Elementwise over the count arrays,
+    (n_rec - n_pos*frr_hat) / (n_neg * (mdri_hat - frr_hat*T*)), in that
+    order of operations, so each entry is the scalar formula's value bit for
+    bit.  Negative values (possible when frr_hat > 0) are returned as-is.
+    Where the denominator is not positive (no surveyed negative, or
+    mdri_hat <= frr_hat*T*) the estimate is undefined and reads nan.
     """
-    c = inp.counts
-    denom = c.n_neg * (inp.mdri_hat - inp.frr_hat * inp.recency_cutoff)
-    if denom <= 0:
-        raise UndefinedEstimateError("estimator denominator is not positive")
-    return (c.n_rec - c.n_pos * inp.frr_hat) / denom
+    denom = np.multiply(counts.n_neg, mdri_hat - frr_hat * recency_cutoff)
+    # x / nan is nan, without a division-by-zero warning
+    return (counts.n_rec - np.multiply(counts.n_pos, frr_hat)) / np.where(
+        denom > 0, denom, np.nan
+    )
 
 
 def log_variance(n_total: int, p_star: float, p_r: float) -> float:
@@ -244,7 +233,7 @@ def _uniform_weight_integral(law: UniformInterTest, rule, r, c, x, moment):
     knees, _ = uniform_cdf_pieces(law)
     breaks = {0.0, x, c, *knees}
     if rule is ObservationRule.STOP_WHEN_POSITIVE:
-        breaks.update(c + knees)
+        breaks.update(c + k for k in knees)
     edges = sorted(e for e in breaks if 0.0 <= e <= x)
     survive_c = 1.0 - residual_cdf(c, law)
     total = 0.0

@@ -2,20 +2,24 @@
 
 Each scenario is a full survey-simulation configuration; a grid runs every
 scenario for a number of replications and writes one per-replication CSV,
-one summary CSV, and a JSON run manifest.  Replication substreams are
-derived from (seed, scenario label, replication index), so output is
-identical for any worker count and a scenario draws the same surveys in
-whichever grid it appears.
+one summary CSV, and a JSON run manifest.  A scenario is one block of
+arrays: its replications' counts come from two vectorized draws of its
+count law, on two generators keyed by (seed, scenario label, stream), and
+its estimates from one array expression.  Replication i is therefore the
+same for any replication count, any worker count and in whichever grid the
+scenario appears.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import functools
 import hashlib
 import json
 import math
 import os
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -23,20 +27,16 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
+import scipy
 
 from . import __version__
-from .estimator import (
-    EstimatorInputs,
-    analytic_bias,
-    kassanjee_estimate,
-    log_variance,
-    survey_composition,
-)
+from .estimator import analytic_bias, kassanjee_estimate, log_variance
 from .population import (
     DEFAULT_PARAMS,
     InfeasibleScenarioError,
     PopulationParams,
     ScreeningPolicy,
+    SurveyCounts,
 )
 from .recency_model import ASSAYS, DEFAULT_ASSAY, RecencyAssay, mdri, phi
 from .screening_analytics import SurveyLaw, forecast, survey_law
@@ -111,31 +111,72 @@ class Scenario:
 
 @dataclass
 class ScenarioResult:
+    """A scenario's replications as arrays, entry i being replication i; or
+    the error that stopped it, with no counts and no estimates."""
+
     scenario: Scenario
-    estimates: List[float] = field(default_factory=list)
-    count_rows: List[tuple] = field(default_factory=list)
+    counts: Optional[SurveyCounts] = None
+    estimates: np.ndarray = field(default_factory=lambda: np.empty(0))
     error: Optional[str] = None
 
     def summary(self) -> dict:
-        est = np.array(self.estimates, dtype=float)
-        ok = np.isfinite(est)
-        valid = est[ok]
-        positive = valid[valid > 0]
+        """Summary of the defined (finite) estimates.
+
+        Every value equals what np.median, np.percentile (2.5, 97.5),
+        np.mean and np.var(np.log(positive), ddof=1) return for the finite
+        estimates in replication order, bit for bit: the order statistics
+        are numpy's formulas on the sorted values in Python floats, and the
+        sums are numpy's own pairwise reductions.
+        """
+        est = self.estimates
+        values = est.tolist()
+        ordered = sorted(x for x in values if -math.inf < x < math.inf)
+        n = len(ordered)
+        finite = est if n == len(values) else est[np.isfinite(est)]
         s = {
-            "median": float(np.median(valid)) if valid.size else math.nan,
-            "mean": float(np.mean(valid)) if valid.size else math.nan,
-            "q025": float(np.percentile(valid, 2.5)) if valid.size else math.nan,
-            "q975": float(np.percentile(valid, 97.5)) if valid.size else math.nan,
-            "var_log": float(np.var(np.log(positive), ddof=1))
-            if positive.size > 1
-            else math.nan,
-            "n_negative": int(np.sum(valid < 0)),
-            "n_undefined": int(np.sum(~ok)),
-            "mean_screened": float(np.mean([r[4] for r in self.count_rows]))
-            if self.count_rows
+            "median": math.nan,
+            "mean": math.nan,
+            "q025": math.nan,
+            "q975": math.nan,
+            "var_log": math.nan,
+            "n_negative": bisect.bisect_left(ordered, 0.0),
+            "n_undefined": len(values) - n,
+            # an integer sum is exact in any order, as in np.mean
+            "mean_screened": sum(self.counts.n_screened.tolist()) / len(values)
+            if values
             else math.nan,
         }
+        if n:
+            # np.median is np.mean of the middle value(s); numpy's sums
+            # start from 0.0
+            half = n // 2
+            s["median"] = (
+                (0.0 + ordered[half - 1] + ordered[half]) / 2
+                if n % 2 == 0
+                else 0.0 + ordered[half]
+            )
+            s["mean"] = float(np.add.reduce(finite)) / n
+            s["q025"] = _percentile(ordered, 2.5)
+            s["q975"] = _percentile(ordered, 97.5)
+        positive = finite if n and ordered[0] > 0 else finite[finite > 0]
+        if positive.size > 1:
+            logs = np.log(positive)
+            dev = logs - np.add.reduce(logs) / logs.size
+            s["var_log"] = float(np.add.reduce(dev * dev)) / (logs.size - 1)
         return s
+
+
+def _percentile(ordered: List[float], q: float) -> float:
+    """np.percentile(values, q) (method "linear") from the sorted values,
+    in the same operations."""
+    n = len(ordered)
+    virtual = (n - 1) * (q / 100)
+    # from the last index on, numpy interpolates the last value with itself
+    lo = -1 if virtual >= n - 1 else math.floor(virtual)
+    a, b = ordered[lo], ordered[lo + 1 if lo >= 0 else -1]
+    gamma = virtual - lo
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 def _law_fields(process: TestingProcess):
@@ -156,10 +197,8 @@ def _analytic_columns(scenario: Scenario):
         scenario.assay, law.theta, r, c, scenario.process.observation_rule,
         scenario.params,
     )
-    p_star, p_r = survey_composition(
-        scenario.assay, scenario.process, r, c, scenario.params
-    )
-    var = log_variance(scenario.n_target, p_star, p_r)
+    count_law = scenario.count_law
+    var = log_variance(scenario.n_target, count_law.p_star, count_law.p_r)
     return f"{bias:.10g}", f"{var:.10g}"
 
 
@@ -168,60 +207,52 @@ def _label_key(label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def replication_rng(seed: int, label: str, replication: int):
-    """Replication substream keyed by (seed, scenario label, replication).
+def _streams(seed: int, label: str):
+    """The scenario's two generators, keyed by (seed, scenario label, stream):
+    stream 0 draws the survey compositions and stream 1 the screening counts.
 
     Keying on the label (not the grid position) makes a scenario's stream
     independent of which grid it appears in, so e.g. an frr=0 sensitivity
     scenario reproduces its main-grid counterpart exactly.
     """
-    return np.random.default_rng(
-        np.random.SeedSequence([seed, _label_key(label), replication])
+    key = _label_key(label)
+    return tuple(
+        np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([seed, key, stream]))
+        )
+        for stream in (0, 1)
     )
 
 
-def run_replication(scenario: Scenario, replication: int):
-    """One survey replication: its counts and the estimate (nan if undefined).
-
-    The counts are drawn from the scenario's closed-form count law, for
-    either inter-test law.
-    """
-    rng = replication_rng(scenario.seed, scenario.label, replication)
-    counts = scenario.count_law.draw(scenario.n_target, rng)
-    try:
-        inp = EstimatorInputs(
-            counts=counts,
-            mdri_hat=mdri(scenario.assay),
-            frr_hat=scenario.assay.frr,
-            recency_cutoff=scenario.assay.recency_cutoff,
-        )
-        estimate = kassanjee_estimate(inp)
-    except ValueError:
-        estimate = math.nan
-    return counts, estimate
-
-
 def run_scenario(scenario: Scenario) -> ScenarioResult:
-    result = ScenarioResult(scenario=scenario)
+    """Every replication of a scenario: its counts from the closed-form count
+    law, and the estimates (nan where undefined)."""
     try:
-        for rep in range(scenario.replications):
-            counts, estimate = run_replication(scenario, rep)
-            result.estimates.append(estimate)
-            result.count_rows.append(
-                (counts.n_total, counts.n_pos, counts.n_neg, counts.n_rec,
-                 counts.n_screened)
-            )
+        counts = scenario.count_law.draw(
+            scenario.n_target, scenario.replications,
+            _streams(scenario.seed, scenario.label),
+        )
     except InfeasibleScenarioError as exc:
-        result.error = str(exc)
-    return result
+        return ScenarioResult(scenario=scenario, error=str(exc))
+    assay = scenario.assay
+    estimates = kassanjee_estimate(
+        counts, mdri(assay), assay.frr, assay.recency_cutoff
+    )
+    return ScenarioResult(scenario=scenario, counts=counts, estimates=estimates)
 
 
 def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> List[ScenarioResult]:
-    """Run every scenario; results come back in scenario order."""
+    """Run every scenario; results come back in scenario order.
+
+    With several workers the scenarios go out in chunks, about four per
+    worker: a scenario's cost is one array block, alike across cells, so
+    equal chunks balance, and each chunk pays the per-task transfer once.
+    """
     if workers <= 1:
         return [run_scenario(s) for s in scenarios]
+    chunksize = max(1, math.ceil(len(scenarios) / (4 * workers)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_scenario, scenarios, chunksize=1))
+        return list(pool.map(run_scenario, scenarios, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +367,14 @@ def _atomic_open(path: Path, newline=None):
 
 def write_results(
     results: Sequence[ScenarioResult], out_dir: Path, config_echo: dict, seed: int,
-    wall_time: float,
+    wall_time: float, workers: int = 1,
 ) -> bool:
     """Write per-replication CSV, summary CSV, and the JSON manifest.
 
     Returns True when every scenario completed without error.  The three
-    files are replaced together only after all of them are written.
+    files are replaced together only after all of them are written.  The
+    manifest records the Python, numpy and scipy versions, since the
+    vectorized random streams depend on numpy's.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -357,25 +390,43 @@ def write_results(
             "scenarios": len(results),
             "errors": [r.scenario.label for r in results if r.error is not None],
             "wall_time_s": round(wall_time, 3),
+            "workers": workers,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
         }
         json.dump(manifest, man_fh, indent=2, sort_keys=True)
         man_fh.write("\n")
     return ok
 
 
-def _status(estimate: float) -> str:
-    """Replication status: the estimate is undefined (nan), negative, or ok."""
-    if math.isnan(estimate):
-        return "undefined"
-    return "negative" if estimate < 0 else "ok"
+_CSV_SPECIAL = frozenset(',"\r\n')
 
 
 def _write_replications(results, fh):
-    w = csv.writer(fh)
-    w.writerow(REPLICATION_COLUMNS)
+    """One line per replication, as csv.writer would write it.
+
+    Labels never need quoting (they are built from numbers and fixed
+    names); one that would is rejected rather than written unquoted.  The
+    status is "undefined" for a nan estimate, "negative" below 0, else "ok".
+    """
+    fh.write(",".join(REPLICATION_COLUMNS) + "\r\n")
     for res in results:
-        for rep, (counts, est) in enumerate(zip(res.count_rows, res.estimates)):
-            w.writerow([res.scenario.label, rep, *counts, _fmt(est), _status(est)])
+        if res.counts is None:
+            continue
+        label = res.scenario.label
+        if _CSV_SPECIAL.intersection(label):
+            raise ValueError(f"scenario label {label!r} would need CSV quoting")
+        c = res.counts
+        fh.writelines(
+            f"{label},{i},{total},{pos},{neg},{rec},{screened},{x:.10g},"
+            f"{'ok' if x >= 0 else 'negative' if x < 0 else 'undefined'}\r\n"
+            for i, total, pos, neg, rec, screened, x in zip(
+                range(len(res.estimates)), c.n_total.tolist(), c.n_pos.tolist(),
+                c.n_neg.tolist(), c.n_rec.tolist(), c.n_screened.tolist(),
+                res.estimates.tolist(),
+            )
+        )
 
 
 def _write_summary(results, fh) -> bool:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 #: Population draws a survey may need on average before it is infeasible.
 ATTEMPT_CAP = 100_000_000
 
@@ -71,14 +73,19 @@ class ScreeningPolicy:
 
 @dataclass(frozen=True)
 class SurveyCounts:
-    n_total: int
-    n_pos: int
-    n_neg: int
-    n_rec: int
-    n_screened: int
+    """Counts of surveys: integer arrays with one entry per survey (or
+    plain ints for a single survey)."""
+
+    n_pos: np.ndarray
+    n_neg: np.ndarray
+    n_rec: np.ndarray
+    n_screened: np.ndarray
 
     def __post_init__(self):
-        if self.n_pos + self.n_neg != self.n_total:
-            raise ValueError("n_pos + n_neg must equal n_total")
-        if self.n_rec > self.n_pos:
+        if np.greater(self.n_rec, self.n_pos).any():
             raise ValueError("n_rec cannot exceed n_pos")
+
+    @property
+    def n_total(self):
+        """Survey size: every admitted attendee is positive or negative."""
+        return self.n_pos + self.n_neg

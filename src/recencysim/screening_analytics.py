@@ -88,24 +88,38 @@ def _admission_terms(process, params, r, c):
 class SurveyLaw:
     """Count-level law of one survey.
 
-    `composition` is the law of one admitted attendee: (recent positive,
-    other positive, negative) = (p_star*p_r, p_star*(1-p_r), 1-p_star).
-    `inclusion` is s = P(admitted | attends) and `admit` the probability
-    that one draw from the population is admitted.
+    `p_star` is the survey prevalence and `p_r` the probability that a
+    surveyed positive tests recent (`survey_composition`).  `inclusion` is
+    s = P(admitted | attends) and `admit` the probability that one draw
+    from the population is admitted.
     """
 
-    composition: Tuple[float, float, float]
+    p_star: float
+    p_r: float
     inclusion: float
     admit: float
 
-    def draw(self, n_target: int, rng: np.random.Generator) -> SurveyCounts:
-        """Counts of one survey of n_target admitted attendees.
+    @property
+    def composition(self) -> Tuple[float, float, float]:
+        """Law of one admitted attendee: (recent positive, other positive,
+        negative)."""
+        p_star, p_r = self.p_star, self.p_r
+        return p_star * p_r, p_star * (1.0 - p_r), 1.0 - p_star
 
-        (n_rec, n_pos - n_rec, n_neg) is one multinomial draw and the
-        attendees screened to fill the survey are n_target plus one
-        negative binomial draw.  Raises InfeasibleScenarioError when the
-        expected number of population draws, n_target / admit, exceeds
-        population.ATTEMPT_CAP.
+    def draw(
+        self,
+        n_target: int,
+        size: int,
+        rngs: Tuple[np.random.Generator, np.random.Generator],
+    ) -> SurveyCounts:
+        """Counts of `size` surveys of n_target admitted attendees each.
+
+        Survey i's (n_rec, n_pos - n_rec, n_neg) is the i-th multinomial
+        draw from rngs[0], and the attendees it screened beyond n_target
+        the i-th negative binomial draw from rngs[1]; so the first k
+        surveys are the same for every size >= k.  Raises
+        InfeasibleScenarioError when the expected number of population
+        draws, n_target / admit, exceeds population.ATTEMPT_CAP.
         """
         if n_target <= 0:
             raise ValueError("n_target must be positive")
@@ -115,14 +129,17 @@ class SurveyLaw:
                 f"{population.ATTEMPT_CAP} (admit probability {self.admit:.3g} "
                 "per draw)"
             )
-        n_rec, n_other, n_neg = rng.multinomial(n_target, self.composition)
-        n_screened = n_target + rng.negative_binomial(n_target, self.inclusion)
+        n_rec, n_other, n_neg = rngs[0].multinomial(
+            n_target, self.composition, size=size
+        ).T
+        n_screened = n_target + rngs[1].negative_binomial(
+            n_target, self.inclusion, size=size
+        )
         return SurveyCounts(
-            n_total=n_target,
-            n_pos=int(n_rec + n_other),
-            n_neg=int(n_neg),
-            n_rec=int(n_rec),
-            n_screened=int(n_screened),
+            n_pos=n_rec + n_other,
+            n_neg=n_neg,
+            n_rec=n_rec,
+            n_screened=n_screened,
         )
 
 
@@ -147,7 +164,8 @@ def survey_law(
         )
     p_star, p_r = survey_composition(assay, process, r, c, params)
     return SurveyLaw(
-        composition=(p_star * p_r, p_star * (1.0 - p_r), 1.0 - p_star),
+        p_star=p_star,
+        p_r=p_r,
         inclusion=min(admitted / attending, 1.0),
         admit=policy.q0 * (1.0 - params.prevalence) * admitted,
     )

@@ -62,27 +62,35 @@ def uniform_cdf_pieces(law: UniformInterTest):
     """
     a, b = law.a, law.b
     m = b * b - a * a
-    knees = np.array([0.0, a, b])
-    coefs = np.array(
-        [[0.0, 2.0 / (a + b), 0.0], [-a * a / m, 2.0 * b / m, -1.0 / m], [1.0, 0.0, 0.0]]
-    )
+    knees = (0.0, a, b)
+    coefs = ((0.0, 2.0 / (a + b), 0.0), (-a * a / m, 2.0 * b / m, -1.0 / m),
+             (1.0, 0.0, 0.0))
     return knees, coefs
 
 
-def uniform_cdf_piece(x, law: UniformInterTest):
+def uniform_cdf_piece(x: float, law: UniformInterTest):
     """Coefficients (k0, k1, k2) of the piece of F that holds x >= 0."""
-    knees, coefs = uniform_cdf_pieces(law)
-    return coefs[np.searchsorted(knees, x, side="right") - 1]
+    _, coefs = uniform_cdf_pieces(law)
+    return coefs[2 if x >= law.b else 1 if x >= law.a else 0]
 
 
 def residual_cdf(x, law: InterTestLaw):
-    """CDF of the stationary residual life: (1/mu) * int_0^x (1-F(y)) dy."""
+    """CDF of the stationary residual life: (1/mu) * int_0^x (1-F(y)) dy.
+
+    A float x under a uniform law stays in Python floats (the analytic
+    layer's path); arrays, and exponential laws, go through numpy.
+    """
+    if isinstance(law, UniformInterTest) and isinstance(x, (int, float)):
+        x = max(x, 0.0)
+        k0, k1, k2 = uniform_cdf_piece(x, law)
+        return k0 + x * (k1 + x * k2)
     x_arr = np.asarray(x, dtype=float)
     if isinstance(law, ExponentialInterTest):
         out = 1.0 - np.exp(-law.theta * np.clip(x_arr, 0.0, None))
     else:
         xc = np.clip(x_arr, 0.0, None)
-        k = uniform_cdf_piece(xc, law)
+        knees, coefs = uniform_cdf_pieces(law)
+        k = np.array(coefs)[np.searchsorted(knees, xc, side="right") - 1]
         out = k[..., 0] + xc * (k[..., 1] + xc * k[..., 2])
     if np.isscalar(x) or x_arr.ndim == 0:
         return float(out)

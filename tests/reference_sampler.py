@@ -45,7 +45,6 @@ class SurveyRows:
         n_total = int(self.d.size)
         n_pos = int(self.d.sum())
         return SurveyCounts(
-            n_total=n_total,
             n_pos=n_pos,
             n_neg=n_total - n_pos,
             n_rec=int(self.recent.sum()),

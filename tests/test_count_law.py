@@ -1,14 +1,20 @@
 """The count-level survey engine against the individual sampler.
 
-For every test schedule `harness.run_replication` draws a survey's counts
+For every test schedule `harness.run_scenario` draws its surveys' counts
 from `screening_analytics.survey_law`: one multinomial draw for
 (n_rec, n_pos - n_rec, n_neg) and one negative binomial draw for the
-attendees screened beyond N.  The individual sampler
-(`reference_sampler.assemble_survey_rows`, built person by person from the
-model's primitives) is the reference engine here.
+attendees screened beyond N, each vectorized over the replications.  The
+individual sampler (`reference_sampler.assemble_survey_rows`, built person
+by person from the model's primitives) is the reference engine here.
+
+The cross-engine test makes 27 two-sample KS comparisons (9 cells, 3
+statistics each).  KS_ALPHA = 0.01 is their family-wise level: the
+p-values are judged together by the Holm-Bonferroni step-down procedure,
+so a correct engine fails any of the 27 with probability at most 0.01.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -17,18 +23,11 @@ from scipy import stats
 
 from recencysim import harness
 from recencysim.estimator import (
-    EstimatorInputs,
-    UndefinedEstimateError,
     kassanjee_estimate,
     survey_composition,
     survey_weight_integral,
 )
-from recencysim.harness import (
-    build_grid,
-    build_sensitivity,
-    replication_rng,
-    run_replication,
-)
+from recencysim.harness import build_grid, build_sensitivity, run_scenario
 from recencysim.population import (
     DEFAULT_PARAMS,
     InfeasibleScenarioError,
@@ -50,31 +49,26 @@ SWP = ObservationRule.STOP_WHEN_POSITIVE
 
 SEED = 515
 REPS = 300
-KS_ALPHA = 0.01
+KS_ALPHA = 0.01  # family-wise over the 27 cross-engine comparisons
 
 
-def _estimate(scenario, counts):
-    try:
-        return kassanjee_estimate(
-            EstimatorInputs(
-                counts=counts,
-                mdri_hat=mdri(scenario.assay),
-                frr_hat=scenario.assay.frr,
-                recency_cutoff=scenario.assay.recency_cutoff,
-            )
-        )
-    except UndefinedEstimateError:
-        return math.nan
+def _rngs(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed + 1)
 
 
 def _reference_replication(scenario, replication):
     """One survey from the individual sampler, on a stream of its own."""
-    rng = replication_rng(SEED + 1, scenario.label, replication)
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [SEED + 1, harness._label_key(scenario.label), replication]
+    ))
     counts = assemble_survey_rows(
         scenario.params, scenario.process, scenario.policy, scenario.assay,
         scenario.n_target, rng,
     ).counts()
-    return counts, _estimate(scenario, counts)
+    assay = scenario.assay
+    estimate = kassanjee_estimate(counts, mdri(assay), assay.frr,
+                                  assay.recency_cutoff)
+    return counts, float(estimate)
 
 
 def _cell(scenarios, label):
@@ -103,21 +97,55 @@ CROSS_ENGINE_CELLS = [
 ]
 
 
+def holm_rejected(pvalues, alpha):
+    """Keys of the hypotheses the Holm-Bonferroni step-down procedure
+    rejects at family-wise level alpha."""
+    ranked = sorted(pvalues, key=pvalues.get)
+    m = len(ranked)
+    for i, key in enumerate(ranked):
+        if pvalues[key] > alpha / (m - i):
+            return set(ranked[:i])
+    return set(ranked)
+
+
+@pytest.fixture(scope="module")
+def cross_engine_pvalues():
+    """(cell label, statistic) -> two-sample KS p-value over REPS surveys
+    per engine; fixed seeds."""
+    pvalues = {}
+    for scenario in CROSS_ENGINE_CELLS:
+        result = run_scenario(scenario)
+        reference = [_reference_replication(scenario, rep) for rep in range(REPS)]
+        for name, a, pick in (
+            ("estimate", result.estimates, lambda row: row[1]),
+            ("n_screened", result.counts.n_screened, lambda row: row[0].n_screened),
+            ("n_pos", result.counts.n_pos, lambda row: row[0].n_pos),
+        ):
+            a = np.asarray(a, dtype=float)
+            b = np.array([pick(row) for row in reference], dtype=float)
+            assert a.size == REPS
+            assert np.isfinite(a).all() and np.isfinite(b).all()
+            pvalues[scenario.label, name] = stats.ks_2samp(a, b).pvalue
+    return pvalues
+
+
+def test_holm_bonferroni():
+    p = {"a": 0.004, "b": 0.006, "c": 0.02, "d": 0.5}
+    # 0.004 <= 0.01/4 fails, so nothing is rejected
+    assert holm_rejected(p, 0.01) == set()
+    # 0.004 <= 0.05/4, 0.006 <= 0.05/3, 0.02 <= 0.05/2, 0.5 > 0.05
+    assert holm_rejected(p, 0.05) == {"a", "b", "c"}
+
+
 @pytest.mark.parametrize("scenario", CROSS_ENGINE_CELLS, ids=lambda s: s.label)
-def test_count_law_matches_individual_sampler(scenario):
-    # two-sample KS over REPS surveys per engine; fixed seeds
-    count_side = [run_replication(scenario, rep) for rep in range(REPS)]
-    reference = [_reference_replication(scenario, rep) for rep in range(REPS)]
-    for name, pick in (
-        ("estimate", lambda row: row[1]),
-        ("n_screened", lambda row: row[0].n_screened),
-        ("n_pos", lambda row: row[0].n_pos),
-    ):
-        a = np.array([pick(row) for row in count_side], dtype=float)
-        b = np.array([pick(row) for row in reference], dtype=float)
-        assert np.isfinite(a).all() and np.isfinite(b).all()
-        p = stats.ks_2samp(a, b).pvalue
-        assert p > KS_ALPHA, f"{name}: KS p = {p:.4f}"
+def test_count_law_matches_individual_sampler(scenario, cross_engine_pvalues):
+    assert len(cross_engine_pvalues) == 27
+    rejected = holm_rejected(cross_engine_pvalues, KS_ALPHA)
+    mine = {name: p for (label, name), p in cross_engine_pvalues.items()
+            if label == scenario.label}
+    assert len(mine) == 3
+    failed = {name: p for name, p in mine.items() if (scenario.label, name) in rejected}
+    assert not failed, f"KS p-values rejected by Holm-Bonferroni: {failed}"
 
 
 def test_every_law_draws_from_the_count_law(monkeypatch):
@@ -132,8 +160,11 @@ def test_every_law_draws_from_the_count_law(monkeypatch):
     for uniform_bs in ((), (3.0,)):
         (cell,) = build_grid(3, 1, n_target=200, thetas=(1.0,), rs=(0.6,),
                              cs=(1.0,), rules=(SWP,), uniform_bs=uniform_bs)
-        counts, _ = run_replication(cell, 0)
-        assert counts == cell.count_law.draw(200, replication_rng(3, cell.label, 0))
+        counts = run_scenario(cell).counts
+        want = cell.count_law.draw(200, 1, harness._streams(3, cell.label))
+        assert vars(counts).keys() == vars(want).keys()
+        for name, column in vars(want).items():
+            assert np.array_equal(getattr(counts, name), column), name
     assert laws == [ExponentialInterTest(1.0), UniformInterTest(0.0, 3.0)]
 
 
@@ -145,6 +176,7 @@ class TestSurveyLaw:
         policy = ScreeningPolicy(q0=1.0, q1=r, exclusion_window=c)
         law = survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS)
         p_star, p_r = survey_composition(DEFAULT_ASSAY, process, r, c, DEFAULT_PARAMS)
+        assert (law.p_star, law.p_r) == (p_star, p_r)
         assert law.composition == (p_star * p_r, p_star * (1.0 - p_r), 1.0 - p_star)
         s = inclusion_probability(rule, DEFAULT_PARAMS, 1.5, r, c)
         assert law.inclusion == s
@@ -155,6 +187,17 @@ class TestSurveyLaw:
         )
         assert law.admit == pytest.approx(attending * s, rel=1e-12)
 
+    def test_uniform_suite_laws_unchanged(self):
+        # sha256 of the 80 uniform cells' law values, recorded while the
+        # uniform residual CDF pieces were still numpy arrays
+        h = hashlib.sha256()
+        for s in build_sensitivity("uniform_intertest", 1, 1):
+            law = s.count_law
+            h.update(repr((s.label, law.composition, law.inclusion,
+                           law.admit)).encode())
+        assert h.hexdigest() == (
+            "a321f375b74d93da5f377595eb8151a682e6869e0861783025e90b87bb64c8b5")
+
     def test_window_past_the_horizon(self):
         # no c <= horizon guard: every positive then has u < c, so with r = 1
         # everyone's weight is P(T > c) and s = e^{-theta*c}
@@ -163,18 +206,18 @@ class TestSurveyLaw:
         policy = ScreeningPolicy(q1=1.0, exclusion_window=c)
         law = survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS)
         assert law.inclusion == pytest.approx(math.exp(-0.4 * c), rel=1e-12)
-        counts = law.draw(500, np.random.default_rng(1))
-        assert counts.n_total == 500 and counts.n_screened >= 500
+        counts = law.draw(500, 4, _rngs(1))
+        assert (counts.n_total == 500).all() and (counts.n_screened >= 500).all()
 
     def test_draw_counts_add_up(self):
         process = TestingProcess(ExponentialInterTest(1.0), SWP)
         policy = ScreeningPolicy(q1=0.6, exclusion_window=1.0)
         law = survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS)
-        counts = law.draw(5000, np.random.default_rng(2))
-        assert counts.n_pos + counts.n_neg == 5000
-        assert 0 <= counts.n_rec <= counts.n_pos
-        assert all(type(v) is int for v in (counts.n_pos, counts.n_neg,
-                                            counts.n_rec, counts.n_screened))
+        counts = law.draw(5000, 20, _rngs(2))
+        assert (counts.n_pos + counts.n_neg == 5000).all()
+        assert ((0 <= counts.n_rec) & (counts.n_rec <= counts.n_pos)).all()
+        for v in vars(counts).values():
+            assert v.shape == (20,) and np.issubdtype(v.dtype, np.integer)
 
     @pytest.mark.parametrize("a,b", [(0.0, 3.0), (1.0, 4.0)])
     def test_uniform_schedule_without_selection(self, a, b):
@@ -201,7 +244,7 @@ class TestSurveyLaw:
         process = TestingProcess(ExponentialInterTest(1.0), SWP)
         law = survey_law(DEFAULT_ASSAY, process, ScreeningPolicy(), DEFAULT_PARAMS)
         with pytest.raises(ValueError, match="n_target must be positive"):
-            law.draw(0, np.random.default_rng(1))
+            law.draw(0, 1, _rngs(1))
 
 
 # A duration support shorter than the recency cutoff: tau = 0.996 < T* = 2

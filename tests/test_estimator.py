@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from recencysim.estimator import (
-    EstimatorInputs,
-    UndefinedEstimateError,
     analytic_bias,
     effective_mdri_closed,
     effective_mdri_numeric,
@@ -25,38 +23,68 @@ from recencysim.testing_history import (
 OMEGA = mdri(DEFAULT_ASSAY)
 
 
-def make_inputs(n_pos, n_neg, n_rec, mdri_hat=OMEGA, frr_hat=0.0):
-    counts = SurveyCounts(
-        n_total=n_pos + n_neg, n_pos=n_pos, n_neg=n_neg, n_rec=n_rec,
-        n_screened=n_pos + n_neg,
-    )
-    return EstimatorInputs(
-        counts=counts, mdri_hat=mdri_hat, frr_hat=frr_hat, recency_cutoff=2.0
-    )
+def make_counts(n_pos, n_neg, n_rec):
+    n_pos, n_neg, n_rec = (np.asarray(v) for v in (n_pos, n_neg, n_rec))
+    return SurveyCounts(n_pos=n_pos, n_neg=n_neg, n_rec=n_rec,
+                        n_screened=n_pos + n_neg)
+
+
+def estimate(n_pos, n_neg, n_rec, mdri_hat=OMEGA, frr_hat=0.0):
+    return kassanjee_estimate(make_counts(n_pos, n_neg, n_rec), mdri_hat, frr_hat, 2.0)
+
+
+def scalar_formula(n_pos, n_neg, n_rec, mdri_hat, frr_hat, cutoff):
+    """The estimator on one survey's Python ints; None where undefined."""
+    denom = n_neg * (mdri_hat - frr_hat * cutoff)
+    if denom <= 0:
+        return None
+    return (n_rec - n_pos * frr_hat) / denom
 
 
 class TestKassanjeeEstimate:
     def test_hand_computed_value(self):
-        inp = make_inputs(1450, 3550, 44, mdri_hat=0.268)
-        assert kassanjee_estimate(inp) == pytest.approx(44.0 / (3550 * 0.268))
+        assert estimate(1450, 3550, 44, mdri_hat=0.268) == pytest.approx(
+            44.0 / (3550 * 0.268))
 
     def test_matches_formula_with_frr(self):
-        inp = make_inputs(1450, 3550, 44, mdri_hat=0.268, frr_hat=0.01)
         want = (44 - 1450 * 0.01) / (3550 * (0.268 - 0.01 * 2.0))
-        assert kassanjee_estimate(inp) == pytest.approx(want)
+        got = estimate(1450, 3550, 44, mdri_hat=0.268, frr_hat=0.01)
+        assert got == pytest.approx(want)
 
     def test_negative_estimate_passed_through(self):
-        inp = make_inputs(1450, 3550, 5, mdri_hat=0.268, frr_hat=0.01)
-        assert kassanjee_estimate(inp) < 0
+        assert estimate(1450, 3550, 5, mdri_hat=0.268, frr_hat=0.01) < 0
 
     def test_undefined_when_mdri_too_small(self):
-        with pytest.raises(UndefinedEstimateError):
-            make_inputs(10, 10, 1, mdri_hat=0.01, frr_hat=0.01)
+        got = estimate([10, 20], [10, 30], [1, 2], mdri_hat=0.01, frr_hat=0.01)
+        assert np.isnan(got).all()
 
     def test_undefined_when_no_negatives(self):
-        inp = make_inputs(10, 0, 1)
-        with pytest.raises(UndefinedEstimateError):
-            kassanjee_estimate(inp)
+        got = estimate([10, 7], [0, 3], [1, 1])
+        assert np.isnan(got[0]) and got[1] == 1 / (3 * OMEGA)
+
+    @pytest.mark.parametrize("mdri_hat,frr_hat", [
+        (OMEGA, 0.0), (OMEGA, 0.02), (0.268, 0.01), (0.03, 0.015), (0.02, 0.01),
+    ])
+    def test_bit_identical_to_scalar_formula(self, mdri_hat, frr_hat):
+        # frr > 0 gives negative estimates where n_rec < n_pos * frr; a
+        # survey without negatives, or mdri_hat <= frr_hat * T*, gives nan
+        rng = np.random.default_rng(11)
+        n_total = 5000
+        n_pos = rng.integers(0, n_total + 1, 400)
+        n_pos[:3] = n_total
+        n_rec = rng.binomial(n_pos, 0.02)
+        n_rec[3:6] = 0
+        counts = make_counts(n_pos, n_total - n_pos, n_rec)
+        got = kassanjee_estimate(counts, mdri_hat, frr_hat, 2.0).tolist()
+        want = [scalar_formula(p, n, r, mdri_hat, frr_hat, 2.0) for p, n, r in zip(
+            counts.n_pos.tolist(), counts.n_neg.tolist(), counts.n_rec.tolist())]
+        for g, w in zip(got, want, strict=True):
+            assert (math.isnan(g) and w is None) or g == w
+        if mdri_hat <= frr_hat * 2.0:
+            assert all(w is None for w in want)
+        else:
+            assert want[0] is None and want[-1] is not None
+            assert any(w < 0 for w in want if w is not None) == (frr_hat > 0)
 
 
 class TestLogVariance:

@@ -1,7 +1,11 @@
 import csv
+import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -24,13 +28,12 @@ from recencysim.harness import (
     emit_histogram,
     emit_table1,
     run_grid,
-    run_replication,
     run_scenario,
     write_histogram,
     write_results,
     write_table1,
 )
-from recencysim.population import DEFAULT_PARAMS, ScreeningPolicy
+from recencysim.population import DEFAULT_PARAMS, ScreeningPolicy, SurveyCounts
 from recencysim.recency_model import DEFAULT_ASSAY, LONG_ASSAY
 from recencysim.testing_history import (
     ExponentialInterTest,
@@ -44,6 +47,16 @@ def small_grid(seed=7, reps=2, n_target=400):
         seed, reps, n_target=n_target,
         thetas=(1.0,), rs=(0.6, 1.0), cs=(0.0, 1.0),
     )
+
+
+def block(result):
+    """A scenario result's arrays: estimates, then every count column."""
+    return [result.estimates, *vars(result.counts).values()]
+
+
+def assert_same_block(a, b):
+    for x, y in zip(block(a), block(b), strict=True):
+        assert np.array_equal(x, y, equal_nan=True)
 
 
 class TestGridConstruction:
@@ -75,15 +88,27 @@ class TestGridConstruction:
 
 
 class TestDeterminism:
-    def test_replication_repeatable(self):
-        s = small_grid()[0]
-        assert run_replication(s, 3) == run_replication(s, 3)
+    def test_scenario_repeatable(self):
+        s = small_grid(reps=4)[0]
+        assert_same_block(run_scenario(s), run_scenario(s))
 
     def test_replications_differ(self):
-        s = small_grid()[0]
-        a = run_replication(s, 0)
-        b = run_replication(s, 1)
-        assert a != b
+        res = run_scenario(small_grid(reps=2)[0])
+        rows = np.column_stack(block(res))
+        assert not np.array_equal(rows[0], rows[1])
+
+    @pytest.mark.parametrize("uniform_bs", [(), (3.0,)], ids=["exp", "uniform"])
+    def test_first_replications_do_not_depend_on_the_count(self, uniform_bs):
+        # the block draws are R sequential draws on each generator, so the
+        # first k replications of an R-replication run are a k-replication run
+        cells = build_grid(3, 9, n_target=300, rs=(0.3,), cs=(1.0,), thetas=(1.5,),
+                           uniform_bs=uniform_bs)
+        for cell in cells:
+            full = run_scenario(cell)
+            for k in (1, 4):
+                head = run_scenario(dataclasses.replace(cell, replications=k))
+                for x, y in zip(block(full), block(head), strict=True):
+                    assert np.array_equal(x[:k], y)
 
     def test_worker_count_invariant(self, tmp_path):
         scenarios = small_grid()
@@ -99,8 +124,8 @@ class TestDeterminism:
         assert files[1] == files[2]
 
     def test_uniform_suite_streams_unchanged(self, tmp_path):
-        # sha256 of the files written when uniform laws moved onto the
-        # count-level engine
+        # sha256 of the files written when each scenario moved to two
+        # vectorized streams, keyed by (seed, label, stream)
         results = run_grid(build_sensitivity("uniform_intertest", 11, 2, n_target=500))
         write_results(results, tmp_path, config_echo={}, seed=11, wall_time=0.0)
         digests = {
@@ -109,9 +134,9 @@ class TestDeterminism:
         }
         assert digests == {
             "replications.csv":
-                "ab480a26a284eddce736bc68a5348ad806405a8f10d16ba3be4538b4129964c1",
+                "da23ed254934718d7c381fdf1eadb8813079b70d68a92306cf841c0610fd963d",
             "summary.csv":
-                "0fb0765a6e9e7f157bb3045be1fe96085d9fb4a70a93dcd6f6d7cdf3b9a99e3f",
+                "1344b769ebddb85e2db895cd5aae6f8eaf25a527469ffb361fcaec5b4590f264",
         }
 
     def test_label_keyed_streams_match_across_grids(self):
@@ -124,7 +149,7 @@ class TestDeterminism:
         ]
         assert sens
         twin = sens[0]
-        assert run_replication(twin, 0) == run_replication(main[twin.label], 0)
+        assert_same_block(run_scenario(twin), run_scenario(main[twin.label]))
 
 
 class TestSummaries:
@@ -172,6 +197,136 @@ class TestSummaries:
         sd_log = np.sqrt(log_variance(5000, p_star, p_r))
         se_mean = expected * sd_log / np.sqrt(s.replications)
         assert np.mean(res.estimates) == pytest.approx(expected, abs=3.5 * se_mean)
+
+
+def numpy_summary(est, screened):
+    """The summary as numpy's reductions compute it."""
+    ok = np.isfinite(est)
+    valid = est[ok]
+    positive = valid[valid > 0]
+    if not valid.size:
+        median = mean = q025 = q975 = math.nan
+    else:
+        median, mean = float(np.median(valid)), float(np.mean(valid))
+        q025 = float(np.percentile(valid, 2.5))
+        q975 = float(np.percentile(valid, 97.5))
+    return {
+        "median": median,
+        "mean": mean,
+        "q025": q025,
+        "q975": q975,
+        "var_log": float(np.var(np.log(positive), ddof=1))
+        if positive.size > 1 else math.nan,
+        "n_negative": int(np.sum(valid < 0)),
+        "n_undefined": int(np.sum(~ok)),
+        "mean_screened": float(np.mean(screened)) if screened.size else math.nan,
+    }
+
+
+def summary_of(est, screened):
+    zeros = np.zeros(len(est), dtype=np.int64)
+    counts = SurveyCounts(zeros, zeros, zeros, screened)
+    return ScenarioResult(small_grid()[0], counts, est).summary()
+
+
+def _summary_cases():
+    rng = np.random.default_rng(2024)
+    cases = {
+        "n1": [0.031],
+        "n2": [0.031, 0.029],
+        "n3": [0.031, 0.029, 0.04],
+        "odd": rng.normal(0.03, 0.004, 101),
+        "even": rng.normal(0.03, 0.004, 1000),
+        "ties": np.round(rng.normal(0.03, 0.004, 64), 3),
+        "nan": np.where(rng.random(57) < 0.2, np.nan, rng.normal(0.03, 0.01, 57)),
+        "negative": rng.normal(0.002, 0.004, 40),
+        "nan_and_negative": [np.nan, -0.01, 0.02, np.nan, 0.0, 0.05],
+        "all_nan": [np.nan, np.nan],
+        "one_positive": [-0.01, np.nan, 0.02],
+        "past_one_buffer": rng.normal(0.03, 0.004, 9001),
+    }
+    return {k: np.asarray(v, dtype=float) for k, v in cases.items()}
+
+
+SUMMARY_CASES = _summary_cases()
+
+
+def same_value(a, b):
+    if isinstance(b, float) and math.isnan(b):
+        return isinstance(a, float) and math.isnan(a)
+    return type(a) is type(b) and a == b
+
+
+class TestSummaryMatchesNumpy:
+    @pytest.mark.parametrize("name", SUMMARY_CASES)
+    def test_bit_identical(self, name):
+        est = SUMMARY_CASES[name]
+        screened = np.random.default_rng(len(est)).integers(5000, 40_000, len(est))
+        got, want = summary_of(est, screened), numpy_summary(est, screened)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert same_value(got[key], want[key]), (key, got[key], want[key])
+
+    def test_random_arrays(self):
+        rng = np.random.default_rng(7)
+        for trial in range(300):
+            n = int(rng.integers(1, 40))
+            est = rng.normal(0.01, 0.02, n)
+            est[rng.random(n) < 0.1] = np.nan
+            screened = rng.integers(5000, 9000, n)
+            got, want = summary_of(est, screened), numpy_summary(est, screened)
+            assert all(same_value(got[k], want[k]) for k in want), (trial, est)
+
+
+def csv_writer_replications(results):
+    """replications.csv as csv.writer writes it, row by row."""
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    w.writerow(harness.REPLICATION_COLUMNS)
+    for res in results:
+        if res.counts is None:
+            continue
+        c = res.counts
+        for rep, est in enumerate(res.estimates.tolist()):
+            status = "undefined" if math.isnan(est) else (
+                "negative" if est < 0 else "ok")
+            w.writerow([res.scenario.label, rep, *(
+                int(col[rep]) for col in (c.n_total, c.n_pos, c.n_neg, c.n_rec,
+                                          c.n_screened)), harness._fmt(est), status])
+    return fh.getvalue()
+
+
+class TestReplicationsWriter:
+    def test_byte_identical_to_csv_writer(self):
+        results = run_grid(small_grid(reps=5), workers=1)
+        odd = ScenarioResult(
+            small_grid()[1],
+            SurveyCounts(np.array([4, 0, 3, 10]),
+                         np.array([6, 10, 7, 0]), np.array([1, 0, 0, 2]),
+                         np.array([10, 12, 13, 99])),
+            np.array([0.0125, 0.0, -3.5e-5, np.nan]),
+        )
+        error = ScenarioResult(small_grid()[2], error="no attendee")
+        results = [results[0], odd, error, *results[1:]]
+        fh = io.StringIO(newline="")
+        harness._write_replications(results, fh)
+        assert fh.getvalue() == csv_writer_replications(results)
+
+    def test_labels_need_no_quoting(self):
+        scenarios = build_grid(1, 1) + [
+            s for suite in ("frr", "uniform_intertest", "long_mdri")
+            for s in build_sensitivity(suite, 1, 1)
+        ]
+        for s in scenarios:
+            fh = io.StringIO(newline="")
+            csv.writer(fh).writerow([s.label, 0])
+            assert fh.getvalue() == f"{s.label},0\r\n"
+
+    def test_rejects_a_label_that_needs_quoting(self):
+        res = run_scenario(small_grid(reps=1)[0])
+        res.scenario = dataclasses.replace(res.scenario, label="swp,theta1")
+        with pytest.raises(ValueError, match="would need CSV quoting"):
+            harness._write_replications([res], io.StringIO())
 
 
 class TestHistogram:
@@ -245,6 +400,21 @@ class TestOutputsAndCli:
         assert manifest["seed"] == 7
         assert manifest["scenarios"] == len(results)
         assert manifest["errors"] == []
+        # the vectorized streams depend on numpy's version
+        assert manifest["workers"] == 1
+        assert (manifest["python"], manifest["numpy"]) == (
+            platform.python_version(), np.__version__)
+        assert manifest["scipy"] == __import__("scipy").__version__
+
+    def test_cli_manifest_records_workers(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("n_target: 200\ngrid:\n  theta: [1.0]\n  r: [1.0]\n"
+                       "  c: [0.0]\n")
+        assert cli_main(["grid", "--config", str(cfg), "--reps", "1",
+                         "--workers", "2", "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads((out / "manifest.json").read_text())["workers"] == 2
 
     def test_error_rows_formatted_like_ok_rows(self, tmp_path):
         # r = 1.0, c = 0.0 and frr = 0.0 are floats that _fmt prints as 1 / 0
@@ -444,7 +614,7 @@ class TestInfeasibleCell:
         )
         res = run_scenario(infeasible)
         assert res.error == self.ERROR
-        assert res.estimates == [] and res.count_rows == []
+        assert res.counts is None and res.estimates.size == 0
 
     def test_uniform_cell_admits_no_one(self):
         # with gaps of at most 3 years no attendee passes c = 20: the admit
@@ -458,7 +628,7 @@ class TestInfeasibleCell:
             "no attendee can pass the exclusion window c=20 "
             "(admit probability 0 per draw)"
         )
-        assert res.estimates == [] and res.count_rows == []
+        assert res.counts is None and res.estimates.size == 0
 
     def test_cli_grid_writes_uniform_error_row(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"

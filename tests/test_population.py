@@ -158,10 +158,13 @@ class TestRecencyTesting:
 
 class TestSurveyCounts:
     def test_invariants(self):
+        # n_total is n_pos + n_neg by construction
+        assert SurveyCounts(n_pos=4, n_neg=6, n_rec=0, n_screened=10).n_total == 10
         with pytest.raises(ValueError):
-            SurveyCounts(n_total=10, n_pos=4, n_neg=5, n_rec=0, n_screened=10)
+            SurveyCounts(n_pos=4, n_neg=6, n_rec=5, n_screened=10)
         with pytest.raises(ValueError):
-            SurveyCounts(n_total=10, n_pos=4, n_neg=6, n_rec=5, n_screened=10)
+            SurveyCounts(n_pos=np.array([4, 4]), n_neg=np.array([6, 6]),
+                         n_rec=np.array([0, 5]), n_screened=np.array([10, 10]))
 
 
 class TestAssembleSurvey:

@@ -278,6 +278,19 @@ class TestUniformSwpUnchanged:
         assert after == 0.7019081205537804
 
 
+class TestUniformResidualCdfPaths:
+    @pytest.mark.parametrize("a,b", [(0.0, 3.0), (0.0, 4.0), (1.0, 4.0), (0.5, 0.75)])
+    def test_float_path_equals_array_path(self, a, b):
+        # floats take Python arithmetic, arrays numpy; the values are the same
+        law = UniformInterTest(a, b)
+        xs = np.concatenate([[-1.0, 0.0, a, b, 5.0, np.nextafter(a, 0.0),
+                              np.nextafter(b, 9.0)],
+                             np.random.default_rng(3).uniform(0.0, b + 1.0, 200)])
+        arr = residual_cdf(xs, law)
+        assert [residual_cdf(float(x), law) for x in xs] == arr.tolist()
+        assert residual_cdf(0, law) == 0.0 and residual_cdf(b, law) == 1.0
+
+
 class TestLawValidation:
     def test_bad_laws(self):
         with pytest.raises(ValueError):
