@@ -18,8 +18,6 @@ import sys
 import time
 from pathlib import Path
 
-import yaml
-
 from .estimator import analytic_bias, effective_mdri_closed, effective_mdri_numeric
 from .harness import (
     build_grid,
@@ -67,6 +65,8 @@ def _check_keys(block, allowed, where):
 def _load_config(path):
     if path is None:
         return {}
+    import yaml  # here, not at module top: only --config needs it
+
     with open(path) as fh:
         cfg = yaml.safe_load(fh) or {}
     _check_keys(cfg, CONFIG_KEYS, f"config {path}")

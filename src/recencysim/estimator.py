@@ -25,13 +25,13 @@ import math
 from typing import Tuple
 
 import numpy as np
+from scipy.special import gammainc, gammaincc
 
 from .population import PopulationParams, SurveyCounts
 from .recency_model import (
     RecencyAssay,
-    curve_integral,
     curve_moment,
-    discounted_curve_integral,
+    cutoff_terms,
     mdri,
     phi,
 )
@@ -189,12 +189,34 @@ def effective_mdri_closed(
 
 def _recent_weight_integral(assay, theta, r, c, rule, x):
     """int_0^x Q(s, b*u) * w(u) du / e^{-theta*c}: the curve below the cutoff
-    (x <= T*) weighted by the survey weight."""
-    return _weight_integral(
-        rule, theta, r, c, x,
-        lambda y: curve_integral(assay, y),
-        lambda y: discounted_curve_integral(assay, theta, y, start=c),
+    (x <= T*) weighted by the survey weight.
+
+    `_weight_integral` over `curve_integral` and `discounted_curve_integral`
+    (from start = c), written out so that each distinct incomplete gamma is
+    evaluated once: Q(s, b*c) serves G(c) and the discounted integral's head,
+    Q(s, b*x) serves G(x) and its tail, and at x = T* both G(T*) and
+    Q(s, b*T*) come from the per-assay `cutoff_terms`.  Every expression
+    keeps the composition's order of operations, so the value is the same
+    float; tests/test_analytic_kernel.py holds the two equal.
+    """
+    s, b = assay.gamma_shape, assay.gamma_rate
+    if x == assay.recency_cutoff:
+        g_x, q_x = cutoff_terms(assay)
+    else:
+        q_x = float(gammaincc(s, b * x))
+        g_x = x * q_x + s / b * float(gammainc(s + 1.0, b * x))
+    if c >= x:
+        return g_x
+    q_c = float(gammaincc(s, b * c))
+    g_c = c * q_c + s / b * float(gammainc(s + 1.0, b * c))
+    a = r if rule is ObservationRule.REGULAR else r * math.exp(theta * c)
+    k = (b / (b + theta)) ** s
+    tail = math.exp(-theta * (x - c)) * q_x
+    mixed = math.exp(theta * c) * float(
+        gammaincc(s, (b + theta) * c) - gammaincc(s, (b + theta) * x)
     )
+    discounted = (q_c - tail - k * mixed) / theta
+    return g_c + a * (g_x - g_c) + (1.0 - a) * discounted
 
 
 def analytic_bias(

@@ -525,16 +525,22 @@ TABLE1_R = (0.0, 0.6, 1.0)
 TABLE_GRID_STEP = 0.001
 
 
-def _table_grid_bias(assay, theta, r, c, params):
-    """Bias with integrals on a left-endpoint grid of 0.001 years.
+def _table_grid(assay):
+    """(u, phi(u), Omega) on the table's left-endpoint grid of 0.001 years
+    over [0, T*); built once per table."""
+    u = np.arange(0.0, assay.recency_cutoff, TABLE_GRID_STEP)
+    p = phi(u, assay)
+    return u, p, p.sum() * TABLE_GRID_STEP
+
+
+def _table_grid_bias(grid, tstar, theta, r, c, params):
+    """Bias with integrals as left-endpoint sums over `grid` (`_table_grid`).
 
     This is the reporting convention for the analytic table; analytic_bias
-    gives the exact continuum value.
+    gives the exact continuum value.  K(c) is 0 once c reaches the cutoff
+    `tstar`.
     """
-    tstar = assay.recency_cutoff
-    u = np.arange(0.0, tstar, TABLE_GRID_STEP)
-    p = phi(u, assay)
-    omega = p.sum() * TABLE_GRID_STEP
+    u, p, omega = grid
     m = u >= c
     k = (p[m] * (1.0 - np.exp(theta * (c - u[m])))).sum() * TABLE_GRID_STEP
     if c >= tstar:
@@ -555,11 +561,14 @@ def emit_table1(
     form; screening burden comes from the closed inclusion
     probability.
     """
+    grid = _table_grid(assay)
     rows = []
     for c, clabel in TABLE1_C:
         for theta in TABLE1_THETA:
             for r in TABLE1_R:
-                bias_grid = _table_grid_bias(assay, theta, r, c, params)
+                bias_grid = _table_grid_bias(
+                    grid, assay.recency_cutoff, theta, r, c, params
+                )
                 bias_exact = analytic_bias(
                     assay, theta, r, c, ObservationRule.STOP_WHEN_POSITIVE, params
                 )

@@ -8,6 +8,11 @@ Below the cutoff the curve is Q(s, b*u), the regularized upper incomplete
 gamma function, so its integrals against 1, powers of u and e^{-theta*u}
 have closed forms in regularized incomplete gammas (DLMF 8.2):
 `curve_integral`, `curve_moment` and `discounted_curve_integral`.
+
+The terms that depend on the assay alone, G(T*) (the MDRI) and Q(s, b*T*),
+are cached per assay in `cutoff_terms`; assays are frozen and few.  Nothing
+that depends on the testing rate, the attendance ratio or the window is
+cached.
 """
 
 from __future__ import annotations
@@ -87,8 +92,7 @@ def curve_moment(assay: RecencyAssay, x: float, k: int) -> float:
 
         [x^{k+1} * Q(s, b*x) + s*(s+1)*...*(s+k) / b^{k+1} * P(s+k+1, b*x)] / (k+1).
 
-    k = 0 is `curve_integral`, which the exponential kernel calls in its
-    hot path.
+    k = 0 is `curve_integral`.
     """
     s, b = assay.gamma_shape, assay.gamma_rate
     rising = s
@@ -108,6 +112,9 @@ def discounted_curve_integral(
     With start = 0 this is [1 - e^{-theta*x}*Q(s, b*x) - k*P(s, (b+theta)*x)]
     / theta, k = (b/(b+theta))^s.  Discounting from `start` rather than from
     0 keeps full precision when the result is scaled by e^{theta*start}.
+    The exponential kernel (`estimator._recent_weight_integral`) writes this
+    and `curve_integral` out with their shared terms evaluated once; the
+    tests hold it equal to the composition of the two.
     """
     s, b = assay.gamma_shape, assay.gamma_rate
     k = (b / (b + theta)) ** s
@@ -121,10 +128,17 @@ def discounted_curve_integral(
 
 
 @functools.cache
+def cutoff_terms(assay: RecencyAssay) -> tuple[float, float]:
+    """(G(T*), Q(s, b*T*)): the curve's integral up to the cutoff and its
+    value there, computed once per assay."""
+    s, b, tstar = assay.gamma_shape, assay.gamma_rate, assay.recency_cutoff
+    return curve_integral(assay, tstar), float(gammaincc(s, b * tstar))
+
+
 def mdri(assay: RecencyAssay) -> float:
     """Mean duration of recent infection: integral of phi over [0, T*].
 
     The false-recent rate does not enter; only the curve below the cutoff
-    is integrated.  Closed form G(T*), computed once per assay.
+    is integrated.  Closed form G(T*), from `cutoff_terms`.
     """
-    return curve_integral(assay, assay.recency_cutoff)
+    return cutoff_terms(assay)[0]

@@ -20,7 +20,10 @@ import pytest
 from scipy import integrate
 from scipy.special import gammaincc
 
+from recencysim import estimator, recency_model
 from recencysim.estimator import (
+    _recent_weight_integral,
+    _weight_integral,
     analytic_bias,
     effective_mdri_closed,
     survey_composition,
@@ -127,6 +130,45 @@ def test_recent_weight_integral(assay, rule, theta, r, c):
     tstar = assay.recency_cutoff
     want = quad(lambda u: f(u) * weight(rule, theta, r, c, u), 0.0, tstar, kink=c)
     assert close(effective_mdri_closed(assay, theta, r, c, rule), want)
+
+
+def composed_recent_weight_integral(assay, theta, r, c, rule, x):
+    """The exponential kernel as the composition it writes out."""
+    return _weight_integral(
+        rule, theta, r, c, x,
+        lambda y: curve_integral(assay, y),
+        lambda y: discounted_curve_integral(assay, theta, y, start=c),
+    )
+
+
+@ASSAYS
+@RULES
+@pytest.mark.parametrize("theta", [0.4, 1.0, 3.0])
+@pytest.mark.parametrize("r", [0.0, 0.6, 1.0])
+@pytest.mark.parametrize("c", [0.0, 0.25, 1.5, T_STAR, 2.5])
+@pytest.mark.parametrize("x", [T_STAR, 1.645], ids=["cutoff", "short_horizon"])
+def test_recent_kernel_equals_composition(assay, rule, theta, r, c, x):
+    # the shared terms are evaluated once, in the same order of operations
+    got = _recent_weight_integral(assay, theta, r, c, rule, x)
+    assert got == composed_recent_weight_integral(assay, theta, r, c, rule, x)
+
+
+def test_kernel_evaluates_each_incomplete_gamma_once(monkeypatch):
+    # Q(s, b*c), P(s+1, b*c) and Q(s, (b+theta)*y) at y = c, T*; the terms
+    # at T* come from the per-assay cache, filled by the first call
+    args = (DEFAULT_ASSAY, 1.0, 0.6, 0.25, ObservationRule.STOP_WHEN_POSITIVE)
+    effective_mdri_closed(*args)
+    calls = []
+    for module in (estimator, recency_model):
+        for name in ("gammainc", "gammaincc"):
+            fn = getattr(module, name, None)
+            if fn is not None:
+                def counted(*a, fn=fn):
+                    calls.append(a)
+                    return fn(*a)
+                monkeypatch.setattr(module, name, counted)
+    effective_mdri_closed(*args)
+    assert 0 < len(calls) <= 4
 
 
 @ASSAYS

@@ -34,7 +34,7 @@ from recencysim.harness import (
     write_table1,
 )
 from recencysim.population import DEFAULT_PARAMS, ScreeningPolicy, SurveyCounts
-from recencysim.recency_model import DEFAULT_ASSAY, LONG_ASSAY
+from recencysim.recency_model import DEFAULT_ASSAY, LONG_ASSAY, phi
 from recencysim.testing_history import (
     ExponentialInterTest,
     ObservationRule,
@@ -372,6 +372,33 @@ class TestTable1:
             if row["c"] == 0.0 and row["r"] == 1.0:
                 assert abs(row["bias_x1e3"]) < 5e-9
 
+    @pytest.mark.parametrize("assay", [DEFAULT_ASSAY, LONG_ASSAY],
+                             ids=["default", "long"])
+    def test_bias_is_the_rows_left_endpoint_sum(self, assay, monkeypatch):
+        phi_assays = []
+
+        def counted_phi(u, a):
+            phi_assays.append(a)
+            return phi(u, a)
+
+        monkeypatch.setattr(harness, "phi", counted_phi)
+        rows = emit_table1(assay=assay)
+        assert phi_assays == [assay]  # one grid per table, not one per row
+        step, tstar = harness.TABLE_GRID_STEP, assay.recency_cutoff
+        assert len(rows) == 18
+        for row in rows:
+            c, theta, r = row["c"], row["theta"], row["r"]
+            u = np.arange(0.0, tstar, step)
+            p = phi(u, assay)
+            omega = p.sum() * step
+            m = u >= c
+            k = (p[m] * (1.0 - np.exp(theta * (c - u[m])))).sum() * step
+            if c >= tstar:
+                k = 0.0
+            omega_eff = omega - (1.0 - r * math.exp(theta * c)) * k
+            want = DEFAULT_PARAMS.incidence * (omega_eff / omega - 1.0)
+            assert row["bias_x1e3"] == want * 1e3, (c, theta, r)
+
     def test_screening_monotone_in_r(self):
         rows = emit_table1()
         by_cell = {}
@@ -671,13 +698,14 @@ class TestInfeasibleCell:
 
 
 def test_cli_import_leaves_scipy_integrate_and_stats_unloaded():
-    # the numeric oracle imports scipy.integrate lazily; loading it (or
-    # scipy.stats) at CLI import time would add to every command's start-up
+    # the numeric oracle imports scipy.integrate lazily and only --config
+    # needs yaml; loading either (or scipy.stats) at CLI import time would
+    # add to every command's start-up
     src = str(Path(recencysim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = (
         "import sys, recencysim.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.stats', 'yaml') "
         "if m in sys.modules))"
     )
     out = subprocess.run(
