@@ -9,7 +9,6 @@ from .testing_history import (
     ObservationRule,
     TestingProcess,
     UniformInterTest,
-    sample_residual,
 )
 from .population import (
     DEFAULT_PARAMS,
@@ -42,7 +41,6 @@ __all__ = [
     "UniformInterTest",
     "ObservationRule",
     "TestingProcess",
-    "sample_residual",
     "DEFAULT_PARAMS",
     "PopulationParams",
     "ScreeningPolicy",

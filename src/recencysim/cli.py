@@ -67,8 +67,11 @@ def _load_config(path):
         return {}
     import yaml  # here, not at module top: only --config needs it
 
-    with open(path) as fh:
-        cfg = yaml.safe_load(fh) or {}
+    try:
+        with open(path) as fh:
+            cfg = yaml.safe_load(fh) or {}
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
     _check_keys(cfg, CONFIG_KEYS, f"config {path}")
     _check_keys(cfg.get("grid") or {}, GRID_KEYS, f"the grid: block of {path}")
     return cfg

@@ -191,13 +191,14 @@ def _recent_weight_integral(assay, theta, r, c, rule, x):
     """int_0^x Q(s, b*u) * w(u) du / e^{-theta*c}: the curve below the cutoff
     (x <= T*) weighted by the survey weight.
 
-    `_weight_integral` over `curve_integral` and `discounted_curve_integral`
-    (from start = c), written out so that each distinct incomplete gamma is
-    evaluated once: Q(s, b*c) serves G(c) and the discounted integral's head,
-    Q(s, b*x) serves G(x) and its tail, and at x = T* both G(T*) and
-    Q(s, b*T*) come from the per-assay `cutoff_terms`.  Every expression
-    keeps the composition's order of operations, so the value is the same
-    float; tests/test_analytic_kernel.py holds the two equal.
+    `_weight_integral` over G(y) = `curve_moment(assay, y, 0)` and
+    `discounted_curve_integral` (from start = c), written out so that each
+    distinct incomplete gamma is evaluated once: Q(s, b*c) serves G(c) and
+    the discounted integral's head, Q(s, b*x) serves G(x) and its tail, and
+    at x = T* both G(T*) and Q(s, b*T*) come from the per-assay
+    `cutoff_terms`.  Every expression keeps the composition's order of
+    operations, so the value is the same float; tests/test_analytic_kernel.py
+    holds the two equal.
     """
     s, b = assay.gamma_shape, assay.gamma_rate
     if x == assay.recency_cutoff:
@@ -235,13 +236,11 @@ def analytic_bias(
     once the exclusion window reaches the recency cutoff, and with neither
     exclusion nor selective attendance (r = 1, c = 0).
     """
-    omega = mdri(assay)
-    if params.horizon >= assay.recency_cutoff:
-        omega_eff = effective_mdri_closed(assay, theta, r, c, rule)
-    else:
-        _check_effective_mdri_args(assay, theta, r, c)
-        omega_eff = _recent_weight_integral(assay, theta, r, c, rule, params.horizon)
-    return params.incidence * (omega_eff / omega - 1.0)
+    _check_effective_mdri_args(assay, theta, r, c)
+    recent = _recent_weight_integral(
+        assay, theta, r, c, rule, min(assay.recency_cutoff, params.horizon)
+    )
+    return params.incidence * (recent / mdri(assay) - 1.0)
 
 
 def _uniform_weight_integral(law: UniformInterTest, rule, r, c, x, moment):

@@ -30,7 +30,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .estimator import analytic_bias, kassanjee_estimate, log_variance
+from .estimator import (
+    analytic_bias,
+    kassanjee_estimate,
+    log_variance,
+    survey_weight,
+)
 from .population import (
     DEFAULT_PARAMS,
     InfeasibleScenarioError,
@@ -45,8 +50,6 @@ from .testing_history import (
     ObservationRule,
     TestingProcess,
     UniformInterTest,
-    observe_most_recent_many,
-    sample_residual,
 )
 
 THETA_GRID = (0.4, 1.0, 1.5, 2.0)
@@ -474,35 +477,40 @@ def emit_histogram(
 
     Returns a list of rows (bin_lo, bin_hi, aware_included, aware_excluded,
     unaware_included, unaware_excluded), where inclusion means the most
-    recent test falls outside the exclusion window c.  Attendance plays no
-    role here (q0 = q1 = 1).
+    recent test falls outside the exclusion window c, and awareness that it
+    falls within the infection duration.  Attendance plays no role here
+    (q0 = q1 = 1).
+
+    Durations are Uniform(0, tau), so each cell's probability is an integral
+    of the survey weight over its bin, divided by tau: with r = 1 the weight
+    is P(T > c | u) (included), with r = 0 it is P(T > u, T > c | u)
+    (unaware and included), and with r = 0 and c = 0 P(T > u | u)
+    (unaware).  All the counts come from one multinomial draw.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 777]))
     process = TestingProcess(law, rule)
-    u = rng.uniform(0.0, params.max_duration, size=n_infected)
-    residual = sample_residual(process, rng, size=n_infected)
-    t = observe_most_recent_many(
-        residual, u, np.ones(n_infected, dtype=bool), process, rng
-    )
-    aware = u >= t
-    included = t > c
-    n_bins = math.ceil(params.max_duration / bin_width)
+    tau = params.max_duration
+    n_bins = math.ceil(tau / bin_width)
     edges = np.arange(0, n_bins + 1) * bin_width
-    rows = []
-    idx = np.minimum((u / bin_width).astype(int), n_bins - 1)
-    for k in range(n_bins):
-        m = idx == k
-        rows.append(
-            (
-                float(edges[k]),
-                float(edges[k + 1]),
-                int(np.sum(m & aware & included)),
-                int(np.sum(m & aware & ~included)),
-                int(np.sum(m & ~aware & included)),
-                int(np.sum(m & ~aware & ~included)),
-            )
-        )
-    return rows
+
+    def mass(r, window, x):
+        scale, _, integral = survey_weight(process, r, window, x)
+        return scale * integral
+
+    cumulative = []
+    for x in np.minimum(edges, tau).tolist():
+        included, unaware = mass(1.0, c, x), mass(0.0, 0.0, x)
+        unaware_included = mass(0.0, c, x)
+        aware_included = included - unaware_included
+        cumulative.append((aware_included, x - unaware - aware_included,
+                           unaware_included, unaware - unaware_included))
+    # differences of nearly equal masses can fall a few ulps below 0
+    p = np.clip(np.diff(cumulative, axis=0) / tau, 0.0, None)
+    counts = rng.multinomial(n_infected, p.ravel()).reshape(p.shape)
+    return [
+        (lo, hi, *cells)
+        for lo, hi, cells in zip(edges.tolist(), edges[1:].tolist(), counts.tolist())
+    ]
 
 
 def write_histogram(rows, out_path: Path):

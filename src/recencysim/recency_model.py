@@ -5,9 +5,9 @@ constant false-recent rate beyond the cutoff.  Durations are in years
 throughout; day-denominated values use 365.25 days per year.
 
 Below the cutoff the curve is Q(s, b*u), the regularized upper incomplete
-gamma function, so its integrals against 1, powers of u and e^{-theta*u}
-have closed forms in regularized incomplete gammas (DLMF 8.2):
-`curve_integral`, `curve_moment` and `discounted_curve_integral`.
+gamma function, so its integrals against powers of u (1 included) and
+e^{-theta*u} have closed forms in regularized incomplete gammas (DLMF 8.2):
+`curve_moment` and `discounted_curve_integral`.
 
 The terms that depend on the assay alone, G(T*) (the MDRI) and Q(s, b*T*),
 are cached per assay in `cutoff_terms`; assays are frozen and few.  Nothing
@@ -77,22 +77,12 @@ def phi(u, assay: RecencyAssay):
     return out
 
 
-def curve_integral(assay: RecencyAssay, x: float) -> float:
-    """G(x) = int_0^x Q(s, b*u) du = x*Q(s, b*x) + (s/b)*P(s+1, b*x).
-
-    The integral of the gamma-survival part of the curve; x should not
-    exceed the cutoff for it to be an integral of phi.
-    """
-    s, b = assay.gamma_shape, assay.gamma_rate
-    return x * float(gammaincc(s, b * x)) + s / b * float(gammainc(s + 1.0, b * x))
-
-
 def curve_moment(assay: RecencyAssay, x: float, k: int) -> float:
     """int_0^x u^k * Q(s, b*u) du, by parts (DLMF 8.2):
 
         [x^{k+1} * Q(s, b*x) + s*(s+1)*...*(s+k) / b^{k+1} * P(s+k+1, b*x)] / (k+1).
 
-    k = 0 is `curve_integral`.
+    k = 0 is G(x), the integral of the curve itself.
     """
     s, b = assay.gamma_shape, assay.gamma_rate
     rising = s
@@ -113,8 +103,8 @@ def discounted_curve_integral(
     / theta, k = (b/(b+theta))^s.  Discounting from `start` rather than from
     0 keeps full precision when the result is scaled by e^{theta*start}.
     The exponential kernel (`estimator._recent_weight_integral`) writes this
-    and `curve_integral` out with their shared terms evaluated once; the
-    tests hold it equal to the composition of the two.
+    and G(x) = `curve_moment(assay, x, 0)` out with their shared terms
+    evaluated once; the tests hold it equal to the composition of the two.
     """
     s, b = assay.gamma_shape, assay.gamma_rate
     k = (b / (b + theta)) ** s
@@ -132,7 +122,7 @@ def cutoff_terms(assay: RecencyAssay) -> tuple[float, float]:
     """(G(T*), Q(s, b*T*)): the curve's integral up to the cutoff and its
     value there, computed once per assay."""
     s, b, tstar = assay.gamma_shape, assay.gamma_rate, assay.recency_cutoff
-    return curve_integral(assay, tstar), float(gammaincc(s, b * tstar))
+    return curve_moment(assay, tstar, 0), float(gammaincc(s, b * tstar))
 
 
 def mdri(assay: RecencyAssay) -> float:

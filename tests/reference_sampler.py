@@ -1,10 +1,12 @@
-"""The individual survey sampler: the reference engine for the count law.
+"""The person-level sampler: the reference engine for the closed forms.
 
 The package draws a survey's counts from its closed-form law
-(`screening_analytics.survey_law`).  This module builds surveys person by
-person instead, from the model's primitives: prevalence, a Uniform(0, tau)
-infection duration, the time since the most recent observed test
-(`testing_history.sample_residual` and `observe_most_recent_many`),
+(`screening_analytics.survey_law`) and the histogram's cells from the
+survey-weight kernel (`harness.emit_histogram`).  This module builds
+people one by one instead, from the model's primitives: prevalence, a
+Uniform(0, tau) infection duration, the time since the most recent test
+under the stationary residual-life law (`sample_residual`), the
+Stop-When-Positive correction of that time (`observe_most_recent_many`),
 awareness-dependent attendance and the exclusion window.  The tests compare
 the two engines; nothing in the package imports this module.
 """
@@ -22,12 +24,81 @@ from recencysim.population import (
 )
 from recencysim.recency_model import RecencyAssay, phi
 from recencysim.testing_history import (
+    ExponentialInterTest,
+    ObservationRule,
     TestingProcess,
-    observe_most_recent_many,
-    sample_residual,
+    UniformInterTest,
 )
 
 _BATCH = 8192
+
+
+def _residual_from_uniform01(e, law: UniformInterTest):
+    """Inverse-transform the residual-life CDF of a Uniform[a, b] renewal law."""
+    a, b = law.a, law.b
+    e = np.asarray(e, dtype=float)
+    knee = 2.0 * a / (a + b)
+    low = 0.5 * (a + b) * e
+    high = b - np.sqrt(np.clip((b * b - a * a) * (1.0 - e), 0.0, None))
+    return np.where(e < knee, low, high)
+
+
+def sample_residual(
+    process: TestingProcess, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Draw `size` times since the most recent test from the stationary law.
+
+    The observation rule is irrelevant here: this is the Regular-rule time,
+    which is also the starting point of the Stop-When-Positive correction.
+    """
+    law = process.inter_test_law
+    if isinstance(law, ExponentialInterTest):
+        return rng.exponential(1.0 / law.theta, size=size)
+    return _residual_from_uniform01(rng.uniform(size=size), law)
+
+
+def observe_most_recent_many(
+    residual_id: np.ndarray,
+    u: np.ndarray,
+    infected: np.ndarray,
+    process: TestingProcess,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Time since the most recent *observed* test, over a batch.
+
+    residual_id is the Regular-rule time since last test and u the infection
+    duration, only read where `infected` is True.  Under the Regular rule,
+    for uninfected individuals, or whenever the last scheduled test predates
+    infection (residual_id >= u), the value is returned unchanged.  Under
+    Stop-When-Positive with residual_id < u, the schedule is extended
+    backwards in survey time and the last test time T not exceeding u is
+    returned: that test is the first one after infection in calendar order,
+    so testing stopped there, and residual_id <= T <= u.
+
+    Exponential gaps take one exact draw per active individual: the times
+    since the earlier tests form a Poisson(theta) process beyond
+    residual_id, so T = max(residual_id, u - E) with E ~ Exp(theta).  This
+    includes the atom T = residual_id, of probability
+    exp(-theta * (u - residual_id)).  Uniform gaps are walked gap by gap, in
+    rounds over the still-active individuals.  Both routes are deterministic
+    for a given generator state.
+    """
+    t = np.array(residual_id, dtype=float, copy=True)
+    if process.observation_rule is ObservationRule.REGULAR:
+        return t
+    active = np.flatnonzero(infected & (t < np.where(infected, u, -np.inf)))
+    law = process.inter_test_law
+    if isinstance(law, ExponentialInterTest):
+        back = rng.exponential(1.0 / law.theta, active.size)
+        t[active] = np.maximum(t[active], u[active] - back)
+        return t
+    while active.size:
+        gaps = rng.uniform(law.a, law.b, active.size)
+        done = t[active] + gaps > u[active]
+        keep = ~done
+        t[active[keep]] += gaps[keep]
+        active = active[keep]
+    return t
 
 
 @dataclass

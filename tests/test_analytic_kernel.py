@@ -40,7 +40,7 @@ from recencysim.recency_model import (
     DEFAULT_ASSAY,
     LONG_ASSAY,
     RecencyAssay,
-    curve_integral,
+    curve_moment,
     discounted_curve_integral,
     mdri,
 )
@@ -94,7 +94,7 @@ def close(got, want):
 @ASSAYS
 @XS
 def test_curve_integral(assay, x):
-    assert close(curve_integral(assay, x), quad(curve(assay), 0.0, x))
+    assert close(curve_moment(assay, x, 0), quad(curve(assay), 0.0, x))
 
 
 @ASSAYS
@@ -136,7 +136,7 @@ def composed_recent_weight_integral(assay, theta, r, c, rule, x):
     """The exponential kernel as the composition it writes out."""
     return _weight_integral(
         rule, theta, r, c, x,
-        lambda y: curve_integral(assay, y),
+        lambda y: curve_moment(assay, y, 0),
         lambda y: discounted_curve_integral(assay, theta, y, start=c),
     )
 
@@ -301,7 +301,7 @@ def test_analytic_bias_at_a_short_horizon():
     params = PopulationParams(0.032, 0.05)
     bias = analytic_bias(DEFAULT_ASSAY, 1.0, 1.0, 0.0,
                          ObservationRule.STOP_WHEN_POSITIVE, params)
-    want = 0.032 * (curve_integral(DEFAULT_ASSAY, params.horizon)
+    want = 0.032 * (curve_moment(DEFAULT_ASSAY, params.horizon, 0)
                     / mdri(DEFAULT_ASSAY) - 1.0)
     assert close(bias, want)
     assert bias == pytest.approx(-0.000799, abs=5e-7)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import recencysim
 from recencysim import population
@@ -39,7 +40,10 @@ from recencysim.testing_history import (
     ExponentialInterTest,
     ObservationRule,
     TestingProcess,
+    UniformInterTest,
 )
+from reference_sampler import observe_most_recent_many, sample_residual
+from test_count_law import holm_rejected
 
 
 def small_grid(seed=7, reps=2, n_target=400):
@@ -361,6 +365,73 @@ class TestHistogram:
         assert rows[-1][1] >= DEFAULT_PARAMS.max_duration
 
 
+HISTOGRAM_ALPHA = 0.01  # family-wise over the cross-engine histogram cells
+HISTOGRAM_N = 100_000
+HISTOGRAM_BIN = 1.0
+HISTOGRAM_CELLS = [
+    (rule, law, c)
+    for rule in ObservationRule
+    for law in (ExponentialInterTest(1.0), UniformInterTest(0.0, 3.0))
+    for c in (0.0, 0.25, 2.0)
+]
+
+
+def histogram_id(cell):
+    rule, law, c = cell
+    if isinstance(law, ExponentialInterTest):
+        return f"{rule.value}_theta{law.theta:g}_c{c:g}"
+    return f"{rule.value}_uni{law.a:g}-{law.b:g}_c{c:g}"
+
+
+def person_level_histogram(rule, law, c, n_infected, bin_width, seed):
+    """`emit_histogram`'s counts built person by person with the reference
+    sampler: Uniform(0, tau) durations, then the time since the most recent
+    observed test, binned by duration."""
+    rng = np.random.default_rng(seed)
+    process = TestingProcess(law, rule)
+    tau = DEFAULT_PARAMS.max_duration
+    u = rng.uniform(0.0, tau, size=n_infected)
+    t = observe_most_recent_many(
+        sample_residual(process, rng, n_infected), u,
+        np.ones(n_infected, dtype=bool), process, rng,
+    )
+    aware, included = u >= t, t > c
+    n_bins = math.ceil(tau / bin_width)
+    idx = np.minimum((u / bin_width).astype(int), n_bins - 1)
+    cells = [aware & included, aware & ~included, ~aware & included,
+             ~aware & ~included]
+    return np.array([np.bincount(idx[m], minlength=n_bins) for m in cells]).T
+
+
+@pytest.fixture(scope="module")
+def histogram_pvalues():
+    """Cell id -> chi-square p-value of homogeneity between the kernel's
+    histogram and the person-level one; fixed seeds.  Cells with fewer than
+    10 draws over both engines are pooled into one."""
+    pvalues = {}
+    for i, cell in enumerate(HISTOGRAM_CELLS):
+        rows = emit_histogram(*cell, n_infected=HISTOGRAM_N,
+                              bin_width=HISTOGRAM_BIN, seed=40 + i)
+        kernel = np.array([row[2:] for row in rows])
+        assert kernel.sum() == HISTOGRAM_N
+        reference = person_level_histogram(*cell, HISTOGRAM_N, HISTOGRAM_BIN,
+                                           seed=60 + i)
+        table = np.stack([kernel.ravel(), reference.ravel()])
+        small = table.sum(axis=0) < 10
+        table = np.column_stack([table[:, ~small], table[:, small].sum(axis=1)])
+        table = table[:, table.sum(axis=0) > 0]
+        pvalues[histogram_id(cell)] = stats.chi2_contingency(table).pvalue
+    return pvalues
+
+
+@pytest.mark.parametrize("cell", HISTOGRAM_CELLS, ids=histogram_id)
+def test_histogram_matches_person_level_sampler(cell, histogram_pvalues):
+    assert len(histogram_pvalues) == len(HISTOGRAM_CELLS)
+    key = histogram_id(cell)
+    rejected = holm_rejected(histogram_pvalues, HISTOGRAM_ALPHA)
+    assert key not in rejected, f"chi-square p = {histogram_pvalues[key]}"
+
+
 class TestTable1:
     def test_shape_and_unbiased_rows(self):
         rows = emit_table1()
@@ -526,6 +597,28 @@ class TestOutputsAndCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"unknown key(s) {key}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["grid", "table1"])
+    @pytest.mark.parametrize(
+        "body,message",
+        [("seed: [1\n", "expected ',' or ']'"),
+         (b"seed: \xff\n", "can't decode byte 0xff"),
+         (None, "No such file or directory")],
+        ids=["malformed", "not_utf8", "missing"],
+    )
+    def test_cli_rejects_unreadable_config(self, tmp_path, capsys, command,
+                                           body, message):
+        cfg = tmp_path / "cfg.yaml"
+        if body is not None:
+            cfg.write_bytes(body if isinstance(body, bytes) else body.encode())
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--config", str(cfg),
+                      "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config {cfg}" in err
+        assert message in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
