@@ -18,7 +18,12 @@ import sys
 import time
 from pathlib import Path
 
-from .estimator import analytic_bias, effective_mdri_closed, effective_mdri_numeric
+from .estimator import (
+    KernelRangeError,
+    analytic_bias,
+    effective_mdri_closed,
+    effective_mdri_numeric,
+)
 from .harness import (
     build_grid,
     build_sensitivity,
@@ -31,7 +36,7 @@ from .harness import (
     write_table1,
 )
 from .population import DEFAULT_PARAMS
-from .recency_model import ASSAYS, mdri
+from .recency_model import ASSAYS, DAYS_PER_YEAR, mdri
 from .testing_history import ExponentialInterTest, ObservationRule
 
 
@@ -44,7 +49,12 @@ def _add_common(p):
 
 
 CONFIG_KEYS = {"seed", "replications", "n_target", "out_dir", "workers", "grid"}
-GRID_KEYS = {"rules", "theta", "r", "c", "frr", "uniform_b", "assay"}
+#: `grid:` keys and the `build_grid` arguments they set; a key the config
+#: leaves out keeps build_grid's default
+GRID_ARGS = {
+    "rules": "rules", "theta": "thetas", "r": "rs", "c": "cs", "frr": "frrs",
+    "uniform_b": "uniform_bs", "assay": "assay_name",
+}
 
 
 class ConfigError(ValueError):
@@ -73,7 +83,7 @@ def _load_config(path):
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     _check_keys(cfg, CONFIG_KEYS, f"config {path}")
-    _check_keys(cfg.get("grid") or {}, GRID_KEYS, f"the grid: block of {path}")
+    _check_keys(cfg.get("grid") or {}, set(GRID_ARGS), f"the grid: block of {path}")
     return cfg
 
 
@@ -126,20 +136,16 @@ def cmd_grid(args) -> int:
     opts = _resolved(args, cfg)
     grid_cfg = cfg.get("grid") or {}
     try:
-        rules = [
-            ObservationRule(r) for r in grid_cfg.get("rules", ["regular", "swp"])
-        ]
+        kwargs = {
+            arg: grid_cfg[key] for key, arg in GRID_ARGS.items() if key in grid_cfg
+        }
+        if "rules" in kwargs:
+            kwargs["rules"] = [ObservationRule(r) for r in kwargs["rules"]]
         scenarios = build_grid(
             seed=opts["seed"],
             replications=opts["reps"],
             n_target=opts["n_target"],
-            rules=rules,
-            thetas=grid_cfg.get("theta", (0.4, 1.0, 1.5, 2.0)),
-            rs=grid_cfg.get("r", (0.0, 0.3, 0.6, 1.0)),
-            cs=grid_cfg.get("c", (0.0, 0.25, 1.0, 1.5, 2.0)),
-            frrs=grid_cfg.get("frr", (0.0,)),
-            uniform_bs=grid_cfg.get("uniform_b", ()),
-            assay_name=grid_cfg.get("assay", "default"),
+            **kwargs,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value in the grid: block of {args.config}: {exc}")
@@ -166,11 +172,14 @@ def cmd_histogram(args) -> int:
     if not args.c >= 0.0:
         raise ConfigError(f"c must be nonnegative, got {args.c!r}")
     _positive_int(args.n_infected, "--n-infected")
+    try:
+        rows = emit_histogram(
+            rule, law, args.c, n_infected=args.n_infected, seed=opts["seed"]
+        )
+    except KernelRangeError as exc:
+        raise ConfigError(str(exc))
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = emit_histogram(
-        rule, law, args.c, n_infected=args.n_infected, seed=opts["seed"]
-    )
     out = out_dir / f"histogram_{rule.value}_theta{args.theta:g}_c{args.c:g}.csv"
     write_histogram(rows, out)
     print(f"histogram -> {out}")
@@ -205,7 +214,7 @@ def cmd_mdri(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     bias = analytic_bias(assay, args.theta, args.r, args.c, rule, DEFAULT_PARAMS)
-    print(f"mdri            = {omega:.6f} years ({omega * 365.25:.1f} days)")
+    print(f"mdri            = {omega:.6f} years ({omega * DAYS_PER_YEAR:.1f} days)")
     print(f"effective mdri  = {omega_eff:.6f} years")
     print(f"analytic bias   = {bias * 1e3:+.3f} x 1e-3 per person-year")
     if args.check_numeric:

@@ -17,6 +17,13 @@ exponential (Poisson) schedules w is piecewise a combination of 1 and
 e^{-theta*u} (`survey_weight_integral`, `effective_mdri_closed`); for
 uniform ones it is piecewise quadratic.  Numerical quadrature
 (`effective_mdri_numeric`) is kept only as an independent check.
+
+A cell's terms are W_c (the weight over the duration support, with the
+scale and the negatives' weight P(T > c)), R (the curve up to
+min(T*, support) against the weight) and, with a false-recent rate, W_x
+(the weight up to the same point).  From them come the survey composition
+(p_star, p_r) and the estimator's limit, so its bias, written once
+(`_limit_bias`); `_composition` is the one place that evaluates R and W_x.
 """
 
 from __future__ import annotations
@@ -65,11 +72,21 @@ def kassanjee_estimate(
     )
 
 
-def log_variance(n_total: int, p_star: float, p_r: float) -> float:
+def log_variance(n_total: int, p_star: float, p_r: float, frr: float = 0.0) -> float:
     """Asymptotic variance of the log incidence estimate.
 
-    p_star is the survey prevalence and p_r the probability a surveyed
-    positive is classified recent.
+    p_star is the survey prevalence, p_r the probability a surveyed positive
+    is classified recent and frr the false-recent rate the estimate
+    subtracts.  With (p1, p2, p3) = (p_star*p_r, p_star*(1 - p_r),
+    1 - p_star) the law of one surveyed person, the delta method under the
+    multinomial gives
+
+        (1/N) * (((1 - frr)^2 * p1 + frr^2 * p2) / g^2 + 1/p3),
+        g = (1 - frr) * p1 - frr * p2,
+
+    which is (1/N) * (1/(p_r*p_star) + 1/(1 - p_star)) at frr = 0, the
+    same float.  nan where g <= 0: the estimate's limit is not positive,
+    so its log has no variance.
     """
     if not 0.0 < p_star < 1.0:
         raise ValueError("p_star must lie strictly in (0, 1)")
@@ -77,7 +94,13 @@ def log_variance(n_total: int, p_star: float, p_r: float) -> float:
         raise ValueError("p_r must lie in (0, 1]")
     if n_total <= 0:
         raise ValueError("n_total must be positive")
-    return (1.0 / n_total) * (1.0 / (p_r * p_star) + 1.0 / (1.0 - p_star))
+    recent, other = p_star * p_r, p_star * (1.0 - p_r)
+    g = (1.0 - frr) * recent - frr * other
+    if not g > 0.0:
+        return math.nan
+    # x / g / g, not x / g**2: at frr = 0 x is g, and (g / g) / g is 1 / g
+    spread = ((1.0 - frr) ** 2 * recent + frr * frr * other) / g / g
+    return (1.0 / n_total) * (spread + 1.0 / (1.0 - p_star))
 
 
 def _check_effective_mdri_args(assay: RecencyAssay, theta: float, r: float, c: float):
@@ -86,6 +109,8 @@ def _check_effective_mdri_args(assay: RecencyAssay, theta: float, r: float, c: f
         raise ValueError("effective MDRI is defined for zero-FRR assays only")
     if not theta > 0.0:
         raise ValueError(f"theta must be positive, got {theta!r}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     _check_weight_args(r, c)
 
 
@@ -142,6 +167,30 @@ def effective_mdri_numeric(
     return total / math.exp(-theta * c)
 
 
+class KernelRangeError(ValueError):
+    """A cell past the range of the exponential kernel: scaled by
+    e^{-theta*c}, its weight needs e^{theta*c}, which is not a finite float
+    once theta*c exceeds about 709.78."""
+
+
+def _growth(theta: float, c: float) -> float:
+    """e^{theta*c}; inf where it overflows, which `_in_range` then rejects."""
+    try:
+        return math.exp(theta * c)
+    except OverflowError:
+        return math.inf
+
+
+def _in_range(value: float, theta: float, c: float) -> float:
+    """`value`, a scaled kernel integral, if it is a finite float."""
+    if math.isfinite(value):
+        return value
+    raise KernelRangeError(
+        f"theta*c = {theta * c:g} is past the range of the scaled survey "
+        "weight (e^(theta*c) overflows a float)"
+    )
+
+
 def _weight_integral(rule, theta, r, c, x, integral, discounted):
     """int_0^x f(u) * w(u) du / e^{-theta*c} for a curve f, in closed form.
 
@@ -152,9 +201,11 @@ def _weight_integral(rule, theta, r, c, x, integral, discounted):
     """
     if c >= x:
         return integral(x)
-    a = r if rule is ObservationRule.REGULAR else r * math.exp(theta * c)
+    a = r if rule is ObservationRule.REGULAR else r * _growth(theta, c)
     head = integral(c)
-    return head + a * (integral(x) - head) + (1.0 - a) * discounted(x)
+    return _in_range(
+        head + a * (integral(x) - head) + (1.0 - a) * discounted(x), theta, c
+    )
 
 
 def survey_weight_integral(
@@ -210,14 +261,15 @@ def _recent_weight_integral(assay, theta, r, c, rule, x):
         return g_x
     q_c = float(gammaincc(s, b * c))
     g_c = c * q_c + s / b * float(gammainc(s + 1.0, b * c))
-    a = r if rule is ObservationRule.REGULAR else r * math.exp(theta * c)
+    growth = _growth(theta, c)
+    a = r if rule is ObservationRule.REGULAR else r * growth
     k = (b / (b + theta)) ** s
     tail = math.exp(-theta * (x - c)) * q_x
-    mixed = math.exp(theta * c) * float(
+    mixed = growth * float(
         gammaincc(s, (b + theta) * c) - gammaincc(s, (b + theta) * x)
     )
     discounted = (q_c - tail - k * mixed) / theta
-    return g_c + a * (g_x - g_c) + (1.0 - a) * discounted
+    return _in_range(g_c + a * (g_x - g_c) + (1.0 - a) * discounted, theta, c)
 
 
 def analytic_bias(
@@ -231,16 +283,35 @@ def analytic_bias(
     """Asymptotic bias of the incidence estimate when the plain MDRI is used.
 
     The estimate tends to incidence * R / MDRI, with R the test-recent curve
-    integrated up to min(T*, horizon) against the survey weight.  With the
-    horizon past T*, R is the effective MDRI and the bias is exactly zero
-    once the exclusion window reaches the recency cutoff, and with neither
-    exclusion nor selective attendance (r = 1, c = 0).
+    integrated up to min(T*, horizon) against the survey weight
+    (`_limit_bias` at frr = 0, where the exponential kernel's negatives
+    weigh 1).  With the horizon past T*, R is the effective MDRI and the
+    bias is exactly zero once the exclusion window reaches the recency
+    cutoff, and with neither exclusion nor selective attendance (r = 1,
+    c = 0).
     """
     _check_effective_mdri_args(assay, theta, r, c)
     recent = _recent_weight_integral(
         assay, theta, r, c, rule, min(assay.recency_cutoff, params.horizon)
     )
-    return params.incidence * (recent / mdri(assay) - 1.0)
+    return _limit_bias(assay, params.incidence, recent, 1.0)
+
+
+def _limit_bias(assay, incidence, recent, negatives, below=0.0):
+    """The estimate's limit at the survey law's expected counts, less the
+    incidence: incidence * ((R - frr*W_x) / negatives / (MDRI - frr*T*) - 1).
+
+    `recent` is R, `below` is W_x (read only when frr > 0) and `negatives`
+    the weight of the surveyed negatives, all in the kernel's scale.  At
+    frr = 0 this is incidence * (R / negatives / MDRI - 1), and exactly 0
+    where R = MDRI and negatives = 1.  nan where the estimator is undefined:
+    no surveyed negative, or MDRI <= frr*T*.
+    """
+    frr = assay.frr
+    denom = mdri(assay) - frr * assay.recency_cutoff
+    if not (negatives > 0.0 and denom > 0.0):
+        return math.nan
+    return incidence * ((recent - frr * below) / negatives / denom - 1.0)
 
 
 def _uniform_weight_integral(law: UniformInterTest, rule, r, c, x, moment):
@@ -322,13 +393,31 @@ def survey_composition(
     positives.  Raises ValueError when no attendee passes the window.
     """
     _check_weight_args(r, c)
-    horizon = params.horizon
-    cutoff = min(assay.recency_cutoff, horizon)
-    _, negatives, weight = survey_weight(process, r, c, horizon)
-    if not weight > 0.0:
+    weight = survey_weight(process, r, c, params.horizon)
+    if not weight[2] > 0.0:
         raise ValueError(f"no attendee passes the exclusion window c={c!r}")
+    p_star, p_r, _ = _composition(assay, process, r, c, params, weight)
+    return p_star, p_r
+
+
+def _composition(assay, process, r, c, params, weight):
+    """(p_star, p_r, bias) of a cell whose weight over the horizon is
+    `weight` = survey_weight(process, r, c, horizon), with W_c > 0.
+
+    Evaluates the kernel once for R and, when frr > 0, once for W_x, both
+    up to x = min(T*, horizon); `survey_composition` and
+    `screening_analytics.survey_law` share it.  The bias is `_limit_bias`.
+    """
+    _, negatives, total = weight
+    cutoff = min(assay.recency_cutoff, params.horizon)
     recent = survey_weight(process, r, c, cutoff, assay)[2]
-    if assay.frr:
-        recent += assay.frr * (weight - survey_weight(process, r, c, cutoff)[2])
-    positives = params.incidence * weight
-    return positives / (positives + negatives), recent / weight
+    frr, below, tested_recent = assay.frr, 0.0, recent
+    if frr:
+        below = survey_weight(process, r, c, cutoff)[2]
+        tested_recent += frr * (total - below)
+    positives = params.incidence * total
+    return (
+        positives / (positives + negatives),
+        tested_recent / total,
+        _limit_bias(assay, params.incidence, recent, negatives, below),
+    )

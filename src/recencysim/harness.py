@@ -7,7 +7,9 @@ arrays: its replications' counts come from two vectorized draws of its
 count law, on two generators keyed by (seed, scenario label, stream), and
 its estimates from one array expression.  Replication i is therefore the
 same for any replication count, any worker count and in whichever grid the
-scenario appears.
+scenario appears.  Every completed scenario's summary row also carries the
+analytic bias and the delta-method variance of the log estimate, read off
+its count law.
 """
 
 from __future__ import annotations
@@ -30,12 +32,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .estimator import (
-    analytic_bias,
-    kassanjee_estimate,
-    log_variance,
-    survey_weight,
-)
+from .estimator import analytic_bias, kassanjee_estimate, survey_weight
 from .population import (
     DEFAULT_PARAMS,
     InfeasibleScenarioError,
@@ -187,22 +184,6 @@ def _law_fields(process: TestingProcess):
     if isinstance(law, ExponentialInterTest):
         return "exponential", law.theta, "", ""
     return "uniform", "", law.a, law.b
-
-
-def _analytic_columns(scenario: Scenario):
-    """Closed-form bias and log-variance where available (exponential, frr=0)."""
-    law = scenario.process.inter_test_law
-    if not isinstance(law, ExponentialInterTest) or scenario.assay.frr != 0.0:
-        return "", ""
-    r = scenario.policy.attendance_ratio
-    c = scenario.policy.exclusion_window
-    bias = analytic_bias(
-        scenario.assay, law.theta, r, c, scenario.process.observation_rule,
-        scenario.params,
-    )
-    count_law = scenario.count_law
-    var = log_variance(scenario.n_target, count_law.p_star, count_law.p_r)
-    return f"{bias:.10g}", f"{var:.10g}"
 
 
 def _label_key(label: str) -> int:
@@ -450,11 +431,13 @@ def _write_summary(results, fh) -> bool:
             row += ["", "", "", "", "", "", "", "", "", "", f"error:{res.error}"]
         else:
             s = res.summary()
-            ab, av = _analytic_columns(sc)
+            law = sc.count_law
             row += [
                 _fmt(s["median"]), _fmt(s["mean"]), _fmt(s["q025"]),
                 _fmt(s["q975"]), _fmt(s["var_log"]), s["n_negative"],
-                s["n_undefined"], _fmt(s["mean_screened"]), ab, av, "ok",
+                s["n_undefined"], _fmt(s["mean_screened"]),
+                _fmt(law.analytic_bias), _fmt(law.analytic_variance(sc.n_target)),
+                "ok",
             ]
         w.writerow(row)
     return ok

@@ -5,7 +5,10 @@ The probability s that an attendee passes the testing-based criterion has a
 closed form under both observation rules and for either inter-test law; the
 required number of attendees to fill a survey of size N is then N / s.
 Admitted attendees are iid, so a whole survey's counts follow one
-multinomial and one negative binomial law (`survey_law`).
+multinomial and one negative binomial law (`survey_law`).  The law also
+carries the cell's analytic bias and the delta-method variance of the log
+estimate, from the same kernel terms: W_c, W_0, R and, with a false-recent
+rate, W_x, each evaluated once per cell.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from . import population
-from .estimator import survey_composition, survey_weight
+from .estimator import KernelRangeError, _composition, log_variance, survey_weight
 from .population import (
     InfeasibleScenarioError,
     PopulationParams,
@@ -61,7 +64,7 @@ def inclusion_probability(
             f"exclusion window {c} exceeds the horizon {params.horizon}"
         )
     process = TestingProcess(ExponentialInterTest(theta), rule)
-    included, attending = _admission_terms(process, params, r, c)
+    included, attending, _ = _admission_terms(process, params, r, c)
     s = included / attending
     if not 0.0 < s <= 1.0 + 1e-12:
         raise InclusionProbabilityError(
@@ -71,17 +74,20 @@ def inclusion_probability(
 
 
 def _admission_terms(process, params, r, c):
-    """Per-draw probabilities of (admission, attendance) over q0*(1-p).
+    """Per-draw probabilities of (admission, attendance) over q0*(1-p), and
+    the survey weight they come from.
 
     admitted = P(T > c) + incidence * W_c and attending = 1 + incidence * W_0,
     with W_c the survey weight at window c integrated over the horizon;
-    their ratio is the inclusion probability.  Valid for every c >= 0.
+    their ratio is the inclusion probability.  The third value is
+    survey_weight(process, r, c, horizon).  Valid for every c >= 0.
     """
     lam, horizon = params.incidence, params.horizon
-    scale, negatives, weight = survey_weight(process, r, c, horizon)
-    eligible = negatives + lam * weight
+    weight = survey_weight(process, r, c, horizon)
+    scale, negatives, total = weight
+    eligible = negatives + lam * total
     attending = 1.0 + lam * survey_weight(process, r, 0.0, horizon)[2]
-    return scale * eligible, attending
+    return scale * eligible, attending, weight
 
 
 @dataclass(frozen=True)
@@ -91,13 +97,26 @@ class SurveyLaw:
     `p_star` is the survey prevalence and `p_r` the probability that a
     surveyed positive tests recent (`survey_composition`).  `inclusion` is
     s = P(admitted | attends) and `admit` the probability that one draw
-    from the population is admitted.
+    from the population is admitted.  `frr` is the false-recent rate the
+    estimate subtracts, and `analytic_bias` the estimate's limit at the
+    law's expected counts less the incidence; nan where the estimator is
+    undefined (no surveyed negative, or MDRI <= frr*T*).
     """
 
     p_star: float
     p_r: float
     inclusion: float
     admit: float
+    frr: float
+    analytic_bias: float
+
+    def analytic_variance(self, n_total: int) -> float:
+        """Delta-method variance of the log estimate over surveys of
+        n_total (`log_variance`); nan where the estimator is undefined or
+        its limit is not positive."""
+        if math.isnan(self.analytic_bias):
+            return math.nan
+        return log_variance(n_total, self.p_star, self.p_r, self.frr)
 
     @property
     def composition(self) -> Tuple[float, float, float]:
@@ -152,22 +171,29 @@ def survey_law(
     """The closed-form count law of a survey.
 
     Either inter-test law, every rule, attendance ratio, window c >= 0
-    (also past the horizon) and false-recent rate.  Raises
-    InfeasibleScenarioError when no draw can be admitted.
+    (also past the horizon) and false-recent rate.  Evaluates the kernel
+    three times (W_c, W_0, R), four with frr > 0 (W_x).  Raises
+    InfeasibleScenarioError when no draw can be admitted, or when the
+    exponential kernel cannot represent the cell (theta*c too large).
     """
     r, c = policy.attendance_ratio, policy.exclusion_window
-    admitted, attending = _admission_terms(process, params, r, c)
-    if not admitted > 0.0:
-        raise InfeasibleScenarioError(
-            f"no attendee can pass the exclusion window c={c:g} "
-            "(admit probability 0 per draw)"
-        )
-    p_star, p_r = survey_composition(assay, process, r, c, params)
+    try:
+        admitted, attending, weight = _admission_terms(process, params, r, c)
+        if not admitted > 0.0:
+            raise InfeasibleScenarioError(
+                f"no attendee can pass the exclusion window c={c:g} "
+                "(admit probability 0 per draw)"
+            )
+        p_star, p_r, bias = _composition(assay, process, r, c, params, weight)
+    except KernelRangeError as exc:
+        raise InfeasibleScenarioError(str(exc)) from None
     return SurveyLaw(
         p_star=p_star,
         p_r=p_r,
         inclusion=min(admitted / attending, 1.0),
         admit=policy.q0 * (1.0 - params.prevalence) * admitted,
+        frr=assay.frr,
+        analytic_bias=bias,
     )
 
 

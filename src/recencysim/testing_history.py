@@ -30,8 +30,10 @@ class ExponentialInterTest:
     theta: float
 
     def __post_init__(self):
-        if self.theta <= 0:
+        if not self.theta > 0:
             raise ValueError(f"theta must be positive, got {self.theta!r}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,10 @@ class UniformInterTest:
     b: float
 
     def __post_init__(self):
-        if self.a < 0 or self.b <= self.a:
+        if not 0 <= self.a < self.b:
             raise ValueError(f"need 0 <= a < b, got a={self.a!r}, b={self.b!r}")
+        if not math.isfinite(self.b):
+            raise ValueError(f"b must be finite, got {self.b!r}")
 
 
 InterTestLaw = Union[ExponentialInterTest, UniformInterTest]

@@ -22,6 +22,7 @@ from scipy.special import gammaincc
 
 from recencysim import estimator, recency_model
 from recencysim.estimator import (
+    KernelRangeError,
     _recent_weight_integral,
     _weight_integral,
     analytic_bias,
@@ -30,6 +31,7 @@ from recencysim.estimator import (
     survey_weight,
     survey_weight_integral,
 )
+from recencysim.harness import FRR_GRID, R_GRID, THETA_GRID
 from recencysim.population import (
     DEFAULT_PARAMS,
     InfeasibleScenarioError,
@@ -397,3 +399,144 @@ def test_uniform_composition_and_inclusion(law, c, rule, r, params):
     assert close(p_r, recent / w_c)
     s = survey_law(DEFAULT_ASSAY, process, policy, params).inclusion
     assert close(s, min((negatives + lam * w_c) / (1.0 + lam * w_0), 1.0))
+
+
+# ---------------------------------------------------------------------------
+# the estimator's limit, for every law and false-recent rate
+
+TAUS3 = pytest.mark.parametrize(
+    "params",
+    [DEFAULT_PARAMS, PopulationParams(0.032, 0.05), PopulationParams(0.3, 0.23)],
+    ids=["tau12.76", "tau1.64", "tau1.00"],
+)
+LIMIT_LAWS = pytest.mark.parametrize(
+    "law",
+    [ExponentialInterTest(0.4), ExponentialInterTest(3.3), UniformInterTest(0.0, 3.0),
+     UniformInterTest(1.0, 4.0)],
+    ids=["exp0.4", "exp3.3", "uni0-3", "uni1-4"],
+)
+
+
+def assay_with_frr(frr):
+    return RecencyAssay(DEFAULT_ASSAY.gamma_shape, DEFAULT_ASSAY.gamma_rate,
+                        T_STAR, frr)
+
+
+@LIMIT_LAWS
+@RULES
+@RS
+@pytest.mark.parametrize("c", [0.0, 0.25, 1.5, 2.5])
+@pytest.mark.parametrize("frr", [0.0, 0.02])
+@TAUS3
+def test_limit_bias(law, rule, r, c, frr, params):
+    # at the law's expected counts the estimate is
+    # incidence * (R - frr*W_x) / negatives / (MDRI - frr*T*), with R and
+    # W_x the curve and the weight up to x = min(T*, tau); as a ratio
+    # 1 + bias / incidence, written from the model by quad
+    assay, x, lam = assay_with_frr(frr), min(T_STAR, params.horizon), params.incidence
+    f = curve(assay)
+    if isinstance(law, ExponentialInterTest):
+        def w(u):
+            return weight(rule, law.theta, r, c, u)
+
+        recent = quad(lambda u: f(u) * w(u), 0.0, x, kink=c)
+        below = quad(w, 0.0, x, kink=c)
+        negatives = 1.0  # weight() is in units of e^{-theta*c} = P(T > c)
+    else:
+        recent = uniform_oracle(rule, law, r, c, x, f)
+        below = uniform_oracle(rule, law, r, c, x)
+        negatives = 1.0 - residual_cdf_from_definition(c, law)
+    want = (recent - frr * below) / negatives / (quad(f, 0.0, T_STAR) - frr * T_STAR)
+    policy = ScreeningPolicy(q1=r, exclusion_window=c)
+    law_ = survey_law(assay, TestingProcess(law, rule), policy, params)
+    assert close(1.0 + law_.analytic_bias / lam, want)
+
+
+@ASSAYS
+@RULES
+@pytest.mark.parametrize("theta", THETA_GRID)
+@pytest.mark.parametrize("frr", FRR_GRID)
+@pytest.mark.parametrize(
+    "r,c",
+    [(r, c) for r in R_GRID for c in (T_STAR, 2.5, HORIZON + 2.0)] + [(1.0, 0.0)],
+)
+def test_limit_bias_exactly_zero(assay, rule, theta, frr, r, c):
+    # R = MDRI and W_x = T* past the cutoff and without selection, so the
+    # limit is (MDRI - frr*T*) / 1 / (MDRI - frr*T*) = 1 exactly
+    assay = RecencyAssay(assay.gamma_shape, assay.gamma_rate, assay.recency_cutoff, frr)
+    process = TestingProcess(ExponentialInterTest(theta), rule)
+    policy = ScreeningPolicy(q1=r, exclusion_window=c)
+    assert survey_law(assay, process, policy, DEFAULT_PARAMS).analytic_bias == 0.0
+
+
+def test_limit_bias_undefined_estimator():
+    # MDRI <= frr*T*: the estimate's denominator is never positive
+    assay = assay_with_frr(0.5)
+    process = TestingProcess(ExponentialInterTest(1.0), ObservationRule.REGULAR)
+    law = survey_law(assay, process, ScreeningPolicy(q1=0.6), DEFAULT_PARAMS)
+    assert math.isnan(law.analytic_bias)
+    assert math.isnan(law.analytic_variance(5000))
+
+
+# ---------------------------------------------------------------------------
+# the exponential kernel's range: it scales the weight by e^{-theta*c}
+
+SWP = ObservationRule.STOP_WHEN_POSITIVE
+REGULAR = ObservationRule.REGULAR
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: survey_weight_integral(SWP, 100.0, 1.0, 10.0, HORIZON),
+        lambda: survey_weight_integral(SWP, 100.0, 0.0, 7.1, HORIZON),
+        lambda: effective_mdri_closed(DEFAULT_ASSAY, 1e308, 1.0, 0.5, REGULAR),
+        lambda: effective_mdri_closed(DEFAULT_ASSAY, 710.0, 0.6, 1.0, REGULAR),
+        lambda: analytic_bias(DEFAULT_ASSAY, 400.0, 1.0, 1.9, SWP, DEFAULT_PARAMS),
+    ],
+    ids=["swp_weight", "swp_weight_r0", "regular_curve_inf", "regular_curve",
+         "swp_bias"],
+)
+def test_kernel_rejects_cells_past_its_range(call):
+    with pytest.raises(KernelRangeError, match=r"theta\*c = .* is past the range"):
+        call()
+
+
+@RULES
+def test_survey_law_rejects_cells_past_the_kernel_range(rule):
+    # SWP overflows in W_c, Regular in R (e^{-710} is still a subnormal)
+    theta, c = (100.0, 10.0) if rule is SWP else (710.0, 1.0)
+    process = TestingProcess(ExponentialInterTest(theta), rule)
+    policy = ScreeningPolicy(q1=1.0, exclusion_window=c)
+    with pytest.raises(InfeasibleScenarioError, match=rf"theta\*c = {theta * c:g} "):
+        survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS)
+
+
+def test_kernel_keeps_cells_within_its_range():
+    # e^{570} is finite: the weight grows past MDRI without bound, as the
+    # Stop-When-Positive weight of tests long past does (value at the parent)
+    eff = effective_mdri_closed(DEFAULT_ASSAY, 300.0, 1.0, 1.9, SWP)
+    assert eff == 5.182632637987685e244
+    # the Regular weight needs no e^{theta*c}; the scale underflows to 0
+    scale, negatives, total = survey_weight(
+        TestingProcess(ExponentialInterTest(800.0), REGULAR), 1.0, 1.0, HORIZON
+    )
+    assert (scale, negatives) == (0.0, 1.0) and math.isfinite(total)
+    # a window past the curve's range needs no e^{theta*c} either
+    eff = effective_mdri_closed(DEFAULT_ASSAY, 100.0, 1.0, 10.0, SWP)
+    assert eff == mdri(DEFAULT_ASSAY)
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: ExponentialInterTest(math.inf), "theta must be finite, got inf"),
+        (lambda: ExponentialInterTest(math.nan), "theta must be positive, got nan"),
+        (lambda: UniformInterTest(0.0, math.inf), "b must be finite, got inf"),
+        (lambda: effective_mdri_closed(DEFAULT_ASSAY, math.inf, 1.0, 0.0, SWP),
+         "theta must be finite, got inf"),
+    ],
+)
+def test_rejects_infinite_rates(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -15,15 +15,18 @@ so a correct engine fails any of the 27 with probability at most 0.01.
 
 import dataclasses
 import hashlib
+import io
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from recencysim import harness
+from recencysim import estimator, harness
 from recencysim.estimator import (
+    analytic_bias,
     kassanjee_estimate,
+    log_variance,
     survey_composition,
     survey_weight_integral,
 )
@@ -267,3 +270,105 @@ def test_short_horizon_composition_matches_sampler(rule, r, c):
     se_r = math.sqrt(p_r * (1.0 - p_r) / counts.n_pos)
     assert abs(counts.n_pos / n - p_star) < 4.0 * se_star
     assert abs(counts.n_rec / counts.n_pos - p_r) < 4.0 * se_r
+
+
+# ---------------------------------------------------------------------------
+# the count law's analytic columns
+
+FRR = build_sensitivity("frr", SEED, 1)
+
+
+@pytest.mark.parametrize("cells", [MAIN, build_sensitivity("long_mdri", SEED, 1)],
+                         ids=["main", "long_mdri"])
+def test_bias_and_variance_equal_the_exponential_formulas(cells):
+    # frr = 0 on an exponential law: incidence * (R / MDRI - 1) and
+    # (1/N) * (1/(p_r*p_star) + 1/(1 - p_star)), the same floats
+    for s in cells:
+        law, policy = s.count_law, s.policy
+        want = analytic_bias(
+            s.assay, s.process.inter_test_law.theta, policy.attendance_ratio,
+            policy.exclusion_window, s.process.observation_rule, s.params,
+        )
+        assert law.analytic_bias == want, s.label
+        assert law.analytic_variance(s.n_target) == log_variance(
+            s.n_target, law.p_star, law.p_r), s.label
+
+
+MEAN_CELLS = [
+    _cell(FRR, "swp_theta1_r0.6_c0_frr0.02"),
+    _cell(FRR, "regular_theta0.4_r0.3_c2_frr0.01"),
+    _cell(UNIFORM, "swp_uni0-3_r0.6_c1"),
+    _cell(UNIFORM, "regular_uni0-4_r0.3_c1.5"),
+]
+
+
+@pytest.mark.parametrize("scenario", MEAN_CELLS, ids=lambda s: s.label)
+def test_count_engine_mean_matches_the_limit(scenario):
+    # the estimator's finite-N bias is O(1/N), far below the standard error
+    reps = 2000
+    result = run_scenario(dataclasses.replace(scenario, replications=reps))
+    est = result.estimates
+    assert np.isfinite(est).all()
+    se = est.std(ddof=1) / math.sqrt(reps)
+    want = scenario.params.incidence + scenario.count_law.analytic_bias
+    assert abs(est.mean() - want) < 3.0 * se
+
+
+def delta_method_log_variance(law, n_total, mdri_value, cutoff):
+    """Var(log estimate) by the delta method, written out: the multinomial
+    covariance of the count shares times a central-difference gradient of
+    the log estimate."""
+    frr = law.frr
+    p = np.array(law.composition)
+
+    def log_estimate(shares):
+        rec, other, neg = shares
+        denom = neg * (mdri_value - frr * cutoff)
+        return math.log((rec - (rec + other) * frr) / denom)
+
+    grad = np.empty(3)
+    for i in range(3):
+        h = 1e-5 * p[i]
+        up, down = p.copy(), p.copy()
+        up[i] += h
+        down[i] -= h
+        grad[i] = (log_estimate(up) - log_estimate(down)) / (2.0 * h)
+    cov = (np.diag(p) - np.outer(p, p)) / n_total
+    return float(grad @ cov @ grad)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [*MEAN_CELLS, _cell(MAIN, "swp_theta1_r1_c2"),
+     _cell(FRR, "swp_theta0.4_r0_c2_frr0.005"), _cell(UNIFORM, "regular_uni0-3_r1_c0")],
+    ids=lambda s: s.label,
+)
+def test_variance_is_the_delta_method(scenario):
+    law, assay = scenario.count_law, scenario.assay
+    want = delta_method_log_variance(law, scenario.n_target, mdri(assay),
+                                     assay.recency_cutoff)
+    assert law.analytic_variance(scenario.n_target) == pytest.approx(want, rel=1e-8)
+
+
+KERNELS = ("_weight_integral", "_recent_weight_integral", "_uniform_weight_integral")
+
+
+@pytest.mark.parametrize(
+    "label,calls",
+    [("swp_theta1_r0.6_c1", 3), ("regular_theta0.4_r0.3_c0_frr0.01", 4),
+     ("swp_uni0-3_r0.6_c1", 3), ("swp_theta1_r0.6_c0_frr0.02", 4)],
+)
+def test_a_cell_evaluates_each_kernel_term_once(monkeypatch, label, calls):
+    # W_c, W_0 and R, and W_x when frr > 0: building the law and writing the
+    # summary row evaluate nothing twice
+    scenario = _cell(MAIN + FRR + UNIFORM, label)
+    scenario = dataclasses.replace(scenario, replications=3)
+    counted = []
+    for name in KERNELS:
+        def kernel(*args, real=getattr(estimator, name), name=name):
+            counted.append(name)
+            return real(*args)
+        monkeypatch.setattr(estimator, name, kernel)
+    result = run_scenario(scenario)
+    harness._write_summary([result], io.StringIO())
+    assert len(counted) == calls, counted

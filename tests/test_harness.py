@@ -129,7 +129,8 @@ class TestDeterminism:
 
     def test_uniform_suite_streams_unchanged(self, tmp_path):
         # sha256 of the files written when each scenario moved to two
-        # vectorized streams, keyed by (seed, label, stream)
+        # vectorized streams, keyed by (seed, label, stream); summary.csv
+        # re-pinned when the uniform cells gained their analytic columns
         results = run_grid(build_sensitivity("uniform_intertest", 11, 2, n_target=500))
         write_results(results, tmp_path, config_echo={}, seed=11, wall_time=0.0)
         digests = {
@@ -140,7 +141,7 @@ class TestDeterminism:
             "replications.csv":
                 "da23ed254934718d7c381fdf1eadb8813079b70d68a92306cf841c0610fd963d",
             "summary.csv":
-                "1344b769ebddb85e2db895cd5aae6f8eaf25a527469ffb361fcaec5b4590f264",
+                "c08f060b0c27f555e2aae8ce54c3e229dd3753808f591c7f967784533b16f72d",
         }
 
     def test_label_keyed_streams_match_across_grids(self):
@@ -631,6 +632,8 @@ class TestOutputsAndCli:
             ("r: [1.5]", "got q1=1.5"),
             ("frr: [1.5]", "frr must lie in [0, 1), got 1.5"),
             ("uniform_b: [0]", "need 0 <= a < b, got a=0.0, b=0"),
+            ("theta: [.inf]", "theta must be finite, got inf"),
+            ("uniform_b: [.inf]", "b must be finite, got inf"),
             ("theta: 1.0", "not iterable"),
         ],
     )
@@ -687,6 +690,15 @@ class TestOutputsAndCli:
              "c must be nonnegative, got -1.0"),
             (["mdri", "--theta", "0"], "theta must be positive, got 0.0"),
             (["histogram", "--theta", "-1"], "theta must be positive, got -1.0"),
+            (["mdri", "--theta", "inf"], "theta must be finite, got inf"),
+            (["histogram", "--theta", "inf"], "theta must be finite, got inf"),
+            # cells whose e^{theta*c} overflows: rejected before anything is drawn
+            (["mdri", "--rule", "regular", "--theta", "1e308", "--c", "0.5"],
+             "theta*c = 5e+307 is past the range of the scaled survey weight"),
+            (["mdri", "--rule", "swp", "--theta", "400", "--c", "1.9"],
+             "theta*c = 760 is past the range of the scaled survey weight"),
+            (["histogram", "--rule", "swp", "--theta", "100", "--c", "10"],
+             "theta*c = 1000 is past the range of the scaled survey weight"),
             (["histogram", "--c", "-0.5"], "c must be nonnegative, got -0.5"),
             (["histogram", "--n-infected", "0"],
              "--n-infected must be a positive integer, got 0"),
@@ -790,6 +802,87 @@ class TestInfeasibleCell:
         assert manifest["errors"] == ["swp_theta2_r0_c20"]
 
 
+class TestKernelRange:
+    """Cells at the edge of the exponential kernel, which scales the survey
+    weight by e^{-theta*c}."""
+
+    @pytest.mark.parametrize(
+        "rule,theta,c", [("swp", 100, 10), ("regular", 710, 1)],
+    )
+    def test_cli_grid_writes_error_row(self, tmp_path, capsys, rule, theta, c):
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "out"
+        cfg.write_text(
+            f"replications: 2\nout_dir: {out}\ngrid:\n  rules: [{rule}]\n"
+            f"  theta: [{theta}]\n  r: [1]\n  c: [{c}]\n"
+        )
+        assert cli_main(["grid", "--config", str(cfg)]) == 1
+        capsys.readouterr()
+        with open(out / "summary.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["status"] == (
+            f"error:theta*c = {theta * c:g} is past the range of the scaled "
+            "survey weight (e^(theta*c) overflows a float)"
+        )
+        assert (out / "replications.csv").read_text().count("\n") == 1
+
+    def test_cli_histogram_regular_keeps_computing(self, tmp_path, capsys):
+        # the Regular weight needs no e^{theta*c}: P(T > 1) = e^{-800}
+        # underflows, so no one is included
+        rc = cli_main(["histogram", "--rule", "regular", "--theta", "800", "--c",
+                       "1", "--n-infected", "1000", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        capsys.readouterr()
+        with open(tmp_path / "histogram_regular_theta800_c1.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sum(int(r["aware_excluded"]) + int(r["unaware_excluded"])
+                   for r in rows) == 1000
+        assert all(r["aware_included"] == r["unaware_included"] == "0" for r in rows)
+
+    def test_cli_mdri_swp_keeps_computing(self, capsys):
+        # e^{570} is finite; the value is the parent's
+        assert cli_main(["mdri", "--rule", "swp", "--theta", "300", "--c", "1.9"]) == 0
+        out = capsys.readouterr().out
+        eff = float(out.split("effective mdri  = ")[1].split()[0])
+        assert eff == pytest.approx(5.182632637987685e244, rel=1e-12)
+
+
+class TestAnalyticColumns:
+    @pytest.mark.parametrize(
+        "command", [["grid"], ["sensitivity", "frr"],
+                    ["sensitivity", "uniform_intertest"],
+                    ["sensitivity", "long_mdri"]],
+        ids=lambda c: c[-1],
+    )
+    def test_every_ok_row_has_both_columns(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert cli_main([*command, "--reps", "2", "--seed", "1",
+                         "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["status"] == "ok" for r in rows)
+        for r in rows:
+            for key in ("analytic_bias", "analytic_variance"):
+                assert math.isfinite(float(r[key])), (r["scenario"], key)
+
+    def test_undefined_estimator_reads_nan(self, tmp_path, capsys):
+        # MDRI <= frr*T*: every estimate is undefined, and so are the columns
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "out"
+        cfg.write_text(
+            f"replications: 2\nout_dir: {out}\ngrid:\n  rules: [swp]\n"
+            "  theta: [1]\n  r: [0.6]\n  c: [0]\n  frr: [0.5]\n"
+        )
+        assert cli_main(["grid", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        with open(out / "summary.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["status"] == "ok" and row["n_undefined"] == "2"
+        assert (row["median"], row["analytic_bias"], row["analytic_variance"]) == (
+            "nan", "nan", "nan")
+
+
 def test_cli_import_leaves_scipy_integrate_and_stats_unloaded():
     # the numeric oracle imports scipy.integrate lazily and only --config
     # needs yaml; loading either (or scipy.stats) at CLI import time would
@@ -824,15 +917,15 @@ class TestAtomicWriters:
         assert sorted(before) == ["manifest.json", "replications.csv", "summary.csv"]
 
         calls = []
-        real = harness._analytic_columns
+        real = ScenarioResult.summary
 
-        def fail_on_second_row(scenario):
-            calls.append(scenario)
+        def fail_on_second_row(result):
+            calls.append(result)
             if len(calls) == 2:
                 raise RuntimeError("boom")
-            return real(scenario)
+            return real(result)
 
-        monkeypatch.setattr(harness, "_analytic_columns", fail_on_second_row)
+        monkeypatch.setattr(ScenarioResult, "summary", fail_on_second_row)
         with pytest.raises(RuntimeError, match="boom"):
             write_results(results[::-1], tmp_path, config_echo={"run": 2},
                           seed=8, wall_time=0.0)
@@ -842,10 +935,10 @@ class TestAtomicWriters:
     def test_write_results_leaves_nothing_on_first_failure(self, tmp_path,
                                                            monkeypatch):
         results = run_grid(small_grid(reps=1, n_target=200), workers=1)
-        def fail(scenario):
+        def fail(result):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(harness, "_analytic_columns", fail)
+        monkeypatch.setattr(ScenarioResult, "summary", fail)
         with pytest.raises(RuntimeError):
             write_results(results, tmp_path, config_echo={}, seed=7,
                           wall_time=0.0)
