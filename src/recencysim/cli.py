@@ -40,11 +40,13 @@ from .recency_model import ASSAYS, DAYS_PER_YEAR, mdri
 from .testing_history import ExponentialInterTest, ObservationRule
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--reps", type=int, default=None)
+def _add_common(p, *counts):
+    """--out-dir and --config, and the integer flags in `counts` (of seed,
+    reps, workers): only those the command reads, so any other is a usage
+    error."""
+    for flag in counts:
+        p.add_argument(f"--{flag}", type=int, default=None)
     p.add_argument("--out-dir", type=Path, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--config", type=Path, default=None, help="YAML config file")
 
 
@@ -100,7 +102,7 @@ def _resolved(args, cfg):
     """Merge config-file values and CLI overrides (CLI wins)."""
 
     def pick(flag, key, default, low=1):
-        value = getattr(args, flag)
+        value = getattr(args, flag, None)
         if value is not None:
             return _positive_int(value, f"--{flag}", low)
         return _positive_int(cfg.get(key, default), key, low)
@@ -215,12 +217,21 @@ def cmd_mdri(args) -> int:
         raise ConfigError(str(exc))
     bias = analytic_bias(assay, args.theta, args.r, args.c, rule, DEFAULT_PARAMS)
     print(f"mdri            = {omega:.6f} years ({omega * DAYS_PER_YEAR:.1f} days)")
-    print(f"effective mdri  = {omega_eff:.6f} years")
-    print(f"analytic bias   = {bias * 1e3:+.3f} x 1e-3 per person-year")
+    print(f"effective mdri  = {_fixed(omega_eff, '.6f')} years")
+    print(f"analytic bias   = {_fixed(bias * 1e3, '+.3f')} x 1e-3 per person-year")
     if args.check_numeric:
         numeric = effective_mdri_numeric(assay, args.theta, args.r, args.c, rule)
-        print(f"numeric mdri    = {numeric:.6f} years")
+        print(f"numeric mdri    = {_fixed(numeric, '.6f')} years")
     return 0
+
+
+def _fixed(x: float, spec: str) -> str:
+    """`x` in the fixed-point format `spec` below 1e6 in magnitude; beyond,
+    in e notation with 16 significant digits (and spec's sign), so that a
+    cell that admits almost no one still prints a short line."""
+    if abs(x) < 1e6:
+        return format(x, spec)
+    return format(x, ("+" if spec.startswith("+") else "") + ".15e")
 
 
 def main(argv=None) -> int:
@@ -228,12 +239,12 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("grid", help="run the main scenario grid")
-    _add_common(p)
+    _add_common(p, "seed", "reps", "workers")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("sensitivity", help="run a sensitivity suite")
     p.add_argument("suite", choices=["frr", "uniform_intertest", "long_mdri"])
-    _add_common(p)
+    _add_common(p, "seed", "reps", "workers")
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("histogram", help="emit infected-population histogram data")
@@ -241,7 +252,7 @@ def main(argv=None) -> int:
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--n-infected", type=int, default=50_000)
-    _add_common(p)
+    _add_common(p, "seed")
     p.set_defaults(func=cmd_histogram)
 
     p = sub.add_parser("table1", help="emit the analytic bias/screening table")

@@ -5,9 +5,12 @@ scenario for a number of replications and writes one per-replication CSV,
 one summary CSV, and a JSON run manifest.  A scenario is one block of
 arrays: its replications' counts come from two vectorized draws of its
 count law, on two generators keyed by (seed, scenario label, stream), and
-its estimates from one array expression.  Replication i is therefore the
-same for any replication count, any worker count and in whichever grid the
-scenario appears.  Every completed scenario's summary row also carries the
+its estimates from one array expression.  A grid derives every
+generator's seed words in one vectorized pass of numpy's SeedSequence
+hash: the same PCG64 states as SeedSequence([seed, key, stream]), without
+a SeedSequence per scenario.  Replication i is therefore the same for any
+replication count, any worker count and in whichever grid the scenario
+appears.  Every completed scenario's summary row also carries the
 analytic bias and the delta-method variance of the log estimate, read off
 its count law.
 """
@@ -30,6 +33,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy
+from numpy.random.bit_generator import ISeedSequence
 
 from . import __version__
 from .estimator import analytic_bias, kassanjee_estimate, survey_weight
@@ -191,30 +195,124 @@ def _label_key(label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _streams(seed: int, label: str):
-    """The scenario's two generators, keyed by (seed, scenario label, stream):
-    stream 0 draws the survey compositions and stream 1 the screening counts.
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe, fixed by NEP 19) on a
+# pool of four uint32 words
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
-    Keying on the label (not the grid position) makes a scenario's stream
-    independent of which grid it appears in, so e.g. an frr=0 sensitivity
-    scenario reproduces its main-grid counterpart exactly.
+
+def _uint32_words(n: int) -> List[int]:
+    """`n` as SeedSequence reads an int: uint32 words, least significant
+    first; 0 is one word."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_states(entropies: Sequence[Sequence[int]]) -> np.ndarray:
+    """Row i is np.random.SeedSequence(entropies[i]).generate_state(4,
+    np.uint64), the words PCG64 seeds from, for every entropy (lane) in one
+    pass of uint32 array arithmetic.
+
+    The lanes share the hash's constants step by step, so only the words of
+    each lane differ; a lane shorter than the pool is padded with zeros, and
+    the rounds that mix in the words past the pool change only the lanes
+    that have those words.
     """
-    key = _label_key(label)
-    return tuple(
-        np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, key, stream]))
-        )
-        for stream in (0, 1)
+    lanes = [[w for n in e for w in _uint32_words(int(n))] for e in entropies]
+    width = max([_POOL, *map(len, lanes)])
+    entropy = np.array(
+        [w + [0] * (width - len(w)) for w in lanes], dtype=np.uint32
+    ).reshape(len(lanes), width)
+    lengths = np.array([len(w) for w in lanes])
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, width):
+        has = lengths > src
+        for dst in range(_POOL):
+            mixed = mix(pool[dst], hashmix(entropy[:, src]))
+            pool[dst] = np.where(has, mixed, pool[dst])
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    # uint64 word j is uint32 words 2j (low half) and 2j + 1
+    return np.stack(
+        [state[j] | state[j + 1] << 32 for j in range(0, 2 * _POOL, 2)], axis=1
     )
 
 
-def run_scenario(scenario: Scenario) -> ScenarioResult:
+def _scenario_states(scenarios: Sequence[Scenario]) -> np.ndarray:
+    """Block i holds scenario i's seed words, one row per stream: those of
+    SeedSequence([seed, label key, stream])."""
+    entropies = [(s.seed, _label_key(s.label), stream)
+                 for s in scenarios for stream in (0, 1)]
+    return _seed_states(entropies).reshape(len(scenarios), 2, _POOL)
+
+
+class _SeedWords(ISeedSequence):
+    """Precomputed PCG64 seed words, in place of the SeedSequence they equal."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds {len(self.words)} uint64 words only")
+        return self.words
+
+
+def _streams(states: np.ndarray):
+    """A scenario's two generators from its seed words (`_scenario_states`):
+    stream 0 draws the survey compositions and stream 1 the screening counts.
+
+    The words are keyed by (seed, scenario label, stream).  Keying on the
+    label (not the grid position) makes a scenario's stream independent of
+    which grid it appears in, so e.g. an frr=0 sensitivity scenario
+    reproduces its main-grid counterpart exactly.
+    """
+    return tuple(np.random.Generator(np.random.PCG64(_SeedWords(words)))
+                 for words in states)
+
+
+def run_scenario(
+    scenario: Scenario, states: Optional[np.ndarray] = None
+) -> ScenarioResult:
     """Every replication of a scenario: its counts from the closed-form count
-    law, and the estimates (nan where undefined)."""
+    law, and the estimates (nan where undefined).  `states` are the
+    scenario's seed words; without them they are derived here."""
+    if states is None:
+        (states,) = _scenario_states([scenario])
     try:
         counts = scenario.count_law.draw(
-            scenario.n_target, scenario.replications,
-            _streams(scenario.seed, scenario.label),
+            scenario.n_target, scenario.replications, _streams(states)
         )
     except InfeasibleScenarioError as exc:
         return ScenarioResult(scenario=scenario, error=str(exc))
@@ -228,15 +326,18 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> List[ScenarioResult]:
     """Run every scenario; results come back in scenario order.
 
-    With several workers the scenarios go out in chunks, about four per
-    worker: a scenario's cost is one array block, alike across cells, so
-    equal chunks balance, and each chunk pays the per-task transfer once.
+    Every scenario's seed words are derived here in one pass and travel
+    with it.  With several workers the scenarios go out in chunks, about
+    four per worker: a scenario's cost is one array block, alike across
+    cells, so equal chunks balance, and each chunk pays the per-task
+    transfer once.
     """
+    states = _scenario_states(scenarios)
     if workers <= 1:
-        return [run_scenario(s) for s in scenarios]
+        return [run_scenario(s, w) for s, w in zip(scenarios, states)]
     chunksize = max(1, math.ceil(len(scenarios) / (4 * workers)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_scenario, scenarios, chunksize=chunksize))
+        return list(pool.map(run_scenario, scenarios, states, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------

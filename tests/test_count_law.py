@@ -151,6 +151,13 @@ def test_count_law_matches_individual_sampler(scenario, cross_engine_pvalues):
     assert not failed, f"KS p-values rejected by Holm-Bonferroni: {failed}"
 
 
+def seed_sequence_streams(scenario):
+    """The scenario's two generators as numpy's SeedSequence seeds them."""
+    key = harness._label_key(scenario.label)
+    return tuple(np.random.default_rng(np.random.SeedSequence([scenario.seed, key, k]))
+                 for k in (0, 1))
+
+
 def test_every_law_draws_from_the_count_law(monkeypatch):
     laws = []
     real = harness.survey_law
@@ -164,7 +171,7 @@ def test_every_law_draws_from_the_count_law(monkeypatch):
         (cell,) = build_grid(3, 1, n_target=200, thetas=(1.0,), rs=(0.6,),
                              cs=(1.0,), rules=(SWP,), uniform_bs=uniform_bs)
         counts = run_scenario(cell).counts
-        want = cell.count_law.draw(200, 1, harness._streams(3, cell.label))
+        want = cell.count_law.draw(200, 1, seed_sequence_streams(cell))
         assert vars(counts).keys() == vars(want).keys()
         for name, column in vars(want).items():
             assert np.array_equal(getattr(counts, name), column), name

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -43,7 +44,7 @@ from recencysim.testing_history import (
     UniformInterTest,
 )
 from reference_sampler import observe_most_recent_many, sample_residual
-from test_count_law import holm_rejected
+from test_count_law import holm_rejected, seed_sequence_streams
 
 
 def small_grid(seed=7, reps=2, n_target=400):
@@ -155,6 +156,43 @@ class TestDeterminism:
         assert sens
         twin = sens[0]
         assert_same_block(run_scenario(twin), run_scenario(main[twin.label]))
+
+
+class TestSeedStates:
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 7)
+    KEYS = (0, 5, 2**32 - 1, 2**32, 2**64 - 1)
+
+    def test_words_equal_seed_sequence(self):
+        lanes = list(itertools.product(self.SEEDS, self.KEYS, (0, 1)))
+        lengths = {sum(len(harness._uint32_words(n)) for n in lane) for lane in lanes}
+        assert lengths == {3, 4, 5, 6}  # short of the pool, at it and past it
+        want = np.array([np.random.SeedSequence(list(lane)).generate_state(4, np.uint64)
+                         for lane in lanes])
+        got = harness._seed_states(lanes)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, want)
+
+    def test_grid_builds_no_seed_sequence(self, monkeypatch):
+        scenarios = small_grid(reps=3)
+        want = [s.count_law.draw(s.n_target, s.replications, seed_sequence_streams(s))
+                for s in scenarios]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_grid built a SeedSequence")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        results = run_grid(scenarios, workers=1)
+        for res, counts in zip(results, want, strict=True):
+            for name, column in vars(counts).items():
+                assert np.array_equal(getattr(res.counts, name), column), name
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scenario_alone_equals_its_grid_block(self, workers):
+        scenarios = small_grid(reps=3)
+        results = run_grid(scenarios, workers=workers)
+        for s, res in zip(scenarios, results, strict=True):
+            assert res.scenario == s
+            assert_same_block(run_scenario(s), res)
 
 
 class TestSummaries:
@@ -582,6 +620,34 @@ class TestOutputsAndCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "effective mdri" in out
+        # values below 1e6 keep their fixed-point formats
+        assert "effective mdri  = 0.255606 years\n" in out
+        assert "analytic bias   = -1.364 x 1e-3 per person-year\n" in out
+
+    @pytest.mark.parametrize("extra", [[], ["--check-numeric"]],
+                             ids=["plain", "numeric"])
+    def test_cli_mdri_lines_stay_short(self, capsys, extra):
+        # effective MDRI 5.18e244 years: e notation, not 245 digits
+        assert cli_main(["mdri", "--rule", "swp", "--theta", "300", "--c", "1.9",
+                         *extra]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 + len(extra)
+        assert all(len(line) < 100 for line in lines), lines
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["table1", "--seed", "1"], ["table1", "--reps", "2"],
+         ["table1", "--workers", "2"], ["histogram", "--reps", "2"],
+         ["histogram", "--workers", "2"]],
+        ids=" ".join,
+    )
+    def test_cli_rejects_a_flag_the_command_ignores(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*argv, "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "body,key",
