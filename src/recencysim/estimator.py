@@ -12,10 +12,13 @@ Every analytic quantity is an integral of one survey weight
 integrated in closed form against 1 and against the test-recent curve
 (`survey_weight`).  With F the stationary residual CDF of the test schedule,
 P(c < T <= u | u) is F(u) - F(c) under the Regular rule and F(u - c) under
-Stop-When-Positive, and P(T > u, T > c | u) = 1 - F(max(u, c)).  For
-exponential (Poisson) schedules w is piecewise a combination of 1 and
-e^{-theta*u} (`survey_weight_integral`, `effective_mdri_closed`); for
-uniform ones it is piecewise quadratic.  Numerical quadrature
+Stop-When-Positive, and P(T > u, T > c | u) = 1 - F(max(u, c)).  Between
+knees w is a combination of 1, u, u^2 and e^{-theta*u}: for exponential
+(Poisson) schedules of 1 and e^{-theta*u} (`_exponential_pieces`), for
+uniform ones of 1, u and u^2 (`_uniform_pieces`).  One integrator
+(`_integrate`) walks either law's pieces against either curve, evaluating
+each edge's incomplete gammas once; `survey_weight`, `effective_mdri_closed`
+and `analytic_bias` all go through it.  Numerical quadrature
 (`effective_mdri_numeric`) is kept only as an independent check.
 
 A cell's terms are W_c (the weight over the duration support, with the
@@ -32,7 +35,7 @@ import math
 from typing import Tuple
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
+from scipy.special.cython_special import gammaincc
 
 from .population import PopulationParams, SurveyCounts
 from .recency_model import (
@@ -174,48 +177,131 @@ class KernelRangeError(ValueError):
 
 
 def _growth(theta: float, c: float) -> float:
-    """e^{theta*c}; inf where it overflows, which `_in_range` then rejects."""
+    """e^{theta*c}; inf where it overflows, which `_integrate` then rejects."""
     try:
         return math.exp(theta * c)
     except OverflowError:
         return math.inf
 
 
-def _in_range(value: float, theta: float, c: float) -> float:
-    """`value`, a scaled kernel integral, if it is a finite float."""
-    if math.isfinite(value):
-        return value
+def _exponential_pieces(rule, theta, r, c, x):
+    """(scale, negatives, pieces) of the weight up to x for exponential
+    (Poisson) schedules, scale = e^{-theta*c}.
+
+    Divided by the scale, the weight is 1 on u <= c and
+    a + (1 - a) * e^{-theta*(u-c)} beyond, with a = r under the Regular rule
+    and a = r*e^{theta*c} under Stop-When-Positive; the negatives' weight
+    P(T > c) is the scale itself, so 1.
+    """
+    if c >= x:
+        pieces = ((0.0, x, (1.0,), None),)
+    else:
+        a = r if rule is ObservationRule.REGULAR else r * _growth(theta, c)
+        beyond = (c, x, (a,), 1.0 - a)
+        pieces = ((0.0, c, (1.0,), None), beyond) if c > 0.0 else (beyond,)
+    return math.exp(-theta * c), 1.0, pieces
+
+
+def _uniform_pieces(law: UniformInterTest, rule, r, c, x):
+    """(scale, negatives, pieces) of the weight up to x for a uniform
+    inter-test law: scale 1 and negatives P(T > c) = 1 - F(c).
+
+    Between consecutive knees of F(u), of F(u - c) and the window c, F is one
+    quadratic piece (`uniform_cdf_piece`, chosen at the midpoint), so w is a
+    quadratic in u there.
+    """
+    knees, _ = uniform_cdf_pieces(law)
+    breaks = {0.0, x, c, *knees}
+    if rule is ObservationRule.STOP_WHEN_POSITIVE:
+        breaks.update(c + k for k in knees)
+    edges = sorted(e for e in breaks if 0.0 <= e <= x)
+    survive_c = 1.0 - residual_cdf(c, law)
+    pieces = []
+    for lo, hi in zip(edges, edges[1:]):
+        mid = 0.5 * (lo + hi)
+        k0, k1, k2 = uniform_cdf_piece(mid, law)  # F(u) = k0 + k1*u + k2*u^2
+        if mid <= c:  # 1 - F(c)
+            coefs = (survive_c, 0.0, 0.0)
+        elif rule is ObservationRule.REGULAR:  # (1 - r)*(1 - F(u)) + r*(1 - F(c))
+            coefs = ((1.0 - r) * (1.0 - k0) + r * survive_c, (r - 1.0) * k1,
+                     (r - 1.0) * k2)
+        else:  # r*F(u - c) + 1 - F(u)
+            g0, g1, g2 = uniform_cdf_piece(mid - c, law)
+            coefs = (r * (g0 - c * (g1 - c * g2)) + 1.0 - k0,
+                     r * (g1 - 2.0 * c * g2) - k1, r * g2 - k2)
+        pieces.append((lo, hi, coefs, None))
+    return 1.0, survive_c, pieces
+
+
+# every moment is 0 at u = 0, and Q(s, 0) = 1: edge 0 needs no evaluation
+_EDGE_ZERO = ((0.0, 0.0, 0.0), 1.0, 1.0)
+
+
+def _curve_terms(assay, y, n, theta):
+    """(moments, Q(s, b*y), Q(s, (b+theta)*y)) of the test-recent curve at an
+    edge y: the moments are int_0^y u^k * Q(s, b*u) du for k < n, and the
+    last gamma is evaluated only given theta.  At the cutoff G(T*) and
+    Q(s, b*T*) come from `cutoff_terms`.
+    """
+    if y == 0.0:
+        return _EDGE_ZERO
+    s, b = assay.gamma_shape, assay.gamma_rate
+    if y == assay.recency_cutoff:
+        g, q = cutoff_terms(assay)
+    else:
+        q = gammaincc(s, b * y)
+        g = curve_moment(assay, y, 0, q)
+    moments = [g]
+    for k in range(1, n):
+        moments.append(curve_moment(assay, y, k, q))
+    return moments, q, 1.0 if theta is None else gammaincc(s, (b + theta) * y)
+
+
+def _integrate(pieces, theta, c, assay=None):
+    """int f(u) * w(u) du over the pieces of a survey weight, in closed form:
+    f = 1, or Q(s, b*u), the test-recent curve below its cutoff, given an
+    assay.
+
+    On a piece (lo, hi, coefs, expo) the weight is
+    sum_k coefs[k] * u^k + expo * e^{-theta*(u-lo)}, expo None where the
+    piece has no exponential term.  Discounting from the piece's start
+    keeps full precision where e^{theta*lo} is large.  The pieces start at
+    u = 0 and each begins where the last ended, so every edge's terms are
+    evaluated once.  The polynomial part is summed piece by piece and the
+    exponential part added last.  Raises KernelRangeError where the total
+    is not a finite float: it needed e^{theta*c}, which overflowed.
+    """
+    poly = expo_part = 0.0
+    lo_terms = _EDGE_ZERO
+    for lo, hi, coefs, expo in pieces:
+        n = len(coefs)
+        if assay is None:  # the moments int_0^hi u^k du, k < n (1 or 3)
+            moments = (hi,) if n == 1 else (hi, hi ** 2 / 2, hi ** 3 / 3)
+            hi_terms = moments, 1.0, 1.0
+        else:
+            hi_terms = _curve_terms(assay, hi, n, theta)
+        hi_m, lo_m, piece = hi_terms[0], lo_terms[0], 0.0
+        for k in range(n):
+            piece += coefs[k] * (hi_m[k] - lo_m[k])
+        poly += piece
+        if expo is not None:  # int_lo^hi f(u) * e^{-theta*(u-lo)} du
+            if assay is None:
+                discounted = -math.expm1(-theta * (hi - lo)) / theta
+            else:  # by parts (DLMF 8.2)
+                s, b = assay.gamma_shape, assay.gamma_rate
+                discounted = (
+                    lo_terms[1] - math.exp(-theta * (hi - lo)) * hi_terms[1]
+                    - (b / (b + theta)) ** s
+                    * (_growth(theta, lo) * (lo_terms[2] - hi_terms[2]))
+                ) / theta
+            expo_part += expo * discounted
+        lo_terms = hi_terms
+    total = poly + expo_part
+    if math.isfinite(total):
+        return total
     raise KernelRangeError(
         f"theta*c = {theta * c:g} is past the range of the scaled survey "
         "weight (e^(theta*c) overflows a float)"
-    )
-
-
-def _weight_integral(rule, theta, r, c, x, integral, discounted):
-    """int_0^x f(u) * w(u) du / e^{-theta*c} for a curve f, in closed form.
-
-    `integral(y)` is int_0^y f and `discounted(y)` is
-    int_c^y f(u) * e^{-theta*(u-c)} du.  Divided by e^{-theta*c}, the weight
-    is 1 on u <= c and a + (1 - a) * e^{-theta*(u-c)} beyond, with a = r
-    under the Regular rule and a = r*e^{theta*c} under Stop-When-Positive.
-    """
-    if c >= x:
-        return integral(x)
-    a = r if rule is ObservationRule.REGULAR else r * _growth(theta, c)
-    head = integral(c)
-    return _in_range(
-        head + a * (integral(x) - head) + (1.0 - a) * discounted(x), theta, c
-    )
-
-
-def survey_weight_integral(
-    rule: ObservationRule, theta: float, r: float, c: float, horizon: float
-) -> float:
-    """W = int_0^horizon w(u) du / e^{-theta*c}: survey positives per surveyed
-    negative, per unit incidence, over durations up to the horizon."""
-    return _weight_integral(
-        rule, theta, r, c, horizon,
-        lambda y: y, lambda y: -math.expm1(-theta * (y - c)) / theta,
     )
 
 
@@ -235,41 +321,8 @@ def effective_mdri_closed(
     mdri(assay) when c >= T* or when r = 1 and c = 0.
     """
     _check_effective_mdri_args(assay, theta, r, c)
-    return _recent_weight_integral(assay, theta, r, c, rule, assay.recency_cutoff)
-
-
-def _recent_weight_integral(assay, theta, r, c, rule, x):
-    """int_0^x Q(s, b*u) * w(u) du / e^{-theta*c}: the curve below the cutoff
-    (x <= T*) weighted by the survey weight.
-
-    `_weight_integral` over G(y) = `curve_moment(assay, y, 0)` and
-    `discounted_curve_integral` (from start = c), written out so that each
-    distinct incomplete gamma is evaluated once: Q(s, b*c) serves G(c) and
-    the discounted integral's head, Q(s, b*x) serves G(x) and its tail, and
-    at x = T* both G(T*) and Q(s, b*T*) come from the per-assay
-    `cutoff_terms`.  Every expression keeps the composition's order of
-    operations, so the value is the same float; tests/test_analytic_kernel.py
-    holds the two equal.
-    """
-    s, b = assay.gamma_shape, assay.gamma_rate
-    if x == assay.recency_cutoff:
-        g_x, q_x = cutoff_terms(assay)
-    else:
-        q_x = float(gammaincc(s, b * x))
-        g_x = x * q_x + s / b * float(gammainc(s + 1.0, b * x))
-    if c >= x:
-        return g_x
-    q_c = float(gammaincc(s, b * c))
-    g_c = c * q_c + s / b * float(gammainc(s + 1.0, b * c))
-    growth = _growth(theta, c)
-    a = r if rule is ObservationRule.REGULAR else r * growth
-    k = (b / (b + theta)) ** s
-    tail = math.exp(-theta * (x - c)) * q_x
-    mixed = growth * float(
-        gammaincc(s, (b + theta) * c) - gammaincc(s, (b + theta) * x)
-    )
-    discounted = (q_c - tail - k * mixed) / theta
-    return _in_range(g_c + a * (g_x - g_c) + (1.0 - a) * discounted, theta, c)
+    _, _, pieces = _exponential_pieces(rule, theta, r, c, assay.recency_cutoff)
+    return _integrate(pieces, theta, c, assay)
 
 
 def analytic_bias(
@@ -291,9 +344,9 @@ def analytic_bias(
     c = 0).
     """
     _check_effective_mdri_args(assay, theta, r, c)
-    recent = _recent_weight_integral(
-        assay, theta, r, c, rule, min(assay.recency_cutoff, params.horizon)
-    )
+    x = min(assay.recency_cutoff, params.horizon)
+    _, _, pieces = _exponential_pieces(rule, theta, r, c, x)
+    recent = _integrate(pieces, theta, c, assay)
     return _limit_bias(assay, params.incidence, recent, 1.0)
 
 
@@ -314,39 +367,6 @@ def _limit_bias(assay, incidence, recent, negatives, below=0.0):
     return incidence * ((recent - frr * below) / negatives / denom - 1.0)
 
 
-def _uniform_weight_integral(law: UniformInterTest, rule, r, c, x, moment):
-    """int_0^x f(u) * w(u) du for a uniform inter-test law, from the moments
-    moment(k, y) = int_0^y u^k * f(u) du, k <= 2.
-
-    Between consecutive knees of F(u), of F(u - c) and the window c, F is one
-    quadratic piece (`uniform_cdf_piece`, chosen at the midpoint), so w is a
-    quadratic in u there.
-    """
-    knees, _ = uniform_cdf_pieces(law)
-    breaks = {0.0, x, c, *knees}
-    if rule is ObservationRule.STOP_WHEN_POSITIVE:
-        breaks.update(c + k for k in knees)
-    edges = sorted(e for e in breaks if 0.0 <= e <= x)
-    survive_c = 1.0 - residual_cdf(c, law)
-    total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        mid = 0.5 * (lo + hi)
-        k0, k1, k2 = uniform_cdf_piece(mid, law)  # F(u) = k0 + k1*u + k2*u^2
-        if mid <= c:  # 1 - F(c)
-            coef = (survive_c, 0.0, 0.0)
-        elif rule is ObservationRule.REGULAR:  # (1 - r)*(1 - F(u)) + r*(1 - F(c))
-            coef = ((1.0 - r) * (1.0 - k0) + r * survive_c, (r - 1.0) * k1,
-                    (r - 1.0) * k2)
-        else:  # r*F(u - c) + 1 - F(u)
-            g0, g1, g2 = uniform_cdf_piece(mid - c, law)
-            coef = (r * (g0 - c * (g1 - c * g2)) + 1.0 - k0,
-                    r * (g1 - 2.0 * c * g2) - k1, r * g2 - k2)
-        total += sum(
-            g * (moment(k, hi) - moment(k, lo)) for k, g in enumerate(coef) if g
-        )
-    return float(total)
-
-
 def survey_weight(process: TestingProcess, r: float, c: float, x: float, assay=None):
     """The survey weight integrated in closed form, for either inter-test law.
 
@@ -359,19 +379,11 @@ def survey_weight(process: TestingProcess, r: float, c: float, x: float, assay=N
     law, rule = process.inter_test_law, process.observation_rule
     if isinstance(law, ExponentialInterTest):
         theta = law.theta
-        if assay is None:
-            integral = survey_weight_integral(rule, theta, r, c, x)
-        else:
-            integral = _recent_weight_integral(assay, theta, r, c, rule, x)
-        return math.exp(-theta * c), 1.0, integral
-    if assay is None:
-        def moment(k, y):
-            return y ** (k + 1) / (k + 1)
+        scale, negatives, pieces = _exponential_pieces(rule, theta, r, c, x)
     else:
-        def moment(k, y):
-            return curve_moment(assay, y, k)
-    negatives = 1.0 - residual_cdf(c, law)
-    return 1.0, negatives, _uniform_weight_integral(law, rule, r, c, x, moment)
+        theta = None
+        scale, negatives, pieces = _uniform_pieces(law, rule, r, c, x)
+    return scale, negatives, _integrate(pieces, theta, c, assay)
 
 
 def survey_composition(

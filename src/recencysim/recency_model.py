@@ -7,7 +7,10 @@ throughout; day-denominated values use 365.25 days per year.
 Below the cutoff the curve is Q(s, b*u), the regularized upper incomplete
 gamma function, so its integrals against powers of u (1 included) and
 e^{-theta*u} have closed forms in regularized incomplete gammas (DLMF 8.2):
-`curve_moment` and `discounted_curve_integral`.
+`curve_moment` here, and the integral against e^{-theta*u} once, in the
+survey-weight integrator (`estimator._integrate`).  The scalar gammas are
+scipy's `cython_special` entry points: the same values as the ufuncs,
+without a ufunc call's overhead.
 
 The terms that depend on the assay alone, G(T*) (the MDRI) and Q(s, b*T*),
 are cached per assay in `cutoff_terms`; assays are frozen and few.  Nothing
@@ -18,11 +21,11 @@ cached.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
+from scipy import special
+from scipy.special.cython_special import gammainc, gammaincc
 
 DAYS_PER_YEAR = 365.25
 
@@ -70,51 +73,27 @@ def phi(u, assay: RecencyAssay):
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr < 0):
         raise ValueError("infection duration must be nonnegative")
-    recent = 1.0 - gammainc(assay.gamma_shape, assay.gamma_rate * u_arr)
+    recent = 1.0 - special.gammainc(assay.gamma_shape, assay.gamma_rate * u_arr)
     out = np.where(u_arr <= assay.recency_cutoff, recent, assay.frr)
     if np.isscalar(u) or u_arr.ndim == 0:
         return float(out)
     return out
 
 
-def curve_moment(assay: RecencyAssay, x: float, k: int) -> float:
-    """int_0^x u^k * Q(s, b*u) du, by parts (DLMF 8.2):
+def curve_moment(assay: RecencyAssay, x: float, k: int, q: float) -> float:
+    """int_0^x u^k * Q(s, b*u) du, by parts (DLMF 8.2), given q = Q(s, b*x):
 
-        [x^{k+1} * Q(s, b*x) + s*(s+1)*...*(s+k) / b^{k+1} * P(s+k+1, b*x)] / (k+1).
+        [x^{k+1} * q + s*(s+1)*...*(s+k) / b^{k+1} * P(s+k+1, b*x)] / (k+1).
 
-    k = 0 is G(x), the integral of the curve itself.
+    k = 0 is G(x), the integral of the curve itself.  Every k shares q.
     """
     s, b = assay.gamma_shape, assay.gamma_rate
     rising = s
     for j in range(1, k + 1):
         rising *= s + j
     return (
-        x ** (k + 1) * float(gammaincc(s, b * x))
-        + rising / b ** (k + 1) * float(gammainc(s + k + 1.0, b * x))
+        x ** (k + 1) * q + rising / b ** (k + 1) * gammainc(s + k + 1.0, b * x)
     ) / (k + 1)
-
-
-def discounted_curve_integral(
-    assay: RecencyAssay, theta: float, x: float, start: float = 0.0
-) -> float:
-    """H(x) = int_start^x Q(s, b*u) * e^{-theta*(u-start)} du, by parts.
-
-    With start = 0 this is [1 - e^{-theta*x}*Q(s, b*x) - k*P(s, (b+theta)*x)]
-    / theta, k = (b/(b+theta))^s.  Discounting from `start` rather than from
-    0 keeps full precision when the result is scaled by e^{theta*start}.
-    The exponential kernel (`estimator._recent_weight_integral`) writes this
-    and G(x) = `curve_moment(assay, x, 0)` out with their shared terms
-    evaluated once; the tests hold it equal to the composition of the two.
-    """
-    s, b = assay.gamma_shape, assay.gamma_rate
-    k = (b / (b + theta)) ** s
-    head = float(gammaincc(s, b * start))
-    tail = math.exp(-theta * (x - start)) * float(gammaincc(s, b * x))
-    # P(s, (b+theta)*x) - P(s, (b+theta)*start), as a difference of upper tails
-    mixed = math.exp(theta * start) * float(
-        gammaincc(s, (b + theta) * start) - gammaincc(s, (b + theta) * x)
-    )
-    return (head - tail - k * mixed) / theta
 
 
 @functools.cache
@@ -122,7 +101,8 @@ def cutoff_terms(assay: RecencyAssay) -> tuple[float, float]:
     """(G(T*), Q(s, b*T*)): the curve's integral up to the cutoff and its
     value there, computed once per assay."""
     s, b, tstar = assay.gamma_shape, assay.gamma_rate, assay.recency_cutoff
-    return curve_moment(assay, tstar, 0), float(gammaincc(s, b * tstar))
+    q = gammaincc(s, b * tstar)
+    return curve_moment(assay, tstar, 0, q), q
 
 
 def mdri(assay: RecencyAssay) -> float:

@@ -55,9 +55,10 @@ def inclusion_probability(
 
         s = e^{-theta*c} * (1 + incidence * W_c) / (1 + incidence * W_0)
 
-    with W_c = survey_weight_integral(..., c, horizon); the denominator is
-    the attendance probability normalized by q0*(1-p).  The window must not
-    exceed the horizon.
+    with W_c the survey weight integrated over the horizon
+    (`estimator.survey_weight`); the denominator is the attendance
+    probability normalized by q0*(1-p).  The window must not exceed the
+    horizon.
     """
     if c > params.horizon:
         raise InclusionProbabilityError(
@@ -179,7 +180,10 @@ def survey_law(
     r, c = policy.attendance_ratio, policy.exclusion_window
     try:
         admitted, attending, weight = _admission_terms(process, params, r, c)
-        if not admitted > 0.0:
+        # W_c = 0: no one passes the window.  An admit probability that
+        # only underflows (e^{-theta*c} below the smallest float) is left
+        # to the kernel's range check and to the attempt cap in draw()
+        if not weight[2] > 0.0:
             raise InfeasibleScenarioError(
                 f"no attendee can pass the exclusion window c={c:g} "
                 "(admit probability 0 per draw)"

@@ -6,8 +6,8 @@ infection duration,
 
     w(u) = r * P(T <= u, T > c | U = u) + P(T > u, T > c | U = u),
 
-and the package's W (survey_weight_integral) and R (effective_mdri_closed)
-are int_0^horizon w and int_0^{T*} phi * w, both divided by e^{-theta*c}.
+and the package's W (`survey_weight`) and R (`effective_mdri_closed`) are
+int_0^horizon w and int_0^{T*} phi * w, both divided by e^{-theta*c}.
 For uniform inter-test laws the conditionals are written from the
 stationary residual CDF F (`residual_cdf_from_definition`): P(c < T <= u | u)
 is F(u) - F(c) under the Regular rule and F(u - c) under Stop-When-Positive,
@@ -23,13 +23,10 @@ from scipy.special import gammaincc
 from recencysim import estimator, recency_model
 from recencysim.estimator import (
     KernelRangeError,
-    _recent_weight_integral,
-    _weight_integral,
     analytic_bias,
     effective_mdri_closed,
     survey_composition,
     survey_weight,
-    survey_weight_integral,
 )
 from recencysim.harness import FRR_GRID, R_GRID, THETA_GRID
 from recencysim.population import (
@@ -43,7 +40,6 @@ from recencysim.recency_model import (
     LONG_ASSAY,
     RecencyAssay,
     curve_moment,
-    discounted_curve_integral,
     mdri,
 )
 from recencysim.screening_analytics import inclusion_probability, survey_law
@@ -93,10 +89,34 @@ def close(got, want):
     return got == pytest.approx(want, rel=RTOL, abs=0.0)
 
 
+def curve_integral(assay, x):
+    """G(x) = int_0^x Q(s, b*u) du, the package's closed form."""
+    return curve_moment(assay, x, 0, curve(assay)(x))
+
+
 @ASSAYS
 @XS
 def test_curve_integral(assay, x):
-    assert close(curve_moment(assay, x, 0), quad(curve(assay), 0.0, x))
+    assert close(curve_integral(assay, x), quad(curve(assay), 0.0, x))
+
+
+def discounted_curve_integral(assay, theta, x, start=0.0):
+    """H(x) = int_start^x Q(s, b*u) * e^{-theta*(u-start)} du, by parts.
+
+    With start = 0 this is [1 - e^{-theta*x}*Q(s, b*x) - k*P(s, (b+theta)*x)]
+    / theta, k = (b/(b+theta))^s.  The kernel's exponential term on a piece
+    [lo, hi] is this integral with start = lo, written once in
+    `estimator._integrate`.
+    """
+    s, b = assay.gamma_shape, assay.gamma_rate
+    k = (b / (b + theta)) ** s
+    head = float(gammaincc(s, b * start))
+    tail = math.exp(-theta * (x - start)) * float(gammaincc(s, b * x))
+    # P(s, (b+theta)*x) - P(s, (b+theta)*start), as a difference of upper tails
+    mixed = math.exp(theta * start) * float(
+        gammaincc(s, (b + theta) * start) - gammaincc(s, (b + theta) * x)
+    )
+    return (head - tail - k * mixed) / theta
 
 
 @ASSAYS
@@ -119,7 +139,8 @@ def test_discounted_curve_integral(assay, theta, start, x):
 @CS
 def test_survey_weight_integral(rule, theta, r, c):
     want = quad(lambda u: weight(rule, theta, r, c, u), 0.0, HORIZON, kink=c)
-    assert close(survey_weight_integral(rule, theta, r, c, HORIZON), want)
+    process = TestingProcess(ExponentialInterTest(theta), rule)
+    assert close(survey_weight(process, r, c, HORIZON)[2], want)
 
 
 @ASSAYS
@@ -135,12 +156,16 @@ def test_recent_weight_integral(assay, rule, theta, r, c):
 
 
 def composed_recent_weight_integral(assay, theta, r, c, rule, x):
-    """The exponential kernel as the composition it writes out."""
-    return _weight_integral(
-        rule, theta, r, c, x,
-        lambda y: curve_moment(assay, y, 0),
-        lambda y: discounted_curve_integral(assay, theta, y, start=c),
-    )
+    """The exponential kernel as the composition of G and H it writes out:
+    divided by e^{-theta*c} the weight is 1 on u <= c and
+    a + (1 - a) * e^{-theta*(u-c)} beyond, a = r (Regular) or r*e^{theta*c}
+    (Stop-When-Positive)."""
+    if c >= x:
+        return curve_integral(assay, x)
+    a = r if rule is ObservationRule.REGULAR else r * math.exp(theta * c)
+    head = curve_integral(assay, c)
+    return (head + a * (curve_integral(assay, x) - head)
+            + (1.0 - a) * discounted_curve_integral(assay, theta, x, start=c))
 
 
 @ASSAYS
@@ -150,16 +175,17 @@ def composed_recent_weight_integral(assay, theta, r, c, rule, x):
 @pytest.mark.parametrize("c", [0.0, 0.25, 1.5, T_STAR, 2.5])
 @pytest.mark.parametrize("x", [T_STAR, 1.645], ids=["cutoff", "short_horizon"])
 def test_recent_kernel_equals_composition(assay, rule, theta, r, c, x):
-    # the shared terms are evaluated once, in the same order of operations
-    got = _recent_weight_integral(assay, theta, r, c, rule, x)
+    # the integrator's pieces evaluate the same terms in the same order of
+    # operations as the composition, so the floats are equal
+    _, _, pieces = estimator._exponential_pieces(rule, theta, r, c, x)
+    got = estimator._integrate(pieces, theta, c, assay)
     assert got == composed_recent_weight_integral(assay, theta, r, c, rule, x)
 
 
-def test_kernel_evaluates_each_incomplete_gamma_once(monkeypatch):
-    # Q(s, b*c), P(s+1, b*c) and Q(s, (b+theta)*y) at y = c, T*; the terms
-    # at T* come from the per-assay cache, filled by the first call
-    args = (DEFAULT_ASSAY, 1.0, 0.6, 0.25, ObservationRule.STOP_WHEN_POSITIVE)
-    effective_mdri_closed(*args)
+def count_incomplete_gammas(monkeypatch, evaluate):
+    """The incomplete gamma calls of a second `evaluate()`, after a first
+    has filled the per-assay cache."""
+    evaluate()
     calls = []
     for module in (estimator, recency_model):
         for name in ("gammainc", "gammaincc"):
@@ -169,8 +195,29 @@ def test_kernel_evaluates_each_incomplete_gamma_once(monkeypatch):
                     calls.append(a)
                     return fn(*a)
                 monkeypatch.setattr(module, name, counted)
-    effective_mdri_closed(*args)
+    evaluate()
+    return calls
+
+
+def test_kernel_evaluates_each_incomplete_gamma_once(monkeypatch):
+    # Q(s, b*c), P(s+1, b*c) and Q(s, (b+theta)*y) at y = c, T*; edge 0
+    # needs none, and the terms at T* come from the per-assay cache
+    args = (DEFAULT_ASSAY, 1.0, 0.6, 0.25, ObservationRule.STOP_WHEN_POSITIVE)
+    calls = count_incomplete_gammas(
+        monkeypatch, lambda: effective_mdri_closed(*args))
     assert 0 < len(calls) <= 4
+
+
+@RULES
+@pytest.mark.parametrize("c", [0.25, 1.0])
+def test_uniform_kernel_evaluates_each_incomplete_gamma_once(monkeypatch, rule, c):
+    # edges 0, c and T*: Q(s, b*c) and P(s+k+1, b*c), k <= 2, at c, and
+    # P(s+2, b*T*), P(s+3, b*T*) at T*.  Edge 0 needs none, and G(T*) and
+    # Q(s, b*T*) come from the per-assay cache
+    process = TestingProcess(UniformInterTest(0.0, 3.0), rule)
+    calls = count_incomplete_gammas(
+        monkeypatch, lambda: survey_weight(process, 0.6, c, T_STAR, DEFAULT_ASSAY))
+    assert 0 < len(calls) <= 6
 
 
 @ASSAYS
@@ -303,7 +350,7 @@ def test_analytic_bias_at_a_short_horizon():
     params = PopulationParams(0.032, 0.05)
     bias = analytic_bias(DEFAULT_ASSAY, 1.0, 1.0, 0.0,
                          ObservationRule.STOP_WHEN_POSITIVE, params)
-    want = 0.032 * (curve_moment(DEFAULT_ASSAY, params.horizon, 0)
+    want = 0.032 * (curve_integral(DEFAULT_ASSAY, params.horizon)
                     / mdri(DEFAULT_ASSAY) - 1.0)
     assert close(bias, want)
     assert bias == pytest.approx(-0.000799, abs=5e-7)
@@ -488,8 +535,10 @@ REGULAR = ObservationRule.REGULAR
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: survey_weight_integral(SWP, 100.0, 1.0, 10.0, HORIZON),
-        lambda: survey_weight_integral(SWP, 100.0, 0.0, 7.1, HORIZON),
+        lambda: survey_weight(TestingProcess(ExponentialInterTest(100.0), SWP),
+                              1.0, 10.0, HORIZON),
+        lambda: survey_weight(TestingProcess(ExponentialInterTest(100.0), SWP),
+                              0.0, 7.1, HORIZON),
         lambda: effective_mdri_closed(DEFAULT_ASSAY, 1e308, 1.0, 0.5, REGULAR),
         lambda: effective_mdri_closed(DEFAULT_ASSAY, 710.0, 0.6, 1.0, REGULAR),
         lambda: analytic_bias(DEFAULT_ASSAY, 400.0, 1.0, 1.9, SWP, DEFAULT_PARAMS),

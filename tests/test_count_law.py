@@ -28,7 +28,7 @@ from recencysim.estimator import (
     kassanjee_estimate,
     log_variance,
     survey_composition,
-    survey_weight_integral,
+    survey_weight,
 )
 from recencysim.harness import build_grid, build_sensitivity, run_scenario
 from recencysim.population import (
@@ -191,7 +191,7 @@ class TestSurveyLaw:
         s = inclusion_probability(rule, DEFAULT_PARAMS, 1.5, r, c)
         assert law.inclusion == s
         # admit = P(attend) * s, P(attend) = q0 * (1 - p) * (1 + lam * W_0)
-        w_0 = survey_weight_integral(rule, 1.5, r, 0.0, DEFAULT_PARAMS.horizon)
+        w_0 = survey_weight(process, r, 0.0, DEFAULT_PARAMS.horizon)[2]
         attending = (1.0 - DEFAULT_PARAMS.prevalence) * (
             1.0 + DEFAULT_PARAMS.incidence * w_0
         )
@@ -357,9 +357,6 @@ def test_variance_is_the_delta_method(scenario):
     assert law.analytic_variance(scenario.n_target) == pytest.approx(want, rel=1e-8)
 
 
-KERNELS = ("_weight_integral", "_recent_weight_integral", "_uniform_weight_integral")
-
-
 @pytest.mark.parametrize(
     "label,calls",
     [("swp_theta1_r0.6_c1", 3), ("regular_theta0.4_r0.3_c0_frr0.01", 4),
@@ -371,11 +368,13 @@ def test_a_cell_evaluates_each_kernel_term_once(monkeypatch, label, calls):
     scenario = _cell(MAIN + FRR + UNIFORM, label)
     scenario = dataclasses.replace(scenario, replications=3)
     counted = []
-    for name in KERNELS:
-        def kernel(*args, real=getattr(estimator, name), name=name):
-            counted.append(name)
-            return real(*args)
-        monkeypatch.setattr(estimator, name, kernel)
+    real = estimator._integrate
+
+    def integrate(*args):
+        counted.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(estimator, "_integrate", integrate)
     result = run_scenario(scenario)
     harness._write_summary([result], io.StringIO())
     assert len(counted) == calls, counted

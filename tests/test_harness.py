@@ -873,7 +873,7 @@ class TestKernelRange:
     weight by e^{-theta*c}."""
 
     @pytest.mark.parametrize(
-        "rule,theta,c", [("swp", 100, 10), ("regular", 710, 1)],
+        "rule,theta,c", [("swp", 100, 10), ("regular", 710, 1), ("regular", 800, 1)],
     )
     def test_cli_grid_writes_error_row(self, tmp_path, capsys, rule, theta, c):
         cfg = tmp_path / "cfg.yaml"
