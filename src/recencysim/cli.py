@@ -31,6 +31,7 @@ from .harness import (
     emit_histogram,
     emit_table1,
     run_grid,
+    worker_processes,
     write_histogram,
     write_results,
     write_table1,
@@ -128,6 +129,7 @@ def _run_and_write(scenarios, opts, cfg, label):
         seed=opts["seed"],
         wall_time=time.time() - t0,
         workers=opts["workers"],
+        processes=worker_processes(scenarios, opts["workers"]),
     )
     print(f"{label}: {len(results)} scenarios -> {opts['out_dir']}")
     return 0 if ok else 1

@@ -13,6 +13,12 @@ replication count, any worker count and in whichever grid the scenario
 appears.  Every completed scenario's summary row also carries the
 analytic bias and the delta-method variance of the log estimate, read off
 its count law.
+
+A grid starts worker processes only when its replications can repay the
+pool's start-up and transfer: `workers` is an upper bound, and
+`worker_processes` sizes the pool from the grid's total replications (one
+worker per `_REPLICATIONS_PER_WORKER`), the CPU count and the scenario
+count.  Below two, the grid runs in-process.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ import json
 import math
 import os
 import platform
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -323,20 +328,39 @@ def run_scenario(
     return ScenarioResult(scenario=scenario, counts=counts, estimates=estimates)
 
 
+#: replications one worker must have before a pool repays its start-up and
+#: transfer, measured on the 160-cell main grid (README, `--workers`)
+_REPLICATIONS_PER_WORKER = 500_000
+
+
+def worker_processes(scenarios: Sequence[Scenario], workers: int) -> int:
+    """Worker processes `run_grid` uses for `scenarios` at `workers` (1 means
+    in-process): `workers`, capped by the CPU count, the scenario count and
+    one worker per `_REPLICATIONS_PER_WORKER` replications of the grid."""
+    share = sum(s.replications for s in scenarios) // _REPLICATIONS_PER_WORKER
+    return max(1, min(workers, os.cpu_count() or 1, len(scenarios), share))
+
+
 def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> List[ScenarioResult]:
     """Run every scenario; results come back in scenario order.
 
     Every scenario's seed words are derived here in one pass and travel
-    with it.  With several workers the scenarios go out in chunks, about
-    four per worker: a scenario's cost is one array block, alike across
-    cells, so equal chunks balance, and each chunk pays the per-task
-    transfer once.
+    with it.  `workers` is an upper bound: the grid runs on
+    `worker_processes(scenarios, workers)` processes, in-process when that
+    is 1, so a grid too small to repay a pool starts none.  In a pool the
+    scenarios go out in chunks, about four per worker: a scenario's cost is
+    one array block, alike across cells, so equal chunks balance, and each
+    chunk pays the per-task transfer once.
     """
     states = _scenario_states(scenarios)
-    if workers <= 1:
+    processes = worker_processes(scenarios, workers)
+    if processes == 1:
         return [run_scenario(s, w) for s, w in zip(scenarios, states)]
-    chunksize = max(1, math.ceil(len(scenarios) / (4 * workers)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # here, not at module top: only a pool needs multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunksize = max(1, math.ceil(len(scenarios) / (4 * processes)))
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         return list(pool.map(run_scenario, scenarios, states, chunksize=chunksize))
 
 
@@ -452,14 +476,15 @@ def _atomic_open(path: Path, newline=None):
 
 def write_results(
     results: Sequence[ScenarioResult], out_dir: Path, config_echo: dict, seed: int,
-    wall_time: float, workers: int = 1,
+    wall_time: float, workers: int = 1, processes: int = 1,
 ) -> bool:
     """Write per-replication CSV, summary CSV, and the JSON manifest.
 
     Returns True when every scenario completed without error.  The three
     files are replaced together only after all of them are written.  The
-    manifest records the Python, numpy and scipy versions, since the
-    vectorized random streams depend on numpy's.
+    manifest records the requested `workers`, the worker `processes` the
+    run used (1 means in-process), and the Python, numpy and scipy versions,
+    since the vectorized random streams depend on numpy's.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -476,6 +501,7 @@ def write_results(
             "errors": [r.scenario.label for r in results if r.error is not None],
             "wall_time_s": round(wall_time, 3),
             "workers": workers,
+            "processes": processes,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,

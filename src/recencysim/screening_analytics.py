@@ -202,12 +202,22 @@ def survey_law(
 
 
 def required_screening(n_target: int, s: float) -> int:
-    """Attendees needed (ceiling of n_target / s) to admit n_target."""
+    """Attendees needed (ceiling of n_target / s) to admit n_target.
+
+    A subnormal `s` can put n_target / s past the largest float; such a
+    cell admits too few to count, an InclusionProbabilityError as for s = 0.
+    """
     if n_target <= 0:
         raise ValueError("n_target must be positive")
     if not 0.0 < s <= 1.0:
         raise ValueError("inclusion probability must lie in (0, 1]")
-    return math.ceil(n_target / s)
+    needed = n_target / s
+    if needed == math.inf:
+        raise InclusionProbabilityError(
+            f"inclusion probability {s} too small: admitting {n_target} needs "
+            "more attendees than a float can count"
+        )
+    return math.ceil(needed)
 
 
 def forecast(

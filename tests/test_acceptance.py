@@ -317,7 +317,8 @@ def test_criterion_8_assay_consistency():
     assert ok
 
 
-def test_criterion_9_determinism(tmp_path_factory):
+def test_criterion_9_determinism(tmp_path_factory, pool_forced):
+    # the grid is far too small to repay a pool, so one is forced at workers = 2
     scenarios = build_grid(seed=777, replications=2, n_target=500)
     assert len(scenarios) == 160
     outputs = {}
@@ -329,6 +330,7 @@ def test_criterion_9_determinism(tmp_path_factory):
             name: (out / name).read_bytes()
             for name in ("replications.csv", "summary.csv")
         }
+    assert pool_forced == [2]
     ok = outputs[1] == outputs[2]
     _report(9, ok, "full default grid byte-identical across worker counts")
     assert ok

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -115,7 +116,7 @@ class TestDeterminism:
                 for x, y in zip(block(full), block(head), strict=True):
                     assert np.array_equal(x[:k], y)
 
-    def test_worker_count_invariant(self, tmp_path):
+    def test_worker_count_invariant(self, tmp_path, pool_forced):
         scenarios = small_grid()
         files = {}
         for workers in (1, 2):
@@ -126,6 +127,7 @@ class TestDeterminism:
                 name: (out / name).read_bytes()
                 for name in ("replications.csv", "summary.csv")
             }
+        assert pool_forced == [2]
         assert files[1] == files[2]
 
     def test_uniform_suite_streams_unchanged(self, tmp_path):
@@ -187,12 +189,93 @@ class TestSeedStates:
                 assert np.array_equal(getattr(res.counts, name), column), name
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_scenario_alone_equals_its_grid_block(self, workers):
+    def test_scenario_alone_equals_its_grid_block(self, workers, pool_forced):
         scenarios = small_grid(reps=3)
         results = run_grid(scenarios, workers=workers)
+        assert pool_forced == ([2] if workers == 2 else [])
         for s, res in zip(scenarios, results, strict=True):
             assert res.scenario == s
             assert_same_block(run_scenario(s), res)
+
+
+class InProcessPool:
+    """A stand-in for ProcessPoolExecutor that records `max_workers` and maps
+    in this process, so a test can ask for any pool size and start none."""
+
+    def __init__(self, started):
+        self.started = started
+
+    def __call__(self, max_workers=None):
+        self.started.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+def with_replications(counts):
+    """One scenario per entry of `counts`, with that many replications (only
+    the counts matter to `worker_processes`)."""
+    cell = small_grid()[0]
+    return [dataclasses.replace(cell, replications=k) for k in counts]
+
+
+class TestWorkerProcesses:
+    SHARE = harness._REPLICATIONS_PER_WORKER
+
+    @pytest.mark.parametrize(
+        "counts, workers, cpus, want",
+        [
+            # two workers from two shares of replications on
+            ([SHARE, SHARE - 1], 2, 8, 1),
+            ([SHARE, SHARE], 2, 8, 2),
+            ([SHARE // 2] * 6, 8, 8, 3),
+            ([SHARE] * 8, 8, 8, 8),
+            # each cap alone: the request, the CPUs, the scenarios
+            ([SHARE] * 8, 3, 8, 3),
+            ([SHARE] * 8, 8, 2, 2),
+            ([4 * SHARE] * 3, 8, 8, 3),
+            ([SHARE] * 8, 8, None, 1),
+            ([SHARE] * 8, 1, 8, 1),
+            ([], 2, 8, 1),
+        ],
+    )
+    def test_rule(self, monkeypatch, counts, workers, cpus, want):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert harness.worker_processes(with_replications(counts), workers) == want
+
+    def test_small_grid_starts_no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_grid started a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        scenarios = small_grid()
+        assert harness.worker_processes(scenarios, 2) == 1
+        for got, want in zip(run_grid(scenarios, workers=2), run_grid(scenarios),
+                             strict=True):
+            assert_same_block(got, want)
+
+    @pytest.mark.parametrize("cpus, want", [(3, 3), (64, 8)])
+    def test_many_workers_start_at_most_cpus_and_scenarios(
+        self, monkeypatch, cpus, want
+    ):
+        started = []
+        monkeypatch.setattr(harness, "_REPLICATIONS_PER_WORKER", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool(started))
+        scenarios = small_grid()
+        assert len(scenarios) == 8
+        results = run_grid(scenarios, workers=5000)
+        assert started == [want]
+        for got, alone in zip(results, scenarios, strict=True):
+            assert_same_block(got, run_scenario(alone))
 
 
 class TestSummaries:
@@ -538,7 +621,7 @@ class TestOutputsAndCli:
         assert manifest["scenarios"] == len(results)
         assert manifest["errors"] == []
         # the vectorized streams depend on numpy's version
-        assert manifest["workers"] == 1
+        assert (manifest["workers"], manifest["processes"]) == (1, 1)
         assert (manifest["python"], manifest["numpy"]) == (
             platform.python_version(), np.__version__)
         assert manifest["scipy"] == __import__("scipy").__version__
@@ -551,7 +634,28 @@ class TestOutputsAndCli:
         assert cli_main(["grid", "--config", str(cfg), "--reps", "1",
                          "--workers", "2", "--out-dir", str(out)]) == 0
         capsys.readouterr()
-        assert json.loads((out / "manifest.json").read_text())["workers"] == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        # two replications in all: too few to repay a pool
+        assert (manifest["workers"], manifest["processes"]) == (2, 1)
+
+    def test_cli_manifest_records_pool_processes(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # `grid --workers 5000` on two cells asks for a pool of two
+        started = []
+        monkeypatch.setattr(harness, "_REPLICATIONS_PER_WORKER", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool(started))
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("n_target: 200\ngrid:\n  theta: [1.0]\n  r: [1.0]\n"
+                       "  c: [0.0]\n")
+        assert cli_main(["grid", "--config", str(cfg), "--reps", "1",
+                         "--workers", "5000", "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert started == [2]
+        assert (manifest["workers"], manifest["processes"]) == (5000, 2)
 
     def test_error_rows_formatted_like_ok_rows(self, tmp_path):
         # r = 1.0, c = 0.0 and frr = 0.0 are floats that _fmt prints as 1 / 0
@@ -950,15 +1054,16 @@ class TestAnalyticColumns:
 
 
 def test_cli_import_leaves_scipy_integrate_and_stats_unloaded():
-    # the numeric oracle imports scipy.integrate lazily and only --config
-    # needs yaml; loading either (or scipy.stats) at CLI import time would
-    # add to every command's start-up
+    # the numeric oracle imports scipy.integrate lazily, only --config
+    # needs yaml and only a pool needs multiprocessing; loading any of them
+    # (or scipy.stats) at CLI import time would add to every command's
+    # start-up
     src = str(Path(recencysim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = (
         "import sys, recencysim.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.stats', 'yaml') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.stats', 'yaml', "
+        "'concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,

@@ -85,6 +85,12 @@ class TestRequiredScreening:
         with pytest.raises(ValueError):
             required_screening(100, 0.0)
 
+    def test_subnormal_probability_is_an_inclusion_error(self):
+        # 5000 / 5e-324 overflows; a tiny s whose quotient is finite still counts
+        with pytest.raises(InclusionProbabilityError, match="too small"):
+            required_screening(5000, 5e-324)
+        assert required_screening(1, 2.0**-1000) == 2**1000
+
 
 class TestForecast:
     def test_bundles_both_numbers(self):
@@ -94,6 +100,13 @@ class TestForecast:
         s = s_closed(ObservationRule.REGULAR, 1.0, 0.6, 0.25)
         assert fc.inclusion_probability == pytest.approx(s)
         assert fc.required_screened == required_screening(5000, s)
+
+    @pytest.mark.parametrize("theta", [710.0, 800.0])
+    def test_regular_cell_past_the_float_range_raises(self, theta):
+        # at theta = 710 the inclusion probability is subnormal (about
+        # 4e-309) and 5000 / s overflows; at 800 it is 0
+        with pytest.raises(InclusionProbabilityError):
+            forecast(ObservationRule.REGULAR, DEFAULT_PARAMS, theta, 1.0, 1.0, 5000)
 
 
 class TestUniformScheduleMc:
