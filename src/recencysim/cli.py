@@ -99,6 +99,16 @@ def _positive_int(value, what, low=1):
     return value
 
 
+def _out_dir(path):
+    """`path` if it is a directory or can be made one; a usage error, before
+    any work, if it or a parent exists as something else."""
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(
+            f"out_dir {path} cannot be a directory: {existing} is not one")
+    return path
+
+
 def _resolved(args, cfg):
     """Merge config-file values and CLI overrides (CLI wins)."""
 
@@ -111,9 +121,11 @@ def _resolved(args, cfg):
     return {
         "seed": pick("seed", "seed", 12345, low=0),
         "reps": pick("reps", "replications", 1000),
-        "out_dir": args.out_dir
-        if args.out_dir is not None
-        else Path(cfg.get("out_dir", default_out_dir())),
+        "out_dir": _out_dir(
+            args.out_dir
+            if args.out_dir is not None
+            else Path(cfg.get("out_dir", default_out_dir()))
+        ),
         "workers": pick("workers", "workers", 1),
         "n_target": _positive_int(cfg.get("n_target", 5000), "n_target"),
     }

@@ -57,11 +57,15 @@ from .testing_history import (
 
 
 def kassanjee_estimate(
-    counts: SurveyCounts, mdri_hat: float, frr_hat: float, recency_cutoff: float
+    counts: SurveyCounts,
+    mdri_hat: float | np.ndarray,
+    frr_hat: float | np.ndarray,
+    recency_cutoff: float | np.ndarray,
 ) -> np.ndarray:
     """Incidence estimates from survey counts and external assay estimates.
 
-    Elementwise over the count arrays,
+    The assay values are floats, or arrays with one entry per survey (a
+    grid's cells repeated over their replications).  Elementwise,
     (n_rec - n_pos*frr_hat) / (n_neg * (mdri_hat - frr_hat*T*)), in that
     order of operations, so each entry is the scalar formula's value bit for
     bit.  Negative values (possible when frr_hat > 0) are returned as-is.

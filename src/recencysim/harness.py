@@ -4,15 +4,21 @@ Each scenario is a full survey-simulation configuration; a grid runs every
 scenario for a number of replications and writes one per-replication CSV,
 one summary CSV, and a JSON run manifest.  A scenario is one block of
 arrays: its replications' counts come from two vectorized draws of its
-count law, on two generators keyed by (seed, scenario label, stream), and
-its estimates from one array expression.  A grid derives every
-generator's seed words in one vectorized pass of numpy's SeedSequence
-hash: the same PCG64 states as SeedSequence([seed, key, stream]), without
-a SeedSequence per scenario.  Replication i is therefore the same for any
-replication count, any worker count and in whichever grid the scenario
-appears.  Every completed scenario's summary row also carries the
-analytic bias and the delta-method variance of the log estimate, read off
-its count law.
+count law, on two generators keyed by (seed, scenario label, stream).  A
+grid derives every generator's seed words in one vectorized pass of
+numpy's SeedSequence hash: the same PCG64 states as SeedSequence([seed,
+key, stream]), without a SeedSequence per scenario.  Replication i is
+therefore the same for any replication count, any worker count and in
+whichever grid the scenario appears.
+
+A grid pays for its estimates and summaries once, not per scenario: one
+`kassanjee_estimate` call over the concatenated counts gives every
+estimate (`_estimate_block`), and one pass gives every summary statistic
+(`summary_columns`), a sorted 2-D block per replication count reduced
+along its rows, each value the same float as numpy's 1-D reductions of
+that scenario alone.  Every completed scenario's summary row also carries
+the analytic bias and the delta-method variance of the log estimate, read
+off its count law.
 
 A grid starts worker processes only when its replications can repay the
 pool's start-up and transfer: `workers` is an upper bound, and
@@ -23,7 +29,6 @@ count.  Below two, the grid runs in-process.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import functools
 import hashlib
@@ -32,7 +37,7 @@ import math
 import os
 import platform
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -125,64 +130,137 @@ class ScenarioResult:
 
     scenario: Scenario
     counts: Optional[SurveyCounts] = None
-    estimates: np.ndarray = field(default_factory=lambda: np.empty(0))
     error: Optional[str] = None
 
+    @functools.cached_property
+    def estimates(self) -> np.ndarray:
+        """The incidence estimates, nan where undefined; empty for an error.
+
+        `run_grid` assigns every result's estimates from one pass over the
+        grid (`_estimate_block`); a result made alone derives its own here,
+        by the same pass."""
+        (estimates,) = _estimate_block([self])
+        return estimates
+
     def summary(self) -> dict:
-        """Summary of the defined (finite) estimates.
-
-        Every value equals what np.median, np.percentile (2.5, 97.5),
-        np.mean and np.var(np.log(positive), ddof=1) return for the finite
-        estimates in replication order, bit for bit: the order statistics
-        are numpy's formulas on the sorted values in Python floats, and the
-        sums are numpy's own pairwise reductions.
-        """
-        est = self.estimates
-        values = est.tolist()
-        ordered = sorted(x for x in values if -math.inf < x < math.inf)
-        n = len(ordered)
-        finite = est if n == len(values) else est[np.isfinite(est)]
-        s = {
-            "median": math.nan,
-            "mean": math.nan,
-            "q025": math.nan,
-            "q975": math.nan,
-            "var_log": math.nan,
-            "n_negative": bisect.bisect_left(ordered, 0.0),
-            "n_undefined": len(values) - n,
-            # an integer sum is exact in any order, as in np.mean
-            "mean_screened": sum(self.counts.n_screened.tolist()) / len(values)
-            if values
-            else math.nan,
-        }
-        if n:
-            # np.median is np.mean of the middle value(s); numpy's sums
-            # start from 0.0
-            half = n // 2
-            s["median"] = (
-                (0.0 + ordered[half - 1] + ordered[half]) / 2
-                if n % 2 == 0
-                else 0.0 + ordered[half]
-            )
-            s["mean"] = float(np.add.reduce(finite)) / n
-            s["q025"] = _percentile(ordered, 2.5)
-            s["q975"] = _percentile(ordered, 97.5)
-        positive = finite if n and ordered[0] > 0 else finite[finite > 0]
-        if positive.size > 1:
-            logs = np.log(positive)
-            dev = logs - np.add.reduce(logs) / logs.size
-            s["var_log"] = float(np.add.reduce(dev * dev)) / (logs.size - 1)
-        return s
+        """This result's row of `summary_columns`."""
+        return {key: column[0] for key, column in summary_columns([self]).items()}
 
 
-def _percentile(ordered: List[float], q: float) -> float:
-    """np.percentile(values, q) (method "linear") from the sorted values,
-    in the same operations."""
-    n = len(ordered)
+def _estimate_block(results: Sequence[ScenarioResult]) -> List[np.ndarray]:
+    """Every result's estimates, from one `kassanjee_estimate` call on the
+    concatenated counts: each cell's MDRI, FRR and cutoff are repeated over
+    its replications, so every entry is the cell's own scalar formula, bit
+    for bit.  Entry i is a view of result i's slice; empty for an error."""
+    done = [r for r in results if r.counts is not None]
+    if not done:
+        return [np.empty(0) for _ in results]
+    sizes = [len(r.counts.n_pos) for r in done]
+    assays = [r.scenario.assay for r in done]
+
+    def per_cell(values):
+        return np.repeat(np.array(values, dtype=float), sizes)
+
+    def joined(name):
+        return np.concatenate([getattr(r.counts, name) for r in done])
+
+    omega = {a: mdri(a) for a in set(assays)}
+    estimates = kassanjee_estimate(
+        SurveyCounts(*map(joined, ("n_pos", "n_neg", "n_rec", "n_screened"))),
+        per_cell([omega[a] for a in assays]),
+        per_cell([a.frr for a in assays]),
+        per_cell([a.recency_cutoff for a in assays]),
+    )
+    parts = iter(np.split(estimates, np.cumsum(sizes)[:-1]))
+    return [next(parts) if r.counts is not None else np.empty(0) for r in results]
+
+
+#: `summary_columns` keys; the statistics columns of summary.csv
+SUMMARY_STATS = ("median", "mean", "q025", "q975", "var_log", "n_negative",
+                 "n_undefined", "mean_screened")
+
+
+def summary_columns(results: Sequence[ScenarioResult]) -> dict:
+    """The summary statistics of every result, as columns of Python floats
+    and ints (entry i for result i; nan and 0 for a result without
+    estimates).
+
+    Every value equals what np.median, np.percentile (2.5, 97.5), np.mean
+    and np.var(np.log(positive), ddof=1) return for the finite estimates in
+    replication order, bit for bit.  The results are grouped by replication
+    count, and each group is one 2-D block: one np.sort gives the order
+    statistics (numpy's formulas on the sorted rows), and numpy's axis-1
+    reductions give the sums, each row's the same pairwise sum as its 1-D
+    reduction.  A row with a nan, zero or negative estimate is compacted to
+    its finite (or positive) values first and goes through the same
+    formulas as a block of one row.
+    """
+    size = len(results)
+    cols = {key: np.full(size, math.nan) for key in SUMMARY_STATS}
+    cols["n_negative"] = np.zeros(size, dtype=np.int64)
+    cols["n_undefined"] = np.zeros(size, dtype=np.int64)
+    groups = {}
+    for i, res in enumerate(results):
+        groups.setdefault(len(res.estimates), []).append(i)
+    for n, rows in groups.items():
+        if not n:
+            continue
+        est = np.stack([results[i].estimates for i in rows])
+        # an integer sum is exact in any order; Python's int / int rounds
+        # the mean once
+        totals = np.add.reduce(
+            np.stack([results[i].counts.n_screened for i in rows]), axis=1)
+        cols["mean_screened"][rows] = [total / n for total in totals.tolist()]
+        ordered = np.sort(est, axis=1)  # nan sorts last
+        regular = (ordered[:, 0] > 0) & (ordered[:, -1] < math.inf)
+        if not regular.all():
+            for k in np.flatnonzero(~regular).tolist():
+                finite = est[k][np.isfinite(est[k])]
+                i = rows[k]
+                cols["n_undefined"][i] = n - finite.size
+                cols["n_negative"][i] = np.count_nonzero(finite < 0)
+                if finite.size:
+                    # stable, as Python's sort: -0.0 and 0.0 keep their order
+                    _block_stats(cols, [i], np.sort(finite, kind="stable")[None],
+                                 finite[None], finite[finite > 0][None])
+            keep = np.flatnonzero(regular)
+            rows, ordered, est = [rows[k] for k in keep], ordered[keep], est[keep]
+        _block_stats(cols, rows, ordered, est, est)
+    return {key: col.tolist() for key, col in cols.items()}
+
+
+def _block_stats(cols, rows, ordered, finite, positive):
+    """Fill `rows` of `cols` from a block of finite estimates: `ordered`
+    sorted along each row, `finite` in replication order and `positive`
+    its positive values (var_log needs two of them)."""
+    if not len(rows):
+        return
+    n = ordered.shape[1]
+    half = n // 2
+    # np.median is np.mean of the middle value(s); numpy's sums start from 0.0
+    cols["median"][rows] = (
+        (0.0 + ordered[:, half - 1] + ordered[:, half]) / 2
+        if n % 2 == 0
+        else 0.0 + ordered[:, half]
+    )
+    cols["mean"][rows] = np.add.reduce(finite, axis=1) / n
+    cols["q025"][rows] = _percentile(ordered, 2.5)
+    cols["q975"][rows] = _percentile(ordered, 97.5)
+    m = positive.shape[1]
+    if m > 1:
+        logs = np.log(positive)
+        dev = logs - (np.add.reduce(logs, axis=1) / m)[:, None]
+        cols["var_log"][rows] = np.add.reduce(dev * dev, axis=1) / (m - 1)
+
+
+def _percentile(ordered: np.ndarray, q: float) -> np.ndarray:
+    """np.percentile(row, q) (method "linear") of each row of the sorted
+    block, in the same operations."""
+    n = ordered.shape[1]
     virtual = (n - 1) * (q / 100)
     # from the last index on, numpy interpolates the last value with itself
     lo = -1 if virtual >= n - 1 else math.floor(virtual)
-    a, b = ordered[lo], ordered[lo + 1 if lo >= 0 else -1]
+    a, b = ordered[:, lo], ordered[:, lo + 1 if lo >= 0 else -1]
     gamma = virtual - lo
     diff = b - a
     return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
@@ -311,8 +389,9 @@ def run_scenario(
     scenario: Scenario, states: Optional[np.ndarray] = None
 ) -> ScenarioResult:
     """Every replication of a scenario: its counts from the closed-form count
-    law, and the estimates (nan where undefined).  `states` are the
-    scenario's seed words; without them they are derived here."""
+    law.  `states` are the scenario's seed words; without them they are
+    derived here.  The estimates come from `run_grid`'s pass over the whole
+    grid, or, for a scenario run alone, on first use."""
     if states is None:
         (states,) = _scenario_states([scenario])
     try:
@@ -321,11 +400,7 @@ def run_scenario(
         )
     except InfeasibleScenarioError as exc:
         return ScenarioResult(scenario=scenario, error=str(exc))
-    assay = scenario.assay
-    estimates = kassanjee_estimate(
-        counts, mdri(assay), assay.frr, assay.recency_cutoff
-    )
-    return ScenarioResult(scenario=scenario, counts=counts, estimates=estimates)
+    return ScenarioResult(scenario=scenario, counts=counts)
 
 
 #: replications one worker must have before a pool repays its start-up and
@@ -345,9 +420,12 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> List[ScenarioRe
     """Run every scenario; results come back in scenario order.
 
     Every scenario's seed words are derived here in one pass and travel
-    with it.  `workers` is an upper bound: the grid runs on
-    `worker_processes(scenarios, workers)` processes, in-process when that
-    is 1, so a grid too small to repay a pool starts none.  In a pool the
+    with it.  `run_scenario` draws each scenario's counts; then one
+    `kassanjee_estimate` call over the whole grid gives every estimate
+    (`_estimate_block`), and each result holds a view of its slice.
+    `workers` is an upper bound: the grid runs on `worker_processes(scenarios,
+    workers)` processes, in-process when that is 1, so a grid too small to
+    repay a pool starts none.  In a pool the
     scenarios go out in chunks, about four per worker: a scenario's cost is
     one array block, alike across cells, so equal chunks balance, and each
     chunk pays the per-task transfer once.
@@ -355,13 +433,18 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> List[ScenarioRe
     states = _scenario_states(scenarios)
     processes = worker_processes(scenarios, workers)
     if processes == 1:
-        return [run_scenario(s, w) for s, w in zip(scenarios, states)]
-    # here, not at module top: only a pool needs multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        results = [run_scenario(s, w) for s, w in zip(scenarios, states)]
+    else:
+        # here, not at module top: only a pool needs multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    chunksize = max(1, math.ceil(len(scenarios) / (4 * processes)))
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(run_scenario, scenarios, states, chunksize=chunksize))
+        chunksize = max(1, math.ceil(len(scenarios) / (4 * processes)))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            results = list(
+                pool.map(run_scenario, scenarios, states, chunksize=chunksize))
+    for res, estimates in zip(results, _estimate_block(results)):
+        res.estimates = estimates
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +476,28 @@ def build_grid(
     rs: Sequence[float] = R_GRID,
     cs: Sequence[float] = C_GRID,
     frrs: Sequence[float] = (0.0,),
-    uniform_bs: Sequence[float] = (),
+    uniform_bs: Optional[Sequence[float]] = None,
     assay_name: str = "default",
     params: PopulationParams = DEFAULT_PARAMS,
 ) -> List[Scenario]:
+    """Every (rule, law, frr, r, c) cell, in that nesting order.  The laws
+    are Exponential(theta) for each of `thetas`, or with `uniform_bs`
+    Uniform(0, b) for each b.  Each list must hold a value: an empty one is
+    a ValueError naming its config key, not a grid without cells."""
+    lists = {"rules": rules, "theta": thetas, "r": rs, "c": cs, "frr": frrs}
+    if uniform_bs is not None:
+        lists["uniform_b"] = uniform_bs
+    for key, values in lists.items():
+        if not list(values):
+            raise ValueError(f"{key} must list at least one value, got []")
     if assay_name not in ASSAYS:
         raise ValueError(
             f"unknown assay {assay_name!r}; expected one of: {', '.join(ASSAYS)}"
         )
     base = ASSAYS[assay_name]
-    laws: List = [ExponentialInterTest(t) for t in thetas]
-    if uniform_bs:
+    if uniform_bs is None:
+        laws: List = [ExponentialInterTest(t) for t in thetas]
+    else:
         laws = [UniformInterTest(0.0, b) for b in uniform_bs]
     scenarios = []
     for rule in rules:
@@ -541,9 +635,16 @@ def _write_replications(results, fh):
 
 
 def _write_summary(results, fh) -> bool:
-    ok = True
-    w = csv.writer(fh)
-    w.writerow(SUMMARY_COLUMNS)
+    """The summary rows, every completed scenario's statistics from one
+    `summary_columns` pass, in one writerows call.  True when no scenario
+    stopped on an error."""
+    done = [res for res in results if res.error is None]
+    counted = ("n_negative", "n_undefined")
+    stats = zip(*(
+        column if key in counted else [format(x, ".10g") for x in column]
+        for key, column in summary_columns(done).items()
+    ))
+    rows = [SUMMARY_COLUMNS]
     for res in results:
         sc = res.scenario
         law, theta, a, b = _law_fields(sc.process)
@@ -554,20 +655,17 @@ def _write_summary(results, fh) -> bool:
             _fmt(sc.assay.frr), sc.replications, sc.n_target,
         ]
         if res.error is not None:
-            ok = False
             row += ["", "", "", "", "", "", "", "", "", "", f"error:{res.error}"]
         else:
-            s = res.summary()
             law = sc.count_law
             row += [
-                _fmt(s["median"]), _fmt(s["mean"]), _fmt(s["q025"]),
-                _fmt(s["q975"]), _fmt(s["var_log"]), s["n_negative"],
-                s["n_undefined"], _fmt(s["mean_screened"]),
+                *next(stats),
                 _fmt(law.analytic_bias), _fmt(law.analytic_variance(sc.n_target)),
                 "ok",
             ]
-        w.writerow(row)
-    return ok
+        rows.append(row)
+    csv.writer(fh).writerows(rows)
+    return len(done) == len(results)
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def test_every_law_draws_from_the_count_law(monkeypatch):
         return real(assay, process, policy, params)
 
     monkeypatch.setattr(harness, "survey_law", counting)
-    for uniform_bs in ((), (3.0,)):
+    for uniform_bs in (None, (3.0,)):
         (cell,) = build_grid(3, 1, n_target=200, thetas=(1.0,), rs=(0.6,),
                              cs=(1.0,), rules=(SWP,), uniform_bs=uniform_bs)
         counts = run_scenario(cell).counts

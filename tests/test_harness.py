@@ -17,7 +17,7 @@ import pytest
 from scipy import stats
 
 import recencysim
-from recencysim import population
+from recencysim import estimator, population
 
 from recencysim.cli import main as cli_main
 from recencysim.estimator import analytic_bias, log_variance, survey_composition
@@ -103,7 +103,7 @@ class TestDeterminism:
         rows = np.column_stack(block(res))
         assert not np.array_equal(rows[0], rows[1])
 
-    @pytest.mark.parametrize("uniform_bs", [(), (3.0,)], ids=["exp", "uniform"])
+    @pytest.mark.parametrize("uniform_bs", [None, (3.0,)], ids=["exp", "uniform"])
     def test_first_replications_do_not_depend_on_the_count(self, uniform_bs):
         # the block draws are R sequential draws on each generator, so the
         # first k replications of an R-replication run are a k-replication run
@@ -146,6 +146,33 @@ class TestDeterminism:
             "summary.csv":
                 "c08f060b0c27f555e2aae8ce54c3e229dd3753808f591c7f967784533b16f72d",
         }
+
+    @pytest.mark.parametrize("suite,digests", [
+        ("main", {
+            "replications.csv":
+                "0178d3d1d97afe784685787cd96312675570016fb85eba335136f3c17d1ee90c",
+            "summary.csv":
+                "d5ef918e03fbed41f6c8137ba7bc66f3a5bce41152f2ad776a89ee9dce511431",
+        }),
+        ("frr", {
+            "replications.csv":
+                "afb958a3052e2692bebfe95cfb5c218490e0cb914f42cf63697d215c2f744787",
+            "summary.csv":
+                "37086764b75d526d5d5447b06594c4c1d90998388f6781a92dbe5f82a2b115fa",
+        }),
+    ])
+    def test_grid_outputs_unchanged(self, tmp_path, suite, digests):
+        # sha256 of the files written while each scenario still made its own
+        # estimate call and summary: the grid-wide passes move no byte (the
+        # frr suite's rows include negative estimates)
+        scenarios = (build_grid(1, 3, n_target=500) if suite == "main"
+                     else build_sensitivity(suite, 1, 3, n_target=500))
+        write_results(run_grid(scenarios), tmp_path, config_echo={}, seed=1,
+                      wall_time=0.0)
+        assert {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in digests
+        } == digests
 
     def test_label_keyed_streams_match_across_grids(self):
         # an frr=0 sensitivity scenario reproduces its main-grid twin
@@ -349,10 +376,17 @@ def numpy_summary(est, screened):
     }
 
 
+def with_estimates(result, estimates):
+    """`result` holding the given estimates in place of those its counts
+    give, as `run_grid` assigns them."""
+    result.estimates = np.asarray(estimates, dtype=float)
+    return result
+
+
 def summary_of(est, screened):
     zeros = np.zeros(len(est), dtype=np.int64)
     counts = SurveyCounts(zeros, zeros, zeros, screened)
-    return ScenarioResult(small_grid()[0], counts, est).summary()
+    return with_estimates(ScenarioResult(small_grid()[0], counts), est).summary()
 
 
 def _summary_cases():
@@ -404,6 +438,105 @@ class TestSummaryMatchesNumpy:
             assert all(same_value(got[k], want[k]) for k in want), (trial, est)
 
 
+class TestSummaryBlock:
+    """`summary_columns` over many results at once equals numpy's 1-D
+    reductions of each result alone."""
+
+    # around numpy's pairwise-sum blocks (8, 128) and its buffer (8192)
+    COUNTS = (1, 2, 7, 8, 9, 127, 128, 129, 8192, 9001)
+
+    @staticmethod
+    def rows(n, rng):
+        """Regular rows mixed with rows holding a nan, a zero, a negative
+        value, all of them, and only nan."""
+        rows = [rng.normal(0.03, 0.004, n) for _ in range(3)]
+        for marks in ([np.nan], [0.0], [-0.01], [np.nan, 0.0, -0.01]):
+            row = rng.normal(0.03, 0.004, n)
+            row[rng.choice(n, size=min(n, len(marks)), replace=False)] = marks[:n]
+            rows.insert(int(rng.integers(len(rows) + 1)), row)
+        rows.append(np.full(n, np.nan))
+        return rows
+
+    @staticmethod
+    def check(rows, rng):
+        screened = [rng.integers(5000, 40_000, len(row)) for row in rows]
+        results = [
+            with_estimates(ScenarioResult(small_grid()[0], SurveyCounts(
+                *[np.zeros(len(row), dtype=np.int64)] * 3, scr)), row)
+            for row, scr in zip(rows, screened)
+        ]
+        got = harness.summary_columns(results)
+        assert list(got) == list(harness.SUMMARY_STATS)
+        for i, (row, scr) in enumerate(zip(rows, screened)):
+            want = numpy_summary(row, scr)
+            for key in want:
+                assert same_value(got[key][i], want[key]), (len(row), i, key)
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_one_block(self, n):
+        rng = np.random.default_rng(n)
+        self.check(self.rows(n, rng), rng)
+
+    def test_mixed_replication_counts(self):
+        rng = np.random.default_rng(99)
+        rows = [row for n in self.COUNTS for row in self.rows(n, rng)]
+        order = rng.permutation(len(rows))
+        self.check([rows[i] for i in order], rng)
+
+    def test_result_without_estimates(self):
+        error = ScenarioResult(small_grid()[0], error="no attendee")
+        assert harness.summary_columns([]) == {
+            key: [] for key in harness.SUMMARY_STATS}
+        got = harness.summary_columns([error])
+        assert got["n_negative"] == got["n_undefined"] == [0]
+        assert all(math.isnan(got[key][0]) for key in
+                   ("median", "mean", "q025", "q975", "var_log", "mean_screened"))
+
+
+class TestGridPasses:
+    """A grid's estimates are one estimator call, its scenarios one
+    `run_scenario` call each."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"estimate": 0, "scenario": 0}
+        estimate, scenario = harness.kassanjee_estimate, harness.run_scenario
+
+        def counting_estimate(*args):
+            calls["estimate"] += 1
+            return estimate(*args)
+
+        def counting_scenario(*args):
+            calls["scenario"] += 1
+            return scenario(*args)
+
+        monkeypatch.setattr(harness, "kassanjee_estimate", counting_estimate)
+        monkeypatch.setattr(estimator, "kassanjee_estimate", counting_estimate)
+        monkeypatch.setattr(harness, "run_scenario", counting_scenario)
+        return calls
+
+    def test_one_estimate_call_per_grid(self, tmp_path, calls):
+        scenarios = small_grid(reps=3)
+        # SWP, theta = 2, r = 0, c = 20 admits no one (TestInfeasibleCell)
+        infeasible = build_grid(5, 2, n_target=200, thetas=(2.0,), rs=(0.0,),
+                                cs=(20.0,), rules=(ObservationRule.STOP_WHEN_POSITIVE,))
+        results = run_grid([*scenarios, *infeasible])
+        assert results[-1].error is not None
+        write_results(results, tmp_path, config_echo={}, seed=7, wall_time=0.0)
+        assert calls == {"estimate": 1, "scenario": len(scenarios) + 1}
+        assert [len(r.estimates) for r in results] == [3] * len(scenarios) + [0]
+
+    def test_scenario_alone_derives_its_estimates_once(self, calls):
+        s = small_grid(reps=3)[1]
+        res = run_scenario(s)
+        assert calls["estimate"] == 0  # the draw alone makes no estimate
+        want = run_grid([s])[0].estimates
+        assert calls["estimate"] == 1
+        assert np.array_equal(res.estimates, want)
+        assert np.array_equal(res.estimates, want)
+        assert calls["estimate"] == 2
+
+
 def csv_writer_replications(results):
     """replications.csv as csv.writer writes it, row by row."""
     fh = io.StringIO(newline="")
@@ -425,18 +558,23 @@ def csv_writer_replications(results):
 class TestReplicationsWriter:
     def test_byte_identical_to_csv_writer(self):
         results = run_grid(small_grid(reps=5), workers=1)
-        odd = ScenarioResult(
-            small_grid()[1],
-            SurveyCounts(np.array([4, 0, 3, 10]),
-                         np.array([6, 10, 7, 0]), np.array([1, 0, 0, 2]),
-                         np.array([10, 12, 13, 99])),
-            np.array([0.0125, 0.0, -3.5e-5, np.nan]),
+        odd = with_estimates(
+            ScenarioResult(
+                small_grid()[1],
+                SurveyCounts(np.array([4, 0, 3, 10]),
+                             np.array([6, 10, 7, 0]), np.array([1, 0, 0, 2]),
+                             np.array([10, 12, 13, 99])),
+            ),
+            [0.0125, 0.0, -3.5e-5, np.nan],
         )
         error = ScenarioResult(small_grid()[2], error="no attendee")
         results = [results[0], odd, error, *results[1:]]
         fh = io.StringIO(newline="")
         harness._write_replications(results, fh)
         assert fh.getvalue() == csv_writer_replications(results)
+        # the odd result keeps every status
+        statuses = [row[-1] for row in csv.reader(io.StringIO(fh.getvalue()))]
+        assert {"ok", "negative", "undefined"} <= set(statuses)
 
     def test_labels_need_no_quoting(self):
         scenarios = build_grid(1, 1) + [
@@ -625,6 +763,15 @@ class TestOutputsAndCli:
         assert (manifest["python"], manifest["numpy"]) == (
             platform.python_version(), np.__version__)
         assert manifest["scipy"] == __import__("scipy").__version__
+
+    def test_write_results_of_no_scenarios(self, tmp_path):
+        assert write_results([], tmp_path, config_echo={}, seed=1, wall_time=0.0)
+        assert (tmp_path / "replications.csv").read_text() == (
+            ",".join(harness.REPLICATION_COLUMNS) + "\n")
+        assert (tmp_path / "summary.csv").read_text() == (
+            ",".join(SUMMARY_COLUMNS) + "\n")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert (manifest["scenarios"], manifest["errors"]) == (0, [])
 
     def test_cli_manifest_records_workers(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -817,6 +964,54 @@ class TestOutputsAndCli:
         assert f"bad value in the grid: block of {cfg}" in err
         assert message in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["rules", "theta", "r", "c", "frr", "uniform_b"])
+    def test_cli_rejects_empty_grid_list(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"out_dir: {tmp_path / 'out'}\ngrid:\n  {key}: []\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["grid", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"bad value in the grid: block of {cfg}" in err
+        assert f"{key} must list at least one value, got []" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["grid", "--reps", "1"], ["sensitivity", "frr", "--reps", "1"],
+         ["histogram", "--n-infected", "100"], ["table1"]],
+        ids=["grid", "sensitivity", "histogram", "table1"],
+    )
+    @pytest.mark.parametrize("where", ["flag", "under_file", "config", "env"])
+    def test_cli_rejects_out_dir_that_is_a_file(self, tmp_path, capsys,
+                                                monkeypatch, argv, where):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("run_grid", "emit_histogram", "emit_table1"):
+            monkeypatch.setattr(f"recencysim.cli.{name}", refuse)
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        out = taken / "sub" if where == "under_file" else taken
+        if where in ("flag", "under_file"):
+            argv = [*argv, "--out-dir", str(out)]
+        elif where == "config":
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(f"out_dir: {out}\n")
+            argv = [*argv, "--config", str(cfg)]
+        else:
+            monkeypatch.setenv("RECENCYSIM_OUT_DIR", str(out))
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"out_dir {out} cannot be a directory: {taken} is not one" in (
+            captured.err)
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == before
+        assert taken.read_text() == "a file\n"
 
     @pytest.mark.parametrize("command", [["grid"], ["sensitivity", "frr"]])
     @pytest.mark.parametrize(
@@ -1087,16 +1282,18 @@ class TestAtomicWriters:
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert sorted(before) == ["manifest.json", "replications.csv", "summary.csv"]
 
+        # the summary writer fails on its second row, after the whole
+        # replications file and the summary pass
         calls = []
-        real = ScenarioResult.summary
+        real = harness._law_fields
 
-        def fail_on_second_row(result):
-            calls.append(result)
+        def fail_on_second_row(process):
+            calls.append(process)
             if len(calls) == 2:
                 raise RuntimeError("boom")
-            return real(result)
+            return real(process)
 
-        monkeypatch.setattr(ScenarioResult, "summary", fail_on_second_row)
+        monkeypatch.setattr(harness, "_law_fields", fail_on_second_row)
         with pytest.raises(RuntimeError, match="boom"):
             write_results(results[::-1], tmp_path, config_echo={"run": 2},
                           seed=8, wall_time=0.0)
@@ -1106,10 +1303,11 @@ class TestAtomicWriters:
     def test_write_results_leaves_nothing_on_first_failure(self, tmp_path,
                                                            monkeypatch):
         results = run_grid(small_grid(reps=1, n_target=200), workers=1)
-        def fail(result):
+
+        def fail(results):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(ScenarioResult, "summary", fail)
+        monkeypatch.setattr(harness, "summary_columns", fail)
         with pytest.raises(RuntimeError):
             write_results(results, tmp_path, config_echo={}, seed=7,
                           wall_time=0.0)
