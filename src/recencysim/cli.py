@@ -30,6 +30,7 @@ from .harness import (
     default_out_dir,
     emit_histogram,
     emit_table1,
+    exact_g,
     run_grid,
     worker_processes,
     write_histogram,
@@ -196,7 +197,8 @@ def cmd_histogram(args) -> int:
         raise ConfigError(str(exc))
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / f"histogram_{rule.value}_theta{args.theta:g}_c{args.c:g}.csv"
+    out = out_dir / (
+        f"histogram_{rule.value}_theta{exact_g(args.theta)}_c{exact_g(args.c)}.csv")
     write_histogram(rows, out)
     print(f"histogram -> {out}")
     return 0

@@ -11,14 +11,11 @@ key, stream]), without a SeedSequence per scenario.  Replication i is
 therefore the same for any replication count, any worker count and in
 whichever grid the scenario appears.
 
-A grid pays for its estimates and summaries once, not per scenario: one
-`kassanjee_estimate` call over the concatenated counts gives every
-estimate (`_estimate_block`), and one pass gives every summary statistic
-(`summary_columns`), a sorted 2-D block per replication count reduced
-along its rows, each value the same float as numpy's 1-D reductions of
-that scenario alone.  Every completed scenario's summary row also carries
-the analytic bias and the delta-method variance of the log estimate, read
-off its count law.
+`run_grid` is the one path from counts to estimates and summary rows: one
+`kassanjee_estimate` call over the grid gives every estimate, and
+`summary_columns` reduces them with numpy's own functions, one 2-D block
+per replication count.  Each summary row also carries the analytic bias
+and the delta-method variance of the log estimate, from its count law.
 
 A grid starts worker processes only when its replications can repay the
 pool's start-up and transfer: `workers` is an upper bound, and
@@ -37,7 +34,7 @@ import math
 import os
 import platform
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -125,26 +122,14 @@ class Scenario:
 
 @dataclass
 class ScenarioResult:
-    """A scenario's replications as arrays, entry i being replication i; or
-    the error that stopped it, with no counts and no estimates."""
+    """A scenario's replications as arrays, entry i being replication i
+    (estimates nan where undefined, filled in by `run_grid`); or the error
+    that stopped it, with no counts and no estimates."""
 
     scenario: Scenario
     counts: Optional[SurveyCounts] = None
     error: Optional[str] = None
-
-    @functools.cached_property
-    def estimates(self) -> np.ndarray:
-        """The incidence estimates, nan where undefined; empty for an error.
-
-        `run_grid` assigns every result's estimates from one pass over the
-        grid (`_estimate_block`); a result made alone derives its own here,
-        by the same pass."""
-        (estimates,) = _estimate_block([self])
-        return estimates
-
-    def summary(self) -> dict:
-        """This result's row of `summary_columns`."""
-        return {key: column[0] for key, column in summary_columns([self]).items()}
+    estimates: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def _estimate_block(results: Sequence[ScenarioResult]) -> List[np.ndarray]:
@@ -185,15 +170,12 @@ def summary_columns(results: Sequence[ScenarioResult]) -> dict:
     and ints (entry i for result i; nan and 0 for a result without
     estimates).
 
-    Every value equals what np.median, np.percentile (2.5, 97.5), np.mean
-    and np.var(np.log(positive), ddof=1) return for the finite estimates in
-    replication order, bit for bit.  The results are grouped by replication
-    count, and each group is one 2-D block: one np.sort gives the order
-    statistics (numpy's formulas on the sorted rows), and numpy's axis-1
-    reductions give the sums, each row's the same pairwise sum as its 1-D
-    reduction.  A row with a nan, zero or negative estimate is compacted to
-    its finite (or positive) values first and goes through the same
-    formulas as a block of one row.
+    Each value is np.median, np.percentile (2.5, 97.5), np.mean or
+    np.var(np.log(positive), ddof=1) of the result's finite estimates, on a
+    2-D block per replication count: median and percentiles of the block
+    sorted once (faster partitions), the sums in replication order.  A row
+    with a nan, zero or negative estimate is compacted first, to a block of
+    one row.
     """
     size = len(results)
     cols = {key: np.full(size, math.nan) for key in SUMMARY_STATS}
@@ -220,9 +202,8 @@ def summary_columns(results: Sequence[ScenarioResult]) -> dict:
                 cols["n_undefined"][i] = n - finite.size
                 cols["n_negative"][i] = np.count_nonzero(finite < 0)
                 if finite.size:
-                    # stable, as Python's sort: -0.0 and 0.0 keep their order
-                    _block_stats(cols, [i], np.sort(finite, kind="stable")[None],
-                                 finite[None], finite[finite > 0][None])
+                    _block_stats(cols, [i], finite[None], finite[None],
+                                 finite[finite > 0][None])
             keep = np.flatnonzero(regular)
             rows, ordered, est = [rows[k] for k in keep], ordered[keep], est[keep]
         _block_stats(cols, rows, ordered, est, est)
@@ -230,40 +211,17 @@ def summary_columns(results: Sequence[ScenarioResult]) -> dict:
 
 
 def _block_stats(cols, rows, ordered, finite, positive):
-    """Fill `rows` of `cols` from a block of finite estimates: `ordered`
-    sorted along each row, `finite` in replication order and `positive`
-    its positive values (var_log needs two of them)."""
-    if not len(rows):
+    """Fill `rows` of `cols` from a block of finite estimates: `finite` in
+    replication order, `ordered` the same rows in any order and `positive`
+    their positive values (var_log needs two)."""
+    if not rows:
         return
-    n = ordered.shape[1]
-    half = n // 2
-    # np.median is np.mean of the middle value(s); numpy's sums start from 0.0
-    cols["median"][rows] = (
-        (0.0 + ordered[:, half - 1] + ordered[:, half]) / 2
-        if n % 2 == 0
-        else 0.0 + ordered[:, half]
-    )
-    cols["mean"][rows] = np.add.reduce(finite, axis=1) / n
-    cols["q025"][rows] = _percentile(ordered, 2.5)
-    cols["q975"][rows] = _percentile(ordered, 97.5)
-    m = positive.shape[1]
-    if m > 1:
-        logs = np.log(positive)
-        dev = logs - (np.add.reduce(logs, axis=1) / m)[:, None]
-        cols["var_log"][rows] = np.add.reduce(dev * dev, axis=1) / (m - 1)
-
-
-def _percentile(ordered: np.ndarray, q: float) -> np.ndarray:
-    """np.percentile(row, q) (method "linear") of each row of the sorted
-    block, in the same operations."""
-    n = ordered.shape[1]
-    virtual = (n - 1) * (q / 100)
-    # from the last index on, numpy interpolates the last value with itself
-    lo = -1 if virtual >= n - 1 else math.floor(virtual)
-    a, b = ordered[:, lo], ordered[:, lo + 1 if lo >= 0 else -1]
-    gamma = virtual - lo
-    diff = b - a
-    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+    cols["median"][rows] = np.median(ordered, axis=1)
+    cols["q025"][rows], cols["q975"][rows] = np.percentile(
+        ordered, (2.5, 97.5), axis=1)
+    cols["mean"][rows] = np.mean(finite, axis=1)
+    if positive.shape[1] > 1:
+        cols["var_log"][rows] = np.var(np.log(positive), axis=1, ddof=1)
 
 
 def _law_fields(process: TestingProcess):
@@ -355,8 +313,9 @@ def _seed_states(entropies: Sequence[Sequence[int]]) -> np.ndarray:
 def _scenario_states(scenarios: Sequence[Scenario]) -> np.ndarray:
     """Block i holds scenario i's seed words, one row per stream: those of
     SeedSequence([seed, label key, stream])."""
-    entropies = [(s.seed, _label_key(s.label), stream)
-                 for s in scenarios for stream in (0, 1)]
+    keys = [_label_key(s.label) for s in scenarios]
+    entropies = [(s.seed, key, stream)
+                 for s, key in zip(scenarios, keys) for stream in (0, 1)]
     return _seed_states(entropies).reshape(len(scenarios), 2, _POOL)
 
 
@@ -385,15 +344,10 @@ def _streams(states: np.ndarray):
                  for words in states)
 
 
-def run_scenario(
-    scenario: Scenario, states: Optional[np.ndarray] = None
-) -> ScenarioResult:
+def run_scenario(scenario: Scenario, states: np.ndarray) -> ScenarioResult:
     """Every replication of a scenario: its counts from the closed-form count
-    law.  `states` are the scenario's seed words; without them they are
-    derived here.  The estimates come from `run_grid`'s pass over the whole
-    grid, or, for a scenario run alone, on first use."""
-    if states is None:
-        (states,) = _scenario_states([scenario])
+    law, on the generators of its seed words `states` (`_scenario_states`).
+    The result has no estimates yet; `run_grid` fills them in."""
     try:
         counts = scenario.count_law.draw(
             scenario.n_target, scenario.replications, _streams(states)
@@ -417,7 +371,8 @@ def worker_processes(scenarios: Sequence[Scenario], workers: int) -> int:
 
 
 def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> List[ScenarioResult]:
-    """Run every scenario; results come back in scenario order.
+    """Run every scenario; results come back in scenario order.  A scenario
+    run alone is a grid of one.
 
     Every scenario's seed words are derived here in one pass and travel
     with it.  `run_scenario` draws each scenario's counts; then one
@@ -425,10 +380,10 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> List[ScenarioRe
     (`_estimate_block`), and each result holds a view of its slice.
     `workers` is an upper bound: the grid runs on `worker_processes(scenarios,
     workers)` processes, in-process when that is 1, so a grid too small to
-    repay a pool starts none.  In a pool the
-    scenarios go out in chunks, about four per worker: a scenario's cost is
-    one array block, alike across cells, so equal chunks balance, and each
-    chunk pays the per-task transfer once.
+    repay a pool starts none.  In a pool the scenarios go out in chunks,
+    about four per worker: a scenario's cost is one array block, alike
+    across cells, so equal chunks balance, and each chunk pays the
+    per-task transfer once.
     """
     states = _scenario_states(scenarios)
     processes = worker_processes(scenarios, workers)
@@ -451,14 +406,21 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> List[ScenarioRe
 # grid construction
 
 
+def exact_g(x) -> str:
+    """`x` in `:g` format where that reads back as `x`, else its repr: short
+    for the usual grid values, and never one text for two values."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 def _scenario_label(rule, law, r, c, frr, assay_name):
     if isinstance(law, ExponentialInterTest):
-        lawtxt = f"theta{law.theta:g}"
+        lawtxt = f"theta{exact_g(law.theta)}"
     else:
-        lawtxt = f"uni{law.a:g}-{law.b:g}"
-    txt = f"{rule.value}_{lawtxt}_r{r:g}_c{c:g}"
+        lawtxt = f"uni{exact_g(law.a)}-{exact_g(law.b)}"
+    txt = f"{rule.value}_{lawtxt}_r{exact_g(r)}_c{exact_g(c)}"
     if frr:
-        txt += f"_frr{frr:g}"
+        txt += f"_frr{exact_g(frr)}"
     if assay_name != "default":
         txt += f"_{assay_name}"
     return txt
@@ -483,7 +445,9 @@ def build_grid(
     """Every (rule, law, frr, r, c) cell, in that nesting order.  The laws
     are Exponential(theta) for each of `thetas`, or with `uniform_bs`
     Uniform(0, b) for each b.  Each list must hold a value: an empty one is
-    a ValueError naming its config key, not a grid without cells."""
+    a ValueError naming its config key, not a grid without cells.  A label
+    keys its cell's random streams, so two cells with one label (a value
+    listed twice) are a ValueError naming the label."""
     lists = {"rules": rules, "theta": thetas, "r": rs, "c": cs, "frr": frrs}
     if uniform_bs is not None:
         lists["uniform_b"] = uniform_bs
@@ -522,6 +486,11 @@ def build_grid(
                                 seed=seed,
                             )
                         )
+    seen = set()
+    for s in scenarios:
+        if s.label in seen:
+            raise ValueError(f"two cells share the label {s.label!r}")
+        seen.add(s.label)
     return scenarios
 
 
@@ -543,11 +512,7 @@ def build_sensitivity(suite: str, seed: int, replications: int, n_target: int = 
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.10g}"
-    return str(x)
+    return f"{x:.10g}" if isinstance(x, float) else str(x)
 
 
 @contextmanager
@@ -728,8 +693,7 @@ def write_histogram(rows, out_path: Path):
             ["bin_lo", "bin_hi", "aware_included", "aware_excluded",
              "unaware_included", "unaware_excluded"]
         )
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows([_fmt(v) for v in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -813,8 +777,7 @@ def write_table1(rows, out_path: Path):
         w = csv.writer(fh)
         cols = list(rows[0].keys())
         w.writerow(cols)
-        for row in rows:
-            w.writerow([_fmt(row[c]) for c in cols])
+        w.writerows([_fmt(row[c]) for c in cols] for row in rows)
 
 
 def default_out_dir() -> Path:

@@ -30,7 +30,7 @@ from recencysim.estimator import (
     survey_composition,
     survey_weight,
 )
-from recencysim.harness import build_grid, build_sensitivity, run_scenario
+from recencysim.harness import build_grid, build_sensitivity, run_grid
 from recencysim.population import (
     DEFAULT_PARAMS,
     InfeasibleScenarioError,
@@ -117,7 +117,7 @@ def cross_engine_pvalues():
     per engine; fixed seeds."""
     pvalues = {}
     for scenario in CROSS_ENGINE_CELLS:
-        result = run_scenario(scenario)
+        result = run_grid([scenario])[0]
         reference = [_reference_replication(scenario, rep) for rep in range(REPS)]
         for name, a, pick in (
             ("estimate", result.estimates, lambda row: row[1]),
@@ -170,7 +170,7 @@ def test_every_law_draws_from_the_count_law(monkeypatch):
     for uniform_bs in (None, (3.0,)):
         (cell,) = build_grid(3, 1, n_target=200, thetas=(1.0,), rs=(0.6,),
                              cs=(1.0,), rules=(SWP,), uniform_bs=uniform_bs)
-        counts = run_scenario(cell).counts
+        counts = run_grid([cell])[0].counts
         want = cell.count_law.draw(200, 1, seed_sequence_streams(cell))
         assert vars(counts).keys() == vars(want).keys()
         for name, column in vars(want).items():
@@ -313,7 +313,7 @@ MEAN_CELLS = [
 def test_count_engine_mean_matches_the_limit(scenario):
     # the estimator's finite-N bias is O(1/N), far below the standard error
     reps = 2000
-    result = run_scenario(dataclasses.replace(scenario, replications=reps))
+    result = run_grid([dataclasses.replace(scenario, replications=reps)])[0]
     est = result.estimates
     assert np.isfinite(est).all()
     se = est.std(ddof=1) / math.sqrt(reps)
@@ -375,6 +375,6 @@ def test_a_cell_evaluates_each_kernel_term_once(monkeypatch, label, calls):
         return real(*args)
 
     monkeypatch.setattr(estimator, "_integrate", integrate)
-    result = run_scenario(scenario)
+    result = run_grid([scenario])[0]
     harness._write_summary([result], io.StringIO())
     assert len(counted) == calls, counted

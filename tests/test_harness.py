@@ -31,7 +31,6 @@ from recencysim.harness import (
     emit_histogram,
     emit_table1,
     run_grid,
-    run_scenario,
     write_histogram,
     write_results,
     write_table1,
@@ -76,6 +75,20 @@ class TestGridConstruction:
         labels = [s.label for s in build_grid(1, 1)]
         assert len(labels) == len(set(labels))
 
+    def test_labels_keep_values_beyond_g(self):
+        # `:g` writes both thetas as "1"; one label would key one stream
+        cells = build_grid(1, 4, n_target=300, thetas=(1.0, 1.0000001), rs=(0.6,),
+                           cs=(1.0,), rules=(ObservationRule.STOP_WHEN_POSITIVE,))
+        assert [s.label for s in cells] == ["swp_theta1_r0.6_c1",
+                                            "swp_theta1.0000001_r0.6_c1"]
+        a, b = run_grid(cells)
+        assert not all(np.array_equal(x, y) for x, y in zip(block(a), block(b)))
+
+    def test_repeated_value_is_rejected(self):
+        with pytest.raises(ValueError,
+                           match="two cells share the label 'regular_theta1_r0_c0'"):
+            build_grid(1, 1, thetas=(1.0, 1.0))
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             build_sensitivity("nope", 1, 1)
@@ -96,10 +109,10 @@ class TestGridConstruction:
 class TestDeterminism:
     def test_scenario_repeatable(self):
         s = small_grid(reps=4)[0]
-        assert_same_block(run_scenario(s), run_scenario(s))
+        assert_same_block(run_grid([s])[0], run_grid([s])[0])
 
     def test_replications_differ(self):
-        res = run_scenario(small_grid(reps=2)[0])
+        res = run_grid([small_grid(reps=2)[0]])[0]
         rows = np.column_stack(block(res))
         assert not np.array_equal(rows[0], rows[1])
 
@@ -110,9 +123,9 @@ class TestDeterminism:
         cells = build_grid(3, 9, n_target=300, rs=(0.3,), cs=(1.0,), thetas=(1.5,),
                            uniform_bs=uniform_bs)
         for cell in cells:
-            full = run_scenario(cell)
+            full = run_grid([cell])[0]
             for k in (1, 4):
-                head = run_scenario(dataclasses.replace(cell, replications=k))
+                head = run_grid([dataclasses.replace(cell, replications=k)])[0]
                 for x, y in zip(block(full), block(head), strict=True):
                     assert np.array_equal(x[:k], y)
 
@@ -175,16 +188,14 @@ class TestDeterminism:
         } == digests
 
     def test_label_keyed_streams_match_across_grids(self):
-        # an frr=0 sensitivity scenario reproduces its main-grid twin
-        main = {s.label: s for s in build_grid(7, 2, n_target=300, thetas=(1.0,))}
-        sens = [
-            s
-            for s in build_sensitivity("frr", 7, 2, n_target=300)
-            if s.assay.frr == 0.0 and s.label in main
-        ]
-        assert sens
-        twin = sens[0]
-        assert_same_block(run_scenario(twin), run_scenario(main[twin.label]))
+        # every frr=0 sensitivity scenario reproduces its main-grid twin
+        main = {s.label: s for s in build_grid(7, 2, n_target=300)}
+        twins = [s for s in build_sensitivity("frr", 7, 2, n_target=300)
+                 if s.assay.frr == 0.0]
+        assert len(twins) == 2 * 2 * 4 * 2
+        for got, want in zip(run_grid(twins), run_grid([main[s.label] for s in twins]),
+                             strict=True):
+            assert_same_block(got, want)
 
 
 class TestSeedStates:
@@ -222,7 +233,7 @@ class TestSeedStates:
         assert pool_forced == ([2] if workers == 2 else [])
         for s, res in zip(scenarios, results, strict=True):
             assert res.scenario == s
-            assert_same_block(run_scenario(s), res)
+            assert_same_block(run_grid([s])[0], res)
 
 
 class InProcessPool:
@@ -302,7 +313,7 @@ class TestWorkerProcesses:
         results = run_grid(scenarios, workers=5000)
         assert started == [want]
         for got, alone in zip(results, scenarios, strict=True):
-            assert_same_block(got, run_scenario(alone))
+            assert_same_block(got, run_grid([alone])[0])
 
 
 class TestSummaries:
@@ -319,9 +330,9 @@ class TestSummaries:
             replications=20,
             seed=11,
         )
-        res = run_scenario(s)
+        res = run_grid([s])[0]
         est = np.array(res.estimates)
-        summ = res.summary()
+        summ = summary_row(res)
         assert summ["median"] == pytest.approx(np.median(est))
         assert summ["mean"] == pytest.approx(np.mean(est))
         positive = est[est > 0]  # var_log drops zero/negative estimates
@@ -342,7 +353,7 @@ class TestSummaries:
             replications=60,
             seed=17,
         )
-        res = run_scenario(s)
+        res = run_grid([s])[0]
         expected = DEFAULT_PARAMS.incidence + analytic_bias(
             DEFAULT_ASSAY, theta, r, c, rule, DEFAULT_PARAMS
         )
@@ -376,6 +387,11 @@ def numpy_summary(est, screened):
     }
 
 
+def summary_row(result):
+    """`result`'s row of `summary_columns`."""
+    return {key: column[0] for key, column in harness.summary_columns([result]).items()}
+
+
 def with_estimates(result, estimates):
     """`result` holding the given estimates in place of those its counts
     give, as `run_grid` assigns them."""
@@ -386,7 +402,7 @@ def with_estimates(result, estimates):
 def summary_of(est, screened):
     zeros = np.zeros(len(est), dtype=np.int64)
     counts = SurveyCounts(zeros, zeros, zeros, screened)
-    return with_estimates(ScenarioResult(small_grid()[0], counts), est).summary()
+    return summary_row(with_estimates(ScenarioResult(small_grid()[0], counts), est))
 
 
 def _summary_cases():
@@ -526,16 +542,6 @@ class TestGridPasses:
         assert calls == {"estimate": 1, "scenario": len(scenarios) + 1}
         assert [len(r.estimates) for r in results] == [3] * len(scenarios) + [0]
 
-    def test_scenario_alone_derives_its_estimates_once(self, calls):
-        s = small_grid(reps=3)[1]
-        res = run_scenario(s)
-        assert calls["estimate"] == 0  # the draw alone makes no estimate
-        want = run_grid([s])[0].estimates
-        assert calls["estimate"] == 1
-        assert np.array_equal(res.estimates, want)
-        assert np.array_equal(res.estimates, want)
-        assert calls["estimate"] == 2
-
 
 def csv_writer_replications(results):
     """replications.csv as csv.writer writes it, row by row."""
@@ -587,7 +593,7 @@ class TestReplicationsWriter:
             assert fh.getvalue() == f"{s.label},0\r\n"
 
     def test_rejects_a_label_that_needs_quoting(self):
-        res = run_scenario(small_grid(reps=1)[0])
+        res = run_grid([small_grid(reps=1)[0]])[0]
         res.scenario = dataclasses.replace(res.scenario, label="swp,theta1")
         with pytest.raises(ValueError, match="would need CSV quoting"):
             harness._write_replications([res], io.StringIO())
@@ -818,7 +824,7 @@ class TestOutputsAndCli:
             replications=1,
             seed=3,
         )
-        good = run_scenario(scenario)
+        good = run_grid([scenario])[0]
         bad = ScenarioResult(scenario=scenario, error="attempt cap hit")
         assert not write_results([good, bad], tmp_path, config_echo={}, seed=3,
                                  wall_time=0.0)
@@ -862,6 +868,14 @@ class TestOutputsAndCli:
         assert rc == 0
         assert (tmp_path / "histogram_swp_theta1_c2.csv").exists()
         capsys.readouterr()
+
+    def test_cli_histogram_names_each_theta_exactly(self, tmp_path, capsys):
+        for theta in ("1", "1.0000001"):
+            assert cli_main(["histogram", "--theta", theta, "--c", "2",
+                             "--n-infected", "100", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "histogram_swp_theta1.0000001_c2.csv", "histogram_swp_theta1_c2.csv"]
 
     def test_cli_mdri(self, capsys):
         rc = cli_main(
@@ -952,6 +966,7 @@ class TestOutputsAndCli:
             ("theta: [.inf]", "theta must be finite, got inf"),
             ("uniform_b: [.inf]", "b must be finite, got inf"),
             ("theta: 1.0", "not iterable"),
+            ("theta: [1, 1]", "two cells share the label 'regular_theta1_r0_c0'"),
         ],
     )
     def test_cli_rejects_bad_grid_value(self, tmp_path, capsys, grid, message):
@@ -1109,7 +1124,7 @@ class TestInfeasibleCell:
             5, 2, n_target=200, rules=(ObservationRule.STOP_WHEN_POSITIVE,),
             thetas=(2.0,), rs=(0.0,), cs=(20.0,),
         )
-        res = run_scenario(infeasible)
+        res = run_grid([infeasible])[0]
         assert res.error == self.ERROR
         assert res.counts is None and res.estimates.size == 0
 
@@ -1120,7 +1135,7 @@ class TestInfeasibleCell:
             5, 2, n_target=200, rules=(ObservationRule.STOP_WHEN_POSITIVE,),
             rs=(0.0,), cs=(20.0,), uniform_bs=(3.0,),
         )
-        res = run_scenario(infeasible)
+        res = run_grid([infeasible])[0]
         assert res.error == (
             "no attendee can pass the exclusion window c=20 "
             "(admit probability 0 per draw)"
