@@ -27,7 +27,6 @@ from .estimator import (
 from .screening_analytics import (
     ScreeningForecast,
     forecast,
-    inclusion_probability,
     required_screening,
 )
 
@@ -53,6 +52,5 @@ __all__ = [
     "survey_composition",
     "ScreeningForecast",
     "forecast",
-    "inclusion_probability",
     "required_screening",
 ]

@@ -37,7 +37,7 @@ from typing import Tuple
 import numpy as np
 from scipy.special.cython_special import gammaincc
 
-from .population import PopulationParams, SurveyCounts
+from .population import InfeasibleScenarioError, PopulationParams, SurveyCounts
 from .recency_model import (
     RecencyAssay,
     curve_moment,
@@ -122,7 +122,7 @@ def _check_effective_mdri_args(assay: RecencyAssay, theta: float, r: float, c: f
 
 
 def _check_weight_args(r: float, c: float):
-    """Checks on the arguments of the survey weight."""
+    """The (r, c) check of every public analytic entry point."""
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must lie in [0, 1], got {r!r}")
     if not c >= 0.0:
@@ -172,12 +172,6 @@ def effective_mdri_numeric(
         points=[c] if 0.0 < c < tstar else None,
     )
     return total / math.exp(-theta * c)
-
-
-class KernelRangeError(ValueError):
-    """A cell past the range of the exponential kernel: scaled by
-    e^{-theta*c}, its weight needs e^{theta*c}, which is not a finite float
-    once theta*c exceeds about 709.78."""
 
 
 def _growth(theta: float, c: float) -> float:
@@ -272,8 +266,9 @@ def _integrate(pieces, theta, c, assay=None):
     keeps full precision where e^{theta*lo} is large.  The pieces start at
     u = 0 and each begins where the last ended, so every edge's terms are
     evaluated once.  The polynomial part is summed piece by piece and the
-    exponential part added last.  Raises KernelRangeError where the total
-    is not a finite float: it needed e^{theta*c}, which overflowed.
+    exponential part added last.  Raises InfeasibleScenarioError where the
+    total is not a finite float: it needed e^{theta*c}, which overflows a
+    float once theta*c exceeds about 709.78.
     """
     poly = expo_part = 0.0
     lo_terms = _EDGE_ZERO
@@ -303,7 +298,7 @@ def _integrate(pieces, theta, c, assay=None):
     total = poly + expo_part
     if math.isfinite(total):
         return total
-    raise KernelRangeError(
+    raise InfeasibleScenarioError(
         f"theta*c = {theta * c:g} is past the range of the scaled survey "
         "weight (e^(theta*c) overflows a float)"
     )
@@ -406,25 +401,32 @@ def survey_composition(
         p_r = (R + frr * (W(horizon) - W(T*))) / W(horizon).
 
     Either inter-test law; the attendance ratio r applies to aware
-    positives.  Raises ValueError when no attendee passes the window.
+    positives.  Raises InfeasibleScenarioError (`_composition`) when no
+    attendee passes the window.
     """
     _check_weight_args(r, c)
     weight = survey_weight(process, r, c, params.horizon)
-    if not weight[2] > 0.0:
-        raise ValueError(f"no attendee passes the exclusion window c={c!r}")
     p_star, p_r, _ = _composition(assay, process, r, c, params, weight)
     return p_star, p_r
 
 
 def _composition(assay, process, r, c, params, weight):
     """(p_star, p_r, bias) of a cell whose weight over the horizon is
-    `weight` = survey_weight(process, r, c, horizon), with W_c > 0.
+    `weight` = survey_weight(process, r, c, horizon).
 
     Evaluates the kernel once for R and, when frr > 0, once for W_x, both
     up to x = min(T*, horizon); `survey_composition` and
     `screening_analytics.survey_law` share it.  The bias is `_limit_bias`.
+    Raises InfeasibleScenarioError where W_c = 0: no one passes the window.
+    An admit probability that only underflows is left to the kernel's
+    range check and to the attempt cap in `SurveyLaw.draw`.
     """
     _, negatives, total = weight
+    if not total > 0.0:
+        raise InfeasibleScenarioError(
+            f"no attendee can pass the exclusion window c={c:g} "
+            "(admit probability 0 per draw)"
+        )
     cutoff = min(assay.recency_cutoff, params.horizon)
     recent = survey_weight(process, r, c, cutoff, assay)[2]
     frr, below, tested_recent = assay.frr, 0.0, recent

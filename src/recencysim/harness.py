@@ -43,7 +43,8 @@ import scipy
 from numpy.random.bit_generator import ISeedSequence
 
 from . import __version__
-from .estimator import analytic_bias, kassanjee_estimate, survey_weight
+from .estimator import (
+    _check_weight_args, analytic_bias, kassanjee_estimate, survey_weight)
 from .population import (
     DEFAULT_PARAMS,
     InfeasibleScenarioError,
@@ -658,8 +659,10 @@ def emit_histogram(
     of the survey weight over its bin, divided by tau: with r = 1 the weight
     is P(T > c | u) (included), with r = 0 it is P(T > u, T > c | u)
     (unaware and included), and with r = 0 and c = 0 P(T > u | u)
-    (unaware).  All the counts come from one multinomial draw.
+    (unaware).  All the counts come from one multinomial draw.  Any window
+    c >= 0; the analytic layer's (r, c) check rejects any other.
     """
+    _check_weight_args(1.0, c)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 777]))
     process = TestingProcess(law, rule)
     tau = params.max_duration

@@ -18,9 +18,10 @@ import numpy as np
 ATTEMPT_CAP = 100_000_000
 
 
-class InfeasibleScenarioError(RuntimeError):
-    """A scenario cannot fill its survey: no draw can be admitted, or the
-    expected number of population draws exceeds ATTEMPT_CAP."""
+class InfeasibleScenarioError(ValueError):
+    """The one error of every entry point for a cell it cannot compute: no
+    draw can be admitted, the expected number of population draws exceeds
+    ATTEMPT_CAP, or e^{theta*c} or n_target / s overflows a float."""
 
 
 @dataclass(frozen=True)

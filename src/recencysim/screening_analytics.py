@@ -8,7 +8,8 @@ Admitted attendees are iid, so a whole survey's counts follow one
 multinomial and one negative binomial law (`survey_law`).  The law also
 carries the cell's analytic bias and the delta-method variance of the log
 estimate, from the same kernel terms: W_c, W_0, R and, with a false-recent
-rate, W_x, each evaluated once per cell.
+rate, W_x, each evaluated once per cell.  Every window c >= 0 is valid,
+also past the horizon.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Tuple
 import numpy as np
 
 from . import population
-from .estimator import KernelRangeError, _composition, log_variance, survey_weight
+from .estimator import _check_weight_args, _composition, log_variance, survey_weight
 from .population import (
     InfeasibleScenarioError,
     PopulationParams,
@@ -31,47 +32,10 @@ from .recency_model import RecencyAssay
 from .testing_history import ExponentialInterTest, ObservationRule, TestingProcess
 
 
-class InclusionProbabilityError(ValueError):
-    """The closed form left (0, 1]; signals an invalid parameter combination."""
-
-
 @dataclass(frozen=True)
 class ScreeningForecast:
     inclusion_probability: float
     required_screened: int
-
-
-def inclusion_probability(
-    rule: ObservationRule,
-    params: PopulationParams,
-    theta: float,
-    r: float,
-    c: float,
-) -> float:
-    """P(pass the exclusion criterion | attends screening), closed form.
-
-    Exponential inter-test times only.  Per surveyed-eligible negative
-    (weight e^{-theta*c}) the positives contribute incidence * W_c, so
-
-        s = e^{-theta*c} * (1 + incidence * W_c) / (1 + incidence * W_0)
-
-    with W_c the survey weight integrated over the horizon
-    (`estimator.survey_weight`); the denominator is the attendance
-    probability normalized by q0*(1-p).  The window must not exceed the
-    horizon.
-    """
-    if c > params.horizon:
-        raise InclusionProbabilityError(
-            f"exclusion window {c} exceeds the horizon {params.horizon}"
-        )
-    process = TestingProcess(ExponentialInterTest(theta), rule)
-    included, attending, _ = _admission_terms(process, params, r, c)
-    s = included / attending
-    if not 0.0 < s <= 1.0 + 1e-12:
-        raise InclusionProbabilityError(
-            f"inclusion probability {s} outside (0, 1]; check parameters"
-        )
-    return min(s, 1.0)
 
 
 def _admission_terms(process, params, r, c):
@@ -173,24 +137,14 @@ def survey_law(
 
     Either inter-test law, every rule, attendance ratio, window c >= 0
     (also past the horizon) and false-recent rate.  Evaluates the kernel
-    three times (W_c, W_0, R), four with frr > 0 (W_x).  Raises
-    InfeasibleScenarioError when no draw can be admitted, or when the
-    exponential kernel cannot represent the cell (theta*c too large).
+    three times (W_c, W_0, R), four with frr > 0 (W_x).  The kernel and
+    `_composition` raise InfeasibleScenarioError, unconverted, when the
+    exponential kernel cannot represent the cell (theta*c too large) or
+    when no draw can be admitted.
     """
     r, c = policy.attendance_ratio, policy.exclusion_window
-    try:
-        admitted, attending, weight = _admission_terms(process, params, r, c)
-        # W_c = 0: no one passes the window.  An admit probability that
-        # only underflows (e^{-theta*c} below the smallest float) is left
-        # to the kernel's range check and to the attempt cap in draw()
-        if not weight[2] > 0.0:
-            raise InfeasibleScenarioError(
-                f"no attendee can pass the exclusion window c={c:g} "
-                "(admit probability 0 per draw)"
-            )
-        p_star, p_r, bias = _composition(assay, process, r, c, params, weight)
-    except KernelRangeError as exc:
-        raise InfeasibleScenarioError(str(exc)) from None
+    admitted, attending, weight = _admission_terms(process, params, r, c)
+    p_star, p_r, bias = _composition(assay, process, r, c, params, weight)
     return SurveyLaw(
         p_star=p_star,
         p_r=p_r,
@@ -205,7 +159,7 @@ def required_screening(n_target: int, s: float) -> int:
     """Attendees needed (ceiling of n_target / s) to admit n_target.
 
     A subnormal `s` can put n_target / s past the largest float; such a
-    cell admits too few to count, an InclusionProbabilityError as for s = 0.
+    cell admits too few to count, an InfeasibleScenarioError as for s = 0.
     """
     if n_target <= 0:
         raise ValueError("n_target must be positive")
@@ -213,7 +167,7 @@ def required_screening(n_target: int, s: float) -> int:
         raise ValueError("inclusion probability must lie in (0, 1]")
     needed = n_target / s
     if needed == math.inf:
-        raise InclusionProbabilityError(
+        raise InfeasibleScenarioError(
             f"inclusion probability {s} too small: admitting {n_target} needs "
             "more attendees than a float can count"
         )
@@ -228,7 +182,19 @@ def forecast(
     c: float,
     n_target: int,
 ) -> ScreeningForecast:
-    s = inclusion_probability(rule, params, theta, r, c)
+    """The inclusion probability s = P(admitted | attends) of exponential
+    (Poisson) schedules, by the count law's rule (`SurveyLaw.inclusion`),
+    and the attendees needed to admit n_target (`required_screening`).
+    Raises InfeasibleScenarioError where s is 0 or n_target / s overflows.
+    """
+    _check_weight_args(r, c)
+    process = TestingProcess(ExponentialInterTest(theta), rule)
+    admitted, attending, _ = _admission_terms(process, params, r, c)
+    s = min(admitted / attending, 1.0)
+    if not s > 0.0:
+        raise InfeasibleScenarioError(
+            f"inclusion probability {s} outside (0, 1]; check parameters"
+        )
     return ScreeningForecast(
         inclusion_probability=s, required_screened=required_screening(n_target, s)
     )
@@ -238,8 +204,6 @@ __all__ = [
     "ScreeningForecast",
     "SurveyLaw",
     "survey_law",
-    "InclusionProbabilityError",
-    "inclusion_probability",
     "required_screening",
     "forecast",
 ]

@@ -22,7 +22,6 @@ from scipy.special import gammaincc
 
 from recencysim import estimator, recency_model
 from recencysim.estimator import (
-    KernelRangeError,
     analytic_bias,
     effective_mdri_closed,
     survey_composition,
@@ -42,7 +41,7 @@ from recencysim.recency_model import (
     curve_moment,
     mdri,
 )
-from recencysim.screening_analytics import inclusion_probability, survey_law
+from recencysim.screening_analytics import forecast, survey_law
 from recencysim.testing_history import (
     ExponentialInterTest,
     ObservationRule,
@@ -281,7 +280,7 @@ def test_inclusion_probability(rule, theta, r, c):
     w_c = quad(lambda u: weight(rule, theta, r, c, u), 0.0, HORIZON, kink=c)
     w_0 = quad(lambda u: weight(rule, theta, r, 0.0, u), 0.0, HORIZON)
     want = math.exp(-theta * c) * (1.0 + lam * w_c) / (1.0 + lam * w_0)
-    got = inclusion_probability(rule, DEFAULT_PARAMS, theta, r, c)
+    got = forecast(rule, DEFAULT_PARAMS, theta, r, c, 5000).inclusion_probability
     assert close(got, min(want, 1.0))
 
 
@@ -320,7 +319,7 @@ def test_inclusion_probability_matches_hand_algebra(rule, theta, r, c):
     want = inclusion_probability_hand(
         rule, p.incidence, p.prevalence, theta, r, c, p.horizon
     )
-    got = inclusion_probability(rule, p, theta, r, c)
+    got = forecast(rule, p, theta, r, c, 5000).inclusion_probability
     assert got == pytest.approx(min(want, 1.0), rel=1e-12, abs=0.0)
 
 
@@ -547,7 +546,8 @@ REGULAR = ObservationRule.REGULAR
          "swp_bias"],
 )
 def test_kernel_rejects_cells_past_its_range(call):
-    with pytest.raises(KernelRangeError, match=r"theta\*c = .* is past the range"):
+    with pytest.raises(InfeasibleScenarioError,
+                       match=r"theta\*c = .* is past the range"):
         call()
 
 

@@ -38,7 +38,7 @@ from recencysim.population import (
     ScreeningPolicy,
 )
 from recencysim.recency_model import DEFAULT_ASSAY, mdri
-from recencysim.screening_analytics import inclusion_probability, survey_law
+from recencysim.screening_analytics import forecast, survey_law
 from recencysim.testing_history import (
     ExponentialInterTest,
     ObservationRule,
@@ -188,7 +188,7 @@ class TestSurveyLaw:
         p_star, p_r = survey_composition(DEFAULT_ASSAY, process, r, c, DEFAULT_PARAMS)
         assert (law.p_star, law.p_r) == (p_star, p_r)
         assert law.composition == (p_star * p_r, p_star * (1.0 - p_r), 1.0 - p_star)
-        s = inclusion_probability(rule, DEFAULT_PARAMS, 1.5, r, c)
+        s = forecast(rule, DEFAULT_PARAMS, 1.5, r, c, 5000).inclusion_probability
         assert law.inclusion == s
         # admit = P(attend) * s, P(attend) = q0 * (1 - p) * (1 + lam * W_0)
         w_0 = survey_weight(process, r, 0.0, DEFAULT_PARAMS.horizon)[2]
@@ -242,13 +242,24 @@ class TestSurveyLaw:
 
     @pytest.mark.parametrize("rule", list(ObservationRule), ids=lambda r: r.value)
     def test_rejects_a_window_no_one_passes(self, rule):
-        # gaps of at most 3 years and c = 20 past the horizon: admit is 0
+        # gaps of at most 3 years and c = 20 past the horizon: admit is 0;
+        # the count law and the composition raise one error, one message
         process = TestingProcess(UniformInterTest(0.0, 3.0), rule)
         policy = ScreeningPolicy(q1=0.6, exclusion_window=20.0)
-        with pytest.raises(InfeasibleScenarioError, match="admit probability 0"):
-            survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS)
-        with pytest.raises(ValueError, match="no attendee passes"):
-            survey_composition(DEFAULT_ASSAY, process, 0.6, 20.0, DEFAULT_PARAMS)
+        calls = (
+            lambda: survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS),
+            lambda: survey_composition(DEFAULT_ASSAY, process, 0.6, 20.0,
+                                       DEFAULT_PARAMS),
+        )
+        messages = []
+        for call in calls:
+            with pytest.raises(InfeasibleScenarioError,
+                               match="admit probability 0") as exc:
+                call()
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == (
+            "no attendee can pass the exclusion window c=20 "
+            "(admit probability 0 per draw)")
 
     def test_rejects_bad_target(self):
         process = TestingProcess(ExponentialInterTest(1.0), SWP)

@@ -10,6 +10,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -953,6 +954,53 @@ class TestOutputsAndCli:
         assert message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["grid", "table1"])
+    @pytest.mark.parametrize("value,kind", [
+        ("[]", "list"), ("[theta]", "list"), ("0", "int"), ("false", "bool"),
+        ("''", "str"),
+    ])
+    @pytest.mark.parametrize("block", ["config", "the grid: block of"])
+    def test_cli_rejects_config_that_is_not_a_mapping(self, tmp_path, capsys,
+                                                      command, value, kind,
+                                                      block):
+        # a falsy value is no more a mapping than a truthy one
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(value + "\n" if block == "config" else f"grid: {value}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--config", str(cfg),
+                      "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{block} {cfg} must be a mapping, got {kind}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("body", ["", "# comment only\n", "grid:\n",
+                                      "grid: null\n"])
+    def test_cli_reads_empty_config_as_defaults(self, tmp_path, capsys, body):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(body)
+        out = tmp_path / "out"
+        assert cli_main(["grid", "--config", str(cfg), "--reps", "1",
+                         "--out-dir", str(out)]) == 0
+        assert "grid: 160 scenarios" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["scenarios"] == 160 and manifest["errors"] == []
+
+    def test_cli_wall_time_ignores_a_wall_clock_step(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # the wall clock steps back an hour at every reading
+        steps = itertools.count(0.0, -3600.0)
+        monkeypatch.setattr(time, "time", lambda: 2e9 + next(steps))
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("n_target: 200\ngrid:\n  theta: [1.0]\n  r: [1.0]\n"
+                       "  c: [0.0]\n")
+        out = tmp_path / "out"
+        assert cli_main(["grid", "--config", str(cfg), "--reps", "1",
+                         "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["wall_time_s"] >= 0.0
+
     @pytest.mark.parametrize(
         "grid,message",
         [
@@ -1080,6 +1128,8 @@ class TestOutputsAndCli:
             (["histogram", "--rule", "swp", "--theta", "100", "--c", "10"],
              "theta*c = 1000 is past the range of the scaled survey weight"),
             (["histogram", "--c", "-0.5"], "c must be nonnegative, got -0.5"),
+            (["histogram", "--c", "nan"], "c must be nonnegative, got nan"),
+            (["mdri", "--c", "nan"], "c must be nonnegative, got nan"),
             (["histogram", "--n-infected", "0"],
              "--n-infected must be a positive integer, got 0"),
             (["histogram", "--n-infected", "-5"],

@@ -8,7 +8,7 @@ from recencysim.population import (
     SurveyCounts,
 )
 from recencysim.recency_model import DEFAULT_ASSAY, RecencyAssay
-from recencysim.screening_analytics import inclusion_probability
+from recencysim.screening_analytics import forecast
 from recencysim.testing_history import (
     ExponentialInterTest,
     ObservationRule,
@@ -180,9 +180,9 @@ class TestAssembleSurvey:
     def test_screening_effort_matches_closed_form(self):
         # SWP, theta=1, r=0.6, c=2: expected ~3.75 attendees per admission
         policy = ScreeningPolicy(q1=0.6, exclusion_window=2.0)
-        s = inclusion_probability(
-            ObservationRule.STOP_WHEN_POSITIVE, DEFAULT_PARAMS, 1.0, 0.6, 2.0
-        )
+        s = forecast(
+            ObservationRule.STOP_WHEN_POSITIVE, DEFAULT_PARAMS, 1.0, 0.6, 2.0, 5000
+        ).inclusion_probability
         rng = np.random.default_rng(22)
         counts = assemble_survey_rows(
             DEFAULT_PARAMS, SWP1, policy, DEFAULT_ASSAY, 20_000, rng

@@ -1,11 +1,21 @@
+import math
+
 import pytest
 
-from recencysim.population import DEFAULT_PARAMS, ScreeningPolicy
+from recencysim.estimator import (
+    analytic_bias,
+    effective_mdri_closed,
+    survey_composition,
+)
+from recencysim.harness import build_grid
+from recencysim.population import (
+    DEFAULT_PARAMS,
+    InfeasibleScenarioError,
+    ScreeningPolicy,
+)
 from recencysim.recency_model import DEFAULT_ASSAY
 from recencysim.screening_analytics import (
-    InclusionProbabilityError,
     forecast,
-    inclusion_probability,
     required_screening,
     survey_law,
 )
@@ -18,7 +28,7 @@ from recencysim.testing_history import (
 from reference_sampler import inclusion_probability_mc
 
 def s_closed(rule, theta, r, c):
-    return inclusion_probability(rule, DEFAULT_PARAMS, theta, r, c)
+    return forecast(rule, DEFAULT_PARAMS, theta, r, c, 5000).inclusion_probability
 
 
 class TestInclusionProbability:
@@ -63,10 +73,13 @@ class TestInclusionProbability:
         assert mc == pytest.approx(s_closed(rule, theta, r, c), rel=0.02)
 
     def test_invalid_combination_raises(self):
-        with pytest.raises(InclusionProbabilityError):
-            inclusion_probability(
-                ObservationRule.REGULAR, DEFAULT_PARAMS, 1.0, 0.0, 60.0
-            )
+        # c = 60 is past the horizon (12.76): a valid window, where the
+        # forecast reads the count law's inclusion probability, bit for bit
+        process = TestingProcess(ExponentialInterTest(1.0), ObservationRule.REGULAR)
+        policy = ScreeningPolicy(q1=0.0, exclusion_window=60.0)
+        law = survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS)
+        assert s_closed(ObservationRule.REGULAR, 1.0, 0.0, 60.0) == law.inclusion
+        assert 0.0 < law.inclusion < 1e-25
 
 
 class TestRequiredScreening:
@@ -87,7 +100,7 @@ class TestRequiredScreening:
 
     def test_subnormal_probability_is_an_inclusion_error(self):
         # 5000 / 5e-324 overflows; a tiny s whose quotient is finite still counts
-        with pytest.raises(InclusionProbabilityError, match="too small"):
+        with pytest.raises(InfeasibleScenarioError, match="too small"):
             required_screening(5000, 5e-324)
         assert required_screening(1, 2.0**-1000) == 2**1000
 
@@ -105,8 +118,44 @@ class TestForecast:
     def test_regular_cell_past_the_float_range_raises(self, theta):
         # at theta = 710 the inclusion probability is subnormal (about
         # 4e-309) and 5000 / s overflows; at 800 it is 0
-        with pytest.raises(InclusionProbabilityError):
+        with pytest.raises(InfeasibleScenarioError):
             forecast(ObservationRule.REGULAR, DEFAULT_PARAMS, theta, 1.0, 1.0, 5000)
+
+    @pytest.mark.parametrize(
+        "r,c,message",
+        [
+            (1.5, 0.25, "r must lie in [0, 1], got 1.5"),
+            (-0.2, 0.25, "r must lie in [0, 1], got -0.2"),
+            (0.6, -1.0, "c must be nonnegative, got -1.0"),
+            (0.6, math.nan, "c must be nonnegative, got nan"),
+        ],
+    )
+    @pytest.mark.parametrize("rule", list(ObservationRule), ids=lambda r: r.value)
+    def test_rejects_what_every_entry_point_rejects(self, rule, r, c, message):
+        # the survey weight's one (r, c) check, with its messages
+        process = TestingProcess(ExponentialInterTest(1.0), rule)
+        calls = (
+            lambda: forecast(rule, DEFAULT_PARAMS, 1.0, r, c, 5000),
+            lambda: effective_mdri_closed(DEFAULT_ASSAY, 1.0, r, c, rule),
+            lambda: analytic_bias(DEFAULT_ASSAY, 1.0, r, c, rule, DEFAULT_PARAMS),
+            lambda: survey_composition(DEFAULT_ASSAY, process, r, c, DEFAULT_PARAMS),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    def test_equals_the_count_law_on_the_main_grid(self):
+        cells = build_grid(seed=1, replications=1)
+        assert len(cells) == 160
+        for cell in cells:
+            process = cell.process
+            fc = forecast(
+                process.observation_rule, cell.params,
+                process.inter_test_law.theta, cell.policy.attendance_ratio,
+                cell.policy.exclusion_window, cell.n_target,
+            )
+            assert fc.inclusion_probability == cell.count_law.inclusion, cell.label
 
 
 class TestUniformScheduleMc:
