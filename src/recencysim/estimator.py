@@ -64,8 +64,8 @@ def kassanjee_estimate(
 ) -> np.ndarray:
     """Incidence estimates from survey counts and external assay estimates.
 
-    The assay values are floats, or arrays with one entry per survey (a
-    grid's cells repeated over their replications).  Elementwise,
+    The assay values are floats (one scenario's assay, as the harness
+    passes them), or arrays with one entry per survey.  Elementwise,
     (n_rec - n_pos*frr_hat) / (n_neg * (mdri_hat - frr_hat*T*)), in that
     order of operations, so each entry is the scalar formula's value bit for
     bit.  Negative values (possible when frr_hat > 0) are returned as-is.
@@ -255,6 +255,21 @@ def _curve_terms(assay, y, n, theta):
     return moments, q, 1.0 if theta is None else gammaincc(s, (b + theta) * y)
 
 
+#: theta*(hi - lo) up to which `_integrate` takes a series; its first
+#: omitted term is below (theta*(hi - lo))^3 / 6 of the piece
+_SERIES_SPAN = 1e-3
+
+
+def _series(assay, lo, hi, q_lo, q_hi, theta):
+    """The series of `_integrate` on [lo, hi], q_lo and q_hi the curve at the
+    edges.  Not inline: a generator inside `_integrate` would turn its loop's
+    locals into closure cells, slower on every piece."""
+    m0, m1, m2 = (curve_moment(assay, hi, k, q_hi) - curve_moment(assay, lo, k, q_lo)
+                  for k in range(3))  # every moment is 0 at u = 0
+    j1, j2 = m1 - lo * m0, m2 - lo * (2.0 * m1 - lo * m0)
+    return m0 - theta * (j1 - theta * j2 / 2.0)
+
+
 def _integrate(pieces, theta, c, assay=None):
     """int f(u) * w(u) du over the pieces of a survey weight, in closed form:
     f = 1, or Q(s, b*u), the test-recent curve below its cutoff, given an
@@ -263,10 +278,14 @@ def _integrate(pieces, theta, c, assay=None):
     On a piece (lo, hi, coefs, expo) the weight is
     sum_k coefs[k] * u^k + expo * e^{-theta*(u-lo)}, expo None where the
     piece has no exponential term.  Discounting from the piece's start
-    keeps full precision where e^{theta*lo} is large.  The pieces start at
-    u = 0 and each begins where the last ended, so every edge's terms are
-    evaluated once.  The polynomial part is summed piece by piece and the
-    exponential part added last.  Raises InfeasibleScenarioError where the
+    keeps full precision where e^{theta*lo} is large.  Against the curve
+    that term, by parts, divides a difference of incomplete gammas that
+    cancels as theta*(hi - lo) -> 0 by theta; up to `_SERIES_SPAN` it is
+    J0 - theta*J1 + theta^2*J2/2 instead, J_k = int_lo^hi (u - lo)^k * Q du
+    from the curve's moments.  The pieces start at u = 0 and each begins
+    where the last ended, so every edge's terms are evaluated once.  The
+    polynomial part is summed piece by piece and the exponential part added
+    last.  Raises InfeasibleScenarioError where the
     total is not a finite float: it needed e^{theta*c}, which overflows a
     float once theta*c exceeds about 709.78.
     """
@@ -284,12 +303,15 @@ def _integrate(pieces, theta, c, assay=None):
             piece += coefs[k] * (hi_m[k] - lo_m[k])
         poly += piece
         if expo is not None:  # int_lo^hi f(u) * e^{-theta*(u-lo)} du
+            span = theta * (hi - lo)
             if assay is None:
-                discounted = -math.expm1(-theta * (hi - lo)) / theta
+                discounted = -math.expm1(-span) / theta
+            elif span <= _SERIES_SPAN:
+                discounted = _series(assay, lo, hi, lo_terms[1], hi_terms[1], theta)
             else:  # by parts (DLMF 8.2)
                 s, b = assay.gamma_shape, assay.gamma_rate
                 discounted = (
-                    lo_terms[1] - math.exp(-theta * (hi - lo)) * hi_terms[1]
+                    lo_terms[1] - math.exp(-span) * hi_terms[1]
                     - (b / (b + theta)) ** s
                     * (_growth(theta, lo) * (lo_terms[2] - hi_terms[2]))
                 ) / theta

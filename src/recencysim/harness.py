@@ -11,11 +11,13 @@ key, stream]), without a SeedSequence per scenario.  Replication i is
 therefore the same for any replication count, any worker count and in
 whichever grid the scenario appears.
 
-`run_grid` is the one path from counts to estimates and summary rows: one
-`kassanjee_estimate` call over the grid gives every estimate, and
-`summary_columns` reduces them with numpy's own functions, one 2-D block
-per replication count.  Each summary row also carries the analytic bias
-and the delta-method variance of the log estimate, from its count law.
+A scenario is finished where it is drawn: `run_scenario` scores its
+counts with one `kassanjee_estimate` call on its own assay, and nothing
+changes a result after that.  `run_grid` is a plain map of `run_scenario`
+over the grid, and `summary_columns` reduces the estimates with numpy's
+own functions, one 2-D block per replication count.  Each summary row also
+carries the analytic bias and the delta-method variance of the log
+estimate, from its count law.
 
 A grid starts worker processes only when its replications can repay the
 pool's start-up and transfer: `workers` is an upper bound, and
@@ -31,6 +33,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import os
 import platform
 from contextlib import contextmanager
@@ -121,44 +124,16 @@ class Scenario:
         return survey_law(self.assay, self.process, self.policy, self.params)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioResult:
     """A scenario's replications as arrays, entry i being replication i
-    (estimates nan where undefined, filled in by `run_grid`); or the error
-    that stopped it, with no counts and no estimates."""
+    (estimates nan where undefined); or the error that stopped it, with no
+    counts and no estimates.  Finished when `run_scenario` returns it."""
 
     scenario: Scenario
     counts: Optional[SurveyCounts] = None
     error: Optional[str] = None
     estimates: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
-def _estimate_block(results: Sequence[ScenarioResult]) -> List[np.ndarray]:
-    """Every result's estimates, from one `kassanjee_estimate` call on the
-    concatenated counts: each cell's MDRI, FRR and cutoff are repeated over
-    its replications, so every entry is the cell's own scalar formula, bit
-    for bit.  Entry i is a view of result i's slice; empty for an error."""
-    done = [r for r in results if r.counts is not None]
-    if not done:
-        return [np.empty(0) for _ in results]
-    sizes = [len(r.counts.n_pos) for r in done]
-    assays = [r.scenario.assay for r in done]
-
-    def per_cell(values):
-        return np.repeat(np.array(values, dtype=float), sizes)
-
-    def joined(name):
-        return np.concatenate([getattr(r.counts, name) for r in done])
-
-    omega = {a: mdri(a) for a in set(assays)}
-    estimates = kassanjee_estimate(
-        SurveyCounts(*map(joined, ("n_pos", "n_neg", "n_rec", "n_screened"))),
-        per_cell([omega[a] for a in assays]),
-        per_cell([a.frr for a in assays]),
-        per_cell([a.recency_cutoff for a in assays]),
-    )
-    parts = iter(np.split(estimates, np.cumsum(sizes)[:-1]))
-    return [next(parts) if r.counts is not None else np.empty(0) for r in results]
 
 
 #: `summary_columns` keys; the statistics columns of summary.csv
@@ -347,15 +322,17 @@ def _streams(states: np.ndarray):
 
 def run_scenario(scenario: Scenario, states: np.ndarray) -> ScenarioResult:
     """Every replication of a scenario: its counts from the closed-form count
-    law, on the generators of its seed words `states` (`_scenario_states`).
-    The result has no estimates yet; `run_grid` fills them in."""
+    law, on the generators of its seed words `states` (`_scenario_states`),
+    and their estimates from the scenario's assay."""
     try:
         counts = scenario.count_law.draw(
             scenario.n_target, scenario.replications, _streams(states)
         )
     except InfeasibleScenarioError as exc:
         return ScenarioResult(scenario=scenario, error=str(exc))
-    return ScenarioResult(scenario=scenario, counts=counts)
+    assay = scenario.assay
+    return ScenarioResult(scenario, counts, estimates=kassanjee_estimate(
+        counts, mdri(assay), assay.frr, assay.recency_cutoff))
 
 
 #: replications one worker must have before a pool repays its start-up and
@@ -376,31 +353,24 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> List[ScenarioRe
     run alone is a grid of one.
 
     Every scenario's seed words are derived here in one pass and travel
-    with it.  `run_scenario` draws each scenario's counts; then one
-    `kassanjee_estimate` call over the whole grid gives every estimate
-    (`_estimate_block`), and each result holds a view of its slice.
-    `workers` is an upper bound: the grid runs on `worker_processes(scenarios,
-    workers)` processes, in-process when that is 1, so a grid too small to
-    repay a pool starts none.  In a pool the scenarios go out in chunks,
-    about four per worker: a scenario's cost is one array block, alike
-    across cells, so equal chunks balance, and each chunk pays the
-    per-task transfer once.
+    with it; the rest is a map of `run_scenario`, whose results come back
+    finished.  `workers` is an upper bound: the grid runs on
+    `worker_processes(scenarios, workers)` processes, in-process when that
+    is 1, so a grid too small to repay a pool starts none.  In a pool the
+    scenarios go out in chunks, about four per worker: a scenario's cost is
+    one array block, alike across cells, so equal chunks balance, and each
+    chunk pays the per-task transfer once.
     """
     states = _scenario_states(scenarios)
     processes = worker_processes(scenarios, workers)
     if processes == 1:
-        results = [run_scenario(s, w) for s, w in zip(scenarios, states)]
-    else:
-        # here, not at module top: only a pool needs multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        return [run_scenario(s, w) for s, w in zip(scenarios, states)]
+    # here, not at module top: only a pool needs multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        chunksize = max(1, math.ceil(len(scenarios) / (4 * processes)))
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(
-                pool.map(run_scenario, scenarios, states, chunksize=chunksize))
-    for res, estimates in zip(results, _estimate_block(results)):
-        res.estimates = estimates
-    return results
+    chunksize = max(1, math.ceil(len(scenarios) / (4 * processes)))
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        return list(pool.map(run_scenario, scenarios, states, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +415,21 @@ def build_grid(
 ) -> List[Scenario]:
     """Every (rule, law, frr, r, c) cell, in that nesting order.  The laws
     are Exponential(theta) for each of `thetas`, or with `uniform_bs`
-    Uniform(0, b) for each b.  Each list must hold a value: an empty one is
-    a ValueError naming its config key, not a grid without cells.  A label
+    Uniform(0, b) for each b.  Each list must hold a value, every one a
+    real number but for the rules (YAML's `on` is a bool, `1e-9` text): an
+    empty list or another value is a ValueError naming its config key.  A label
     keys its cell's random streams, so two cells with one label (a value
     listed twice) are a ValueError naming the label."""
     lists = {"rules": rules, "theta": thetas, "r": rs, "c": cs, "frr": frrs}
     if uniform_bs is not None:
         lists["uniform_b"] = uniform_bs
     for key, values in lists.items():
-        if not list(values):
+        values = list(values)
+        if not values:
             raise ValueError(f"{key} must list at least one value, got []")
+        for value in values if key != "rules" else ():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{key} values must be numbers, got {value!r}")
     if assay_name not in ASSAYS:
         raise ValueError(
             f"unknown assay {assay_name!r}; expected one of: {', '.join(ASSAYS)}"

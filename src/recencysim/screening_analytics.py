@@ -77,9 +77,11 @@ class SurveyLaw:
 
     def analytic_variance(self, n_total: int) -> float:
         """Delta-method variance of the log estimate over surveys of
-        n_total (`log_variance`); nan where the estimator is undefined or
-        its limit is not positive."""
-        if math.isnan(self.analytic_bias):
+        n_total (`log_variance`); nan where the estimator is undefined, its
+        limit is not positive, or p_star (e.g. rounded to 1) or p_r leaves
+        `log_variance`'s domain."""
+        if math.isnan(self.analytic_bias) or not (
+                0.0 < self.p_star < 1.0 and 0.0 < self.p_r <= 1.0):
             return math.nan
         return log_variance(n_total, self.p_star, self.p_r, self.frr)
 

@@ -24,6 +24,7 @@ from recencysim import estimator, recency_model
 from recencysim.estimator import (
     analytic_bias,
     effective_mdri_closed,
+    effective_mdri_numeric,
     survey_composition,
     survey_weight,
 )
@@ -152,6 +153,20 @@ def test_recent_weight_integral(assay, rule, theta, r, c):
     tstar = assay.recency_cutoff
     want = quad(lambda u: f(u) * weight(rule, theta, r, c, u), 0.0, tstar, kink=c)
     assert close(effective_mdri_closed(assay, theta, r, c, rule), want)
+
+
+@RULES
+@pytest.mark.parametrize(
+    "theta", [1e-300, 1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.4, 3.0])
+@pytest.mark.parametrize("r", [0.0, 0.6, 1.0])
+@pytest.mark.parametrize("c", [0.0, 0.25, 1.0, 1.9999, 2.5])
+def test_effective_mdri_at_any_testing_rate(rule, theta, r, c):
+    # theta*(hi - lo) -> 0 on the exponential piece, where the by-parts
+    # difference of incomplete gammas cancels; c = 1.9999 makes a short piece
+    # at every theta
+    want = effective_mdri_numeric(DEFAULT_ASSAY, theta, r, c, rule)
+    got = effective_mdri_closed(DEFAULT_ASSAY, theta, r, c, rule)
+    assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def composed_recent_weight_integral(assay, theta, r, c, rule, x):

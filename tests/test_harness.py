@@ -394,10 +394,9 @@ def summary_row(result):
 
 
 def with_estimates(result, estimates):
-    """`result` holding the given estimates in place of those its counts
-    give, as `run_grid` assigns them."""
-    result.estimates = np.asarray(estimates, dtype=float)
-    return result
+    """A copy of `result` holding the given estimates in place of those its
+    counts give."""
+    return dataclasses.replace(result, estimates=np.asarray(estimates, dtype=float))
 
 
 def summary_of(est, screened):
@@ -511,8 +510,8 @@ class TestSummaryBlock:
 
 
 class TestGridPasses:
-    """A grid's estimates are one estimator call, its scenarios one
-    `run_scenario` call each."""
+    """A grid's scenarios are one `run_scenario` call each, and a completed
+    scenario's estimates one estimator call."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -532,7 +531,7 @@ class TestGridPasses:
         monkeypatch.setattr(harness, "run_scenario", counting_scenario)
         return calls
 
-    def test_one_estimate_call_per_grid(self, tmp_path, calls):
+    def test_one_estimate_call_per_scenario(self, tmp_path, calls):
         scenarios = small_grid(reps=3)
         # SWP, theta = 2, r = 0, c = 20 admits no one (TestInfeasibleCell)
         infeasible = build_grid(5, 2, n_target=200, thetas=(2.0,), rs=(0.0,),
@@ -540,8 +539,11 @@ class TestGridPasses:
         results = run_grid([*scenarios, *infeasible])
         assert results[-1].error is not None
         write_results(results, tmp_path, config_echo={}, seed=7, wall_time=0.0)
-        assert calls == {"estimate": 1, "scenario": len(scenarios) + 1}
+        # the infeasible cell stops before its estimates
+        assert calls == {"estimate": len(scenarios), "scenario": len(scenarios) + 1}
         assert [len(r.estimates) for r in results] == [3] * len(scenarios) + [0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            results[0].estimates = np.empty(0)
 
 
 def csv_writer_replications(results):
@@ -595,7 +597,8 @@ class TestReplicationsWriter:
 
     def test_rejects_a_label_that_needs_quoting(self):
         res = run_grid([small_grid(reps=1)[0]])[0]
-        res.scenario = dataclasses.replace(res.scenario, label="swp,theta1")
+        res = dataclasses.replace(
+            res, scenario=dataclasses.replace(res.scenario, label="swp,theta1"))
         with pytest.raises(ValueError, match="would need CSV quoting"):
             harness._write_replications([res], io.StringIO())
 
@@ -1015,6 +1018,13 @@ class TestOutputsAndCli:
             ("uniform_b: [.inf]", "b must be finite, got inf"),
             ("theta: 1.0", "not iterable"),
             ("theta: [1, 1]", "two cells share the label 'regular_theta1_r0_c0'"),
+            # YAML 1.1 reads on/off/yes/no/true/false as bools, 1e-9 as text
+            ("r: [on]", "r values must be numbers, got True"),
+            ("c: [false]", "c values must be numbers, got False"),
+            ("frr: [no]", "frr values must be numbers, got False"),
+            ("uniform_b: [yes]", "uniform_b values must be numbers, got True"),
+            ("theta: [1e-9]", "theta values must be numbers, got '1e-9'"),
+            ('c: ["1"]', "c values must be numbers, got '1'"),
         ],
     )
     def test_cli_rejects_bad_grid_value(self, tmp_path, capsys, grid, message):
@@ -1027,6 +1037,20 @@ class TestOutputsAndCli:
         assert f"bad value in the grid: block of {cfg}" in err
         assert message in err
         assert not (tmp_path / "out").exists()
+
+    def test_cli_reads_a_dotted_exponent(self, tmp_path, capsys):
+        # 1.0e-9 is a YAML float, where 1e-9 is text
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "out"
+        cfg.write_text(f"n_target: 200\nout_dir: {out}\ngrid:\n  theta: [1.0e-9]\n"
+                       "  r: [0]\n  c: [1]\n")
+        assert cli_main(["grid", "--config", str(cfg), "--reps", "2"]) == 0
+        capsys.readouterr()
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["scenario"], r["theta"], r["status"]) for r in rows] == [
+            ("regular_theta1e-09_r0_c1", "1e-09", "ok"),
+            ("swp_theta1e-09_r0_c1", "1e-09", "ok")]
 
     @pytest.mark.parametrize("key", ["rules", "theta", "r", "c", "frr", "uniform_b"])
     def test_cli_rejects_empty_grid_list(self, tmp_path, capsys, key):
@@ -1269,6 +1293,31 @@ class TestKernelRange:
                    for r in rows) == 1000
         assert all(r["aware_included"] == r["unaware_included"] == "0" for r in rows)
 
+    def test_cli_mdri_at_a_vanishing_testing_rate(self, capsys):
+        # no one is ever tested, so the weight is 1 and R is the MDRI; the
+        # by-parts form read 0 here, a difference that cancels divided by theta
+        assert cli_main(["mdri", "--theta", "1e-300", "--r", "0", "--c", "0",
+                         "--check-numeric"]) == 0
+        out = capsys.readouterr().out
+        assert "effective mdri  = 0.266985 years\n" in out
+        assert "analytic bias   = +0.000 x 1e-3 per person-year\n" in out
+        assert "numeric mdri    = 0.266985 years\n" in out
+
+    def test_cli_grid_at_a_vanishing_testing_rate(self, tmp_path, capsys):
+        # the by-parts form gave p_r < 0 here, and the draw a numpy traceback
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "out"
+        cfg.write_text(
+            f"replications: 3\nn_target: 200\nout_dir: {out}\ngrid:\n"
+            "  rules: [swp]\n  theta: [1.0e-15]\n  r: [0]\n  c: [1]\n"
+        )
+        assert cli_main(["grid", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        with open(out / "summary.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert (row["scenario"], row["status"]) == ("swp_theta1e-15_r0_c1", "ok")
+        assert abs(float(row["analytic_bias"])) < 1e-12
+
     def test_cli_mdri_swp_keeps_computing(self, capsys):
         # e^{570} is finite; the value is the parent's
         assert cli_main(["mdri", "--rule", "swp", "--theta", "300", "--c", "1.9"]) == 0
@@ -1311,6 +1360,22 @@ class TestAnalyticColumns:
         assert row["status"] == "ok" and row["n_undefined"] == "2"
         assert (row["median"], row["analytic_bias"], row["analytic_variance"]) == (
             "nan", "nan", "nan")
+
+    def test_prevalence_rounding_to_one_reads_nan_variance(self, tmp_path, capsys):
+        # p_star is 1.0 as a float: no surveyed negative, every estimate
+        # undefined, and log_variance's domain left
+        cfg = tmp_path / "cfg.yaml"
+        out = tmp_path / "out"
+        cfg.write_text(
+            f"replications: 3\nout_dir: {out}\ngrid:\n  rules: [swp]\n"
+            "  theta: [100]\n  r: [1]\n  c: [1]\n"
+        )
+        assert cli_main(["grid", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        with open(out / "summary.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert (row["status"], row["n_undefined"]) == ("ok", "3")
+        assert row["analytic_variance"] == "nan"
 
 
 def test_cli_import_leaves_scipy_integrate_and_stats_unloaded():
