@@ -38,21 +38,13 @@ import numpy as np
 from scipy.special.cython_special import gammaincc
 
 from .population import InfeasibleScenarioError, PopulationParams, SurveyCounts
-from .recency_model import (
-    RecencyAssay,
-    curve_moment,
-    cutoff_terms,
-    mdri,
-    phi,
-)
+from .recency_model import RecencyAssay, curve_moment, mdri, phi
 from .testing_history import (
     ExponentialInterTest,
     ObservationRule,
     TestingProcess,
     UniformInterTest,
     residual_cdf,
-    uniform_cdf_piece,
-    uniform_cdf_pieces,
 )
 
 
@@ -205,28 +197,31 @@ def _uniform_pieces(law: UniformInterTest, rule, r, c, x):
     inter-test law: scale 1 and negatives P(T > c) = 1 - F(c).
 
     Between consecutive knees of F(u), of F(u - c) and the window c, F is one
-    quadratic piece (`uniform_cdf_piece`, chosen at the midpoint), so w is a
-    quadratic in u there.
+    quadratic piece (as `uniform_cdf_piece` chooses it, at the midpoint), so
+    w is a quadratic in u there.  The pieces are read from the law, which
+    builds them once (`UniformInterTest.residual_cdf_pieces`).
     """
-    knees, _ = uniform_cdf_pieces(law)
-    breaks = {0.0, x, c, *knees}
-    if rule is ObservationRule.STOP_WHEN_POSITIVE:
-        breaks.update(c + k for k in knees)
-    edges = sorted(e for e in breaks if 0.0 <= e <= x)
+    a, b = law.a, law.b
+    cdf = law.residual_cdf_pieces[1]  # its knees are 0, a and b
+    swp = rule is ObservationRule.STOP_WHEN_POSITIVE
+    breaks = {0.0, x, c, a, b, c + a, c + b} if swp else {0.0, x, c, a, b}
+    edges = sorted([e for e in breaks if 0.0 <= e <= x])
     survive_c = 1.0 - residual_cdf(c, law)
     pieces = []
     for lo, hi in zip(edges, edges[1:]):
         mid = 0.5 * (lo + hi)
-        k0, k1, k2 = uniform_cdf_piece(mid, law)  # F(u) = k0 + k1*u + k2*u^2
         if mid <= c:  # 1 - F(c)
             coefs = (survive_c, 0.0, 0.0)
-        elif rule is ObservationRule.REGULAR:  # (1 - r)*(1 - F(u)) + r*(1 - F(c))
-            coefs = ((1.0 - r) * (1.0 - k0) + r * survive_c, (r - 1.0) * k1,
-                     (r - 1.0) * k2)
-        else:  # r*F(u - c) + 1 - F(u)
-            g0, g1, g2 = uniform_cdf_piece(mid - c, law)
-            coefs = (r * (g0 - c * (g1 - c * g2)) + 1.0 - k0,
-                     r * (g1 - 2.0 * c * g2) - k1, r * g2 - k2)
+        else:  # F(u) = k0 + k1*u + k2*u^2
+            k0, k1, k2 = cdf[2 if mid >= b else 1 if mid >= a else 0]
+            if not swp:  # (1 - r)*(1 - F(u)) + r*(1 - F(c))
+                coefs = ((1.0 - r) * (1.0 - k0) + r * survive_c, (r - 1.0) * k1,
+                         (r - 1.0) * k2)
+            else:  # r*F(u - c) + 1 - F(u)
+                v = mid - c
+                g0, g1, g2 = cdf[2 if v >= b else 1 if v >= a else 0]
+                coefs = (r * (g0 - c * (g1 - c * g2)) + 1.0 - k0,
+                         r * (g1 - 2.0 * c * g2) - k1, r * g2 - k2)
         pieces.append((lo, hi, coefs, None))
     return 1.0, survive_c, pieces
 
@@ -237,21 +232,22 @@ _EDGE_ZERO = ((0.0, 0.0, 0.0), 1.0, 1.0)
 
 def _curve_terms(assay, y, n, theta):
     """(moments, Q(s, b*y), Q(s, (b+theta)*y)) of the test-recent curve at an
-    edge y: the moments are int_0^y u^k * Q(s, b*u) du for k < n, and the
-    last gamma is evaluated only given theta.  At the cutoff G(T*) and
-    Q(s, b*T*) come from `cutoff_terms`.
+    edge y: the moments are int_0^y u^k * Q(s, b*u) du for k < n (1 or 3),
+    and the last gamma is evaluated only given theta.  At the cutoff G(T*)
+    and Q(s, b*T*) are the assay's `cutoff_terms`.
     """
     if y == 0.0:
         return _EDGE_ZERO
     s, b = assay.gamma_shape, assay.gamma_rate
     if y == assay.recency_cutoff:
-        g, q = cutoff_terms(assay)
+        g, q = assay.cutoff_terms
     else:
         q = gammaincc(s, b * y)
         g = curve_moment(assay, y, 0, q)
-    moments = [g]
-    for k in range(1, n):
-        moments.append(curve_moment(assay, y, k, q))
+    if n == 1:
+        moments = (g,)
+    else:
+        moments = (g, curve_moment(assay, y, 1, q), curve_moment(assay, y, 2, q))
     return moments, q, 1.0 if theta is None else gammaincc(s, (b + theta) * y)
 
 
@@ -290,33 +286,34 @@ def _integrate(pieces, theta, c, assay=None):
     float once theta*c exceeds about 709.78.
     """
     poly = expo_part = 0.0
-    lo_terms = _EDGE_ZERO
+    lo_m, lo_q, lo_qt = _EDGE_ZERO
     for lo, hi, coefs, expo in pieces:
         n = len(coefs)
-        if assay is None:  # the moments int_0^hi u^k du, k < n (1 or 3)
-            moments = (hi,) if n == 1 else (hi, hi ** 2 / 2, hi ** 3 / 3)
-            hi_terms = moments, 1.0, 1.0
+        if assay is not None:
+            hi_m, hi_q, hi_qt = _curve_terms(assay, hi, n, theta)
+        else:  # the moments int_0^hi u^k du, k < n
+            hi_m = (hi,) if n == 1 else (hi, hi ** 2 / 2, hi ** 3 / 3)
+            hi_q = hi_qt = 1.0
+        if n == 1:
+            poly += coefs[0] * (hi_m[0] - lo_m[0])
         else:
-            hi_terms = _curve_terms(assay, hi, n, theta)
-        hi_m, lo_m, piece = hi_terms[0], lo_terms[0], 0.0
-        for k in range(n):
-            piece += coefs[k] * (hi_m[k] - lo_m[k])
-        poly += piece
+            a0, a1, a2 = coefs
+            poly += (a0 * (hi_m[0] - lo_m[0]) + a1 * (hi_m[1] - lo_m[1])
+                     + a2 * (hi_m[2] - lo_m[2]))
         if expo is not None:  # int_lo^hi f(u) * e^{-theta*(u-lo)} du
             span = theta * (hi - lo)
             if assay is None:
                 discounted = -math.expm1(-span) / theta
             elif span <= _SERIES_SPAN:
-                discounted = _series(assay, lo, hi, lo_terms[1], hi_terms[1], theta)
+                discounted = _series(assay, lo, hi, lo_q, hi_q, theta)
             else:  # by parts (DLMF 8.2)
                 s, b = assay.gamma_shape, assay.gamma_rate
                 discounted = (
-                    lo_terms[1] - math.exp(-span) * hi_terms[1]
-                    - (b / (b + theta)) ** s
-                    * (_growth(theta, lo) * (lo_terms[2] - hi_terms[2]))
+                    lo_q - math.exp(-span) * hi_q
+                    - (b / (b + theta)) ** s * (_growth(theta, lo) * (lo_qt - hi_qt))
                 ) / theta
             expo_part += expo * discounted
-        lo_terms = hi_terms
+        lo_m, lo_q, lo_qt = hi_m, hi_q, hi_qt
     total = poly + expo_part
     if math.isfinite(total):
         return total
@@ -362,7 +359,9 @@ def analytic_bias(
     weigh 1).  With the horizon past T*, R is the effective MDRI and the
     bias is exactly zero once the exclusion window reaches the recency
     cutoff, and with neither exclusion nor selective attendance (r = 1,
-    c = 0).
+    c = 0).  This is the limit alone: it does not compute the survey
+    prevalence p_star, so unlike `SurveyLaw.analytic_bias` it stays finite
+    where p_star rounds to 1 and no survey can hold a negative.
     """
     _check_effective_mdri_args(assay, theta, r, c)
     x = min(assay.recency_cutoff, params.horizon)
@@ -438,7 +437,9 @@ def _composition(assay, process, r, c, params, weight):
 
     Evaluates the kernel once for R and, when frr > 0, once for W_x, both
     up to x = min(T*, horizon); `survey_composition` and
-    `screening_analytics.survey_law` share it.  The bias is `_limit_bias`.
+    `screening_analytics.survey_law` share it.  The bias is `_limit_bias`,
+    and nan where p_star is not below 1 (the negatives' share rounds to 0,
+    so no survey holds a negative and every estimate is undefined).
     Raises InfeasibleScenarioError where W_c = 0: no one passes the window.
     An admit probability that only underflows is left to the kernel's
     range check and to the attempt cap in `SurveyLaw.draw`.
@@ -456,8 +457,9 @@ def _composition(assay, process, r, c, params, weight):
         below = survey_weight(process, r, c, cutoff)[2]
         tested_recent += frr * (total - below)
     positives = params.incidence * total
-    return (
-        positives / (positives + negatives),
-        tested_recent / total,
-        _limit_bias(assay, params.incidence, recent, negatives, below),
-    )
+    p_star = positives / (positives + negatives)
+    if p_star < 1.0:
+        bias = _limit_bias(assay, params.incidence, recent, negatives, below)
+    else:
+        bias = math.nan
+    return p_star, tested_recent / total, bias

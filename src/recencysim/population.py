@@ -10,6 +10,7 @@ level of its counts (`screening_analytics.survey_law`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,13 @@ class PopulationParams:
         if not 0.0 < self.prevalence < 1.0:
             raise ValueError("prevalence must lie in (0, 1)")
 
-    @property
+    @functools.cached_property
     def max_duration(self) -> float:
-        """Support bound tau of the infection duration among positives."""
+        """Support bound tau of the infection duration among positives,
+        computed once per parameter set."""
         return self.prevalence / (self.incidence * (1.0 - self.prevalence))
 
-    @property
+    @functools.cached_property
     def horizon(self) -> float:
         """Equivalence horizon t*; set to the full duration support."""
         return self.max_duration

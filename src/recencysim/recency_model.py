@@ -12,10 +12,13 @@ survey-weight integrator (`estimator._integrate`).  The scalar gammas are
 scipy's `cython_special` entry points: the same values as the ufuncs,
 without a ufunc call's overhead.
 
-The terms that depend on the assay alone, G(T*) (the MDRI) and Q(s, b*T*),
-are cached per assay in `cutoff_terms`; assays are frozen and few.  Nothing
-that depends on the testing rate, the attendance ratio or the window is
-cached.
+The terms that depend on the assay alone are computed once per assay
+object, as `functools.cached_property`s of the frozen `RecencyAssay`:
+G(T*) (the MDRI) and Q(s, b*T*) in `cutoff_terms`, and the moment factors
+s*(s+1)*...*(s+k) / b^(k+1) with their gamma shapes in `moment_terms`.
+They live in the instance's `__dict__`, outside the dataclass fields, so an
+assay's equality, hash and repr are its parameters'.  Nothing that depends
+on the testing rate, the attendance ratio or the window is cached.
 """
 
 from __future__ import annotations
@@ -53,6 +56,23 @@ class RecencyAssay:
         if not 0.0 <= self.frr < 1.0:
             raise ValueError(f"frr must lie in [0, 1), got {self.frr!r}")
 
+    @functools.cached_property
+    def moment_terms(self) -> tuple[tuple[float, float], ...]:
+        """(s*(s+1)*...*(s+k) / b^(k+1), s + k + 1) for k = 0, 1, 2: the
+        factor and the gamma shape of `curve_moment`'s k-th moment, up to
+        the survey weight's quadratic pieces."""
+        s, b = self.gamma_shape, self.gamma_rate
+        rising = (s, s * (s + 1), s * (s + 1) * (s + 2))
+        return tuple((rising[k] / b ** (k + 1), s + k + 1.0) for k in range(3))
+
+    @functools.cached_property
+    def cutoff_terms(self) -> tuple[float, float]:
+        """(G(T*), Q(s, b*T*)): the curve's integral up to the cutoff and its
+        value there."""
+        tstar = self.recency_cutoff
+        q = gammaincc(self.gamma_shape, self.gamma_rate * tstar)
+        return curve_moment(self, tstar, 0, q), q
+
 
 #: Short-window assay used as the default throughout (MDRI about 98 days).
 DEFAULT_ASSAY = RecencyAssay(gamma_shape=0.352, gamma_rate=1.273, recency_cutoff=2.0)
@@ -81,34 +101,24 @@ def phi(u, assay: RecencyAssay):
 
 
 def curve_moment(assay: RecencyAssay, x: float, k: int, q: float) -> float:
-    """int_0^x u^k * Q(s, b*u) du, by parts (DLMF 8.2), given q = Q(s, b*x):
+    """int_0^x u^k * Q(s, b*u) du for k <= 2, by parts (DLMF 8.2), given
+    q = Q(s, b*x):
 
-        [x^{k+1} * q + s*(s+1)*...*(s+k) / b^{k+1} * P(s+k+1, b*x)] / (k+1).
+        [x^{k+1} * q + s*(s+1)*...*(s+k) / b^{k+1} * P(s+k+1, b*x)] / (k+1),
 
+    the factor and the shape s+k+1 read from `RecencyAssay.moment_terms`.
     k = 0 is G(x), the integral of the curve itself.  Every k shares q.
     """
-    s, b = assay.gamma_shape, assay.gamma_rate
-    rising = s
-    for j in range(1, k + 1):
-        rising *= s + j
+    factor, shape = assay.moment_terms[k]
     return (
-        x ** (k + 1) * q + rising / b ** (k + 1) * gammainc(s + k + 1.0, b * x)
+        x ** (k + 1) * q + factor * gammainc(shape, assay.gamma_rate * x)
     ) / (k + 1)
-
-
-@functools.cache
-def cutoff_terms(assay: RecencyAssay) -> tuple[float, float]:
-    """(G(T*), Q(s, b*T*)): the curve's integral up to the cutoff and its
-    value there, computed once per assay."""
-    s, b, tstar = assay.gamma_shape, assay.gamma_rate, assay.recency_cutoff
-    q = gammaincc(s, b * tstar)
-    return curve_moment(assay, tstar, 0, q), q
 
 
 def mdri(assay: RecencyAssay) -> float:
     """Mean duration of recent infection: integral of phi over [0, T*].
 
     The false-recent rate does not enter; only the curve below the cutoff
-    is integrated.  Closed form G(T*), from `cutoff_terms`.
+    is integrated.  Closed form G(T*), from `RecencyAssay.cutoff_terms`.
     """
-    return cutoff_terms(assay)[0]
+    return assay.cutoff_terms[0]

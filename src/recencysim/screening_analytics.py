@@ -45,14 +45,16 @@ def _admission_terms(process, params, r, c):
     admitted = P(T > c) + incidence * W_c and attending = 1 + incidence * W_0,
     with W_c the survey weight at window c integrated over the horizon;
     their ratio is the inclusion probability.  The third value is
-    survey_weight(process, r, c, horizon).  Valid for every c >= 0.
+    survey_weight(process, r, c, horizon).  At c == 0, W_0 is W_c: the same
+    arguments, so the same float, and the weight is walked once.  Valid for
+    every c >= 0.
     """
     lam, horizon = params.incidence, params.horizon
     weight = survey_weight(process, r, c, horizon)
     scale, negatives, total = weight
     eligible = negatives + lam * total
-    attending = 1.0 + lam * survey_weight(process, r, 0.0, horizon)[2]
-    return scale * eligible, attending, weight
+    w0 = total if c == 0.0 else survey_weight(process, r, 0.0, horizon)[2]
+    return scale * eligible, 1.0 + lam * w0, weight
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,8 @@ class SurveyLaw:
     from the population is admitted.  `frr` is the false-recent rate the
     estimate subtracts, and `analytic_bias` the estimate's limit at the
     law's expected counts less the incidence; nan where the estimator is
-    undefined (no surveyed negative, or MDRI <= frr*T*).
+    undefined (no surveyed negative, p_star rounding to 1 included, or
+    MDRI <= frr*T*).
     """
 
     p_star: float

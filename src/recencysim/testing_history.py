@@ -3,16 +3,18 @@ residual-life CDF.
 
 The test schedule is a stationary renewal process; the time since the last
 test at the survey instant follows its limiting residual-life law
-(`residual_cdf`).  Two observation rules are supported: Regular (all tests
-observed) and Stop-When-Positive (testing stops at the first post-infection
-test).  The analytic layer integrates these laws in closed form; the
-person-level sampler that draws them lives with the tests, as the reference
-engine (tests/reference_sampler.py).
+(`residual_cdf`); a uniform law builds the pieces of that CDF once
+(`UniformInterTest.residual_cdf_pieces`).  Two observation rules are
+supported: Regular (all tests observed) and Stop-When-Positive (testing
+stops at the first post-infection test).  The analytic layer integrates
+these laws in closed form; the person-level sampler that draws them lives
+with the tests, as the reference engine (tests/reference_sampler.py).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -49,6 +51,17 @@ class UniformInterTest:
         if not math.isfinite(self.b):
             raise ValueError(f"b must be finite, got {self.b!r}")
 
+    @functools.cached_property
+    def residual_cdf_pieces(self):
+        """Knees and quadratic pieces of the stationary residual CDF, built
+        once per law (`uniform_cdf_pieces`)."""
+        a, b = self.a, self.b
+        m = b * b - a * a
+        knees = (0.0, a, b)
+        coefs = ((0.0, 2.0 / (a + b), 0.0), (-a * a / m, 2.0 * b / m, -1.0 / m),
+                 (1.0, 0.0, 0.0))
+        return knees, coefs
+
 
 InterTestLaw = Union[ExponentialInterTest, UniformInterTest]
 
@@ -61,24 +74,18 @@ class TestingProcess:
 
 def uniform_cdf_pieces(law: UniformInterTest):
     """Knees and quadratic pieces of the stationary residual CDF of a
-    Uniform[a, b] law.
+    Uniform[a, b] law, read from `UniformInterTest.residual_cdf_pieces`.
 
     Returns (knees, coefs) with knees = (0, a, b): from knees[i] up to the
     next knee, F(x) = k0 + k1*x + k2*x^2 with (k0, k1, k2) = coefs[i].
     That is x/mu below a, 1 - (b - x)^2 / (b^2 - a^2) up to b, and 1 beyond.
     """
-    a, b = law.a, law.b
-    m = b * b - a * a
-    knees = (0.0, a, b)
-    coefs = ((0.0, 2.0 / (a + b), 0.0), (-a * a / m, 2.0 * b / m, -1.0 / m),
-             (1.0, 0.0, 0.0))
-    return knees, coefs
+    return law.residual_cdf_pieces
 
 
 def uniform_cdf_piece(x: float, law: UniformInterTest):
     """Coefficients (k0, k1, k2) of the piece of F that holds x >= 0."""
-    _, coefs = uniform_cdf_pieces(law)
-    return coefs[2 if x >= law.b else 1 if x >= law.a else 0]
+    return law.residual_cdf_pieces[1][2 if x >= law.b else 1 if x >= law.a else 0]
 
 
 def residual_cdf(x: float, law: InterTestLaw) -> float:

@@ -14,7 +14,9 @@ is F(u) - F(c) under the Regular rule and F(u - c) under Stop-When-Positive,
 and P(T > u, T > c | u) = 1 - F(max(u, c)).
 """
 
+import hashlib
 import math
+import pickle
 
 import pytest
 from scipy import integrate
@@ -28,7 +30,13 @@ from recencysim.estimator import (
     survey_composition,
     survey_weight,
 )
-from recencysim.harness import FRR_GRID, R_GRID, THETA_GRID
+from recencysim.harness import (
+    FRR_GRID,
+    R_GRID,
+    THETA_GRID,
+    build_grid,
+    build_sensitivity,
+)
 from recencysim.population import (
     DEFAULT_PARAMS,
     InfeasibleScenarioError,
@@ -604,3 +612,118 @@ def test_kernel_keeps_cells_within_its_range():
 def test_rejects_infinite_rates(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+# ---------------------------------------------------------------------------
+# the exponential analytic layer, pinned bit for bit
+
+PIN_THETAS = (0.4, 1.0, 3.0)
+PIN_RS = (0.0, 0.6, 1.0)
+# c = 0, inside T*, at and past T* and past the horizon; (b + theta)*c lies
+# in (0.5, 1.1], where Q is computed by a series, at (0.4, 0.5) and (1.0, 0.25)
+PIN_CS = (0.0, 0.25, 0.5, 1.5, T_STAR, 2.5, HORIZON + 1.0)
+PIN_ASSAYS = (DEFAULT_ASSAY, LONG_ASSAY, assay_with_frr(0.015))
+
+
+def exponential_layer_values():
+    """Full-precision reprs of every exponential entry point over a nominal
+    (assay, rule, theta, r, c) surface; an error reads as its repr."""
+    def value(call):
+        try:
+            return repr(call())
+        except ValueError as exc:
+            return repr(exc)
+
+    for assay in PIN_ASSAYS:
+        for rule in ObservationRule:
+            for theta in PIN_THETAS:
+                process = TestingProcess(ExponentialInterTest(theta), rule)
+                for r in PIN_RS:
+                    for c in PIN_CS:
+                        args = (assay, theta, r, c, rule)
+                        policy = ScreeningPolicy(q1=r, exclusion_window=c)
+                        yield from (
+                            value(lambda: effective_mdri_closed(*args)),
+                            value(lambda: analytic_bias(*args, DEFAULT_PARAMS)),
+                            value(lambda: survey_composition(
+                                assay, process, r, c, DEFAULT_PARAMS)),
+                            value(lambda: forecast(rule, DEFAULT_PARAMS, theta,
+                                                   r, c, 5000)),
+                            value(lambda: survey_law(assay, process, policy,
+                                                     DEFAULT_PARAMS)),
+                        )
+
+
+def test_exponential_layer_unchanged():
+    # sha256 of the values above, recorded before the per-object constants
+    # (cached assay, population and law terms) entered the kernel
+    h = hashlib.sha256()
+    for v in exponential_layer_values():
+        h.update(v.encode() + b"\n")
+    assert h.hexdigest() == (
+        "71e258e62c98481f083afaa0478bba82a7d0d1af8b1e3b91264d9ac771c04283")
+
+
+# ---------------------------------------------------------------------------
+# per-object constants: cached on the frozen assay, parameters and law
+
+
+@pytest.mark.parametrize(
+    "make,constants",
+    [
+        (lambda: RecencyAssay(0.352, 1.273, 2.0), ("cutoff_terms", "moment_terms")),
+        (lambda: PopulationParams(0.032, 0.29), ("max_duration", "horizon")),
+        (lambda: UniformInterTest(0.0, 3.0), ("residual_cdf_pieces",)),
+    ],
+    ids=["assay", "params", "uniform"],
+)
+def test_constants_leave_equality_and_hash(make, constants):
+    # two objects built apart, one with its constants filled: still equal,
+    # hashed alike and printed alike, as dict keys too
+    filled, fresh = make(), make()
+    for name in constants:
+        getattr(filled, name)
+    assert filled == fresh and fresh == filled
+    assert hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
+    assert {fresh: "found"}[filled] == "found"
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [build_grid(5, 2)[37], build_sensitivity("uniform_intertest", 5, 2)[61],
+     build_sensitivity("frr", 5, 2)[23]],
+    ids=lambda s: s.label,
+)
+def test_filled_scenario_pickles_to_an_equal_count_law(scenario):
+    # the pool's path: a scenario whose law and constants are filled
+    law = scenario.count_law
+    copy = pickle.loads(pickle.dumps(scenario))
+    assert copy == scenario and copy.count_law == law
+    assert copy.assay.cutoff_terms == scenario.assay.cutoff_terms
+
+
+@pytest.mark.parametrize(
+    "entry,law",
+    [("effective_mdri_closed", ExponentialInterTest(1.0)),
+     ("survey_law", ExponentialInterTest(1.0)),
+     ("survey_law", UniformInterTest(0.0, 3.0))],
+    ids=["effective_mdri", "law_exponential", "law_uniform"],
+)
+def test_repeated_calls_evaluate_alike(monkeypatch, entry, law):
+    # nothing keyed by theta, r or c is cached: a repeated call makes the
+    # kernel's incomplete gamma calls again, as many as the first call did
+    counted = []
+    real = estimator.gammaincc
+    monkeypatch.setattr(estimator, "gammaincc",
+                        lambda *a: counted.append(a) or real(*a))
+    assay = RecencyAssay(0.352, 1.273, 2.0)  # its constants not yet filled
+    process = TestingProcess(law, ObservationRule.STOP_WHEN_POSITIVE)
+    policy = ScreeningPolicy(q1=0.6, exclusion_window=0.25)
+    if entry == "survey_law":
+        call = lambda: survey_law(assay, process, policy, DEFAULT_PARAMS)  # noqa: E731
+    else:
+        call = lambda: effective_mdri_closed(assay, 1.0, 0.6, 0.25, SWP)  # noqa: E731
+    first = call()
+    calls = len(counted)
+    assert calls > 0 and call() == first
+    assert len(counted) == 2 * calls

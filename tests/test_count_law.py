@@ -370,12 +370,13 @@ def test_variance_is_the_delta_method(scenario):
 
 @pytest.mark.parametrize(
     "label,calls",
-    [("swp_theta1_r0.6_c1", 3), ("regular_theta0.4_r0.3_c0_frr0.01", 4),
-     ("swp_uni0-3_r0.6_c1", 3), ("swp_theta1_r0.6_c0_frr0.02", 4)],
+    [("swp_theta1_r0.6_c1", 3), ("regular_theta0.4_r0.3_c0_frr0.01", 3),
+     ("swp_uni0-3_r0.6_c1", 3), ("swp_theta1_r0.6_c0_frr0.02", 3),
+     ("swp_uni0-3_r0.6_c0", 2)],
 )
 def test_a_cell_evaluates_each_kernel_term_once(monkeypatch, label, calls):
-    # W_c, W_0 and R, and W_x when frr > 0: building the law and writing the
-    # summary row evaluate nothing twice
+    # W_c, W_0 and R, and W_x when frr > 0, with W_0 read from W_c at c = 0:
+    # building the law and writing the summary row evaluate nothing twice
     scenario = _cell(MAIN + FRR + UNIFORM, label)
     scenario = dataclasses.replace(scenario, replications=3)
     counted = []

@@ -1376,6 +1376,7 @@ class TestAnalyticColumns:
             (row,) = list(csv.DictReader(fh))
         assert (row["status"], row["n_undefined"]) == ("ok", "3")
         assert row["analytic_variance"] == "nan"
+        assert row["analytic_bias"] == "nan"
 
 
 def test_cli_import_leaves_scipy_integrate_and_stats_unloaded():
