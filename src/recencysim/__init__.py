@@ -13,7 +13,6 @@ from .testing_history import (
 from .population import (
     DEFAULT_PARAMS,
     PopulationParams,
-    ScreeningPolicy,
     SurveyCounts,
 )
 from .estimator import (
@@ -42,7 +41,6 @@ __all__ = [
     "TestingProcess",
     "DEFAULT_PARAMS",
     "PopulationParams",
-    "ScreeningPolicy",
     "SurveyCounts",
     "analytic_bias",
     "effective_mdri_closed",

@@ -99,8 +99,12 @@ def _positive_int(value, what, low=1):
 
 
 def _out_dir(path):
-    """`path` if it is a directory or can be made one; a usage error, before
-    any work, if it or a parent exists as something else."""
+    """`path` as a Path if it is a directory or can be made one; a usage
+    error, before any work, if it is not a path (a config value that is not
+    a string) or it or a parent exists as something else."""
+    if not isinstance(path, (str, Path)):
+        raise ConfigError(f"out_dir must be a path, got {path!r}")
+    path = Path(path)
     existing = next((p for p in (path, *path.parents) if p.exists()), None)
     if existing is not None and not existing.is_dir():
         raise ConfigError(
@@ -123,7 +127,7 @@ def _resolved(args, cfg):
         "out_dir": _out_dir(
             args.out_dir
             if args.out_dir is not None
-            else Path(cfg.get("out_dir", default_out_dir()))
+            else cfg.get("out_dir", default_out_dir())
         ),
         "workers": pick("workers", "workers", 1),
         "n_target": _positive_int(cfg.get("n_target", 5000), "n_target"),
@@ -186,7 +190,7 @@ def cmd_histogram(args) -> int:
                               n_infected=args.n_infected, seed=opts["seed"])
     except ValueError as exc:
         raise ConfigError(str(exc))
-    out_dir = Path(opts["out_dir"])
+    out_dir = opts["out_dir"]
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / (
         f"histogram_{rule.value}_theta{exact_g(args.theta)}_c{exact_g(args.c)}.csv")
@@ -198,7 +202,7 @@ def cmd_histogram(args) -> int:
 def cmd_table1(args) -> int:
     cfg = _load_config(args.config)
     opts = _resolved(args, cfg)
-    out_dir = Path(opts["out_dir"])
+    out_dir = opts["out_dir"]
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = emit_table1(n_target=opts["n_target"])
     out = out_dir / "table1.csv"

@@ -44,6 +44,7 @@ from .testing_history import (
     ObservationRule,
     TestingProcess,
     UniformInterTest,
+    _check_theta,
     residual_cdf,
 )
 
@@ -106,10 +107,7 @@ def _check_effective_mdri_args(assay: RecencyAssay, theta: float, r: float, c: f
     """Input checks shared by the closed form and the numeric oracle."""
     if assay.frr != 0.0:
         raise ValueError("effective MDRI is defined for zero-FRR assays only")
-    if not theta > 0.0:
-        raise ValueError(f"theta must be positive, got {theta!r}")
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
+    _check_theta(theta)
     _check_weight_args(r, c)
 
 
@@ -197,8 +195,8 @@ def _uniform_pieces(law: UniformInterTest, rule, r, c, x):
     inter-test law: scale 1 and negatives P(T > c) = 1 - F(c).
 
     Between consecutive knees of F(u), of F(u - c) and the window c, F is one
-    quadratic piece (as `uniform_cdf_piece` chooses it, at the midpoint), so
-    w is a quadratic in u there.  The pieces are read from the law, which
+    quadratic piece (chosen at the midpoint, as `residual_cdf` chooses it),
+    so w is a quadratic in u there.  The pieces are read from the law, which
     builds them once (`UniformInterTest.residual_cdf_pieces`).
     """
     a, b = law.a, law.b

@@ -52,7 +52,6 @@ from .population import (
     DEFAULT_PARAMS,
     InfeasibleScenarioError,
     PopulationParams,
-    ScreeningPolicy,
     SurveyCounts,
 )
 from .recency_model import ASSAYS, DEFAULT_ASSAY, RecencyAssay, mdri, phi
@@ -112,7 +111,8 @@ class Scenario:
     label: str
     assay: RecencyAssay
     process: TestingProcess
-    policy: ScreeningPolicy
+    r: float  # attendance ratio of status-aware positives
+    c: float  # exclusion window (years)
     params: PopulationParams
     n_target: int
     replications: int
@@ -121,7 +121,7 @@ class Scenario:
     @functools.cached_property
     def count_law(self) -> SurveyLaw:
         """The survey's closed-form count law."""
-        return survey_law(self.assay, self.process, self.policy, self.params)
+        return survey_law(self.assay, self.process, self.r, self.c, self.params)
 
 
 @dataclass(frozen=True)
@@ -417,9 +417,10 @@ def build_grid(
     are Exponential(theta) for each of `thetas`, or with `uniform_bs`
     Uniform(0, b) for each b.  Each list must hold a value, every one a
     real number but for the rules (YAML's `on` is a bool, `1e-9` text): an
-    empty list or another value is a ValueError naming its config key.  A label
-    keys its cell's random streams, so two cells with one label (a value
-    listed twice) are a ValueError naming the label."""
+    empty list or another value is a ValueError naming its config key, and
+    each (r, c) gets the analytic layer's check before its cell is built.  A
+    label keys its cell's random streams, so two cells with one label (a
+    value listed twice) are a ValueError naming the label."""
     lists = {"rules": rules, "theta": thetas, "r": rs, "c": cs, "frr": frrs}
     if uniform_bs is not None:
         lists["uniform_b"] = uniform_bs
@@ -448,14 +449,14 @@ def build_grid(
                 )
                 for r in rs:
                     for c in cs:
+                        _check_weight_args(r, c)
                         scenarios.append(
                             Scenario(
                                 label=_scenario_label(rule, law, r, c, frr, assay_name),
                                 assay=assay,
                                 process=TestingProcess(law, rule),
-                                policy=ScreeningPolicy(
-                                    q0=1.0, q1=r, exclusion_window=c
-                                ),
+                                r=r,
+                                c=c,
                                 params=params,
                                 n_target=n_target,
                                 replications=replications,
@@ -591,9 +592,8 @@ def _write_summary(results, fh) -> bool:
         law, theta, a, b = _law_fields(sc.process)
         row = [
             sc.label, sc.process.observation_rule.value, law, theta, a, b,
-            _fmt(sc.policy.attendance_ratio),
-            _fmt(sc.policy.exclusion_window),
-            _fmt(sc.assay.frr), sc.replications, sc.n_target,
+            _fmt(sc.r), _fmt(sc.c), _fmt(sc.assay.frr), sc.replications,
+            sc.n_target,
         ]
         if res.error is not None:
             row += ["", "", "", "", "", "", "", "", "", "", f"error:{res.error}"]
@@ -628,7 +628,7 @@ def emit_histogram(
     unaware_included, unaware_excluded), where inclusion means the most
     recent test falls outside the exclusion window c, and awareness that it
     falls within the infection duration.  Attendance plays no role here
-    (q0 = q1 = 1).
+    (r = 1).
 
     Durations are Uniform(0, tau), so each cell's probability is an integral
     of the survey weight over its bin, divided by tau: with r = 1 the weight
@@ -640,7 +640,7 @@ def emit_histogram(
     _check_weight_args(1.0, c)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 777]))
     process = TestingProcess(law, rule)
-    tau = params.max_duration
+    tau = params.horizon
     n_bins = math.ceil(tau / bin_width)
     edges = np.arange(0, n_bins + 1) * bin_width
 

@@ -22,12 +22,7 @@ import numpy as np
 
 from . import population
 from .estimator import _check_weight_args, _composition, log_variance, survey_weight
-from .population import (
-    InfeasibleScenarioError,
-    PopulationParams,
-    ScreeningPolicy,
-    SurveyCounts,
-)
+from .population import InfeasibleScenarioError, PopulationParams, SurveyCounts
 from .recency_model import RecencyAssay
 from .testing_history import ExponentialInterTest, ObservationRule, TestingProcess
 
@@ -39,8 +34,8 @@ class ScreeningForecast:
 
 
 def _admission_terms(process, params, r, c):
-    """Per-draw probabilities of (admission, attendance) over q0*(1-p), and
-    the survey weight they come from.
+    """Per-draw probabilities of (admission, attendance) over 1 - p, and the
+    survey weight they come from.
 
     admitted = P(T > c) + incidence * W_c and attending = 1 + incidence * W_0,
     with W_c the survey weight at window c integrated over the horizon;
@@ -135,26 +130,28 @@ class SurveyLaw:
 def survey_law(
     assay: RecencyAssay,
     process: TestingProcess,
-    policy: ScreeningPolicy,
+    r: float,
+    c: float,
     params: PopulationParams,
 ) -> SurveyLaw:
     """The closed-form count law of a survey.
 
-    Either inter-test law, every rule, attendance ratio, window c >= 0
-    (also past the horizon) and false-recent rate.  Evaluates the kernel
+    Either inter-test law, every rule, attendance ratio r in [0, 1], window
+    c >= 0 (also past the horizon) and false-recent rate; the arguments of
+    `survey_composition`, with its (r, c) check.  Evaluates the kernel
     three times (W_c, W_0, R), four with frr > 0 (W_x).  The kernel and
     `_composition` raise InfeasibleScenarioError, unconverted, when the
     exponential kernel cannot represent the cell (theta*c too large) or
     when no draw can be admitted.
     """
-    r, c = policy.attendance_ratio, policy.exclusion_window
+    _check_weight_args(r, c)
     admitted, attending, weight = _admission_terms(process, params, r, c)
     p_star, p_r, bias = _composition(assay, process, r, c, params, weight)
     return SurveyLaw(
         p_star=p_star,
         p_r=p_r,
         inclusion=min(admitted / attending, 1.0),
-        admit=policy.q0 * (1.0 - params.prevalence) * admitted,
+        admit=(1.0 - params.prevalence) * admitted,
         frr=assay.frr,
         analytic_bias=bias,
     )

@@ -25,6 +25,15 @@ class ObservationRule(enum.Enum):
     STOP_WHEN_POSITIVE = "swp"
 
 
+def _check_theta(theta: float):
+    """The theta check of the exponential law and of every entry point that
+    takes theta as a number."""
+    if not theta > 0:
+        raise ValueError(f"theta must be positive, got {theta!r}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+
+
 @dataclass(frozen=True)
 class ExponentialInterTest:
     """Exponential inter-test times with rate theta (tests/year)."""
@@ -32,10 +41,7 @@ class ExponentialInterTest:
     theta: float
 
     def __post_init__(self):
-        if not self.theta > 0:
-            raise ValueError(f"theta must be positive, got {self.theta!r}")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta!r}")
+        _check_theta(self.theta)
 
 
 @dataclass(frozen=True)
@@ -54,7 +60,13 @@ class UniformInterTest:
     @functools.cached_property
     def residual_cdf_pieces(self):
         """Knees and quadratic pieces of the stationary residual CDF, built
-        once per law (`uniform_cdf_pieces`)."""
+        once per law.
+
+        Returns (knees, coefs) with knees = (0, a, b): from knees[i] up to
+        the next knee, F(x) = k0 + k1*x + k2*x^2 with (k0, k1, k2) =
+        coefs[i].  That is x/mu below a, 1 - (b - x)^2 / (b^2 - a^2) up to b,
+        and 1 beyond.
+        """
         a, b = self.a, self.b
         m = b * b - a * a
         knees = (0.0, a, b)
@@ -72,26 +84,11 @@ class TestingProcess:
     observation_rule: ObservationRule = ObservationRule.REGULAR
 
 
-def uniform_cdf_pieces(law: UniformInterTest):
-    """Knees and quadratic pieces of the stationary residual CDF of a
-    Uniform[a, b] law, read from `UniformInterTest.residual_cdf_pieces`.
-
-    Returns (knees, coefs) with knees = (0, a, b): from knees[i] up to the
-    next knee, F(x) = k0 + k1*x + k2*x^2 with (k0, k1, k2) = coefs[i].
-    That is x/mu below a, 1 - (b - x)^2 / (b^2 - a^2) up to b, and 1 beyond.
-    """
-    return law.residual_cdf_pieces
-
-
-def uniform_cdf_piece(x: float, law: UniformInterTest):
-    """Coefficients (k0, k1, k2) of the piece of F that holds x >= 0."""
-    return law.residual_cdf_pieces[1][2 if x >= law.b else 1 if x >= law.a else 0]
-
-
 def residual_cdf(x: float, law: InterTestLaw) -> float:
     """CDF of the stationary residual life: (1/mu) * int_0^x (1-F(y)) dy."""
     x = max(x, 0.0)
     if isinstance(law, ExponentialInterTest):
         return 1.0 - math.exp(-law.theta * x)
-    k0, k1, k2 = uniform_cdf_piece(x, law)
+    piece = 2 if x >= law.b else 1 if x >= law.a else 0
+    k0, k1, k2 = law.residual_cdf_pieces[1][piece]
     return k0 + x * (k1 + x * k2)

@@ -19,7 +19,6 @@ from recencysim import population
 from recencysim.population import (
     InfeasibleScenarioError,
     PopulationParams,
-    ScreeningPolicy,
     SurveyCounts,
 )
 from recencysim.recency_model import RecencyAssay, phi
@@ -123,23 +122,27 @@ class SurveyRows:
         )
 
 
-def _sample_batch(params, process, policy, rng, size):
+def _sample_batch(params, process, r, c, rng, size):
+    """One batch of the population: status-aware positives attend with
+    probability r, everyone else always; eligible means the most recent test
+    lies more than c years back."""
     d = rng.random(size) < params.prevalence
-    u = rng.uniform(0.0, params.max_duration, size=size)
+    u = rng.uniform(0.0, params.horizon, size=size)
     u = np.where(d, u, np.nan)
     residual = sample_residual(process, rng, size=size)
     t = observe_most_recent_many(residual, u, d, process, rng)
     aware = d & (u >= t)
-    q = np.where(aware, policy.q1, policy.q0)
+    q = np.where(aware, r, 1.0)
     attended = rng.random(size) < q
-    eligible = t > policy.exclusion_window
+    eligible = t > c
     return d, u, t, aware, attended, eligible
 
 
 def assemble_survey_rows(
     params: PopulationParams,
     process: TestingProcess,
-    policy: ScreeningPolicy,
+    r: float,
+    c: float,
     assay: RecencyAssay,
     n_target: int,
     rng: np.random.Generator,
@@ -166,7 +169,7 @@ def assemble_survey_rows(
                 f"sampled {sampled} individuals without filling the survey"
             )
         d, u, t, aware, attended, eligible = _sample_batch(
-            params, process, policy, rng, _BATCH
+            params, process, r, c, rng, _BATCH
         )
         sampled += _BATCH
         admitted = attended & eligible
@@ -198,7 +201,8 @@ def assemble_survey_rows(
 def inclusion_probability_mc(
     process: TestingProcess,
     params: PopulationParams,
-    policy: ScreeningPolicy,
+    r: float,
+    c: float,
     n_attendees: int = 1_000_000,
     seed: int = 7,
 ) -> float:
@@ -212,7 +216,7 @@ def inclusion_probability_mc(
     batch = 65536
     while attended_total < n_attendees:
         d, u, t, aware, attended, eligible = _sample_batch(
-            params, process, policy, rng, batch
+            params, process, r, c, rng, batch
         )
         attended_total += int(attended.sum())
         included += int((attended & eligible).sum())

@@ -27,7 +27,7 @@ from recencysim.harness import (
     summary_columns,
     write_results,
 )
-from recencysim.population import DEFAULT_PARAMS, ScreeningPolicy
+from recencysim.population import DEFAULT_PARAMS
 from recencysim.recency_model import (
     DAYS_PER_YEAR,
     DEFAULT_ASSAY,
@@ -64,7 +64,8 @@ def _make_scenario(rule, theta, r, c):
         label=label,
         assay=DEFAULT_ASSAY,
         process=TestingProcess(ExponentialInterTest(theta), rule),
-        policy=ScreeningPolicy(q0=1.0, q1=r, exclusion_window=c),
+        r=r,
+        c=c,
         params=DEFAULT_PARAMS,
         n_target=N_TARGET,
         replications=REPS,

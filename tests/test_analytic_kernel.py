@@ -41,7 +41,6 @@ from recencysim.population import (
     DEFAULT_PARAMS,
     InfeasibleScenarioError,
     PopulationParams,
-    ScreeningPolicy,
 )
 from recencysim.recency_model import (
     DEFAULT_ASSAY,
@@ -450,23 +449,22 @@ def test_uniform_weight_integrals(law, c, rule, r, params):
 @RS
 @TAUS
 def test_uniform_composition_and_inclusion(law, c, rule, r, params):
-    # per q0*(1-p): admitted negatives 1 - F(c), admitted positives
+    # per 1 - p: admitted negatives 1 - F(c), admitted positives
     # incidence * W_c; attendees 1 + incidence * W_0
     lam, tau = params.incidence, params.horizon
     process = TestingProcess(law, rule)
     negatives = 1.0 - residual_cdf_from_definition(c, law)
     w_c = uniform_oracle(rule, law, r, c, tau)
-    policy = ScreeningPolicy(q1=r, exclusion_window=c)
     if negatives + lam * w_c == 0.0:  # no attendee passes the window
         with pytest.raises(InfeasibleScenarioError, match="admit probability 0"):
-            survey_law(DEFAULT_ASSAY, process, policy, params)
+            survey_law(DEFAULT_ASSAY, process, r, c, params)
         return
     recent = uniform_oracle(rule, law, r, c, min(T_STAR, tau), curve(DEFAULT_ASSAY))
     w_0 = uniform_oracle(rule, law, r, 0.0, tau)
     p_star, p_r = survey_composition(DEFAULT_ASSAY, process, r, c, params)
     assert close(p_star, lam * w_c / (lam * w_c + negatives))
     assert close(p_r, recent / w_c)
-    s = survey_law(DEFAULT_ASSAY, process, policy, params).inclusion
+    s = survey_law(DEFAULT_ASSAY, process, r, c, params).inclusion
     assert close(s, min((negatives + lam * w_c) / (1.0 + lam * w_0), 1.0))
 
 
@@ -516,8 +514,7 @@ def test_limit_bias(law, rule, r, c, frr, params):
         below = uniform_oracle(rule, law, r, c, x)
         negatives = 1.0 - residual_cdf_from_definition(c, law)
     want = (recent - frr * below) / negatives / (quad(f, 0.0, T_STAR) - frr * T_STAR)
-    policy = ScreeningPolicy(q1=r, exclusion_window=c)
-    law_ = survey_law(assay, TestingProcess(law, rule), policy, params)
+    law_ = survey_law(assay, TestingProcess(law, rule), r, c, params)
     assert close(1.0 + law_.analytic_bias / lam, want)
 
 
@@ -534,15 +531,14 @@ def test_limit_bias_exactly_zero(assay, rule, theta, frr, r, c):
     # limit is (MDRI - frr*T*) / 1 / (MDRI - frr*T*) = 1 exactly
     assay = RecencyAssay(assay.gamma_shape, assay.gamma_rate, assay.recency_cutoff, frr)
     process = TestingProcess(ExponentialInterTest(theta), rule)
-    policy = ScreeningPolicy(q1=r, exclusion_window=c)
-    assert survey_law(assay, process, policy, DEFAULT_PARAMS).analytic_bias == 0.0
+    assert survey_law(assay, process, r, c, DEFAULT_PARAMS).analytic_bias == 0.0
 
 
 def test_limit_bias_undefined_estimator():
     # MDRI <= frr*T*: the estimate's denominator is never positive
     assay = assay_with_frr(0.5)
     process = TestingProcess(ExponentialInterTest(1.0), ObservationRule.REGULAR)
-    law = survey_law(assay, process, ScreeningPolicy(q1=0.6), DEFAULT_PARAMS)
+    law = survey_law(assay, process, 0.6, 0.0, DEFAULT_PARAMS)
     assert math.isnan(law.analytic_bias)
     assert math.isnan(law.analytic_variance(5000))
 
@@ -579,9 +575,8 @@ def test_survey_law_rejects_cells_past_the_kernel_range(rule):
     # SWP overflows in W_c, Regular in R (e^{-710} is still a subnormal)
     theta, c = (100.0, 10.0) if rule is SWP else (710.0, 1.0)
     process = TestingProcess(ExponentialInterTest(theta), rule)
-    policy = ScreeningPolicy(q1=1.0, exclusion_window=c)
     with pytest.raises(InfeasibleScenarioError, match=rf"theta\*c = {theta * c:g} "):
-        survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS)
+        survey_law(DEFAULT_ASSAY, process, 1.0, c, DEFAULT_PARAMS)
 
 
 def test_kernel_keeps_cells_within_its_range():
@@ -641,7 +636,6 @@ def exponential_layer_values():
                 for r in PIN_RS:
                     for c in PIN_CS:
                         args = (assay, theta, r, c, rule)
-                        policy = ScreeningPolicy(q1=r, exclusion_window=c)
                         yield from (
                             value(lambda: effective_mdri_closed(*args)),
                             value(lambda: analytic_bias(*args, DEFAULT_PARAMS)),
@@ -649,7 +643,7 @@ def exponential_layer_values():
                                 assay, process, r, c, DEFAULT_PARAMS)),
                             value(lambda: forecast(rule, DEFAULT_PARAMS, theta,
                                                    r, c, 5000)),
-                            value(lambda: survey_law(assay, process, policy,
+                            value(lambda: survey_law(assay, process, r, c,
                                                      DEFAULT_PARAMS)),
                         )
 
@@ -672,7 +666,7 @@ def test_exponential_layer_unchanged():
     "make,constants",
     [
         (lambda: RecencyAssay(0.352, 1.273, 2.0), ("cutoff_terms", "moment_terms")),
-        (lambda: PopulationParams(0.032, 0.29), ("max_duration", "horizon")),
+        (lambda: PopulationParams(0.032, 0.29), ("horizon",)),
         (lambda: UniformInterTest(0.0, 3.0), ("residual_cdf_pieces",)),
     ],
     ids=["assay", "params", "uniform"],
@@ -718,9 +712,8 @@ def test_repeated_calls_evaluate_alike(monkeypatch, entry, law):
                         lambda *a: counted.append(a) or real(*a))
     assay = RecencyAssay(0.352, 1.273, 2.0)  # its constants not yet filled
     process = TestingProcess(law, ObservationRule.STOP_WHEN_POSITIVE)
-    policy = ScreeningPolicy(q1=0.6, exclusion_window=0.25)
     if entry == "survey_law":
-        call = lambda: survey_law(assay, process, policy, DEFAULT_PARAMS)  # noqa: E731
+        call = lambda: survey_law(assay, process, 0.6, 0.25, DEFAULT_PARAMS)  # noqa: E731
     else:
         call = lambda: effective_mdri_closed(assay, 1.0, 0.6, 0.25, SWP)  # noqa: E731
     first = call()

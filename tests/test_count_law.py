@@ -35,7 +35,6 @@ from recencysim.population import (
     DEFAULT_PARAMS,
     InfeasibleScenarioError,
     PopulationParams,
-    ScreeningPolicy,
 )
 from recencysim.recency_model import DEFAULT_ASSAY, mdri
 from recencysim.screening_analytics import forecast, survey_law
@@ -65,7 +64,7 @@ def _reference_replication(scenario, replication):
         [SEED + 1, harness._label_key(scenario.label), replication]
     ))
     counts = assemble_survey_rows(
-        scenario.params, scenario.process, scenario.policy, scenario.assay,
+        scenario.params, scenario.process, scenario.r, scenario.c, scenario.assay,
         scenario.n_target, rng,
     ).counts()
     assay = scenario.assay
@@ -162,9 +161,9 @@ def test_every_law_draws_from_the_count_law(monkeypatch):
     laws = []
     real = harness.survey_law
 
-    def counting(assay, process, policy, params):
+    def counting(assay, process, r, c, params):
         laws.append(process.inter_test_law)
-        return real(assay, process, policy, params)
+        return real(assay, process, r, c, params)
 
     monkeypatch.setattr(harness, "survey_law", counting)
     for uniform_bs in (None, (3.0,)):
@@ -183,14 +182,13 @@ class TestSurveyLaw:
     @pytest.mark.parametrize("r,c", [(1.0, 0.0), (0.3, 0.25), (0.0, 2.0), (0.6, 6.0)])
     def test_built_on_composition_and_inclusion(self, rule, r, c):
         process = TestingProcess(ExponentialInterTest(1.5), rule)
-        policy = ScreeningPolicy(q0=1.0, q1=r, exclusion_window=c)
-        law = survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS)
+        law = survey_law(DEFAULT_ASSAY, process, r, c, DEFAULT_PARAMS)
         p_star, p_r = survey_composition(DEFAULT_ASSAY, process, r, c, DEFAULT_PARAMS)
         assert (law.p_star, law.p_r) == (p_star, p_r)
         assert law.composition == (p_star * p_r, p_star * (1.0 - p_r), 1.0 - p_star)
         s = forecast(rule, DEFAULT_PARAMS, 1.5, r, c, 5000).inclusion_probability
         assert law.inclusion == s
-        # admit = P(attend) * s, P(attend) = q0 * (1 - p) * (1 + lam * W_0)
+        # admit = P(attend) * s, P(attend) = (1 - p) * (1 + lam * W_0)
         w_0 = survey_weight(process, r, 0.0, DEFAULT_PARAMS.horizon)[2]
         attending = (1.0 - DEFAULT_PARAMS.prevalence) * (
             1.0 + DEFAULT_PARAMS.incidence * w_0
@@ -213,16 +211,14 @@ class TestSurveyLaw:
         # everyone's weight is P(T > c) and s = e^{-theta*c}
         process = TestingProcess(ExponentialInterTest(0.4), REGULAR)
         c = DEFAULT_PARAMS.horizon + 1.0
-        policy = ScreeningPolicy(q1=1.0, exclusion_window=c)
-        law = survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS)
+        law = survey_law(DEFAULT_ASSAY, process, 1.0, c, DEFAULT_PARAMS)
         assert law.inclusion == pytest.approx(math.exp(-0.4 * c), rel=1e-12)
         counts = law.draw(500, 4, _rngs(1))
         assert (counts.n_total == 500).all() and (counts.n_screened >= 500).all()
 
     def test_draw_counts_add_up(self):
         process = TestingProcess(ExponentialInterTest(1.0), SWP)
-        policy = ScreeningPolicy(q1=0.6, exclusion_window=1.0)
-        law = survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS)
+        law = survey_law(DEFAULT_ASSAY, process, 0.6, 1.0, DEFAULT_PARAMS)
         counts = law.draw(5000, 20, _rngs(2))
         assert (counts.n_pos + counts.n_neg == 5000).all()
         assert ((0 <= counts.n_rec) & (counts.n_rec <= counts.n_pos)).all()
@@ -234,7 +230,7 @@ class TestSurveyLaw:
         # r = 1 and c = 0 give every positive weight 1: the survey keeps the
         # population prevalence and everyone who attends is admitted
         process = TestingProcess(UniformInterTest(a, b), SWP)
-        law = survey_law(DEFAULT_ASSAY, process, ScreeningPolicy(), DEFAULT_PARAMS)
+        law = survey_law(DEFAULT_ASSAY, process, 1.0, 0.0, DEFAULT_PARAMS)
         p_star = sum(law.composition[:2])
         assert p_star == pytest.approx(DEFAULT_PARAMS.prevalence, rel=1e-12)
         assert law.inclusion == pytest.approx(1.0, rel=1e-12)
@@ -245,9 +241,8 @@ class TestSurveyLaw:
         # gaps of at most 3 years and c = 20 past the horizon: admit is 0;
         # the count law and the composition raise one error, one message
         process = TestingProcess(UniformInterTest(0.0, 3.0), rule)
-        policy = ScreeningPolicy(q1=0.6, exclusion_window=20.0)
         calls = (
-            lambda: survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS),
+            lambda: survey_law(DEFAULT_ASSAY, process, 0.6, 20.0, DEFAULT_PARAMS),
             lambda: survey_composition(DEFAULT_ASSAY, process, 0.6, 20.0,
                                        DEFAULT_PARAMS),
         )
@@ -263,7 +258,7 @@ class TestSurveyLaw:
 
     def test_rejects_bad_target(self):
         process = TestingProcess(ExponentialInterTest(1.0), SWP)
-        law = survey_law(DEFAULT_ASSAY, process, ScreeningPolicy(), DEFAULT_PARAMS)
+        law = survey_law(DEFAULT_ASSAY, process, 1.0, 0.0, DEFAULT_PARAMS)
         with pytest.raises(ValueError, match="n_target must be positive"):
             law.draw(0, 1, _rngs(1))
 
@@ -278,11 +273,10 @@ SHORT = PopulationParams(incidence=0.3, prevalence=0.23)
 def test_short_horizon_composition_matches_sampler(rule, r, c):
     # integrating the curve to T* instead of tau put p_r 0.03 too high here
     process = TestingProcess(ExponentialInterTest(1.0), rule)
-    policy = ScreeningPolicy(q1=r, exclusion_window=c)
     p_star, p_r = survey_composition(DEFAULT_ASSAY, process, r, c, SHORT)
     n = 400_000
     counts = assemble_survey_rows(
-        SHORT, process, policy, DEFAULT_ASSAY, n, np.random.default_rng(31)
+        SHORT, process, r, c, DEFAULT_ASSAY, n, np.random.default_rng(31)
     ).counts()
     se_star = math.sqrt(p_star * (1.0 - p_star) / n)
     se_r = math.sqrt(p_r * (1.0 - p_r) / counts.n_pos)
@@ -302,10 +296,10 @@ def test_bias_and_variance_equal_the_exponential_formulas(cells):
     # frr = 0 on an exponential law: incidence * (R / MDRI - 1) and
     # (1/N) * (1/(p_r*p_star) + 1/(1 - p_star)), the same floats
     for s in cells:
-        law, policy = s.count_law, s.policy
+        law = s.count_law
         want = analytic_bias(
-            s.assay, s.process.inter_test_law.theta, policy.attendance_ratio,
-            policy.exclusion_window, s.process.observation_rule, s.params,
+            s.assay, s.process.inter_test_law.theta, s.r, s.c,
+            s.process.observation_rule, s.params,
         )
         assert law.analytic_bias == want, s.label
         assert law.analytic_variance(s.n_target) == log_variance(

@@ -215,7 +215,7 @@ class TestSurveyComposition:
             DEFAULT_ASSAY, process, 1.0, 0.0, DEFAULT_PARAMS
         )
         assert p_star == pytest.approx(0.29, abs=1e-9)
-        assert p_r == pytest.approx(OMEGA / DEFAULT_PARAMS.max_duration, rel=1e-8)
+        assert p_r == pytest.approx(OMEGA / DEFAULT_PARAMS.horizon, rel=1e-8)
 
     def test_exclusion_raises_prevalence_and_starves_recents(self):
         process = TestingProcess(
@@ -247,4 +247,4 @@ class TestSurveyComposition:
             DEFAULT_ASSAY, process, 1.0, 0.0, DEFAULT_PARAMS
         )
         assert p_star == pytest.approx(DEFAULT_PARAMS.prevalence, rel=1e-12)
-        assert p_r == pytest.approx(OMEGA / DEFAULT_PARAMS.max_duration, rel=1e-12)
+        assert p_r == pytest.approx(OMEGA / DEFAULT_PARAMS.horizon, rel=1e-12)

@@ -36,7 +36,7 @@ from recencysim.harness import (
     write_results,
     write_table1,
 )
-from recencysim.population import DEFAULT_PARAMS, ScreeningPolicy, SurveyCounts
+from recencysim.population import DEFAULT_PARAMS, SurveyCounts
 from recencysim.recency_model import DEFAULT_ASSAY, LONG_ASSAY, phi
 from recencysim.testing_history import (
     ExponentialInterTest,
@@ -325,7 +325,8 @@ class TestSummaries:
             process=TestingProcess(
                 ExponentialInterTest(1.0), ObservationRule.STOP_WHEN_POSITIVE
             ),
-            policy=ScreeningPolicy(q1=1.0, exclusion_window=0.0),
+            r=1.0,
+            c=0.0,
             params=DEFAULT_PARAMS,
             n_target=500,
             replications=20,
@@ -348,7 +349,8 @@ class TestSummaries:
             label="consistency",
             assay=DEFAULT_ASSAY,
             process=TestingProcess(ExponentialInterTest(theta), rule),
-            policy=ScreeningPolicy(q1=r, exclusion_window=c),
+            r=r,
+            c=c,
             params=DEFAULT_PARAMS,
             n_target=5000,
             replications=60,
@@ -632,7 +634,7 @@ class TestHistogram:
             n_infected=2000, seed=3,
         )
         assert rows[0][0] == 0.0
-        assert rows[-1][1] >= DEFAULT_PARAMS.max_duration
+        assert rows[-1][1] >= DEFAULT_PARAMS.horizon
 
 
 HISTOGRAM_ALPHA = 0.01  # family-wise over the cross-engine histogram cells
@@ -659,7 +661,7 @@ def person_level_histogram(rule, law, c, n_infected, bin_width, seed):
     observed test, binned by duration."""
     rng = np.random.default_rng(seed)
     process = TestingProcess(law, rule)
-    tau = DEFAULT_PARAMS.max_duration
+    tau = DEFAULT_PARAMS.horizon
     u = rng.uniform(0.0, tau, size=n_infected)
     t = observe_most_recent_many(
         sample_residual(process, rng, n_infected), u,
@@ -822,7 +824,8 @@ class TestOutputsAndCli:
             process=TestingProcess(
                 ExponentialInterTest(1.0), ObservationRule.STOP_WHEN_POSITIVE
             ),
-            policy=ScreeningPolicy(q0=1.0, q1=1.0, exclusion_window=0.0),
+            r=1.0,
+            c=0.0,
             params=DEFAULT_PARAMS,
             n_target=200,
             replications=1,
@@ -1010,8 +1013,8 @@ class TestOutputsAndCli:
             ("rules: [swpp]", "'swpp' is not a valid ObservationRule"),
             ("assay: defualt", "unknown assay 'defualt'"),
             ("theta: [0]", "theta must be positive, got 0"),
-            ("c: [-1]", "exclusion window must be nonnegative, got -1"),
-            ("r: [1.5]", "got q1=1.5"),
+            ("c: [-1]", "c must be nonnegative, got -1"),
+            ("r: [1.5]", "r must lie in [0, 1], got 1.5"),
             ("frr: [1.5]", "frr must lie in [0, 1), got 1.5"),
             ("uniform_b: [0]", "need 0 <= a < b, got a=0.0, b=0"),
             ("theta: [.inf]", "theta must be finite, got inf"),
@@ -1064,20 +1067,27 @@ class TestOutputsAndCli:
         assert f"{key} must list at least one value, got []" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize(
+    # every command that writes, with the fewest flags that make it quick
+    WRITING_COMMANDS = pytest.mark.parametrize(
         "argv",
         [["grid", "--reps", "1"], ["sensitivity", "frr", "--reps", "1"],
          ["histogram", "--n-infected", "100"], ["table1"]],
         ids=["grid", "sensitivity", "histogram", "table1"],
     )
-    @pytest.mark.parametrize("where", ["flag", "under_file", "config", "env"])
-    def test_cli_rejects_out_dir_that_is_a_file(self, tmp_path, capsys,
-                                                monkeypatch, argv, where):
+
+    @staticmethod
+    def refuse_work(monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("work started")
 
         for name in ("run_grid", "emit_histogram", "emit_table1"):
             monkeypatch.setattr(f"recencysim.cli.{name}", refuse)
+
+    @WRITING_COMMANDS
+    @pytest.mark.parametrize("where", ["flag", "under_file", "config", "env"])
+    def test_cli_rejects_out_dir_that_is_a_file(self, tmp_path, capsys,
+                                                monkeypatch, argv, where):
+        self.refuse_work(monkeypatch)
         taken = tmp_path / "taken"
         taken.write_text("a file\n")
         out = taken / "sub" if where == "under_file" else taken
@@ -1099,6 +1109,27 @@ class TestOutputsAndCli:
         assert captured.out == ""
         assert sorted(tmp_path.iterdir()) == before
         assert taken.read_text() == "a file\n"
+
+    @WRITING_COMMANDS
+    @pytest.mark.parametrize("value,shown", [("5", "5"), ("[a]", "['a']"),
+                                             ("", "None"), ("yes", "True")],
+                             ids=["int", "list", "null", "bool"])
+    def test_cli_rejects_out_dir_that_is_not_a_path(self, tmp_path, capsys,
+                                                    monkeypatch, argv, value,
+                                                    shown):
+        # a config value that is not a string was a TypeError traceback
+        self.refuse_work(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"out_dir: {value}\n")
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*argv, "--config", str(cfg)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"out_dir must be a path, got {shown}" in captured.err
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("command", [["grid"], ["sensitivity", "frr"]])
     @pytest.mark.parametrize(

@@ -7,12 +7,8 @@ from recencysim.estimator import (
     effective_mdri_closed,
     survey_composition,
 )
-from recencysim.harness import build_grid
-from recencysim.population import (
-    DEFAULT_PARAMS,
-    InfeasibleScenarioError,
-    ScreeningPolicy,
-)
+from recencysim.harness import build_grid, emit_histogram
+from recencysim.population import DEFAULT_PARAMS, InfeasibleScenarioError
 from recencysim.recency_model import DEFAULT_ASSAY
 from recencysim.screening_analytics import (
     forecast,
@@ -66,9 +62,8 @@ class TestInclusionProbability:
     )
     def test_matches_monte_carlo(self, rule, theta, r, c):
         process = TestingProcess(ExponentialInterTest(theta), rule)
-        policy = ScreeningPolicy(q0=1.0, q1=r, exclusion_window=c)
         mc = inclusion_probability_mc(
-            process, DEFAULT_PARAMS, policy, n_attendees=400_000, seed=5
+            process, DEFAULT_PARAMS, r, c, n_attendees=400_000, seed=5
         )
         assert mc == pytest.approx(s_closed(rule, theta, r, c), rel=0.02)
 
@@ -76,8 +71,7 @@ class TestInclusionProbability:
         # c = 60 is past the horizon (12.76): a valid window, where the
         # forecast reads the count law's inclusion probability, bit for bit
         process = TestingProcess(ExponentialInterTest(1.0), ObservationRule.REGULAR)
-        policy = ScreeningPolicy(q1=0.0, exclusion_window=60.0)
-        law = survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS)
+        law = survey_law(DEFAULT_ASSAY, process, 0.0, 60.0, DEFAULT_PARAMS)
         assert s_closed(ObservationRule.REGULAR, 1.0, 0.0, 60.0) == law.inclusion
         assert 0.0 < law.inclusion < 1e-25
 
@@ -132,14 +126,20 @@ class TestForecast:
     )
     @pytest.mark.parametrize("rule", list(ObservationRule), ids=lambda r: r.value)
     def test_rejects_what_every_entry_point_rejects(self, rule, r, c, message):
-        # the survey weight's one (r, c) check, with its messages
+        # the survey weight's one (r, c) check, with its messages; the
+        # histogram takes no r, so it meets only the c rows
         process = TestingProcess(ExponentialInterTest(1.0), rule)
-        calls = (
+        calls = [
             lambda: forecast(rule, DEFAULT_PARAMS, 1.0, r, c, 5000),
             lambda: effective_mdri_closed(DEFAULT_ASSAY, 1.0, r, c, rule),
             lambda: analytic_bias(DEFAULT_ASSAY, 1.0, r, c, rule, DEFAULT_PARAMS),
             lambda: survey_composition(DEFAULT_ASSAY, process, r, c, DEFAULT_PARAMS),
-        )
+            lambda: survey_law(DEFAULT_ASSAY, process, r, c, DEFAULT_PARAMS),
+            lambda: build_grid(1, 1, rules=(rule,), thetas=(1.0,), rs=(r,), cs=(c,)),
+        ]
+        if 0.0 <= r <= 1.0:
+            calls.append(lambda: emit_histogram(
+                rule, ExponentialInterTest(1.0), c, n_infected=10))
         for call in calls:
             with pytest.raises(ValueError) as exc:
                 call()
@@ -152,8 +152,7 @@ class TestForecast:
             process = cell.process
             fc = forecast(
                 process.observation_rule, cell.params,
-                process.inter_test_law.theta, cell.policy.attendance_ratio,
-                cell.policy.exclusion_window, cell.n_target,
+                process.inter_test_law.theta, cell.r, cell.c, cell.n_target,
             )
             assert fc.inclusion_probability == cell.count_law.inclusion, cell.label
 
@@ -163,9 +162,8 @@ class TestUniformScheduleMc:
         process = TestingProcess(
             UniformInterTest(0.0, 2.0), ObservationRule.STOP_WHEN_POSITIVE
         )
-        policy = ScreeningPolicy(q1=1.0, exclusion_window=0.0)
         mc = inclusion_probability_mc(
-            process, DEFAULT_PARAMS, policy, n_attendees=100_000, seed=3
+            process, DEFAULT_PARAMS, 1.0, 0.0, n_attendees=100_000, seed=3
         )
         assert mc == pytest.approx(1.0, abs=1e-12)
 
@@ -180,9 +178,8 @@ class TestUniformScheduleMc:
     )
     def test_closed_form_matches_monte_carlo(self, rule, a, b, r, c):
         process = TestingProcess(UniformInterTest(a, b), rule)
-        policy = ScreeningPolicy(q0=1.0, q1=r, exclusion_window=c)
-        law = survey_law(DEFAULT_ASSAY, process, policy, DEFAULT_PARAMS)
+        law = survey_law(DEFAULT_ASSAY, process, r, c, DEFAULT_PARAMS)
         mc = inclusion_probability_mc(
-            process, DEFAULT_PARAMS, policy, n_attendees=400_000, seed=5
+            process, DEFAULT_PARAMS, r, c, n_attendees=400_000, seed=5
         )
         assert mc == pytest.approx(law.inclusion, rel=0.02)
