@@ -26,7 +26,8 @@ scale and the negatives' weight P(T > c)), R (the curve up to
 min(T*, support) against the weight) and, with a false-recent rate, W_x
 (the weight up to the same point).  From them come the survey composition
 (p_star, p_r) and the estimator's limit, so its bias, written once
-(`_limit_bias`); `_composition` is the one place that evaluates R and W_x.
+(`_limit_bias`); `_composition` is the one place that evaluates them, R and
+W_x on W_c's own pieces cut at min(T*, support) (`_cut`).
 """
 
 from __future__ import annotations
@@ -385,6 +386,14 @@ def _limit_bias(assay, incidence, recent, negatives, below=0.0):
     return incidence * ((recent - frr * below) / negatives / denom - 1.0)
 
 
+def _cut(pieces, x):
+    """The pieces before x > 0, the last one ended at x: every knee below x is
+    an edge either way, so these are the weight's own pieces up to x."""
+    for i, (lo, hi, coefs, expo) in enumerate(pieces):
+        if hi >= x:  # the piece that holds x
+            return [*pieces[:i], (lo, x, coefs, expo)]
+
+
 def survey_weight(process: TestingProcess, r: float, c: float, x: float, assay=None):
     """The survey weight integrated in closed form, for either inter-test law.
 
@@ -424,17 +433,16 @@ def survey_composition(
     attendee passes the window.
     """
     _check_weight_args(r, c)
-    weight = survey_weight(process, r, c, params.horizon)
-    p_star, p_r, _ = _composition(assay, process, r, c, params, weight)
-    return p_star, p_r
+    return _composition(assay, process, r, c, params)[1:3]
 
 
-def _composition(assay, process, r, c, params, weight):
-    """(p_star, p_r, bias) of a cell whose weight over the horizon is
-    `weight` = survey_weight(process, r, c, horizon).
+def _composition(assay, process, r, c, params):
+    """(weight, p_star, p_r, bias) of a cell, with weight =
+    survey_weight(process, r, c, horizon).
 
-    Evaluates the kernel once for R and, when frr > 0, once for W_x, both
-    up to x = min(T*, horizon); `survey_composition` and
+    Builds the weight's pieces up to the horizon once, for W_c, and walks
+    them cut at x = min(T*, horizon) (`_cut`) for R and, when frr > 0, W_x:
+    the floats of their own `survey_weight` walks.  `survey_composition` and
     `screening_analytics.survey_law` share it.  The bias is `_limit_bias`,
     and nan where p_star is not below 1 (the negatives' share rounds to 0,
     so no survey holds a negative and every estimate is undefined).
@@ -442,17 +450,22 @@ def _composition(assay, process, r, c, params, weight):
     An admit probability that only underflows is left to the kernel's
     range check and to the attempt cap in `SurveyLaw.draw`.
     """
-    _, negatives, total = weight
+    law, rule, tau = process.inter_test_law, process.observation_rule, params.horizon
+    theta = law.theta if isinstance(law, ExponentialInterTest) else None
+    scale, negatives, pieces = (
+        _uniform_pieces(law, rule, r, c, tau) if theta is None
+        else _exponential_pieces(rule, theta, r, c, tau))
+    total = _integrate(pieces, theta, c)
     if not total > 0.0:
         raise InfeasibleScenarioError(
             f"no attendee can pass the exclusion window c={c:g} "
             "(admit probability 0 per draw)"
         )
-    cutoff = min(assay.recency_cutoff, params.horizon)
-    recent = survey_weight(process, r, c, cutoff, assay)[2]
+    cut = _cut(pieces, min(assay.recency_cutoff, tau))
+    recent = _integrate(cut, theta, c, assay)
     frr, below, tested_recent = assay.frr, 0.0, recent
     if frr:
-        below = survey_weight(process, r, c, cutoff)[2]
+        below = _integrate(cut, theta, c)
         tested_recent += frr * (total - below)
     positives = params.incidence * total
     p_star = positives / (positives + negatives)
@@ -460,4 +473,4 @@ def _composition(assay, process, r, c, params, weight):
         bias = _limit_bias(assay, params.incidence, recent, negatives, below)
     else:
         bias = math.nan
-    return p_star, tested_recent / total, bias
+    return (scale, negatives, total), p_star, tested_recent / total, bias

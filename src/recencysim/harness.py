@@ -13,11 +13,11 @@ whichever grid the scenario appears.
 
 A scenario is finished where it is drawn: `run_scenario` scores its
 counts with one `kassanjee_estimate` call on its own assay, and nothing
-changes a result after that.  `run_grid` is a plain map of `run_scenario`
-over the grid, and `summary_columns` reduces the estimates with numpy's
-own functions, one 2-D block per replication count.  Each summary row also
-carries the analytic bias and the delta-method variance of the log
-estimate, from its count law.
+changes a result after that.  `run_grid` computes every count law first,
+in-process, then maps `run_scenario`, which only draws; `summary_columns`
+reduces the estimates with numpy's own functions, one 2-D block per
+replication count.  Each summary row also carries the analytic bias and
+the delta-method variance of the log estimate, from its count law.
 
 A grid starts worker processes only when its replications can repay the
 pool's start-up and transfer: `workers` is an upper bound, and
@@ -119,9 +119,19 @@ class Scenario:
     seed: int
 
     @functools.cached_property
+    def _law(self):  # the count law, or the error that stops the cell
+        try:
+            return survey_law(self.assay, self.process, self.r, self.c, self.params)
+        except InfeasibleScenarioError as exc:
+            return exc
+
+    @property
     def count_law(self) -> SurveyLaw:
-        """The survey's closed-form count law."""
-        return survey_law(self.assay, self.process, self.r, self.c, self.params)
+        """The survey's closed-form count law, computed once; an infeasible
+        cell raises its InfeasibleScenarioError again at every read."""
+        if isinstance(self._law, InfeasibleScenarioError):
+            raise InfeasibleScenarioError(*self._law.args)
+        return self._law
 
 
 @dataclass(frozen=True)
@@ -352,15 +362,17 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> List[ScenarioRe
     """Run every scenario; results come back in scenario order.  A scenario
     run alone is a grid of one.
 
-    Every scenario's seed words are derived here in one pass and travel
-    with it; the rest is a map of `run_scenario`, whose results come back
-    finished.  `workers` is an upper bound: the grid runs on
-    `worker_processes(scenarios, workers)` processes, in-process when that
-    is 1, so a grid too small to repay a pool starts none.  In a pool the
-    scenarios go out in chunks, about four per worker: a scenario's cost is
-    one array block, alike across cells, so equal chunks balance, and each
-    chunk pays the per-task transfer once.
+    Every scenario's count law (or its error) is computed here first,
+    in-process, and its seed words in one pass; both travel with it, so the
+    map of `run_scenario` only draws.  `workers` is an upper bound: the grid
+    runs on `worker_processes(scenarios, workers)` processes, in-process
+    when that is 1, so a grid too small to repay a pool starts none.  In a
+    pool the scenarios go out in chunks, about four per worker: a
+    scenario's cost is one array block, alike across cells, so equal chunks
+    balance, and each chunk pays the per-task transfer once.
     """
+    for s in scenarios:
+        s._law  # every law before the first draw
     states = _scenario_states(scenarios)
     processes = worker_processes(scenarios, workers)
     if processes == 1:
@@ -691,20 +703,15 @@ def _table_grid(assay):
     return u, p, p.sum() * TABLE_GRID_STEP
 
 
-def _table_grid_bias(grid, tstar, theta, r, c, params):
-    """Bias with integrals as left-endpoint sums over `grid` (`_table_grid`).
-
-    This is the reporting convention for the analytic table; analytic_bias
-    gives the exact continuum value.  K(c) is 0 once c reaches the cutoff
-    `tstar`.
+def _table_grid_k(u, p, tstar, theta, c):
+    """K(c) as a left-endpoint sum over the grid u, p (`_table_grid`), the
+    reporting convention for the analytic table; analytic_bias gives the
+    exact continuum value.  K(c) is 0 once c reaches the cutoff `tstar`.
     """
-    u, p, omega = grid
-    m = u >= c
-    k = (p[m] * (1.0 - np.exp(theta * (c - u[m])))).sum() * TABLE_GRID_STEP
     if c >= tstar:
-        k = 0.0
-    omega_eff = omega - (1.0 - r * math.exp(theta * c)) * k
-    return params.incidence * (omega_eff / omega - 1.0)
+        return 0.0
+    m = u >= c
+    return (p[m] * (1.0 - np.exp(theta * (c - u[m])))).sum() * TABLE_GRID_STEP
 
 
 def emit_table1(
@@ -719,14 +726,14 @@ def emit_table1(
     form; screening burden comes from the closed inclusion
     probability.
     """
-    grid = _table_grid(assay)
+    u, p, omega = _table_grid(assay)
     rows = []
     for c, clabel in TABLE1_C:
         for theta in TABLE1_THETA:
+            k = _table_grid_k(u, p, assay.recency_cutoff, theta, c)
             for r in TABLE1_R:
-                bias_grid = _table_grid_bias(
-                    grid, assay.recency_cutoff, theta, r, c, params
-                )
+                omega_eff = omega - (1.0 - r * math.exp(theta * c)) * k
+                bias_grid = params.incidence * (omega_eff / omega - 1.0)
                 bias_exact = analytic_bias(
                     assay, theta, r, c, ObservationRule.STOP_WHEN_POSITIVE, params
                 )

@@ -8,8 +8,8 @@ Admitted attendees are iid, so a whole survey's counts follow one
 multinomial and one negative binomial law (`survey_law`).  The law also
 carries the cell's analytic bias and the delta-method variance of the log
 estimate, from the same kernel terms: W_c, W_0, R and, with a false-recent
-rate, W_x, each evaluated once per cell.  Every window c >= 0 is valid,
-also past the horizon.
+rate, W_x, each evaluated once per cell, R and W_x on W_c's own pieces.
+Every window c >= 0 is valid, also past the horizon.
 """
 
 from __future__ import annotations
@@ -33,23 +33,20 @@ class ScreeningForecast:
     required_screened: int
 
 
-def _admission_terms(process, params, r, c):
-    """Per-draw probabilities of (admission, attendance) over 1 - p, and the
-    survey weight they come from.
+def _admission_terms(process, params, r, c, weight):
+    """Per-draw probabilities of (admission, attendance) over 1 - p.
 
     admitted = P(T > c) + incidence * W_c and attending = 1 + incidence * W_0,
-    with W_c the survey weight at window c integrated over the horizon;
-    their ratio is the inclusion probability.  The third value is
-    survey_weight(process, r, c, horizon).  At c == 0, W_0 is W_c: the same
-    arguments, so the same float, and the weight is walked once.  Valid for
-    every c >= 0.
+    with W_c the survey weight at window c integrated over the horizon,
+    `weight` = survey_weight(process, r, c, horizon); their ratio is the
+    inclusion probability.  At c == 0, W_0 is W_c: the same arguments, so
+    the same float, and the weight is walked once.  Valid for every c >= 0.
     """
-    lam, horizon = params.incidence, params.horizon
-    weight = survey_weight(process, r, c, horizon)
+    lam = params.incidence
     scale, negatives, total = weight
     eligible = negatives + lam * total
-    w0 = total if c == 0.0 else survey_weight(process, r, 0.0, horizon)[2]
-    return scale * eligible, 1.0 + lam * w0, weight
+    w0 = total if c == 0.0 else survey_weight(process, r, 0.0, params.horizon)[2]
+    return scale * eligible, 1.0 + lam * w0
 
 
 @dataclass(frozen=True)
@@ -138,15 +135,16 @@ def survey_law(
 
     Either inter-test law, every rule, attendance ratio r in [0, 1], window
     c >= 0 (also past the horizon) and false-recent rate; the arguments of
-    `survey_composition`, with its (r, c) check.  Evaluates the kernel
-    three times (W_c, W_0, R), four with frr > 0 (W_x).  The kernel and
-    `_composition` raise InfeasibleScenarioError, unconverted, when the
-    exponential kernel cannot represent the cell (theta*c too large) or
-    when no draw can be admitted.
+    `survey_composition`, with its (r, c) check.  Walks the kernel three
+    times (W_c, W_0, R), four with frr > 0 (W_x), on two piece lists: W_c's,
+    cut for R and W_x, and at c > 0 W_0's.  The kernel and `_composition`
+    raise InfeasibleScenarioError, unconverted, when the exponential kernel
+    cannot represent the cell (theta*c too large) or when no draw can be
+    admitted.
     """
     _check_weight_args(r, c)
-    admitted, attending, weight = _admission_terms(process, params, r, c)
-    p_star, p_r, bias = _composition(assay, process, r, c, params, weight)
+    weight, p_star, p_r, bias = _composition(assay, process, r, c, params)
+    admitted, attending = _admission_terms(process, params, r, c, weight)
     return SurveyLaw(
         p_star=p_star,
         p_r=p_r,
@@ -191,7 +189,8 @@ def forecast(
     """
     _check_weight_args(r, c)
     process = TestingProcess(ExponentialInterTest(theta), rule)
-    admitted, attending, _ = _admission_terms(process, params, r, c)
+    weight = survey_weight(process, r, c, params.horizon)
+    admitted, attending = _admission_terms(process, params, r, c, weight)
     s = min(admitted / attending, 1.0)
     if not s > 0.0:
         raise InfeasibleScenarioError(

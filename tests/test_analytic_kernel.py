@@ -543,6 +543,62 @@ def test_limit_bias_undefined_estimator():
     assert math.isnan(law.analytic_variance(5000))
 
 
+def composed_from_walks(assay, process, r, c, params):
+    """(p_star, p_r, inclusion, admit, bias) of a cell from one
+    `survey_weight` walk per term, each on its own piece list; None where
+    no attendee passes the window."""
+    lam, tau = params.incidence, params.horizon
+    x = min(assay.recency_cutoff, tau)
+    scale, negatives, total = survey_weight(process, r, c, tau)
+    if not total > 0.0:
+        return None
+    recent = survey_weight(process, r, c, x, assay)[2]
+    below = survey_weight(process, r, c, x)[2] if assay.frr else 0.0
+    tested_recent = recent + assay.frr * (total - below) if assay.frr else recent
+    w0 = survey_weight(process, r, 0.0, tau)[2]
+    positives = lam * total
+    p_star = positives / (positives + negatives)
+    admitted = scale * (negatives + lam * total)
+    bias = (estimator._limit_bias(assay, lam, recent, negatives, below)
+            if p_star < 1.0 else math.nan)
+    return (p_star, tested_recent / total, min(admitted / (1.0 + lam * w0), 1.0),
+            (1.0 - params.prevalence) * admitted, bias)
+
+
+@pytest.mark.parametrize(
+    "law,params,c",
+    [(law, params, c)
+     for law in [ExponentialInterTest(1.0), UniformInterTest(0.0, 3.0),
+                 UniformInterTest(1.0, 4.0)]
+     for params in [DEFAULT_PARAMS, PopulationParams(0.032, 0.05)]
+     for c in sorted({0.0, 0.25, getattr(law, "a", 0.0), 1.99, T_STAR,
+                      getattr(law, "b", 3.0), params.horizon + 2.0})],
+    ids=lambda v: (f"tau{v.horizon:.3g}" if isinstance(v, PopulationParams)
+                   else f"c{v:g}" if isinstance(v, float)
+                   else f"uni{v.a:g}-{v.b:g}" if isinstance(v, UniformInterTest)
+                   else f"exp{v.theta:g}"),
+)
+@RULES
+@RS
+@pytest.mark.parametrize("frr", [0.0, 0.02])
+def test_shared_pieces_move_no_float(law, params, c, rule, r, frr):
+    # R and W_x walk W_c's pieces cut at x = min(T*, tau); at tau = 1.64 the
+    # cut is the horizon itself.  Every field is bit for bit the one composed
+    # from separate walks of the weight's own piece lists.
+    assay, process = assay_with_frr(frr), TestingProcess(law, rule)
+    want = composed_from_walks(assay, process, r, c, params)
+    if want is None:
+        with pytest.raises(InfeasibleScenarioError, match="no attendee can pass"):
+            survey_law(assay, process, r, c, params)
+        with pytest.raises(InfeasibleScenarioError, match="no attendee can pass"):
+            survey_composition(assay, process, r, c, params)
+        return
+    got = survey_law(assay, process, r, c, params)
+    fields = (got.p_star, got.p_r, got.inclusion, got.admit, got.analytic_bias)
+    assert [repr(v) for v in fields] == [repr(v) for v in want]
+    assert survey_composition(assay, process, r, c, params) == want[:2]
+
+
 # ---------------------------------------------------------------------------
 # the exponential kernel's range: it scales the weight by e^{-theta*c}
 

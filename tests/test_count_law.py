@@ -363,24 +363,23 @@ def test_variance_is_the_delta_method(scenario):
 
 
 @pytest.mark.parametrize(
-    "label,calls",
-    [("swp_theta1_r0.6_c1", 3), ("regular_theta0.4_r0.3_c0_frr0.01", 3),
-     ("swp_uni0-3_r0.6_c1", 3), ("swp_theta1_r0.6_c0_frr0.02", 3),
-     ("swp_uni0-3_r0.6_c0", 2)],
+    "label,calls,lists",
+    [("swp_theta1_r0.6_c1", 3, 2), ("regular_theta0.4_r0.3_c0_frr0.01", 3, 1),
+     ("swp_uni0-3_r0.6_c1", 3, 2), ("swp_theta1_r0.6_c0_frr0.02", 3, 1),
+     ("swp_theta1_r0.6_c2_frr0.02", 4, 2), ("swp_uni0-3_r0.6_c0", 2, 1)],
 )
-def test_a_cell_evaluates_each_kernel_term_once(monkeypatch, label, calls):
-    # W_c, W_0 and R, and W_x when frr > 0, with W_0 read from W_c at c = 0:
-    # building the law and writing the summary row evaluate nothing twice
+def test_a_cell_evaluates_each_kernel_term_once(monkeypatch, label, calls, lists):
+    # W_c, W_0 and R, and W_x when frr > 0, with W_0 read from W_c at c = 0;
+    # one piece list for W_c, R and W_x, and one for W_0 at c > 0: building
+    # the law and writing the summary row evaluate nothing twice
     scenario = _cell(MAIN + FRR + UNIFORM, label)
     scenario = dataclasses.replace(scenario, replications=3)
     counted = []
-    real = estimator._integrate
-
-    def integrate(*args):
-        counted.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(estimator, "_integrate", integrate)
+    for name in ("_integrate", "_exponential_pieces", "_uniform_pieces"):
+        real = getattr(estimator, name)
+        monkeypatch.setattr(estimator, name, lambda *args, name=name, real=real: (
+            counted.append(name) or real(*args)))
     result = run_grid([scenario])[0]
     harness._write_summary([result], io.StringIO())
-    assert len(counted) == calls, counted
+    assert counted.count("_integrate") == calls, counted
+    assert len(counted) - calls == lists, counted

@@ -1247,6 +1247,49 @@ class TestInfeasibleCell:
         )
         assert res.counts is None and res.estimates.size == 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_law_before_the_first_draw(self, tmp_path, monkeypatch, pool_forced,
+                                             workers):
+        # every law (the infeasible cell's error too) is computed in-process
+        # before any draw, and a worker only draws; each call is logged to a
+        # file, so a worker's draws are seen too
+        log = tmp_path / "calls.log"
+
+        def logged(event, fn):
+            def call(*args):
+                with open(log, "a") as fh:
+                    fh.write(event + "\n")
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(harness, "survey_law", logged("law", harness.survey_law))
+        monkeypatch.setattr(harness.SurveyLaw, "draw",
+                            logged("draw", harness.SurveyLaw.draw))
+        swp = (ObservationRule.STOP_WHEN_POSITIVE,)
+        feasible = build_grid(5, 2, n_target=200, rs=(0.0, 0.6), cs=(0.0, 1.0),
+                              uniform_bs=(3.0,))
+        (infeasible,) = build_grid(5, 2, n_target=200, rules=swp, rs=(0.0,),
+                                   cs=(20.0,), uniform_bs=(3.0,))
+        grid = [*feasible[:3], infeasible, *feasible[3:]]
+        results = run_grid(grid, workers=workers)
+        events = log.read_text().split()
+        assert events == ["law"] * len(grid) + ["draw"] * (len(grid) - 1)
+        assert pool_forced == ([2] if workers == 2 else [])
+        assert results[3].error == (
+            "no attendee can pass the exclusion window c=20 "
+            "(admit probability 0 per draw)")
+        files = {}
+        for name, cells in (("with", results), ("without", run_grid(feasible))):
+            write_results(cells, tmp_path / name, config_echo={}, seed=5,
+                          wall_time=0.0)
+            files[name] = [(tmp_path / name / f).read_text().splitlines()
+                           for f in ("replications.csv", "summary.csv")]
+        (reps, summary), (reps_without, summary_without) = files.values()
+        assert reps == reps_without
+        assert summary[4].startswith("swp_uni0-3_r0_c20,")
+        assert summary[4].endswith(f",error:{results[3].error}")
+        assert summary[:4] + summary[5:] == summary_without
+
     def test_cli_grid_writes_uniform_error_row(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         out = tmp_path / "out"
