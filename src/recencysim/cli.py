@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .estimator import analytic_bias, effective_mdri_closed, effective_mdri_numeric
 from .harness import (
+    _check_count,
     build_grid,
     build_sensitivity,
     default_out_dir,
@@ -89,15 +90,6 @@ def _load_config(path):
     return cfg
 
 
-def _positive_int(value, what, low=1):
-    """`value` if it is an integer >= low (1 unless given); a usage error
-    naming `what` if not."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        kind = "positive" if low == 1 else "nonnegative"
-        raise ConfigError(f"{what} must be a {kind} integer, got {value!r}")
-    return value
-
-
 def _out_dir(path):
     """`path` as a Path if it is a directory or can be made one; a usage
     error, before any work, if it is not a path (a config value that is not
@@ -118,8 +110,8 @@ def _resolved(args, cfg):
     def pick(flag, key, default, low=1):
         value = getattr(args, flag, None)
         if value is not None:
-            return _positive_int(value, f"--{flag}", low)
-        return _positive_int(cfg.get(key, default), key, low)
+            return _check_count(value, f"--{flag}", low, ConfigError)
+        return _check_count(cfg.get(key, default), key, low, ConfigError)
 
     return {
         "seed": pick("seed", "seed", 12345, low=0),
@@ -130,7 +122,7 @@ def _resolved(args, cfg):
             else cfg.get("out_dir", default_out_dir())
         ),
         "workers": pick("workers", "workers", 1),
-        "n_target": _positive_int(cfg.get("n_target", 5000), "n_target"),
+        "n_target": _check_count(cfg.get("n_target", 5000), "n_target", 1, ConfigError),
     }
 
 
@@ -184,7 +176,7 @@ def cmd_histogram(args) -> int:
     cfg = _load_config(args.config)
     opts = _resolved(args, cfg)
     rule = ObservationRule(args.rule)
-    _positive_int(args.n_infected, "--n-infected")
+    _check_count(args.n_infected, "--n-infected", 1, ConfigError)
     try:
         rows = emit_histogram(rule, ExponentialInterTest(args.theta), args.c,
                               n_infected=args.n_infected, seed=opts["seed"])

@@ -33,6 +33,7 @@ W_x on W_c's own pieces cut at min(T*, support) (`_cut`).
 from __future__ import annotations
 
 import math
+from itertools import pairwise
 from typing import Tuple
 
 import numpy as np
@@ -46,7 +47,6 @@ from .testing_history import (
     TestingProcess,
     UniformInterTest,
     _check_theta,
-    residual_cdf,
 )
 
 
@@ -197,25 +197,27 @@ def _uniform_pieces(law: UniformInterTest, rule, r, c, x):
 
     Between consecutive knees of F(u), of F(u - c) and the window c, F is one
     quadratic piece (chosen at the midpoint, as `residual_cdf` chooses it),
-    so w is a quadratic in u there.  The pieces are read from the law, which
-    builds them once (`UniformInterTest.residual_cdf_pieces`).
+    so w is a quadratic in u there.  F's pieces, F(c)'s too, are read from
+    the law, which builds them once (`UniformInterTest.residual_cdf_pieces`);
+    the knees are cut at x only when one lies past it.
     """
     a, b = law.a, law.b
     cdf = law.residual_cdf_pieces[1]  # its knees are 0, a and b
+    k0, k1, k2 = cdf[2 if c >= b else 1 if c >= a else 0]
+    survive_c = 1.0 - (k0 + c * (k1 + c * k2))
     swp = rule is ObservationRule.STOP_WHEN_POSITIVE
-    breaks = {0.0, x, c, a, b, c + a, c + b} if swp else {0.0, x, c, a, b}
-    edges = sorted([e for e in breaks if 0.0 <= e <= x])
-    survive_c = 1.0 - residual_cdf(c, law)
+    edges = sorted({0.0, x, c, a, b, c + a, c + b} if swp else {0.0, x, c, a, b})
+    edges = edges if edges[-1] <= x else [e for e in edges if e <= x]
     pieces = []
-    for lo, hi in zip(edges, edges[1:]):
+    aware, factor = r * survive_c, r - 1.0  # the same floats on every piece
+    for lo, hi in pairwise(edges):
         mid = 0.5 * (lo + hi)
         if mid <= c:  # 1 - F(c)
             coefs = (survive_c, 0.0, 0.0)
         else:  # F(u) = k0 + k1*u + k2*u^2
             k0, k1, k2 = cdf[2 if mid >= b else 1 if mid >= a else 0]
             if not swp:  # (1 - r)*(1 - F(u)) + r*(1 - F(c))
-                coefs = ((1.0 - r) * (1.0 - k0) + r * survive_c, (r - 1.0) * k1,
-                         (r - 1.0) * k2)
+                coefs = ((1.0 - r) * (1.0 - k0) + aware, factor * k1, factor * k2)
             else:  # r*F(u - c) + 1 - F(u)
                 v = mid - c
                 g0, g1, g2 = cdf[2 if v >= b else 1 if v >= a else 0]

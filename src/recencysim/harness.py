@@ -5,11 +5,11 @@ scenario for a number of replications and writes one per-replication CSV,
 one summary CSV, and a JSON run manifest.  A scenario is one block of
 arrays: its replications' counts come from two vectorized draws of its
 count law, on two generators keyed by (seed, scenario label, stream).  A
-grid derives every generator's seed words in one vectorized pass of
-numpy's SeedSequence hash: the same PCG64 states as SeedSequence([seed,
-key, stream]), without a SeedSequence per scenario.  Replication i is
-therefore the same for any replication count, any worker count and in
-whichever grid the scenario appears.
+grid derives every generator's seed words in one pass of numpy's
+SeedSequence hash, each step one array op on all its lanes (the grid's
+seed converted once): the states of SeedSequence([seed, key, stream]),
+without a SeedSequence.  Replication i is therefore the same for any
+replication count, any worker count and in whichever grid it appears.
 
 A scenario is finished where it is drawn: `run_scenario` scores its
 counts with one `kassanjee_estimate` call on its own assay, and nothing
@@ -34,6 +34,7 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 import os
 import platform
 from contextlib import contextmanager
@@ -43,6 +44,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy
+from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from . import __version__
@@ -229,96 +231,102 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
+_UINT64 = np.dtype(np.uint64)
 
 
 def _uint32_words(n: int) -> List[int]:
-    """`n` as SeedSequence reads an int: uint32 words, least significant
-    first; 0 is one word."""
+    """`n` (any integer, by `operator.index`) as SeedSequence reads an int:
+    uint32 words, least significant first; 0 is one word."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"expected a non-negative integer, got {n}")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+    return [n >> 32 * k & _MASK32 for k in range(max(1, (n.bit_length() + 31) // 32))]
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The hash's constants init * mult**k (mod 2**32), k = 0..n, one row each."""
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(n + 1)],
+                    dtype=np.uint32)[:, None]
+
+
+def _hashmix(value, consts):
+    """The hash's hashmix of each row k of `value`, with constants k and k + 1."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
 
 
 def _seed_states(entropies: Sequence[Sequence[int]]) -> np.ndarray:
     """Row i is np.random.SeedSequence(entropies[i]).generate_state(4,
-    np.uint64), the words PCG64 seeds from, for every entropy (lane) in one
-    pass of uint32 array arithmetic.
-
-    The lanes share the hash's constants step by step, so only the words of
-    each lane differ; a lane shorter than the pool is padded with zeros, and
-    the rounds that mix in the words past the pool change only the lanes
-    that have those words.
-    """
-    lanes = [[w for n in e for w in _uint32_words(int(n))] for e in entropies]
+    np.uint64), the words PCG64 seeds from, in one `_hash_lanes` pass."""
+    lanes = [[w for n in e for w in _uint32_words(n)] for e in entropies]
     width = max([_POOL, *map(len, lanes)])
-    entropy = np.array(
-        [w + [0] * (width - len(w)) for w in lanes], dtype=np.uint32
-    ).reshape(len(lanes), width)
-    lengths = np.array([len(w) for w in lanes])
-    hash_const = _INIT_A
+    entropy = np.array([w + [0] * (width - len(w)) for w in lanes], dtype=np.uint32)
+    return _hash_lanes(entropy.reshape(-1, width).T, np.array([len(w) for w in lanes]))
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ (value >> 16)
 
-    def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ (result >> 16)
-
-    pool = [hashmix(entropy[:, i]) for i in range(_POOL)]
+def _hash_lanes(entropy: np.ndarray, lengths) -> np.ndarray:
+    """numpy's SeedSequence hash of every lane, column i of `entropy` holding
+    lane i's `lengths[i]` uint32 words (zero padded to at least the pool):
+    its 4 uint64 state words, one C-contiguous row per lane.  The pool's
+    first 4 hashmixes, each source round's 3 mixes, each round past the pool
+    (where only the lanes with that word change) and the 8 output hashes are
+    each one op on a block of rows, with the hash's constants in its order."""
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * len(entropy))
+    pool = _hashmix(entropy[:_POOL], consts[:_POOL + 1])
     for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL, width):
-        has = lengths > src
-        for dst in range(_POOL):
-            mixed = mix(pool[dst], hashmix(entropy[:, src]))
-            pool[dst] = np.where(has, mixed, pool[dst])
-
-    hash_const = _INIT_B
-    state = []
-    for i in range(2 * _POOL):
-        value = pool[i % _POOL] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        state.append((value ^ (value >> 16)).astype(np.uint64))
+        dst, k = [d for d in range(_POOL) if d != src], _POOL + 3 * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + _POOL]))
+    for src in range(_POOL, len(entropy)):  # its constants start at 4 * src
+        mixed = _mix(pool, _hashmix(entropy[src], consts[4 * src:4 * src + 5]))
+        pool = np.where(lengths > src, mixed, pool)
+    state = _hashmix(np.concatenate([pool, pool]),
+                     _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)).astype(np.uint64)
     # uint64 word j is uint32 words 2j (low half) and 2j + 1
-    return np.stack(
-        [state[j] | state[j + 1] << 32 for j in range(0, 2 * _POOL, 2)], axis=1
-    )
+    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
 
 
 def _scenario_states(scenarios: Sequence[Scenario]) -> np.ndarray:
     """Block i holds scenario i's seed words, one row per stream: those of
-    SeedSequence([seed, label key, stream])."""
+    SeedSequence([seed, label key, stream]).  A grid's seed is converted
+    once, and with each cell's two-word key and stream makes one block for
+    `_hash_lanes`; several seeds (or none), or a one-word key, go lane by
+    lane through `_seed_states`."""
     keys = [_label_key(s.label) for s in scenarios]
-    entropies = [(s.seed, key, stream)
-                 for s, key in zip(scenarios, keys) for stream in (0, 1)]
-    return _seed_states(entropies).reshape(len(scenarios), 2, _POOL)
+    seeds = {s.seed for s in scenarios}
+    if len(seeds) != 1 or min(keys) <= _MASK32:
+        lanes = [(s.seed, key, k) for s, key in zip(scenarios, keys) for k in (0, 1)]
+        return _seed_states(lanes).reshape(len(scenarios), 2, _POOL)
+    seed = _uint32_words(seeds.pop())
+    keys = np.repeat(np.array(keys, dtype=np.uint64), 2)
+    entropy = np.empty((len(seed) + 3, len(keys)), dtype=np.uint32)
+    entropy[:-3] = np.reshape(seed, (-1, 1))
+    entropy[-3], entropy[-2] = keys & _MASK32, keys >> 32
+    entropy[-1] = np.arange(len(keys)) & 1  # the stream
+    return _hash_lanes(entropy, len(entropy)).reshape(len(scenarios), 2, _POOL)
 
 
 class _SeedWords(ISeedSequence):
-    """Precomputed PCG64 seed words, in place of the SeedSequence they equal."""
+    """Precomputed PCG64 seed words, in place of the SeedSequence they equal:
+    4 uint64 words, held C-contiguous, as PCG64 seeds from their raw buffer."""
 
     def __init__(self, words: np.ndarray):
-        self.words = words
+        if words.shape != (_POOL,) or words.dtype != _UINT64:
+            raise ValueError(f"expected {_POOL} uint64 words, got {words!r}")
+        self.words = np.ascontiguousarray(words)
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"holds {len(self.words)} uint64 words only")
+        if n_words != _POOL or np.dtype(dtype) != _UINT64:
+            raise ValueError(f"holds {_POOL} uint64 words only")
         return self.words
 
 
 def _streams(states: np.ndarray):
-    """A scenario's two generators from its seed words (`_scenario_states`):
+    """A scenario's two generators, built from its seed words (`_scenario_states`):
     stream 0 draws the survey compositions and stream 1 the screening counts.
 
     The words are keyed by (seed, scenario label, stream).  Keying on the
@@ -326,8 +334,8 @@ def _streams(states: np.ndarray):
     which grid it appears in, so e.g. an frr=0 sensitivity scenario
     reproduces its main-grid counterpart exactly.
     """
-    return tuple(np.random.Generator(np.random.PCG64(_SeedWords(words)))
-                 for words in states)
+    return (Generator(PCG64(_SeedWords(states[0]))),
+            Generator(PCG64(_SeedWords(states[1]))))
 
 
 def run_scenario(scenario: Scenario, states: np.ndarray) -> ScenarioResult:
@@ -409,6 +417,14 @@ def _scenario_label(rule, law, r, c, frr, assay_name):
     return txt
 
 
+def _check_count(value, what: str, low: int = 1, error=ValueError):
+    """`value` if it is an integer (not a bool) >= low; else `error` naming `what`."""
+    if type(value) is bool or not isinstance(value, numbers.Integral) or value < low:
+        kind = "positive" if low == 1 else "nonnegative"
+        raise error(f"{what} must be a {kind} integer, got {value!r}")
+    return value
+
+
 def build_grid(
     seed: int,
     replications: int,
@@ -432,7 +448,12 @@ def build_grid(
     empty list or another value is a ValueError naming its config key, and
     each (r, c) gets the analytic layer's check before its cell is built.  A
     label keys its cell's random streams, so two cells with one label (a
-    value listed twice) are a ValueError naming the label."""
+    value listed twice) are a ValueError naming the label.  `seed` must be
+    an integer >= 0, and `replications` and `n_target` >= 1, as in the CLI
+    (`_check_count`), before any cell is built."""
+    _check_count(seed, "seed", 0)
+    _check_count(replications, "replications")
+    _check_count(n_target, "n_target")
     lists = {"rules": rules, "theta": thetas, "r": rs, "c": cs, "frr": frrs}
     if uniform_bs is not None:
         lists["uniform_b"] = uniform_bs

@@ -55,6 +55,7 @@ from recencysim.testing_history import (
     ObservationRule,
     TestingProcess,
     UniformInterTest,
+    residual_cdf,
 )
 
 RTOL = 1e-10
@@ -597,6 +598,49 @@ def test_shared_pieces_move_no_float(law, params, c, rule, r, frr):
     fields = (got.p_star, got.p_r, got.inclusion, got.admit, got.analytic_bias)
     assert [repr(v) for v in fields] == [repr(v) for v in want]
     assert survey_composition(assay, process, r, c, params) == want[:2]
+
+
+def uniform_pieces_by_filter(law, rule, r, c, x):
+    """A uniform weight's pieces as the kernel first built them: every knee
+    filtered to [0, x] and sorted, F(c) from `residual_cdf`."""
+    a, b = law.a, law.b
+    cdf = law.residual_cdf_pieces[1]
+    swp = rule is ObservationRule.STOP_WHEN_POSITIVE
+    breaks = {0.0, x, c, a, b, c + a, c + b} if swp else {0.0, x, c, a, b}
+    edges = sorted([e for e in breaks if 0.0 <= e <= x])
+    survive_c = 1.0 - residual_cdf(c, law)
+    pieces = []
+    for lo, hi in zip(edges, edges[1:]):
+        mid = 0.5 * (lo + hi)
+        if mid <= c:
+            coefs = (survive_c, 0.0, 0.0)
+        else:
+            k0, k1, k2 = cdf[2 if mid >= b else 1 if mid >= a else 0]
+            if not swp:
+                coefs = ((1.0 - r) * (1.0 - k0) + r * survive_c, (r - 1.0) * k1,
+                         (r - 1.0) * k2)
+            else:
+                v = mid - c
+                g0, g1, g2 = cdf[2 if v >= b else 1 if v >= a else 0]
+                coefs = (r * (g0 - c * (g1 - c * g2)) + 1.0 - k0,
+                         r * (g1 - 2.0 * c * g2) - k1, r * g2 - k2)
+        pieces.append((lo, hi, coefs, None))
+    return 1.0, survive_c, pieces
+
+
+@pytest.mark.parametrize(
+    "law", [UniformInterTest(0.0, 3.0), UniformInterTest(1.0, 4.0),
+            UniformInterTest(0.5, 1.0)], ids=lambda v: f"uni{v.a:g}-{v.b:g}")
+@RULES
+def test_uniform_pieces_equal_the_filtered_knees(law, rule):
+    # read F(c) from the law's pieces, cut the knees at x only when one lies
+    # past it: the same edges and the same floats
+    a, b, short = law.a, law.b, PopulationParams(0.032, 0.05).horizon
+    for r in (0.0, 0.6, 1.0):
+        for c in sorted({0.0, 0.25, a, 1.99, T_STAR, b, a + b, HORIZON + 2.0}):
+            for x in sorted({0.0, 0.25, c, a, b, c + a, T_STAR, short, HORIZON}):
+                got = estimator._uniform_pieces(law, rule, r, c, x)
+                assert got == uniform_pieces_by_filter(law, rule, r, c, x)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,48 @@ class TestGridConstruction:
         with pytest.raises(ValueError, match="unknown assay 'defualt'"):
             build_grid(1, 1, assay_name="defualt")
 
+    @pytest.mark.parametrize(
+        "args,kwargs,message",
+        [
+            # a float seed ran silently as seed 1 through int()
+            ((1.9, 2), {}, "seed must be a nonnegative integer, got 1.9"),
+            ((True, 2), {}, "seed must be a nonnegative integer, got True"),
+            ((-1, 2), {}, "seed must be a nonnegative integer, got -1"),
+            # drew surveys of 100 and wrote n_screened as 100.5
+            ((1, 2), {"n_target": 100.5},
+             "n_target must be a positive integer, got 100.5"),
+            ((1, 2), {"n_target": 0}, "n_target must be a positive integer, got 0"),
+            # failed inside numpy, after every law was computed
+            ((1, 2.5), {}, "replications must be a positive integer, got 2.5"),
+            ((1, False), {}, "replications must be a positive integer, got False"),
+            ((1, 0), {}, "replications must be a positive integer, got 0"),
+        ],
+        ids=["seed-float", "seed-bool", "seed-negative", "n_target-float",
+             "n_target-zero", "replications-float", "replications-bool",
+             "replications-zero"],
+    )
+    @pytest.mark.parametrize("build", ["grid", "sensitivity"])
+    def test_rejects_a_bad_count_before_any_cell(self, monkeypatch, args, kwargs,
+                                                 message, build):
+        def refuse(**fields):
+            raise AssertionError("a cell was built")
+
+        monkeypatch.setattr(harness, "Scenario", refuse)
+        with pytest.raises(ValueError) as exc:
+            if build == "grid":
+                build_grid(*args, **kwargs)
+            else:
+                build_sensitivity("uniform_intertest", *args, **kwargs)
+        assert str(exc.value) == message
+
+    def test_numpy_integer_counts_are_counts(self):
+        want = build_grid(3, 2, n_target=300, thetas=(1.0,), rs=(0.6,), cs=(1.0,))
+        got = build_grid(np.int64(3), np.int32(2), n_target=np.uint16(300),
+                         thetas=(1.0,), rs=(0.6,), cs=(1.0,))
+        assert got == want
+        for a, b in zip(run_grid(got), run_grid(want), strict=True):
+            assert_same_block(a, b)
+
 
 class TestDeterminism:
     def test_scenario_repeatable(self):
@@ -226,6 +268,67 @@ class TestSeedStates:
         for res, counts in zip(results, want, strict=True):
             for name, column in vars(counts).items():
                 assert np.array_equal(getattr(res.counts, name), column), name
+
+    @staticmethod
+    def seed_sequence_words(scenarios):
+        return np.array([[np.random.SeedSequence([s.seed, harness._label_key(s.label), k])
+                          .generate_state(4, np.uint64) for k in (0, 1)]
+                         for s in scenarios])
+
+    def test_grid_lanes_equal_seed_sequence(self, monkeypatch):
+        # a 3-word seed makes 6-word lanes: the grid's block for the shared
+        # seed, and the rounds past the pool
+        scenarios = build_grid(2**64 + 7, 1)
+
+        def refuse(entropies):
+            raise AssertionError("a grid of one seed went lane by lane")
+
+        monkeypatch.setattr(harness, "_seed_states", refuse)
+        got = harness._scenario_states(scenarios)
+        assert got.shape == (len(scenarios), 2, 4) and got.dtype == np.uint64
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, self.seed_sequence_words(scenarios))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 7])
+    def test_lanes_of_several_seeds_or_a_short_key(self, monkeypatch, seed):
+        cells = small_grid()
+        mixed = [dataclasses.replace(cells[0], seed=seed),
+                 dataclasses.replace(cells[1], seed=2**40), *cells[2:]]
+        np.testing.assert_array_equal(harness._scenario_states(mixed),
+                                      self.seed_sequence_words(mixed))
+        # a key below 2**32 is one word, so the stream moves up a place
+        real = harness._label_key
+        short = {cells[0].label: 5, cells[1].label: 2**32 - 1}
+        monkeypatch.setattr(harness, "_label_key",
+                            lambda label: short.get(label, real(label)))
+        same = [dataclasses.replace(s, seed=seed) for s in cells]
+        np.testing.assert_array_equal(harness._scenario_states(same),
+                                      self.seed_sequence_words(same))
+
+    def test_empty_grid(self):
+        assert harness._scenario_states([]).shape == (0, 2, 4)
+        assert run_grid([]) == []
+
+    def test_seed_words_are_held_contiguous(self):
+        words = np.random.SeedSequence([1, 5, 0]).generate_state(4, np.uint64)
+        want = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence([1, 5, 0]))).integers(0, 2**63, size=8)
+        wide = np.zeros((4, 2), dtype=np.uint64)
+        wide[:, 0] = words
+        view = wide[:, 0]  # the right words, every other uint64 in memory
+        assert not view.flags.c_contiguous
+        for held in (view, view.copy()):
+            gen = np.random.Generator(np.random.PCG64(harness._SeedWords(held)))
+            np.testing.assert_array_equal(gen.integers(0, 2**63, size=8), want)
+
+    @pytest.mark.parametrize("words", [
+        np.arange(3, dtype=np.uint64), np.arange(8, dtype=np.uint64),
+        np.arange(8, dtype=np.uint64).reshape(2, 4), np.arange(4, dtype=np.int64),
+        np.arange(4, dtype=np.uint32), np.arange(4, dtype=np.float64),
+    ], ids=["short", "long", "2-d", "int64", "uint32", "float"])
+    def test_seed_words_of_another_shape_or_type_raise(self, words):
+        with pytest.raises(ValueError, match="expected 4 uint64 words"):
+            harness._SeedWords(words)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_scenario_alone_equals_its_grid_block(self, workers, pool_forced):
