@@ -196,10 +196,10 @@ def _uniform_pieces(law: UniformInterTest, rule, r, c, x):
     inter-test law: scale 1 and negatives P(T > c) = 1 - F(c).
 
     Between consecutive knees of F(u), of F(u - c) and the window c, F is one
-    quadratic piece (chosen at the midpoint, as `residual_cdf` chooses it),
-    so w is a quadratic in u there.  F's pieces, F(c)'s too, are read from
-    the law, which builds them once (`UniformInterTest.residual_cdf_pieces`);
-    the knees are cut at x only when one lies past it.
+    quadratic piece (the one whose knees bracket the midpoint), so w is a
+    quadratic in u there.  F's pieces, F(c)'s too, are read from the law,
+    which builds them once (`UniformInterTest.residual_cdf_pieces`); the
+    knees are cut at x only when one lies past it.
     """
     a, b = law.a, law.b
     cdf = law.residual_cdf_pieces[1]  # its knees are 0, a and b
@@ -404,7 +404,9 @@ def survey_weight(process: TestingProcess, r: float, c: float, x: float, assay=N
     negatives = P(T > c), both divided by `scale`.  Exponential schedules
     use scale = e^{-theta*c}, so negatives = 1; uniform ones use scale = 1,
     so a window past the longest gap (P(T > c) = 0) divides by nothing.
+    (r, c) gets the check of every public entry point.
     """
+    _check_weight_args(r, c)
     law, rule = process.inter_test_law, process.observation_rule
     if isinstance(law, ExponentialInterTest):
         theta = law.theta

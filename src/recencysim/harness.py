@@ -4,11 +4,9 @@ Each scenario is a full survey-simulation configuration; a grid runs every
 scenario for a number of replications and writes one per-replication CSV,
 one summary CSV, and a JSON run manifest.  A scenario is one block of
 arrays: its replications' counts come from two vectorized draws of its
-count law, on two generators keyed by (seed, scenario label, stream).  A
-grid derives every generator's seed words in one pass of numpy's
-SeedSequence hash, each step one array op on all its lanes (the grid's
-seed converted once): the states of SeedSequence([seed, key, stream]),
-without a SeedSequence.  Replication i is therefore the same for any
+count law, on two PCG64 generators keyed by (seed, scenario label,
+stream): each one's seed words are the SHA-256 digest of that triple
+(`_scenario_states`).  Replication i is therefore the same for any
 replication count, any worker count and in whichever grid it appears.
 
 A scenario is finished where it is drawn: `run_scenario` scores its
@@ -219,109 +217,39 @@ def _law_fields(process: TestingProcess):
     return "uniform", "", law.a, law.b
 
 
-def _label_key(label: str) -> int:
-    digest = hashlib.sha256(label.encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-# numpy's SeedSequence hash (O'Neill's seed_seq_fe, fixed by NEP 19) on a
-# pool of four uint32 words
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
+#: uint64 words PCG64 seeds from
+_WORDS = 4
 _UINT64 = np.dtype(np.uint64)
 
 
-def _uint32_words(n: int) -> List[int]:
-    """`n` (any integer, by `operator.index`) as SeedSequence reads an int:
-    uint32 words, least significant first; 0 is one word."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
-    return [n >> 32 * k & _MASK32 for k in range(max(1, (n.bit_length() + 31) // 32))]
-
-
-def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
-    """The hash's constants init * mult**k (mod 2**32), k = 0..n, one row each."""
-    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(n + 1)],
-                    dtype=np.uint32)[:, None]
-
-
-def _hashmix(value, consts):
-    """The hash's hashmix of each row k of `value`, with constants k and k + 1."""
-    value = (value ^ consts[:-1]) * consts[1:]
-    return value ^ (value >> 16)
-
-
-def _mix(x, y):
-    result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return result ^ (result >> 16)
-
-
-def _seed_states(entropies: Sequence[Sequence[int]]) -> np.ndarray:
-    """Row i is np.random.SeedSequence(entropies[i]).generate_state(4,
-    np.uint64), the words PCG64 seeds from, in one `_hash_lanes` pass."""
-    lanes = [[w for n in e for w in _uint32_words(n)] for e in entropies]
-    width = max([_POOL, *map(len, lanes)])
-    entropy = np.array([w + [0] * (width - len(w)) for w in lanes], dtype=np.uint32)
-    return _hash_lanes(entropy.reshape(-1, width).T, np.array([len(w) for w in lanes]))
-
-
-def _hash_lanes(entropy: np.ndarray, lengths) -> np.ndarray:
-    """numpy's SeedSequence hash of every lane, column i of `entropy` holding
-    lane i's `lengths[i]` uint32 words (zero padded to at least the pool):
-    its 4 uint64 state words, one C-contiguous row per lane.  The pool's
-    first 4 hashmixes, each source round's 3 mixes, each round past the pool
-    (where only the lanes with that word change) and the 8 output hashes are
-    each one op on a block of rows, with the hash's constants in its order."""
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * len(entropy))
-    pool = _hashmix(entropy[:_POOL], consts[:_POOL + 1])
-    for src in range(_POOL):
-        dst, k = [d for d in range(_POOL) if d != src], _POOL + 3 * src
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + _POOL]))
-    for src in range(_POOL, len(entropy)):  # its constants start at 4 * src
-        mixed = _mix(pool, _hashmix(entropy[src], consts[4 * src:4 * src + 5]))
-        pool = np.where(lengths > src, mixed, pool)
-    state = _hashmix(np.concatenate([pool, pool]),
-                     _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)).astype(np.uint64)
-    # uint64 word j is uint32 words 2j (low half) and 2j + 1
-    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
-
-
 def _scenario_states(scenarios: Sequence[Scenario]) -> np.ndarray:
-    """Block i holds scenario i's seed words, one row per stream: those of
-    SeedSequence([seed, label key, stream]).  A grid's seed is converted
-    once, and with each cell's two-word key and stream makes one block for
-    `_hash_lanes`; several seeds (or none), or a one-word key, go lane by
-    lane through `_seed_states`."""
-    keys = [_label_key(s.label) for s in scenarios]
-    seeds = {s.seed for s in scenarios}
-    if len(seeds) != 1 or min(keys) <= _MASK32:
-        lanes = [(s.seed, key, k) for s, key in zip(scenarios, keys) for k in (0, 1)]
-        return _seed_states(lanes).reshape(len(scenarios), 2, _POOL)
-    seed = _uint32_words(seeds.pop())
-    keys = np.repeat(np.array(keys, dtype=np.uint64), 2)
-    entropy = np.empty((len(seed) + 3, len(keys)), dtype=np.uint32)
-    entropy[:-3] = np.reshape(seed, (-1, 1))
-    entropy[-3], entropy[-2] = keys & _MASK32, keys >> 32
-    entropy[-1] = np.arange(len(keys)) & 1  # the stream
-    return _hash_lanes(entropy, len(entropy)).reshape(len(scenarios), 2, _POOL)
+    """Block i holds scenario i's seed words, one row per stream k (0, 1):
+    the SHA-256 digest of f"{seed:d}\\n{label}\\n{k}" (UTF-8), read as 4
+    little-endian uint64 words.  A seed must be an integer (`operator.index`,
+    so a float is a TypeError) >= 0."""
+    sha256, digests = hashlib.sha256, []
+    for s in scenarios:
+        seed = operator.index(s.seed)
+        if seed < 0:
+            raise ValueError(f"expected a non-negative integer seed, got {seed}")
+        key = f"{seed:d}\n{s.label}\n".encode()
+        digests += (sha256(key + b"0").digest(), sha256(key + b"1").digest())
+    words = np.frombuffer(b"".join(digests), dtype="<u8")
+    return words.astype(_UINT64, copy=False).reshape(-1, 2, _WORDS)
 
 
 class _SeedWords(ISeedSequence):
-    """Precomputed PCG64 seed words, in place of the SeedSequence they equal:
-    4 uint64 words, held C-contiguous, as PCG64 seeds from their raw buffer."""
+    """Precomputed PCG64 seed words, in place of a SeedSequence: 4 uint64
+    words, held C-contiguous, as PCG64 seeds from their raw buffer."""
 
     def __init__(self, words: np.ndarray):
-        if words.shape != (_POOL,) or words.dtype != _UINT64:
-            raise ValueError(f"expected {_POOL} uint64 words, got {words!r}")
+        if words.shape != (_WORDS,) or words.dtype != _UINT64:
+            raise ValueError(f"expected {_WORDS} uint64 words, got {words!r}")
         self.words = np.ascontiguousarray(words)
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != _POOL or np.dtype(dtype) != _UINT64:
-            raise ValueError(f"holds {_POOL} uint64 words only")
+        if n_words != _WORDS or np.dtype(dtype) != _UINT64:
+            raise ValueError(f"holds {_WORDS} uint64 words only")
         return self.words
 
 
@@ -371,10 +299,11 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> List[ScenarioRe
     run alone is a grid of one.
 
     Every scenario's count law (or its error) is computed here first,
-    in-process, and its seed words in one pass; both travel with it, so the
-    map of `run_scenario` only draws.  `workers` is an upper bound: the grid
-    runs on `worker_processes(scenarios, workers)` processes, in-process
-    when that is 1, so a grid too small to repay a pool starts none.  In a
+    in-process, and its seed words (`_scenario_states`); both travel with
+    it, so the map of `run_scenario` only draws.  `workers` is an upper
+    bound: the grid runs on `worker_processes(scenarios, workers)`
+    processes, in-process when that is 1, so a grid too small to repay a
+    pool starts none.  In a
     pool the scenarios go out in chunks, about four per worker: a
     scenario's cost is one array block, alike across cells, so equal chunks
     balance, and each chunk pays the per-task transfer once.

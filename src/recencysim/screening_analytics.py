@@ -187,7 +187,6 @@ def forecast(
     and the attendees needed to admit n_target (`required_screening`).
     Raises InfeasibleScenarioError where s is 0 or n_target / s overflows.
     """
-    _check_weight_args(r, c)
     process = TestingProcess(ExponentialInterTest(theta), rule)
     weight = survey_weight(process, r, c, params.horizon)
     admitted, attending = _admission_terms(process, params, r, c, weight)

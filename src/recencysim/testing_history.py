@@ -1,14 +1,14 @@
-"""The HIV test schedule: inter-test laws, observation rules and the
-residual-life CDF.
+"""The HIV test schedule: inter-test laws and observation rules.
 
 The test schedule is a stationary renewal process; the time since the last
-test at the survey instant follows its limiting residual-life law
-(`residual_cdf`); a uniform law builds the pieces of that CDF once
+test at the survey instant follows its limiting residual-life law, whose
+CDF a uniform law builds in pieces once
 (`UniformInterTest.residual_cdf_pieces`).  Two observation rules are
 supported: Regular (all tests observed) and Stop-When-Positive (testing
 stops at the first post-infection test).  The analytic layer integrates
-these laws in closed form; the person-level sampler that draws them lives
-with the tests, as the reference engine (tests/reference_sampler.py).
+these laws in closed form; the person-level sampler that draws them, and
+the residual CDF it is checked against, live with the tests, as the
+reference engine (tests/reference_sampler.py).
 """
 
 from __future__ import annotations
@@ -82,13 +82,3 @@ InterTestLaw = Union[ExponentialInterTest, UniformInterTest]
 class TestingProcess:
     inter_test_law: InterTestLaw
     observation_rule: ObservationRule = ObservationRule.REGULAR
-
-
-def residual_cdf(x: float, law: InterTestLaw) -> float:
-    """CDF of the stationary residual life: (1/mu) * int_0^x (1-F(y)) dy."""
-    x = max(x, 0.0)
-    if isinstance(law, ExponentialInterTest):
-        return 1.0 - math.exp(-law.theta * x)
-    piece = 2 if x >= law.b else 1 if x >= law.a else 0
-    k0, k1, k2 = law.residual_cdf_pieces[1][piece]
-    return k0 + x * (k1 + x * k2)

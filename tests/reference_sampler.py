@@ -5,12 +5,14 @@ The package draws a survey's counts from its closed-form law
 survey-weight kernel (`harness.emit_histogram`).  This module builds
 people one by one instead, from the model's primitives: prevalence, a
 Uniform(0, tau) infection duration, the time since the most recent test
-under the stationary residual-life law (`sample_residual`), the
-Stop-When-Positive correction of that time (`observe_most_recent_many`),
-awareness-dependent attendance and the exclusion window.  The tests compare
+under the stationary residual-life law (`sample_residual`, whose CDF is
+`residual_cdf`), the Stop-When-Positive correction of that time
+(`observe_most_recent_many`), awareness-dependent attendance and the
+exclusion window.  The tests compare
 the two engines; nothing in the package imports this module.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +26,23 @@ from recencysim.population import (
 from recencysim.recency_model import RecencyAssay, phi
 from recencysim.testing_history import (
     ExponentialInterTest,
+    InterTestLaw,
     ObservationRule,
     TestingProcess,
     UniformInterTest,
 )
 
 _BATCH = 8192
+
+
+def residual_cdf(x: float, law: InterTestLaw) -> float:
+    """CDF of the stationary residual life: (1/mu) * int_0^x (1-F(y)) dy."""
+    x = max(x, 0.0)
+    if isinstance(law, ExponentialInterTest):
+        return 1.0 - math.exp(-law.theta * x)
+    piece = 2 if x >= law.b else 1 if x >= law.a else 0
+    k0, k1, k2 = law.residual_cdf_pieces[1][piece]
+    return k0 + x * (k1 + x * k2)
 
 
 def _residual_from_uniform01(e, law: UniformInterTest):

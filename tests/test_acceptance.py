@@ -40,9 +40,8 @@ from recencysim.testing_history import (
     ObservationRule,
     TestingProcess,
     UniformInterTest,
-    residual_cdf,
 )
-from reference_sampler import observe_most_recent_many, sample_residual
+from reference_sampler import observe_most_recent_many, residual_cdf, sample_residual
 
 SEED = 20240915
 REPS = 1000

@@ -55,8 +55,8 @@ from recencysim.testing_history import (
     ObservationRule,
     TestingProcess,
     UniformInterTest,
-    residual_cdf,
 )
+from reference_sampler import residual_cdf
 
 RTOL = 1e-10
 HORIZON = DEFAULT_PARAMS.horizon
@@ -602,7 +602,7 @@ def test_shared_pieces_move_no_float(law, params, c, rule, r, frr):
 
 def uniform_pieces_by_filter(law, rule, r, c, x):
     """A uniform weight's pieces as the kernel first built them: every knee
-    filtered to [0, x] and sorted, F(c) from `residual_cdf`."""
+    filtered to [0, x] and sorted, F(c) from `reference_sampler.residual_cdf`."""
     a, b = law.a, law.b
     cdf = law.residual_cdf_pieces[1]
     swp = rule is ObservationRule.STOP_WHEN_POSITIVE

@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import ISeedSequence
 from scipy import stats
 
 from recencysim import estimator, harness
@@ -58,10 +59,15 @@ def _rngs(seed):
     return np.random.default_rng(seed), np.random.default_rng(seed + 1)
 
 
+def _label_key(label: str) -> int:
+    digest = hashlib.sha256(label.encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 def _reference_replication(scenario, replication):
     """One survey from the individual sampler, on a stream of its own."""
     rng = np.random.default_rng(np.random.SeedSequence(
-        [SEED + 1, harness._label_key(scenario.label), replication]
+        [SEED + 1, _label_key(scenario.label), replication]
     ))
     counts = assemble_survey_rows(
         scenario.params, scenario.process, scenario.r, scenario.c, scenario.assay,
@@ -150,11 +156,27 @@ def test_count_law_matches_individual_sampler(scenario, cross_engine_pvalues):
     assert not failed, f"KS p-values rejected by Holm-Bonferroni: {failed}"
 
 
-def seed_sequence_streams(scenario):
-    """The scenario's two generators as numpy's SeedSequence seeds them."""
-    key = harness._label_key(scenario.label)
-    return tuple(np.random.default_rng(np.random.SeedSequence([scenario.seed, key, k]))
-                 for k in (0, 1))
+class _Words(ISeedSequence):
+    """Seed words handed to PCG64 as they are, in place of a SeedSequence."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def sha256_words(seed, label, stream):
+    """A generator's seed words as the README documents them: the SHA-256
+    digest of "seed\\nlabel\\nstream", as 4 little-endian uint64 words."""
+    digest = hashlib.sha256(f"{int(seed)}\n{label}\n{stream}".encode()).digest()
+    return np.frombuffer(digest, dtype="<u8").astype(np.uint64)
+
+
+def sha256_streams(scenario):
+    """The scenario's two generators, rebuilt with hashlib and numpy alone."""
+    return tuple(np.random.Generator(np.random.PCG64(
+        _Words(sha256_words(scenario.seed, scenario.label, k)))) for k in (0, 1))
 
 
 def test_every_law_draws_from_the_count_law(monkeypatch):
@@ -170,7 +192,7 @@ def test_every_law_draws_from_the_count_law(monkeypatch):
         (cell,) = build_grid(3, 1, n_target=200, thetas=(1.0,), rs=(0.6,),
                              cs=(1.0,), rules=(SWP,), uniform_bs=uniform_bs)
         counts = run_grid([cell])[0].counts
-        want = cell.count_law.draw(200, 1, seed_sequence_streams(cell))
+        want = cell.count_law.draw(200, 1, sha256_streams(cell))
         assert vars(counts).keys() == vars(want).keys()
         for name, column in vars(want).items():
             assert np.array_equal(getattr(counts, name), column), name

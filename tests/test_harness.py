@@ -45,7 +45,7 @@ from recencysim.testing_history import (
     UniformInterTest,
 )
 from reference_sampler import observe_most_recent_many, sample_residual
-from test_count_law import holm_rejected, seed_sequence_streams
+from test_count_law import holm_rejected, sha256_streams, sha256_words
 
 
 def small_grid(seed=7, reps=2, n_target=400):
@@ -187,9 +187,8 @@ class TestDeterminism:
         assert files[1] == files[2]
 
     def test_uniform_suite_streams_unchanged(self, tmp_path):
-        # sha256 of the files written when each scenario moved to two
-        # vectorized streams, keyed by (seed, label, stream); summary.csv
-        # re-pinned when the uniform cells gained their analytic columns
+        # sha256 of the files written when each generator's seed words
+        # became the SHA-256 digest of (seed, label, stream)
         results = run_grid(build_sensitivity("uniform_intertest", 11, 2, n_target=500))
         write_results(results, tmp_path, config_echo={}, seed=11, wall_time=0.0)
         digests = {
@@ -198,29 +197,29 @@ class TestDeterminism:
         }
         assert digests == {
             "replications.csv":
-                "da23ed254934718d7c381fdf1eadb8813079b70d68a92306cf841c0610fd963d",
+                "d6bb4d712c8543a204fd1a3aaf91face2f364c1f714de7e1717728a5ffcb1dcc",
             "summary.csv":
-                "c08f060b0c27f555e2aae8ce54c3e229dd3753808f591c7f967784533b16f72d",
+                "e0f4e61a1de8829efd701919819ce93e36ed919aa12051f7c9a4830e40eff348",
         }
 
     @pytest.mark.parametrize("suite,digests", [
         ("main", {
             "replications.csv":
-                "0178d3d1d97afe784685787cd96312675570016fb85eba335136f3c17d1ee90c",
+                "4b90797a6076d4fd5caee21f103913f82eae91ae7a532640cb5a3a211024881e",
             "summary.csv":
-                "d5ef918e03fbed41f6c8137ba7bc66f3a5bce41152f2ad776a89ee9dce511431",
+                "2f0c8273743b099428efdac120f7227831d240eed5cecd6f0caae97a8c6a328b",
         }),
         ("frr", {
             "replications.csv":
-                "afb958a3052e2692bebfe95cfb5c218490e0cb914f42cf63697d215c2f744787",
+                "6d4f22fc15419145c9d0fe31f4dbf3c0b359815c65aeb41ba63ae6f65d9cf299",
             "summary.csv":
-                "37086764b75d526d5d5447b06594c4c1d90998388f6781a92dbe5f82a2b115fa",
+                "313319d97727dc97ab21e0ba0029a6a1f7a006b8a11203717e3713d1ec3b9099",
         }),
     ])
     def test_grid_outputs_unchanged(self, tmp_path, suite, digests):
-        # sha256 of the files written while each scenario still made its own
-        # estimate call and summary: the grid-wide passes move no byte (the
-        # frr suite's rows include negative estimates)
+        # sha256 of the files written when each generator's seed words
+        # became the SHA-256 digest of (seed, label, stream) (the frr suite's
+        # rows include negative estimates)
         scenarios = (build_grid(1, 3, n_target=500) if suite == "main"
                      else build_sensitivity(suite, 1, 3, n_target=500))
         write_results(run_grid(scenarios), tmp_path, config_echo={}, seed=1,
@@ -242,22 +241,39 @@ class TestDeterminism:
 
 
 class TestSeedStates:
-    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 7)
-    KEYS = (0, 5, 2**32 - 1, 2**32, 2**64 - 1)
+    # small and large seeds (one past 2**64) and a numpy integer, in one grid
+    SEEDS = (0, 7, 2**40, 2**64 + 7, np.uint64(2**63 + 5))
 
-    def test_words_equal_seed_sequence(self):
-        lanes = list(itertools.product(self.SEEDS, self.KEYS, (0, 1)))
-        lengths = {sum(len(harness._uint32_words(n)) for n in lane) for lane in lanes}
-        assert lengths == {3, 4, 5, 6}  # short of the pool, at it and past it
-        want = np.array([np.random.SeedSequence(list(lane)).generate_state(4, np.uint64)
-                         for lane in lanes])
-        got = harness._seed_states(lanes)
-        assert got.dtype == np.uint64
-        np.testing.assert_array_equal(got, want)
+    @staticmethod
+    def reference_words(scenarios):
+        return np.array([[sha256_words(s.seed, s.label, k) for k in (0, 1)]
+                         for s in scenarios])
+
+    def test_words_are_sha256_of_seed_label_stream(self):
+        cells = small_grid()
+        mixed = [dataclasses.replace(s, seed=seed)
+                 for s, seed in zip(cells, itertools.cycle(self.SEEDS))]
+        for scenarios in (mixed, build_grid(2**64 + 7, 1)):
+            got = harness._scenario_states(scenarios)
+            assert got.shape == (len(scenarios), 2, 4) and got.dtype == np.uint64
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, self.reference_words(scenarios))
+
+    @pytest.mark.parametrize("seed,error", [
+        (1.0, TypeError), (np.float64(7.0), TypeError),
+        (-1, ValueError), (np.int64(-7), ValueError),
+    ], ids=["float", "numpy-float", "negative", "numpy-negative"])
+    def test_a_seed_that_is_not_a_nonnegative_integer_raises(self, seed, error):
+        cells = small_grid()
+        bad = [cells[0], dataclasses.replace(cells[1], seed=seed)]
+        with pytest.raises(error):
+            harness._scenario_states(bad)
+        with pytest.raises(error):
+            run_grid(bad)
 
     def test_grid_builds_no_seed_sequence(self, monkeypatch):
         scenarios = small_grid(reps=3)
-        want = [s.count_law.draw(s.n_target, s.replications, seed_sequence_streams(s))
+        want = [s.count_law.draw(s.n_target, s.replications, sha256_streams(s))
                 for s in scenarios]
 
         def refuse(*args, **kwargs):
@@ -268,42 +284,6 @@ class TestSeedStates:
         for res, counts in zip(results, want, strict=True):
             for name, column in vars(counts).items():
                 assert np.array_equal(getattr(res.counts, name), column), name
-
-    @staticmethod
-    def seed_sequence_words(scenarios):
-        return np.array([[np.random.SeedSequence([s.seed, harness._label_key(s.label), k])
-                          .generate_state(4, np.uint64) for k in (0, 1)]
-                         for s in scenarios])
-
-    def test_grid_lanes_equal_seed_sequence(self, monkeypatch):
-        # a 3-word seed makes 6-word lanes: the grid's block for the shared
-        # seed, and the rounds past the pool
-        scenarios = build_grid(2**64 + 7, 1)
-
-        def refuse(entropies):
-            raise AssertionError("a grid of one seed went lane by lane")
-
-        monkeypatch.setattr(harness, "_seed_states", refuse)
-        got = harness._scenario_states(scenarios)
-        assert got.shape == (len(scenarios), 2, 4) and got.dtype == np.uint64
-        assert got.flags.c_contiguous
-        np.testing.assert_array_equal(got, self.seed_sequence_words(scenarios))
-
-    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 7])
-    def test_lanes_of_several_seeds_or_a_short_key(self, monkeypatch, seed):
-        cells = small_grid()
-        mixed = [dataclasses.replace(cells[0], seed=seed),
-                 dataclasses.replace(cells[1], seed=2**40), *cells[2:]]
-        np.testing.assert_array_equal(harness._scenario_states(mixed),
-                                      self.seed_sequence_words(mixed))
-        # a key below 2**32 is one word, so the stream moves up a place
-        real = harness._label_key
-        short = {cells[0].label: 5, cells[1].label: 2**32 - 1}
-        monkeypatch.setattr(harness, "_label_key",
-                            lambda label: short.get(label, real(label)))
-        same = [dataclasses.replace(s, seed=seed) for s in cells]
-        np.testing.assert_array_equal(harness._scenario_states(same),
-                                      self.seed_sequence_words(same))
 
     def test_empty_grid(self):
         assert harness._scenario_states([]).shape == (0, 2, 4)

@@ -10,11 +10,11 @@ from recencysim.testing_history import (
     ObservationRule,
     TestingProcess,
     UniformInterTest,
-    residual_cdf,
 )
 from reference_sampler import (
     _residual_from_uniform01,
     observe_most_recent_many,
+    residual_cdf,
     sample_residual,
 )
 
