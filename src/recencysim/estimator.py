@@ -37,10 +37,9 @@ from itertools import pairwise
 from typing import Tuple
 
 import numpy as np
-from scipy.special.cython_special import gammaincc
 
 from .population import InfeasibleScenarioError, PopulationParams, SurveyCounts
-from .recency_model import RecencyAssay, curve_moment, mdri, phi
+from .recency_model import RecencyAssay, _upper_gamma, curve_moment, mdri, phi
 from .testing_history import (
     ExponentialInterTest,
     ObservationRule,
@@ -243,13 +242,13 @@ def _curve_terms(assay, y, n, theta):
     if y == assay.recency_cutoff:
         g, q = assay.cutoff_terms
     else:
-        q = gammaincc(s, b * y)
+        q = _upper_gamma(s, b * y)
         g = curve_moment(assay, y, 0, q)
     if n == 1:
         moments = (g,)
     else:
         moments = (g, curve_moment(assay, y, 1, q), curve_moment(assay, y, 2, q))
-    return moments, q, 1.0 if theta is None else gammaincc(s, (b + theta) * y)
+    return moments, q, 1.0 if theta is None else _upper_gamma(s, (b + theta) * y)
 
 
 #: theta*(hi - lo) up to which `_integrate` takes a series; its first

@@ -222,20 +222,25 @@ _WORDS = 4
 _UINT64 = np.dtype(np.uint64)
 
 
-def _scenario_states(scenarios: Sequence[Scenario]) -> np.ndarray:
-    """Block i holds scenario i's seed words, one row per stream k (0, 1):
-    the SHA-256 digest of f"{seed:d}\\n{label}\\n{k}" (UTF-8), read as 4
-    little-endian uint64 words.  A seed must be an integer (`operator.index`,
-    so a float is a TypeError) >= 0."""
+def _seed_words(cells) -> np.ndarray:
+    """Block i holds the seed words of cell i = (seed, label), one row per
+    stream k (0, 1): the SHA-256 digest of f"{seed:d}\\n{label}\\n{k}"
+    (UTF-8), read as 4 little-endian uint64 words.  A seed must be an
+    integer (`operator.index`, so a float is a TypeError) >= 0."""
     sha256, digests = hashlib.sha256, []
-    for s in scenarios:
-        seed = operator.index(s.seed)
+    for seed, label in cells:
+        seed = operator.index(seed)
         if seed < 0:
             raise ValueError(f"expected a non-negative integer seed, got {seed}")
-        key = f"{seed:d}\n{s.label}\n".encode()
+        key = f"{seed:d}\n{label}\n".encode()
         digests += (sha256(key + b"0").digest(), sha256(key + b"1").digest())
     words = np.frombuffer(b"".join(digests), dtype="<u8")
     return words.astype(_UINT64, copy=False).reshape(-1, 2, _WORDS)
+
+
+def _scenario_states(scenarios: Sequence[Scenario]) -> np.ndarray:
+    """Block i: scenario i's seed words (`_seed_words` of seed and label)."""
+    return _seed_words([(s.seed, s.label) for s in scenarios])
 
 
 class _SeedWords(ISeedSequence):
@@ -596,11 +601,11 @@ def emit_histogram(
     of the survey weight over its bin, divided by tau: with r = 1 the weight
     is P(T > c | u) (included), with r = 0 it is P(T > u, T > c | u)
     (unaware and included), and with r = 0 and c = 0 P(T > u | u)
-    (unaware).  All the counts come from one multinomial draw.  Any window
-    c >= 0; the analytic layer's (r, c) check rejects any other.
+    (unaware).  All the counts come from one multinomial draw, on the
+    generator a grid cell labelled "histogram" would draw its compositions
+    with (stream 0 of `_seed_words`).  Any window c >= 0; `survey_weight`'s
+    (r, c) check rejects any other before the draw.
     """
-    _check_weight_args(1.0, c)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 777]))
     process = TestingProcess(law, rule)
     tau = params.horizon
     n_bins = math.ceil(tau / bin_width)
@@ -619,6 +624,7 @@ def emit_histogram(
                            unaware_included, unaware - unaware_included))
     # differences of nearly equal masses can fall a few ulps below 0
     p = np.clip(np.diff(cumulative, axis=0) / tau, 0.0, None)
+    rng = Generator(PCG64(_SeedWords(_seed_words([(seed, "histogram")])[0, 0])))
     counts = rng.multinomial(n_infected, p.ravel()).reshape(p.shape)
     return [
         (lo, hi, *cells)

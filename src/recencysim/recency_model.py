@@ -12,6 +12,10 @@ survey-weight integrator (`estimator._integrate`).  The scalar gammas are
 scipy's `cython_special` entry points: the same values as the ufuncs,
 without a ufunc call's overhead.
 
+Every Q the package evaluates is `_upper_gamma`'s, and `phi` treats its
+array of P alike, so none takes the series scipy sums for x <= 1.1 (4-6 us
+a call, against 0.1-0.5 us on its other branches).
+
 The terms that depend on the assay alone are computed once per assay
 object, as `functools.cached_property`s of the frozen `RecencyAssay`:
 G(T*) (the MDRI) and Q(s, b*T*) in `cutoff_terms`, and the moment factors
@@ -24,6 +28,7 @@ on the testing rate, the attendance ratio or the window is cached.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +75,7 @@ class RecencyAssay:
         """(G(T*), Q(s, b*T*)): the curve's integral up to the cutoff and its
         value there."""
         tstar = self.recency_cutoff
-        q = gammaincc(self.gamma_shape, self.gamma_rate * tstar)
+        q = _upper_gamma(self.gamma_shape, self.gamma_rate * tstar)
         return curve_moment(self, tstar, 0, q), q
 
 
@@ -91,13 +96,40 @@ def phi(u, assay: RecencyAssay):
     false-recent rate above it.  Accepts scalars or arrays.
     """
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0):
+    if (u_arr < 0).any():
         raise ValueError("infection duration must be nonnegative")
-    recent = 1.0 - special.gammainc(assay.gamma_shape, assay.gamma_rate * u_arr)
-    out = np.where(u_arr <= assay.recency_cutoff, recent, assay.frr)
-    if np.isscalar(u) or u_arr.ndim == 0:
+    s, x = assay.gamma_shape, assay.gamma_rate * u_arr
+    below = u_arr <= assay.recency_cutoff
+    # where scipy's P(s, x) takes its series (1 < x <= 1.1, s <= x), the
+    # curve is 1 - P(s+1, x) - x^s*e^{-x}/Gamma(s+1), as in `_upper_gamma`
+    band = below & (x > 1.0) & (x <= 1.1) & (s <= x)
+    out = np.where(below, 1.0 - special.gammainc(s + band, x), assay.frr)
+    if band.any():
+        xb = x[band]
+        out[band] -= np.exp(s * np.log(xb) - xb - math.lgamma(s + 1.0))
+    if u_arr.ndim == 0:
         return float(out)
     return out
+
+
+def _upper_gamma(s: float, x: float) -> float:
+    """Q(s, x), the regularized upper incomplete gamma, off scipy's series.
+
+    For x <= 1.1 scipy's `gammaincc` mostly sums a series that recomputes
+    log Gamma(1 + s) on every call.  There this is 1 - P(s, x), P summed by
+    scipy's fast series: the float `gammaincc` returns where it takes no
+    series, and within 5e-14 relative of it elsewhere for s >= 0.2.  On
+    (1, 1.1] P(s, x) takes the slow series too once s <= x, and this is
+    1 - P(s+1, x) - x^s*e^{-x}/Gamma(s+1) (DLMF 8.8.5).  Past x = 1.1 it is
+    `gammaincc`, and so for s <= 0.1: Q is small there, so 1 - P would lose
+    up to 3e-13 relative, and P(s+1, x) takes the series for x >= 1 + s.
+    """
+    if x > 1.1 or s <= 0.1:
+        return gammaincc(s, x)
+    if x <= 1.0 or s > x:
+        return 1.0 - gammainc(s, x)
+    term = math.exp(s * math.log(x) - x - math.lgamma(s + 1.0))
+    return 1.0 - gammainc(s + 1.0, x) - term
 
 
 def curve_moment(assay: RecencyAssay, x: float, k: int, q: float) -> float:

@@ -15,13 +15,18 @@ and P(T > u, T > c | u) = 1 - F(max(u, c)).
 """
 
 import hashlib
+import importlib
 import math
 import pickle
+import pkgutil
+import types
 
+import numpy as np
 import pytest
-from scipy import integrate
-from scipy.special import gammaincc
+from scipy import integrate, special
+from scipy.special import cython_special, gammaincc
 
+import recencysim
 from recencysim import estimator, recency_model
 from recencysim.estimator import (
     analytic_bias,
@@ -36,6 +41,7 @@ from recencysim.harness import (
     THETA_GRID,
     build_grid,
     build_sensitivity,
+    emit_table1,
 )
 from recencysim.population import (
     DEFAULT_PARAMS,
@@ -79,7 +85,13 @@ def quad(f, a, b, kink=None):
 
 
 def curve(assay):
+    """The test-recent curve below its cutoff, from scipy: the oracles'."""
     return lambda u: gammaincc(assay.gamma_shape, assay.gamma_rate * u)
+
+
+def package_q(assay, x):
+    """Q(s, x) as the package evaluates it (`recency_model._upper_gamma`)."""
+    return recency_model._upper_gamma(assay.gamma_shape, x)
 
 
 def weight(rule, theta, r, c, u):
@@ -99,7 +111,7 @@ def close(got, want):
 
 def curve_integral(assay, x):
     """G(x) = int_0^x Q(s, b*u) du, the package's closed form."""
-    return curve_moment(assay, x, 0, curve(assay)(x))
+    return curve_moment(assay, x, 0, package_q(assay, assay.gamma_rate * x))
 
 
 @ASSAYS
@@ -114,15 +126,16 @@ def discounted_curve_integral(assay, theta, x, start=0.0):
     With start = 0 this is [1 - e^{-theta*x}*Q(s, b*x) - k*P(s, (b+theta)*x)]
     / theta, k = (b/(b+theta))^s.  The kernel's exponential term on a piece
     [lo, hi] is this integral with start = lo, written once in
-    `estimator._integrate`.
+    `estimator._integrate`.  Q is read as the package reads it, so the
+    composition below repeats the kernel's floats.
     """
     s, b = assay.gamma_shape, assay.gamma_rate
     k = (b / (b + theta)) ** s
-    head = float(gammaincc(s, b * start))
-    tail = math.exp(-theta * (x - start)) * float(gammaincc(s, b * x))
+    head = package_q(assay, b * start)
+    tail = math.exp(-theta * (x - start)) * package_q(assay, b * x)
     # P(s, (b+theta)*x) - P(s, (b+theta)*start), as a difference of upper tails
-    mixed = math.exp(theta * start) * float(
-        gammaincc(s, (b + theta) * start) - gammaincc(s, (b + theta) * x)
+    mixed = math.exp(theta * start) * (
+        package_q(assay, (b + theta) * start) - package_q(assay, (b + theta) * x)
     )
     return (head - tail - k * mixed) / theta
 
@@ -206,17 +219,16 @@ def test_recent_kernel_equals_composition(assay, rule, theta, r, c, x):
 
 def count_incomplete_gammas(monkeypatch, evaluate):
     """The incomplete gamma calls of a second `evaluate()`, after a first
-    has filled the per-assay cache."""
+    has filled the per-assay cache: scipy's primitives, which the package
+    reaches only through `recency_model`.  Each Q (`_upper_gamma`) makes
+    exactly one of them, so a Q counts once."""
     evaluate()
     calls = []
-    for module in (estimator, recency_model):
-        for name in ("gammainc", "gammaincc"):
-            fn = getattr(module, name, None)
-            if fn is not None:
-                def counted(*a, fn=fn):
-                    calls.append(a)
-                    return fn(*a)
-                monkeypatch.setattr(module, name, counted)
+    for name in ("gammainc", "gammaincc"):
+        def counted(*a, fn=getattr(recency_model, name)):
+            calls.append(a)
+            return fn(*a)
+        monkeypatch.setattr(recency_model, name, counted)
     evaluate()
     return calls
 
@@ -749,13 +761,72 @@ def exponential_layer_values():
 
 
 def test_exponential_layer_unchanged():
-    # sha256 of the values above, recorded before the per-object constants
-    # (cached assay, population and law terms) entered the kernel
+    # sha256 of the values above, re-recorded when every Q left scipy's
+    # series (`recency_model._upper_gamma`): 185 of the 1,890 values moved,
+    # each by less than 1e-13 relative, to within 5e-15 of quad
     h = hashlib.sha256()
     for v in exponential_layer_values():
         h.update(v.encode() + b"\n")
     assert h.hexdigest() == (
-        "71e258e62c98481f083afaa0478bba82a7d0d1af8b1e3b91264d9ac771c04283")
+        "a4b5d11cacc9b3a846142df6dd0b785191b821359bf14b2c4abd24b77fa9f7af")
+
+
+# ---------------------------------------------------------------------------
+# no incomplete gamma on scipy's series: Q(s, x) at x <= 1.1 and P(a, x) at
+# 1 < x <= 1.1, a <= x are summed by a series that costs 4-6 us a call
+
+
+def test_only_recency_model_holds_scipy_gammas():
+    scipy_gammas = (special, special.gammainc, special.gammaincc,
+                    cython_special.gammainc, cython_special.gammaincc)
+    for info in pkgutil.iter_modules(recencysim.__path__):
+        module = importlib.import_module(f"recencysim.{info.name}")
+        if module is not recency_model:
+            held = [name for name, v in vars(module).items()
+                    if any(v is g for g in scipy_gammas)]
+            assert not held, (info.name, held)
+
+
+def record_scipy_gammas(monkeypatch):
+    """(name, a, x) of every scipy incomplete gamma the package evaluates:
+    the scalar entry points and the array P of `phi`, all in
+    `recency_model`.  The per-assay cutoff terms are computed afresh."""
+    calls = []
+    for name in ("gammainc", "gammaincc"):
+        def recorded(a, x, fn=getattr(recency_model, name), name=name):
+            calls.append((name, a, x))
+            return fn(a, x)
+        monkeypatch.setattr(recency_model, name, recorded)
+
+    def recorded_array(a, x):
+        calls.extend(("gammainc", float(ai), float(xi)) for ai, xi in np.broadcast(a, x))
+        return special.gammainc(a, x)
+
+    monkeypatch.setattr(recency_model, "special",
+                        types.SimpleNamespace(gammainc=recorded_array))
+    for assay in PIN_ASSAYS:
+        monkeypatch.delitem(assay.__dict__, "cutoff_terms", raising=False)
+    return calls
+
+
+def test_no_incomplete_gamma_takes_scipy_series(monkeypatch):
+    calls = record_scipy_gammas(monkeypatch)
+    made = []
+    for scenario in build_grid(7, 1):  # the main grid's law pass
+        try:
+            scenario.count_law
+        except InfeasibleScenarioError:
+            pass
+    made.append(len(calls))
+    for assay in (DEFAULT_ASSAY, LONG_ASSAY):
+        emit_table1(assay=assay)
+        made.append(len(calls))
+    assert len(list(exponential_layer_values())) == 1890  # both assays, and frr
+    made.append(len(calls))
+    assert 0 < made[0] < made[1] < made[2] < made[3]
+    series = [(name, a, x) for name, a, x in calls
+              if x <= 1.1 and (name == "gammaincc" or (x > 1.0 and a <= x))]
+    assert not series
 
 
 # ---------------------------------------------------------------------------
@@ -805,10 +876,11 @@ def test_filled_scenario_pickles_to_an_equal_count_law(scenario):
 )
 def test_repeated_calls_evaluate_alike(monkeypatch, entry, law):
     # nothing keyed by theta, r or c is cached: a repeated call makes the
-    # kernel's incomplete gamma calls again, as many as the first call did
+    # kernel's incomplete gamma calls again, as many as the first call did;
+    # each Q of the kernel is one call of scipy's primitives
     counted = []
-    real = estimator.gammaincc
-    monkeypatch.setattr(estimator, "gammaincc",
+    real = estimator._upper_gamma
+    monkeypatch.setattr(estimator, "_upper_gamma",
                         lambda *a: counted.append(a) or real(*a))
     assay = RecencyAssay(0.352, 1.273, 2.0)  # its constants not yet filled
     process = TestingProcess(law, ObservationRule.STOP_WHEN_POSITIVE)

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -718,6 +719,35 @@ class TestHistogram:
         )
         assert rows[0][0] == 0.0
         assert rows[-1][1] >= DEFAULT_PARAMS.horizon
+
+    def test_draws_on_the_sha256_words_of_seed_histogram_stream_0(self, monkeypatch):
+        # the grid's seeding: the README's hashlib recipe rebuilds the draw
+        states, real = [], harness.PCG64
+
+        def recording(words):
+            bit_generator = real(words)
+            states.append(bit_generator.state)
+            return bit_generator
+
+        monkeypatch.setattr(harness, "PCG64", recording)
+        for seed in (0, 12345, 2**64 + 7):
+            emit_histogram(ObservationRule.REGULAR, ExponentialInterTest(1.0), 0.25,
+                           n_infected=100, seed=seed)
+        want = [sha256_streams(dataclasses.replace(
+            small_grid()[0], seed=seed, label="histogram"))[0].bit_generator.state
+            for seed in (0, 12345, 2**64 + 7)]
+        assert states == want
+
+    @pytest.mark.parametrize("c", [-1.0, -1e-300, math.nan])
+    def test_a_bad_window_raises_before_any_draw(self, monkeypatch, c):
+        def refuse(words):
+            raise AssertionError("built a generator")
+
+        monkeypatch.setattr(harness, "PCG64", refuse)
+        message = re.escape(f"c must be nonnegative, got {c!r}")
+        with pytest.raises(ValueError, match=message):
+            emit_histogram(ObservationRule.STOP_WHEN_POSITIVE,
+                           ExponentialInterTest(1.0), c, seed=1)
 
 
 HISTOGRAM_ALPHA = 0.01  # family-wise over the cross-engine histogram cells

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from recencysim.recency_model import (
     DAYS_PER_YEAR,
     DEFAULT_ASSAY,
     LONG_ASSAY,
     RecencyAssay,
+    _upper_gamma,
     mdri,
     phi,
 )
@@ -69,6 +71,60 @@ class TestPhi:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             phi(-0.1, DEFAULT_ASSAY)
+
+
+# Q(s, x) off scipy's series (`_upper_gamma`, and phi's array P), against
+# scipy on (0, 12] in steps of 1e-4, shape by shape with its relative limit;
+# at shapes s <= 0.1 Q is small enough on (0, 1.1] that 1 - P loses more
+X_DENSE = np.linspace(0.0, 12.0, 120_001)[1:]
+SHAPES = pytest.mark.parametrize(
+    "s,limit",
+    [(s, 5e-14) for s in (0.2, 0.352, 0.681, 1.0, 1.5, 3.0, 8.0)]
+    + [(0.02, 2e-13), (0.05, 2e-13)],
+)
+
+
+def scipy_takes_its_series(s, x):
+    """Where scipy's Q(s, x) sums its own series rather than 1 - P(s, x)."""
+    with np.errstate(divide="ignore"):
+        small = -0.4 / np.log(x) >= s
+    return (x <= 1.1) & np.where(x <= 0.5, small, 1.1 * x >= s)
+
+
+@SHAPES
+def test_upper_gamma_agrees_with_scipy(s, limit):
+    got = np.array([_upper_gamma(s, x) for x in X_DENSE.tolist()])
+    want = special.gammaincc(s, X_DENSE)
+    assert np.all(np.abs(got - want) <= limit * want)
+    # scipy's own float wherever scipy does not take its series, past 1.1
+    # and at small shapes
+    same = ~scipy_takes_its_series(s, X_DENSE) | (X_DENSE > 1.1) | (s <= 0.1)
+    np.testing.assert_array_equal(got[same], want[same])
+
+
+@SHAPES
+def test_phi_agrees_with_scipy(s, limit):
+    assay = RecencyAssay(s, 1.0, 12.0)  # rate 1: the curve is Q(s, u)
+    got = phi(X_DENSE, assay)
+    want = 1.0 - special.gammainc(s, X_DENSE)
+    assert np.all(np.abs(got - want) <= limit * want)
+    # only where scipy's P takes its series, 1 < x <= 1.1 and s <= x, moves
+    moved = (X_DENSE > 1.0) & (X_DENSE <= 1.1) & (X_DENSE >= s)
+    np.testing.assert_array_equal(got[~moved], want[~moved])
+    # a 0-d array and a float read the array's value
+    for i in range(0, X_DENSE.size, 2_501):
+        assert phi(X_DENSE[i], assay) == phi(np.asarray(X_DENSE[i]), assay) == got[i]
+        assert type(phi(np.asarray(X_DENSE[i]), assay)) is float
+
+
+def test_phi_reads_the_frr_past_a_cutoff_inside_the_band():
+    assay = RecencyAssay(0.352, 1.0, 1.05, frr=0.02)
+    u = np.linspace(1.0, 1.1, 101)
+    got = phi(u, assay)
+    np.testing.assert_array_equal(got[u > 1.05], 0.02)
+    below = u <= 1.05
+    np.testing.assert_allclose(got[below], special.gammaincc(0.352, u[below]),
+                               rtol=5e-14, atol=0.0)
 
 
 class TestMdri:
