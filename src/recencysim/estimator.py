@@ -57,13 +57,14 @@ def kassanjee_estimate(
 ) -> np.ndarray:
     """Incidence estimates from survey counts and external assay estimates.
 
-    The assay values are floats (one scenario's assay, as the harness
-    passes them), or arrays with one entry per survey.  Elementwise,
-    (n_rec - n_pos*frr_hat) / (n_neg * (mdri_hat - frr_hat*T*)), in that
-    order of operations, so each entry is the scalar formula's value bit for
-    bit.  Negative values (possible when frr_hat > 0) are returned as-is.
-    Where the denominator is not positive (no surveyed negative, or
-    mdri_hat <= frr_hat*T*) the estimate is undefined and reads nan.
+    The assay values are floats, or arrays with one entry per survey (as
+    the harness passes them: each scenario's values repeated over its
+    surveys).  Elementwise, (n_rec - n_pos*frr_hat) / (n_neg * (mdri_hat -
+    frr_hat*T*)), in that order of operations, so each entry is the scalar
+    formula's value bit for bit.  Negative values (possible when frr_hat >
+    0) are returned as-is.  Where the denominator is not positive (no
+    surveyed negative, or mdri_hat <= frr_hat*T*) the estimate is undefined
+    and reads nan.
     """
     denom = np.multiply(counts.n_neg, mdri_hat - frr_hat * recency_cutoff)
     # x / nan is nan, without a division-by-zero warning

@@ -2,17 +2,19 @@
 
 Each scenario is a full survey-simulation configuration; a grid runs every
 scenario for a number of replications and writes one per-replication CSV,
-one summary CSV, and a JSON run manifest.  A scenario is one block of
-arrays: its replications' counts come from two vectorized draws of its
-count law, on two PCG64 generators keyed by (seed, scenario label,
-stream): each one's seed words are the SHA-256 digest of that triple
-(`_scenario_states`).  Replication i is therefore the same for any
-replication count, any worker count and in whichever grid it appears.
+one summary CSV, and a JSON run manifest.  A scenario's replications are
+arrays: their counts come from two vectorized draws of its count law, on
+two PCG64 generators keyed by (seed, scenario label, stream): each one's
+seed words are the SHA-256 digest of that triple (`_scenario_states`).
+Replication i is therefore the same for any replication count, any worker
+count and in whichever grid it appears.
 
-A scenario is finished where it is drawn: `run_scenario` scores its
-counts with one `kassanjee_estimate` call on its own assay, and nothing
-changes a result after that.  `run_grid` computes every count law first,
-in-process, then maps `run_scenario`, which only draws; `summary_columns`
+A block of scenarios is finished where it is drawn: `run_grid` computes
+every count law first, in-process; a block step maps `run_scenario`, which
+only draws, then scores the block's stacked counts with one
+`kassanjee_estimate` call, and nothing changes a result after that.  A
+block is up to `_BLOCK_ROWS` replications of a grid (of a chunk on a
+pool): the whole grid at a few replications a cell.  `summary_columns`
 reduces the estimates with numpy's own functions, one 2-D block per
 replication count.  Each summary row also carries the analytic bias and
 the delta-method variance of the log estimate, from its count law.
@@ -136,9 +138,9 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """A scenario's replications as arrays, entry i being replication i
-    (estimates nan where undefined); or the error that stopped it, with no
-    counts and no estimates.  Finished when `run_scenario` returns it."""
+    """A scenario's replications as arrays (views of its block's rows), entry
+    i being replication i (estimates nan where undefined); or the error that
+    stopped it, with no counts and no estimates.  Finished with its block."""
 
     scenario: Scenario
     counts: Optional[SurveyCounts] = None
@@ -271,19 +273,71 @@ def _streams(states: np.ndarray):
             Generator(PCG64(_SeedWords(states[1]))))
 
 
-def run_scenario(scenario: Scenario, states: np.ndarray) -> ScenarioResult:
-    """Every replication of a scenario: its counts from the closed-form count
-    law, on the generators of its seed words `states` (`_scenario_states`),
-    and their estimates from the scenario's assay."""
+def run_scenario(scenario: Scenario, states: np.ndarray) -> tuple | str:
+    """A scenario's raw draws (`SurveyLaw.draw`) from its closed-form count
+    law, on the generators of its seed words `states` (`_scenario_states`);
+    or, for a cell that cannot be drawn, its error's message."""
     try:
-        counts = scenario.count_law.draw(
-            scenario.n_target, scenario.replications, _streams(states)
-        )
+        return scenario.count_law.draw(
+            scenario.n_target, scenario.replications, _streams(states))
     except InfeasibleScenarioError as exc:
-        return ScenarioResult(scenario=scenario, error=str(exc))
-    assay = scenario.assay
-    return ScenarioResult(scenario, counts, estimates=kassanjee_estimate(
-        counts, mdri(assay), assay.frr, assay.recency_cutoff))
+        return str(exc)
+
+
+def _rows(counts: SurveyCounts, part: slice) -> SurveyCounts:
+    """Surveys `part` of a block's counts, each column a view; not checked
+    again, the block's counts having passed `SurveyCounts`' check."""
+    view = object.__new__(SurveyCounts)
+    view.__dict__.update({name: col[part] for name, col in vars(counts).items()})
+    return view
+
+
+def _run_block(scenarios: Sequence[Scenario],
+               states: np.ndarray) -> List[ScenarioResult]:
+    """The results of a block of scenarios: `run_scenario` for each, then one
+    `SurveyCounts` of their stacked draws (`SurveyLaw.counts`) and one
+    `kassanjee_estimate` call on per-row assay values (each cell's MDRI, frr
+    and T* repeated over its rows), so each entry is its cell's scalar
+    formula's, bit for bit."""
+    drawn = [run_scenario(s, w) for s, w in zip(scenarios, states)]
+    done = [(s, d) for s, d in zip(scenarios, drawn) if not isinstance(d, str)]
+    if done:  # np.concatenate([]) raises
+        sizes = [s.replications for s, _ in done]
+        rows, extra = zip(*(d for _, d in done))
+        counts = SurveyLaw.counts(np.concatenate(rows), np.repeat(
+            [s.n_target for s, _ in done], sizes), np.concatenate(extra))
+        assay = np.transpose([(mdri(s.assay), s.assay.frr, s.assay.recency_cutoff)
+                              for s, _ in done])
+        # each cell's values over its rows, one contiguous row per value
+        estimates = kassanjee_estimate(counts, *np.repeat(assay, sizes, axis=1))
+    results, stop = [], 0
+    for s, d in zip(scenarios, drawn):
+        if isinstance(d, str):
+            results.append(ScenarioResult(s, error=d))
+        else:
+            part, stop = slice(stop, stop + s.replications), stop + s.replications
+            results.append(ScenarioResult(s, _rows(counts, part),
+                                          estimates=estimates[part]))
+    return results
+
+
+#: replications a block holds, a larger scenario being a block alone: its
+#: arrays stay in cache (one block of 160 x 1000 scored slower than a call
+#: per scenario, its megabyte arrays fresh memory on every call)
+_BLOCK_ROWS = 4096
+
+
+def _run_blocks(scenarios: Sequence[Scenario],
+                states: np.ndarray) -> List[ScenarioResult]:
+    """`_run_block` over runs of consecutive scenarios of at most
+    `_BLOCK_ROWS` replications each."""
+    results, start, rows = [], 0, 0
+    for i, s in enumerate(scenarios):
+        if rows and rows + s.replications > _BLOCK_ROWS:
+            results += _run_block(scenarios[start:i], states[start:i])
+            start, rows = i, 0
+        rows += s.replications
+    return results + _run_block(scenarios[start:], states[start:])
 
 
 #: replications one worker must have before a pool repays its start-up and
@@ -305,26 +359,28 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> List[ScenarioRe
 
     Every scenario's count law (or its error) is computed here first,
     in-process, and its seed words (`_scenario_states`); both travel with
-    it, so the map of `run_scenario` only draws.  `workers` is an upper
-    bound: the grid runs on `worker_processes(scenarios, workers)`
+    it, so the blocks (`_run_blocks`) only draw and score.  `workers` is an
+    upper bound: the grid runs on `worker_processes(scenarios, workers)`
     processes, in-process when that is 1, so a grid too small to repay a
-    pool starts none.  In a
-    pool the scenarios go out in chunks, about four per worker: a
-    scenario's cost is one array block, alike across cells, so equal chunks
-    balance, and each chunk pays the per-task transfer once.
+    pool starts none.  In a pool the scenarios go out in chunks, about four
+    per worker, each cut into blocks where it was sent: a scenario's cost
+    is alike across cells, so equal chunks balance.
     """
     for s in scenarios:
         s._law  # every law before the first draw
     states = _scenario_states(scenarios)
     processes = worker_processes(scenarios, workers)
     if processes == 1:
-        return [run_scenario(s, w) for s, w in zip(scenarios, states)]
+        return _run_blocks(scenarios, states)
     # here, not at module top: only a pool needs multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    chunksize = max(1, math.ceil(len(scenarios) / (4 * processes)))
+    size = max(1, math.ceil(len(scenarios) / (4 * processes)))
+    starts = range(0, len(scenarios), size)
     with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(run_scenario, scenarios, states, chunksize=chunksize))
+        chunks = pool.map(_run_blocks, [scenarios[i:i + size] for i in starts],
+                          [states[i:i + size] for i in starts])
+        return [res for chunk in chunks for res in chunk]
 
 
 # ---------------------------------------------------------------------------

@@ -92,12 +92,11 @@ class SurveyLaw:
         n_target: int,
         size: int,
         rngs: Tuple[np.random.Generator, np.random.Generator],
-    ) -> SurveyCounts:
-        """Counts of `size` surveys of n_target admitted attendees each.
-
-        Survey i's (n_rec, n_pos - n_rec, n_neg) is the i-th multinomial
-        draw from rngs[0], and the attendees it screened beyond n_target
-        the i-th negative binomial draw from rngs[1]; so the first k
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Raw draws of `size` surveys of n_target admitted attendees each:
+        rows (size, 3), row i survey i's (n_rec, n_pos - n_rec, n_neg) from
+        rngs[0]'s i-th multinomial draw, and the attendees each screened
+        beyond n_target, rngs[1]'s negative binomial draws; so the first k
         surveys are the same for every size >= k.  Raises
         InfeasibleScenarioError when the expected number of population
         draws, n_target / admit, exceeds population.ATTEMPT_CAP.
@@ -110,18 +109,16 @@ class SurveyLaw:
                 f"{population.ATTEMPT_CAP} (admit probability {self.admit:.3g} "
                 "per draw)"
             )
-        n_rec, n_other, n_neg = rngs[0].multinomial(
-            n_target, self.composition, size=size
-        ).T
-        n_screened = n_target + rngs[1].negative_binomial(
-            n_target, self.inclusion, size=size
-        )
-        return SurveyCounts(
-            n_pos=n_rec + n_other,
-            n_neg=n_neg,
-            n_rec=n_rec,
-            n_screened=n_screened,
-        )
+        return (rngs[0].multinomial(n_target, self.composition, size=size),
+                rngs[1].negative_binomial(n_target, self.inclusion, size=size))
+
+    @staticmethod
+    def counts(rows: np.ndarray, n_target, extra: np.ndarray) -> SurveyCounts:
+        """The `SurveyCounts` of `draw`'s raw draws, one cell's or a block's
+        stacked: n_pos = n_rec + the other positives, and n_screened =
+        n_target (one int, or each row's) + the extra attendees."""
+        n_rec, n_other, n_neg = rows.T
+        return SurveyCounts(n_rec + n_other, n_neg, n_rec, n_target + extra)
 
 
 def survey_law(

@@ -3,7 +3,8 @@
 For every test schedule `harness.run_scenario` draws its surveys' counts
 from `screening_analytics.survey_law`: one multinomial draw for
 (n_rec, n_pos - n_rec, n_neg) and one negative binomial draw for the
-attendees screened beyond N, each vectorized over the replications.  The
+attendees screened beyond N, each vectorized over the replications
+(`drawn_counts` reads them as `SurveyCounts`, as the harness does).  The
 individual sampler (`reference_sampler.assemble_survey_rows`, built person
 by person from the model's primitives) is the reference engine here.
 
@@ -173,6 +174,13 @@ def sha256_words(seed, label, stream):
     return np.frombuffer(digest, dtype="<u8").astype(np.uint64)
 
 
+def drawn_counts(law, n_target, size, rngs):
+    """`law.draw`'s surveys as `SurveyCounts`, read by `SurveyLaw.counts`
+    as the harness reads a block's."""
+    rows, extra = law.draw(n_target, size, rngs)
+    return law.counts(rows, n_target, extra)
+
+
 def sha256_streams(scenario):
     """The scenario's two generators, rebuilt with hashlib and numpy alone."""
     return tuple(np.random.Generator(np.random.PCG64(
@@ -192,7 +200,7 @@ def test_every_law_draws_from_the_count_law(monkeypatch):
         (cell,) = build_grid(3, 1, n_target=200, thetas=(1.0,), rs=(0.6,),
                              cs=(1.0,), rules=(SWP,), uniform_bs=uniform_bs)
         counts = run_grid([cell])[0].counts
-        want = cell.count_law.draw(200, 1, sha256_streams(cell))
+        want = drawn_counts(cell.count_law, 200, 1, sha256_streams(cell))
         assert vars(counts).keys() == vars(want).keys()
         for name, column in vars(want).items():
             assert np.array_equal(getattr(counts, name), column), name
@@ -235,13 +243,13 @@ class TestSurveyLaw:
         c = DEFAULT_PARAMS.horizon + 1.0
         law = survey_law(DEFAULT_ASSAY, process, 1.0, c, DEFAULT_PARAMS)
         assert law.inclusion == pytest.approx(math.exp(-0.4 * c), rel=1e-12)
-        counts = law.draw(500, 4, _rngs(1))
+        counts = drawn_counts(law, 500, 4, _rngs(1))
         assert (counts.n_total == 500).all() and (counts.n_screened >= 500).all()
 
     def test_draw_counts_add_up(self):
         process = TestingProcess(ExponentialInterTest(1.0), SWP)
         law = survey_law(DEFAULT_ASSAY, process, 0.6, 1.0, DEFAULT_PARAMS)
-        counts = law.draw(5000, 20, _rngs(2))
+        counts = drawn_counts(law, 5000, 20, _rngs(2))
         assert (counts.n_pos + counts.n_neg == 5000).all()
         assert ((0 <= counts.n_rec) & (counts.n_rec <= counts.n_pos)).all()
         for v in vars(counts).values():
@@ -282,7 +290,7 @@ class TestSurveyLaw:
         process = TestingProcess(ExponentialInterTest(1.0), SWP)
         law = survey_law(DEFAULT_ASSAY, process, 1.0, 0.0, DEFAULT_PARAMS)
         with pytest.raises(ValueError, match="n_target must be positive"):
-            law.draw(0, 1, _rngs(1))
+            drawn_counts(law, 0, 1, _rngs(1))
 
 
 # A duration support shorter than the recency cutoff: tau = 0.996 < T* = 2

@@ -22,7 +22,8 @@ import recencysim
 from recencysim import estimator, population
 
 from recencysim.cli import main as cli_main
-from recencysim.estimator import analytic_bias, log_variance, survey_composition
+from recencysim.estimator import (
+    analytic_bias, kassanjee_estimate, log_variance, survey_composition)
 from recencysim import harness
 from recencysim.harness import (
     SUMMARY_COLUMNS,
@@ -38,7 +39,7 @@ from recencysim.harness import (
     write_table1,
 )
 from recencysim.population import DEFAULT_PARAMS, SurveyCounts
-from recencysim.recency_model import DEFAULT_ASSAY, LONG_ASSAY, phi
+from recencysim.recency_model import DEFAULT_ASSAY, LONG_ASSAY, mdri, phi
 from recencysim.testing_history import (
     ExponentialInterTest,
     ObservationRule,
@@ -46,7 +47,7 @@ from recencysim.testing_history import (
     UniformInterTest,
 )
 from reference_sampler import observe_most_recent_many, sample_residual
-from test_count_law import holm_rejected, sha256_streams, sha256_words
+from test_count_law import drawn_counts, holm_rejected, sha256_streams, sha256_words
 
 
 def small_grid(seed=7, reps=2, n_target=400):
@@ -274,8 +275,8 @@ class TestSeedStates:
 
     def test_grid_builds_no_seed_sequence(self, monkeypatch):
         scenarios = small_grid(reps=3)
-        want = [s.count_law.draw(s.n_target, s.replications, sha256_streams(s))
-                for s in scenarios]
+        want = [drawn_counts(s.count_law, s.n_target, s.replications,
+                             sha256_streams(s)) for s in scenarios]
 
         def refuse(*args, **kwargs):
             raise AssertionError("run_grid built a SeedSequence")
@@ -595,41 +596,154 @@ class TestSummaryBlock:
                    ("median", "mean", "q025", "q975", "var_log", "mean_screened"))
 
 
+SWP_ONLY = (ObservationRule.STOP_WHEN_POSITIVE,)
+
+
+def infeasible_cells():
+    """Two cells no attendee can enter (c = 20 past every gap), whose
+    `run_scenario` returns an error (TestInfeasibleCell)."""
+    return [*build_grid(5, 2, n_target=200, thetas=(2.0,), rs=(0.0,), cs=(20.0,),
+                        rules=SWP_ONLY),
+            *build_grid(5, 2, n_target=200, rs=(0.0,), cs=(20.0,), rules=SWP_ONLY,
+                        uniform_bs=(3.0,))]
+
+
+def pool_chunks(grid):
+    """The chunks `run_grid` sends a forced two-process pool."""
+    size = math.ceil(len(grid) / (4 * 2))
+    return [grid[i:i + size] for i in range(0, len(grid), size)]
+
+
+def blocks(grid, limit):
+    """Runs of consecutive cells of at most `limit` replications, a larger
+    cell alone: the blocks `run_grid` scores at `harness._BLOCK_ROWS` = limit."""
+    runs, rows = [[]], 0
+    for s in grid:
+        if rows and rows + s.replications > limit:
+            runs.append([])
+            rows = 0
+        runs[-1].append(s)
+        rows += s.replications
+    return runs
+
+
 class TestGridPasses:
-    """A grid's scenarios are one `run_scenario` call each, and a completed
-    scenario's estimates one estimator call."""
+    """A grid's scenarios are one `run_scenario` call each, and a block's
+    estimates one estimator call: the whole grid in-process, each chunk on a
+    pool."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = {"estimate": 0, "scenario": 0}
-        estimate, scenario = harness.kassanjee_estimate, harness.run_scenario
+    def calls(self, monkeypatch, tmp_path):
+        # each call is logged to a file, so a pool worker's calls are seen too
+        log = tmp_path / "calls.log"
+        log.touch()
 
-        def counting_estimate(*args):
-            calls["estimate"] += 1
-            return estimate(*args)
+        def logged(event, fn):
+            def call(*args):
+                with open(log, "a") as fh:
+                    fh.write(event + "\n")
+                return fn(*args)
+            return call
 
-        def counting_scenario(*args):
-            calls["scenario"] += 1
-            return scenario(*args)
-
+        counting_estimate = logged("estimate", harness.kassanjee_estimate)
         monkeypatch.setattr(harness, "kassanjee_estimate", counting_estimate)
         monkeypatch.setattr(estimator, "kassanjee_estimate", counting_estimate)
-        monkeypatch.setattr(harness, "run_scenario", counting_scenario)
-        return calls
+        monkeypatch.setattr(harness, "run_scenario",
+                            logged("scenario", harness.run_scenario))
+        return lambda event: log.read_text().split().count(event)
 
-    def test_one_estimate_call_per_scenario(self, tmp_path, calls):
-        scenarios = small_grid(reps=3)
-        # SWP, theta = 2, r = 0, c = 20 admits no one (TestInfeasibleCell)
-        infeasible = build_grid(5, 2, n_target=200, thetas=(2.0,), rs=(0.0,),
-                                cs=(20.0,), rules=(ObservationRule.STOP_WHEN_POSITIVE,))
-        results = run_grid([*scenarios, *infeasible])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_estimate_call_per_block(self, tmp_path, calls, pool_forced, workers):
+        scenarios = build_grid(7, 3, n_target=400, thetas=(1.0,), rs=(0.6, 1.0),
+                               cs=(0.0, 0.25, 1.0, 1.5, 2.0))
+        infeasible = infeasible_cells()[0]
+        grid = [*scenarios, infeasible]
+        results = run_grid(grid, workers=workers)
         assert results[-1].error is not None
         write_results(results, tmp_path, config_echo={}, seed=7, wall_time=0.0)
-        # the infeasible cell stops before its estimates
-        assert calls == {"estimate": len(scenarios), "scenario": len(scenarios) + 1}
+        if workers == 1:  # 63 replications: the grid is one block
+            assert calls("estimate") == 1
+        else:  # 21 cells, 7 chunks of 3, each a block with a feasible cell
+            assert pool_forced == [2]
+            assert len(pool_chunks(grid)) == calls("estimate") == 7
+        assert calls("scenario") == len(grid)
         assert [len(r.estimates) for r in results] == [3] * len(scenarios) + [0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             results[0].estimates = np.empty(0)
+
+    @staticmethod
+    def mixed_grid():
+        """Both assays, frr 0, 0.005 and 0.02, 1, 3 and 7 replications, and
+        two infeasible cells that fill one pool chunk (`pool_chunks`); the
+        assays alternate, so every other chunk mixes them."""
+        grids = [
+            [dataclasses.replace(s, replications=n) for s, n in zip(
+                build_grid(9, 1, n_target=300, thetas=(1.0,), rs=(0.6,),
+                           cs=(0.0, 1.0), frrs=(0.0, 0.005, 0.02),
+                           assay_name=assay_name, rules=SWP_ONLY),
+                itertools.cycle(reps))]
+            for assay_name, reps in (("default", (1, 3, 7)), ("long", (7, 1, 3)))]
+        cells = [cell for pair in zip(*grids) for cell in pair]
+        return [*cells[:4], *infeasible_cells(), *cells[4:]]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_block_holds_at_most_block_rows(self, monkeypatch, calls, pool_forced,
+                                              workers):
+        # 20 cells of 3 replications, then one of 2 that cannot be drawn
+        infeasible = infeasible_cells()[0]
+        grid = [*build_grid(7, 3, n_target=400, thetas=(1.0,), rs=(0.6, 1.0),
+                            cs=(0.0, 0.25, 1.0, 1.5, 2.0)), infeasible]
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", 7)
+        got = run_grid(grid, workers=workers)
+        chunks = [grid] if workers == 1 else pool_chunks(grid)
+        runs = [run for chunk in chunks for run in blocks(chunk, 7)]
+        # the infeasible cell is a block alone, with nothing to score
+        assert calls("estimate") == sum(run != [infeasible] for run in runs)
+        assert calls("estimate") == (10 if workers == 1 else 13)
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", 4096)
+        for a, b in zip(got, run_grid(grid, workers=workers), strict=True):
+            assert a.error == b.error
+            if a.error is None:
+                assert_same_block(a, b)
+
+    @pytest.mark.parametrize("block_rows", [4096, 8])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_estimates_are_each_cells_own(self, monkeypatch, pool_forced, workers,
+                                                block_rows):
+        grid = self.mixed_grid()
+        assert [len(chunk) for chunk in pool_chunks(grid)] == [2] * 7
+        assert all(s.replications == 2 for s in pool_chunks(grid)[2])
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", block_rows)
+        results = run_grid(grid, workers=workers)
+        assert pool_forced == ([2] if workers == 2 else [])
+        errors = [r.error is not None for r in results]
+        assert errors == [False] * 4 + [True] * 2 + [False] * 8
+        for res in results:
+            if res.error is not None:
+                assert res.counts is None and res.estimates.size == 0
+                continue
+            s = res.scenario
+            want = drawn_counts(s.count_law, s.n_target, s.replications,
+                                sha256_streams(s))
+            for name, column in vars(want).items():
+                got = getattr(res.counts, name)
+                assert got.dtype == column.dtype and got.tobytes() == column.tobytes()
+            own = kassanjee_estimate(want, mdri(s.assay), s.assay.frr,
+                                     s.assay.recency_cutoff)
+            assert res.estimates.tobytes() == own.tobytes(), s.label
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_of_infeasible_cells(self, calls, pool_forced, workers):
+        # no draws to stack: np.concatenate([]) would raise
+        assert run_grid([], workers=workers) == []
+        results = run_grid(infeasible_cells(), workers=workers)
+        assert pool_forced == ([2] if workers == 2 else [])
+        assert [r.error for r in results] == [
+            "expected draws to fill 200 places exceed 100000000 "
+            "(admit probability 4.25e-18 per draw)",
+            "no attendee can pass the exclusion window c=20 "
+            "(admit probability 0 per draw)"]
+        assert calls("estimate") == 0 and calls("scenario") == 2
 
 
 def csv_writer_replications(results):
