@@ -28,7 +28,6 @@ from .harness import (
     emit_table1,
     exact_g,
     run_grid,
-    worker_processes,
     write_histogram,
     write_results,
     write_table1,
@@ -128,17 +127,16 @@ def _resolved(args, cfg):
 
 def _run_and_write(scenarios, opts, cfg, label):
     t0 = time.perf_counter()  # monotonic: a wall-clock step cannot skew it
-    results = run_grid(scenarios, workers=opts["workers"])
+    result = run_grid(scenarios, workers=opts["workers"])
     ok = write_results(
-        results,
+        result,
         opts["out_dir"],
         config_echo={"command": label, **cfg, **{k: str(v) for k, v in opts.items()}},
         seed=opts["seed"],
         wall_time=time.perf_counter() - t0,
         workers=opts["workers"],
-        processes=worker_processes(scenarios, opts["workers"]),
     )
-    print(f"{label}: {len(results)} scenarios -> {opts['out_dir']}")
+    print(f"{label}: {len(result.scenarios)} scenarios -> {opts['out_dir']}")
     return 0 if ok else 1
 
 

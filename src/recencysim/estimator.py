@@ -57,14 +57,14 @@ def kassanjee_estimate(
 ) -> np.ndarray:
     """Incidence estimates from survey counts and external assay estimates.
 
-    The assay values are floats, or arrays with one entry per survey (as
-    the harness passes them: each scenario's values repeated over its
-    surveys).  Elementwise, (n_rec - n_pos*frr_hat) / (n_neg * (mdri_hat -
-    frr_hat*T*)), in that order of operations, so each entry is the scalar
-    formula's value bit for bit.  Negative values (possible when frr_hat >
-    0) are returned as-is.  Where the denominator is not positive (no
-    surveyed negative, or mdri_hat <= frr_hat*T*) the estimate is undefined
-    and reads nan.
+    The assay values are floats, or arrays that broadcast against the
+    counts (as the harness passes them: (cells, 1) columns against a
+    block's (cells, surveys) counts).  Elementwise, (n_rec - n_pos*frr_hat)
+    / (n_neg * (mdri_hat - frr_hat*T*)), in that order of operations, so
+    each entry is the scalar formula's value bit for bit.  Negative values
+    (possible when frr_hat > 0) are returned as-is.  Where the denominator
+    is not positive (no surveyed negative, or mdri_hat <= frr_hat*T*) the
+    estimate is undefined and reads nan.
     """
     denom = np.multiply(counts.n_neg, mdri_hat - frr_hat * recency_cutoff)
     # x / nan is nan, without a division-by-zero warning
@@ -204,7 +204,8 @@ def _uniform_pieces(law: UniformInterTest, rule, r, c, x):
     a, b = law.a, law.b
     cdf = law.residual_cdf_pieces[1]  # its knees are 0, a and b
     k0, k1, k2 = cdf[2 if c >= b else 1 if c >= a else 0]
-    survive_c = 1.0 - (k0 + c * (k1 + c * k2))
+    # F's last piece is 1: c = inf would read inf * 0 there
+    survive_c = 0.0 if c >= b else 1.0 - (k0 + c * (k1 + c * k2))
     swp = rule is ObservationRule.STOP_WHEN_POSITIVE
     edges = sorted({0.0, x, c, a, b, c + a, c + b} if swp else {0.0, x, c, a, b})
     edges = edges if edges[-1] <= x else [e for e in edges if e <= x]

@@ -13,11 +13,13 @@ A block of scenarios is finished where it is drawn: `run_grid` computes
 every count law first, in-process; a block step maps `run_scenario`, which
 only draws, then scores the block's stacked counts with one
 `kassanjee_estimate` call, and nothing changes a result after that.  A
-block is up to `_BLOCK_ROWS` replications of a grid (of a chunk on a
-pool): the whole grid at a few replications a cell.  `summary_columns`
-reduces the estimates with numpy's own functions, one 2-D block per
-replication count.  Each summary row also carries the analytic bias and
-the delta-method variance of the log estimate, from its count law.
+block is `_BLOCK_ROWS // replications` scenarios of a grid (of a chunk on a
+pool), at least one: the whole grid at a few replications a cell.  The
+grid's result is one `GridResult` of (drawn scenarios, replications)
+columns, each block's rows copied in as it is scored; `summary_columns`
+reduces its estimates row by row with numpy's own functions.  Each
+summary row also carries the analytic bias and the delta-method variance
+of the log estimate, from its count law.
 
 A grid starts worker processes only when its replications can repay the
 pool's start-up and transfer: `workers` is an upper bound, and
@@ -38,7 +40,7 @@ import operator
 import os
 import platform
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -137,15 +139,18 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class ScenarioResult:
-    """A scenario's replications as arrays (views of its block's rows), entry
-    i being replication i (estimates nan where undefined); or the error that
-    stopped it, with no counts and no estimates.  Finished with its block."""
+class GridResult:
+    """A grid's replications as columns: `errors[k]` is scenario k's error,
+    None where it was drawn, and row j of `estimates` and of each `counts`
+    column is the j-th drawn scenario, entry i its replication i (estimates
+    nan where undefined).  `processes` is the worker processes the run used
+    (1 means in-process).  Finished with its blocks."""
 
-    scenario: Scenario
-    counts: Optional[SurveyCounts] = None
-    error: Optional[str] = None
-    estimates: np.ndarray = field(default_factory=lambda: np.empty(0))
+    scenarios: tuple
+    errors: tuple
+    counts: SurveyCounts
+    estimates: np.ndarray
+    processes: int
 
 
 #: `summary_columns` keys; the statistics columns of summary.csv
@@ -153,47 +158,39 @@ SUMMARY_STATS = ("median", "mean", "q025", "q975", "var_log", "n_negative",
                  "n_undefined", "mean_screened")
 
 
-def summary_columns(results: Sequence[ScenarioResult]) -> dict:
-    """The summary statistics of every result, as columns of Python floats
-    and ints (entry i for result i; nan and 0 for a result without
-    estimates).
+def summary_columns(result: GridResult) -> dict:
+    """The summary statistics of every drawn scenario of `result`, as
+    columns of Python floats and ints (entry j for row j).
 
     Each value is np.median, np.percentile (2.5, 97.5), np.mean or
-    np.var(np.log(positive), ddof=1) of the result's finite estimates, on a
-    2-D block per replication count: median and percentiles of the block
-    sorted once (faster partitions), the sums in replication order.  A row
-    with a nan, zero or negative estimate is compacted first, to a block of
-    one row.
+    np.var(np.log(positive), ddof=1) of the row's finite estimates, on the
+    2-D estimates: median and percentiles of the rows sorted once (faster
+    partitions), the sums in replication order.  A row with a nan, zero or
+    negative estimate is compacted first, to a block of one row.
     """
-    size = len(results)
+    est = result.estimates
+    size, n = est.shape
     cols = {key: np.full(size, math.nan) for key in SUMMARY_STATS}
     cols["n_negative"] = np.zeros(size, dtype=np.int64)
     cols["n_undefined"] = np.zeros(size, dtype=np.int64)
-    groups = {}
-    for i, res in enumerate(results):
-        groups.setdefault(len(res.estimates), []).append(i)
-    for n, rows in groups.items():
-        if not n:
-            continue
-        est = np.stack([results[i].estimates for i in rows])
+    if est.size:  # a sorted row's first entry needs one
         # an integer sum is exact in any order; Python's int / int rounds
         # the mean once
-        totals = np.add.reduce(
-            np.stack([results[i].counts.n_screened for i in rows]), axis=1)
-        cols["mean_screened"][rows] = [total / n for total in totals.tolist()]
+        totals = np.add.reduce(result.counts.n_screened, axis=1)
+        cols["mean_screened"][:] = [total / n for total in totals.tolist()]
         ordered = np.sort(est, axis=1)  # nan sorts last
         regular = (ordered[:, 0] > 0) & (ordered[:, -1] < math.inf)
+        rows = slice(None)
         if not regular.all():
-            for k in np.flatnonzero(~regular).tolist():
-                finite = est[k][np.isfinite(est[k])]
-                i = rows[k]
+            for i in np.flatnonzero(~regular).tolist():
+                finite = est[i][np.isfinite(est[i])]
                 cols["n_undefined"][i] = n - finite.size
                 cols["n_negative"][i] = np.count_nonzero(finite < 0)
                 if finite.size:
                     _block_stats(cols, [i], finite[None], finite[None],
                                  finite[finite > 0][None])
-            keep = np.flatnonzero(regular)
-            rows, ordered, est = [rows[k] for k in keep], ordered[keep], est[keep]
+            rows = np.flatnonzero(regular)
+            ordered, est = ordered[rows], est[rows]
         _block_stats(cols, rows, ordered, est, est)
     return {key: col.tolist() for key, col in cols.items()}
 
@@ -202,8 +199,6 @@ def _block_stats(cols, rows, ordered, finite, positive):
     """Fill `rows` of `cols` from a block of finite estimates: `finite` in
     replication order, `ordered` the same rows in any order and `positive`
     their positive values (var_log needs two)."""
-    if not rows:
-        return
     cols["median"][rows] = np.median(ordered, axis=1)
     cols["q025"][rows], cols["q975"][rows] = np.percentile(
         ordered, (2.5, 97.5), axis=1)
@@ -284,60 +279,55 @@ def run_scenario(scenario: Scenario, states: np.ndarray) -> tuple | str:
         return str(exc)
 
 
-def _rows(counts: SurveyCounts, part: slice) -> SurveyCounts:
-    """Surveys `part` of a block's counts, each column a view; not checked
-    again, the block's counts having passed `SurveyCounts`' check."""
-    view = object.__new__(SurveyCounts)
-    view.__dict__.update({name: col[part] for name, col in vars(counts).items()})
-    return view
-
-
-def _run_block(scenarios: Sequence[Scenario],
-               states: np.ndarray) -> List[ScenarioResult]:
-    """The results of a block of scenarios: `run_scenario` for each, then one
-    `SurveyCounts` of their stacked draws (`SurveyLaw.counts`) and one
-    `kassanjee_estimate` call on per-row assay values (each cell's MDRI, frr
-    and T* repeated over its rows), so each entry is its cell's scalar
-    formula's, bit for bit."""
+def _run_block(scenarios: Sequence[Scenario], states: np.ndarray):
+    """(errors, counts, estimates) of a block of scenarios: `run_scenario`
+    for each, then one `SurveyCounts` of their stacked draws, a row per
+    drawn cell (None if none), and one `kassanjee_estimate` call on each
+    cell's MDRI, frr and T* as (cells, 1) columns, so each entry is its
+    cell's scalar formula's, bit for bit."""
     drawn = [run_scenario(s, w) for s, w in zip(scenarios, states)]
+    errors = [d if isinstance(d, str) else None for d in drawn]
     done = [(s, d) for s, d in zip(scenarios, drawn) if not isinstance(d, str)]
-    if done:  # np.concatenate([]) raises
-        sizes = [s.replications for s, _ in done]
-        rows, extra = zip(*(d for _, d in done))
-        counts = SurveyLaw.counts(np.concatenate(rows), np.repeat(
-            [s.n_target for s, _ in done], sizes), np.concatenate(extra))
-        assay = np.transpose([(mdri(s.assay), s.assay.frr, s.assay.recency_cutoff)
-                              for s, _ in done])
-        # each cell's values over its rows, one contiguous row per value
-        estimates = kassanjee_estimate(counts, *np.repeat(assay, sizes, axis=1))
-    results, stop = [], 0
-    for s, d in zip(scenarios, drawn):
-        if isinstance(d, str):
-            results.append(ScenarioResult(s, error=d))
-        else:
-            part, stop = slice(stop, stop + s.replications), stop + s.replications
-            results.append(ScenarioResult(s, _rows(counts, part),
-                                          estimates=estimates[part]))
-    return results
+    if not done:  # np.stack([]) raises
+        return errors, None, None
+    cells, draws = zip(*done)
+    rows, extra = zip(*draws)
+    counts = SurveyLaw.counts(np.stack(rows), np.array(
+        [s.n_target for s in cells], dtype=np.int64)[:, None], np.stack(extra))
+    assay = np.array([(mdri(s.assay), s.assay.frr, s.assay.recency_cutoff)
+                      for s in cells])
+    return errors, counts, kassanjee_estimate(counts, *assay.T[..., None])
 
 
-#: replications a block holds, a larger scenario being a block alone: its
-#: arrays stay in cache (one block of 160 x 1000 scored slower than a call
-#: per scenario, its megabyte arrays fresh memory on every call)
+def _join(parts, size: int, reps: int):
+    """One (errors, counts, estimates) of the consecutive parts of `size`
+    scenarios of `reps` replications, each part's rows copied in as it
+    comes: concatenating parts held together ran 160 x 1000 slower."""
+    errors, stop = [], 0
+    out = [np.empty((size, reps), dtype) for dtype in (np.int64,) * 4 + (float,)]
+    for part_errors, counts, estimates in parts:
+        errors += part_errors
+        if counts is not None:
+            start, stop = stop, stop + len(estimates)
+            for column, part in zip(out, (*vars(counts).values(), estimates)):
+                column[start:stop] = part
+    *counts, estimates = (column[:stop] for column in out)
+    return errors, SurveyCounts(*counts), estimates
+
+
+#: replications a block holds, one scenario of more being a block alone:
+#: its arrays stay in cache (one block of 160 x 1000 scored slower than a
+#: call per scenario, its megabyte arrays fresh memory on every call)
 _BLOCK_ROWS = 4096
 
 
-def _run_blocks(scenarios: Sequence[Scenario],
-                states: np.ndarray) -> List[ScenarioResult]:
-    """`_run_block` over runs of consecutive scenarios of at most
-    `_BLOCK_ROWS` replications each."""
-    results, start, rows = [], 0, 0
-    for i, s in enumerate(scenarios):
-        if rows and rows + s.replications > _BLOCK_ROWS:
-            results += _run_block(scenarios[start:i], states[start:i])
-            start, rows = i, 0
-        rows += s.replications
-    return results + _run_block(scenarios[start:], states[start:])
+def _run_blocks(scenarios: Sequence[Scenario], states: np.ndarray):
+    """`_run_block` over runs of `_BLOCK_ROWS // replications` consecutive
+    scenarios (at least one), joined."""
+    reps = scenarios[0].replications if scenarios else 0
+    step = max(1, _BLOCK_ROWS // max(1, reps))
+    return _join((_run_block(scenarios[i:i + step], states[i:i + step])
+                  for i in range(0, len(scenarios), step)), len(scenarios), reps)
 
 
 #: replications one worker must have before a pool repays its start-up and
@@ -353,9 +343,9 @@ def worker_processes(scenarios: Sequence[Scenario], workers: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, len(scenarios), share))
 
 
-def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> List[ScenarioResult]:
-    """Run every scenario; results come back in scenario order.  A scenario
-    run alone is a grid of one.
+def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> GridResult:
+    """The `GridResult` of every scenario, in scenario order (a scenario run
+    alone is a grid of one); two replication counts are a ValueError.
 
     Every scenario's count law (or its error) is computed here first,
     in-process, and its seed words (`_scenario_states`); both travel with
@@ -363,24 +353,30 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> List[ScenarioRe
     upper bound: the grid runs on `worker_processes(scenarios, workers)`
     processes, in-process when that is 1, so a grid too small to repay a
     pool starts none.  In a pool the scenarios go out in chunks, about four
-    per worker, each cut into blocks where it was sent: a scenario's cost
-    is alike across cells, so equal chunks balance.
+    per worker, each cut into blocks where it was sent, and each chunk's
+    rows are copied into the grid's columns here as it returns: a
+    scenario's cost is alike across cells, so equal chunks balance.
     """
+    reps = sorted({s.replications for s in scenarios})
+    if len(reps) > 1:  # before any law
+        raise ValueError(f"a grid runs one replication count, got {reps}")
     for s in scenarios:
         s._law  # every law before the first draw
     states = _scenario_states(scenarios)
     processes = worker_processes(scenarios, workers)
     if processes == 1:
-        return _run_blocks(scenarios, states)
-    # here, not at module top: only a pool needs multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        errors, counts, estimates = _run_blocks(scenarios, states)
+    else:
+        # here, not at module top: only a pool needs multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    size = max(1, math.ceil(len(scenarios) / (4 * processes)))
-    starts = range(0, len(scenarios), size)
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        chunks = pool.map(_run_blocks, [scenarios[i:i + size] for i in starts],
-                          [states[i:i + size] for i in starts])
-        return [res for chunk in chunks for res in chunk]
+        size = max(1, math.ceil(len(scenarios) / (4 * processes)))
+        starts = range(0, len(scenarios), size)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            errors, counts, estimates = _join(pool.map(
+                _run_blocks, [scenarios[i:i + size] for i in starts],
+                [states[i:i + size] for i in starts]), len(scenarios), reps[0])
+    return GridResult(tuple(scenarios), tuple(errors), counts, estimates, processes)
 
 
 # ---------------------------------------------------------------------------
@@ -534,33 +530,35 @@ def _atomic_open(path: Path, newline=None):
 
 
 def write_results(
-    results: Sequence[ScenarioResult], out_dir: Path, config_echo: dict, seed: int,
-    wall_time: float, workers: int = 1, processes: int = 1,
+    result: GridResult, out_dir: Path, config_echo: dict, seed: int,
+    wall_time: float, workers: int = 1,
 ) -> bool:
     """Write per-replication CSV, summary CSV, and the JSON manifest.
 
     Returns True when every scenario completed without error.  The three
     files are replaced together only after all of them are written.  The
-    manifest records the requested `workers`, the worker `processes` the
-    run used (1 means in-process), and the Python, numpy and scipy versions,
-    since the vectorized random streams depend on numpy's.
+    manifest records the requested `workers`, the worker processes the run
+    used (`result.processes`, 1 meaning in-process), and the Python, numpy
+    and scipy versions, since the vectorized random streams depend on
+    numpy's.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with _atomic_open(out_dir / "replications.csv", newline="") as rep_fh, \
             _atomic_open(out_dir / "summary.csv", newline="") as sum_fh, \
             _atomic_open(out_dir / "manifest.json") as man_fh:
-        _write_replications(results, rep_fh)
-        ok = _write_summary(results, sum_fh)
+        _write_replications(result, rep_fh)
+        ok = _write_summary(result, sum_fh)
         manifest = {
             "config": config_echo,
             "seed": seed,
             "version": __version__,
-            "scenarios": len(results),
-            "errors": [r.scenario.label for r in results if r.error is not None],
+            "scenarios": len(result.scenarios),
+            "errors": [s.label for s, error in zip(result.scenarios, result.errors)
+                       if error is not None],
             "wall_time_s": round(wall_time, 3),
             "workers": workers,
-            "processes": processes,
+            "processes": result.processes,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
@@ -573,7 +571,7 @@ def write_results(
 _CSV_SPECIAL = frozenset(',"\r\n')
 
 
-def _write_replications(results, fh):
+def _write_replications(result: GridResult, fh):
     """One line per replication, as csv.writer would write it.
 
     Labels never need quoting (they are built from numbers and fixed
@@ -581,45 +579,42 @@ def _write_replications(results, fh):
     status is "undefined" for a nan estimate, "negative" below 0, else "ok".
     """
     fh.write(",".join(REPLICATION_COLUMNS) + "\r\n")
-    for res in results:
-        if res.counts is None:
+    c = result.counts
+    rows = zip(c.n_total, c.n_pos, c.n_neg, c.n_rec, c.n_screened, result.estimates)
+    for s, error in zip(result.scenarios, result.errors):
+        if error is not None:
             continue
-        label = res.scenario.label
+        label = s.label
         if _CSV_SPECIAL.intersection(label):
             raise ValueError(f"scenario label {label!r} would need CSV quoting")
-        c = res.counts
+        # a row's lists at a time: one of the whole grid holds every value
         fh.writelines(
             f"{label},{i},{total},{pos},{neg},{rec},{screened},{x:.10g},"
             f"{'ok' if x >= 0 else 'negative' if x < 0 else 'undefined'}\r\n"
-            for i, total, pos, neg, rec, screened, x in zip(
-                range(len(res.estimates)), c.n_total.tolist(), c.n_pos.tolist(),
-                c.n_neg.tolist(), c.n_rec.tolist(), c.n_screened.tolist(),
-                res.estimates.tolist(),
-            )
+            for i, (total, pos, neg, rec, screened, x) in enumerate(zip(
+                *(column.tolist() for column in next(rows))))
         )
 
 
-def _write_summary(results, fh) -> bool:
-    """The summary rows, every completed scenario's statistics from one
+def _write_summary(result: GridResult, fh) -> bool:
+    """The summary rows, every drawn scenario's statistics from one
     `summary_columns` pass, in one writerows call.  True when no scenario
     stopped on an error."""
-    done = [res for res in results if res.error is None]
     counted = ("n_negative", "n_undefined")
     stats = zip(*(
         column if key in counted else [format(x, ".10g") for x in column]
-        for key, column in summary_columns(done).items()
+        for key, column in summary_columns(result).items()
     ))
     rows = [SUMMARY_COLUMNS]
-    for res in results:
-        sc = res.scenario
+    for sc, error in zip(result.scenarios, result.errors):
         law, theta, a, b = _law_fields(sc.process)
         row = [
             sc.label, sc.process.observation_rule.value, law, theta, a, b,
             _fmt(sc.r), _fmt(sc.c), _fmt(sc.assay.frr), sc.replications,
             sc.n_target,
         ]
-        if res.error is not None:
-            row += ["", "", "", "", "", "", "", "", "", "", f"error:{res.error}"]
+        if error is not None:
+            row += ["", "", "", "", "", "", "", "", "", "", f"error:{error}"]
         else:
             law = sc.count_law
             row += [
@@ -629,7 +624,7 @@ def _write_summary(results, fh) -> bool:
             ]
         rows.append(row)
     csv.writer(fh).writerows(rows)
-    return len(done) == len(results)
+    return all(error is None for error in result.errors)
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,9 @@ class SurveyLaw:
     @staticmethod
     def counts(rows: np.ndarray, n_target, extra: np.ndarray) -> SurveyCounts:
         """The `SurveyCounts` of `draw`'s raw draws, one cell's or a block's
-        stacked: n_pos = n_rec + the other positives, and n_screened =
-        n_target (one int, or each row's) + the extra attendees."""
-        n_rec, n_other, n_neg = rows.T
+        stacked (cells, size, 3) rows: n_pos = n_rec + the other positives,
+        and n_screened = n_target (an int, or a (cells, 1) column) + extra."""
+        n_rec, n_other, n_neg = np.moveaxis(rows, -1, 0)
         return SurveyCounts(n_rec + n_other, n_neg, n_rec, n_target + extra)
 
 

@@ -85,17 +85,17 @@ SIM_CELLS = [
 
 @pytest.fixture(scope="session")
 def sim_results():
-    """Scenario label -> (ScenarioResult, wall seconds)."""
+    """Scenario label -> (its grid of one, a GridResult; wall seconds)."""
     out = {}
     for rule, theta, r, c in SIM_CELLS:
         scenario = _make_scenario(rule, theta, r, c)
         t0 = time.perf_counter()
-        out[scenario.label] = (run_grid([scenario])[0], time.perf_counter() - t0)
+        out[scenario.label] = (run_grid([scenario]), time.perf_counter() - t0)
     return out
 
 
 def _median_and_se(result):
-    est = np.array(result.estimates)
+    est = np.array(result.estimates[0])
     med = float(np.median(est))
     se = 1.2533 * float(np.std(est, ddof=1)) / math.sqrt(est.size)
     return med, se
@@ -227,10 +227,10 @@ def test_criterion_6_variance_formula(sim_results):
     process = TestingProcess(ExponentialInterTest(1.0), SWP)
     p0, pr0 = survey_composition(DEFAULT_ASSAY, process, 1.0, 0.0, DEFAULT_PARAMS)
     analytic0 = log_variance(N_TARGET, p0, pr0)
-    emp0 = summary_columns([sim_results["swp_theta1_r1_c0"][0]])["var_log"][0]
+    emp0 = summary_columns(sim_results["swp_theta1_r1_c0"][0])["var_log"][0]
     within = abs(emp0 - analytic0) / analytic0 < 0.15
 
-    emp2 = summary_columns([sim_results["swp_theta1_r1_c2"][0]])["var_log"][0]
+    emp2 = summary_columns(sim_results["swp_theta1_r1_c2"][0])["var_log"][0]
     ratio = emp2 / emp0
     amplified = ratio >= 3.0
     ok = within and amplified
@@ -324,8 +324,8 @@ def test_criterion_9_determinism(tmp_path_factory, pool_forced):
     outputs = {}
     for workers in (1, 2):
         out = tmp_path_factory.mktemp(f"grid_w{workers}")
-        results = run_grid(scenarios, workers=workers)
-        write_results(results, out, config_echo={}, seed=777, wall_time=0.0)
+        result = run_grid(scenarios, workers=workers)
+        write_results(result, out, config_echo={}, seed=777, wall_time=0.0)
         outputs[workers] = {
             name: (out / name).read_bytes()
             for name in ("replications.csv", "summary.csv")

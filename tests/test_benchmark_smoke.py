@@ -3,11 +3,13 @@
 The benchmark (perfbench/) drives the package through the CLI, the grid
 builders and the public analytic entry points.  Running one unit of each
 workload in BENCHMARK.json at seed 1 here makes a change to a name or a
-signature the benchmark calls fail with the other tests.  This module only
-reads perfbench/; it times nothing.
+signature the benchmark calls fail with the other tests, and one traced run
+of the main grid does the same for the functions its tracer wraps.  This
+module only reads perfbench/; it checks no timing.
 """
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,3 +67,17 @@ def test_grid_workloads_write_the_same_files(bench, units):
     _, gate = bench
     assert gate.check_identical(units["grid_main_w1"][2], units["grid_main_w2"][2],
                                 "workers=1 and workers=2") == []
+
+
+def test_traced_run_samples_each_scenario():
+    # perfbench's tracer wraps `harness.run_scenario` by name: a grid that
+    # stopped calling it through the module would sample nothing
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "grid_main_w1",
+         "--seed", str(SEED), "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "gate: passed" in lines
+    metrics = json.loads(lines[-1])["metrics"]
+    assert metrics["harness.run_scenario.p50_ms"]["value"] > 0

@@ -14,6 +14,7 @@ p-values are judged together by the Holm-Bonferroni step-down procedure,
 so a correct engine fails any of the 27 with probability at most 0.01.
 """
 
+import collections
 import dataclasses
 import hashlib
 import io
@@ -37,6 +38,7 @@ from recencysim.population import (
     DEFAULT_PARAMS,
     InfeasibleScenarioError,
     PopulationParams,
+    SurveyCounts,
 )
 from recencysim.recency_model import DEFAULT_ASSAY, mdri
 from recencysim.screening_analytics import forecast, survey_law
@@ -123,7 +125,7 @@ def cross_engine_pvalues():
     per engine; fixed seeds."""
     pvalues = {}
     for scenario in CROSS_ENGINE_CELLS:
-        result = run_grid([scenario])[0]
+        result = grid_cells(run_grid([scenario]))[0]
         reference = [_reference_replication(scenario, rep) for rep in range(REPS)]
         for name, a, pick in (
             ("estimate", result.estimates, lambda row: row[1]),
@@ -181,6 +183,26 @@ def drawn_counts(law, n_target, size, rngs):
     return law.counts(rows, n_target, extra)
 
 
+Cell = collections.namedtuple("Cell", "scenario error counts estimates")
+
+
+def grid_cells(result):
+    """A `run_grid` result cell by cell, in scenario order: a drawn cell's
+    counts and estimates are its row of the result's columns; a cell with an
+    error has no counts and an empty array of estimates."""
+    rows, cells = iter(range(len(result.estimates))), []
+    for scenario, error in zip(result.scenarios, result.errors, strict=True):
+        if error is not None:
+            cells.append(Cell(scenario, error, None, np.empty(0)))
+            continue
+        j = next(rows)
+        counts = SurveyCounts(**{name: column[j]
+                                 for name, column in vars(result.counts).items()})
+        cells.append(Cell(scenario, None, counts, result.estimates[j]))
+    assert next(rows, None) is None, "a row without a drawn cell"
+    return cells
+
+
 def sha256_streams(scenario):
     """The scenario's two generators, rebuilt with hashlib and numpy alone."""
     return tuple(np.random.Generator(np.random.PCG64(
@@ -199,7 +221,7 @@ def test_every_law_draws_from_the_count_law(monkeypatch):
     for uniform_bs in (None, (3.0,)):
         (cell,) = build_grid(3, 1, n_target=200, thetas=(1.0,), rs=(0.6,),
                              cs=(1.0,), rules=(SWP,), uniform_bs=uniform_bs)
-        counts = run_grid([cell])[0].counts
+        counts = grid_cells(run_grid([cell]))[0].counts
         want = drawn_counts(cell.count_law, 200, 1, sha256_streams(cell))
         assert vars(counts).keys() == vars(want).keys()
         for name, column in vars(want).items():
@@ -348,7 +370,8 @@ MEAN_CELLS = [
 def test_count_engine_mean_matches_the_limit(scenario):
     # the estimator's finite-N bias is O(1/N), far below the standard error
     reps = 2000
-    result = run_grid([dataclasses.replace(scenario, replications=reps)])[0]
+    result = grid_cells(
+        run_grid([dataclasses.replace(scenario, replications=reps)]))[0]
     est = result.estimates
     assert np.isfinite(est).all()
     se = est.std(ddof=1) / math.sqrt(reps)
@@ -409,7 +432,7 @@ def test_a_cell_evaluates_each_kernel_term_once(monkeypatch, label, calls, lists
         real = getattr(estimator, name)
         monkeypatch.setattr(estimator, name, lambda *args, name=name, real=real: (
             counted.append(name) or real(*args)))
-    result = run_grid([scenario])[0]
-    harness._write_summary([result], io.StringIO())
+    result = run_grid([scenario])
+    harness._write_summary(result, io.StringIO())
     assert counted.count("_integrate") == calls, counted
     assert len(counted) - calls == lists, counted

@@ -27,8 +27,8 @@ from recencysim.estimator import (
 from recencysim import harness
 from recencysim.harness import (
     SUMMARY_COLUMNS,
+    GridResult,
     Scenario,
-    ScenarioResult,
     build_grid,
     build_sensitivity,
     emit_histogram,
@@ -47,7 +47,8 @@ from recencysim.testing_history import (
     UniformInterTest,
 )
 from reference_sampler import observe_most_recent_many, sample_residual
-from test_count_law import drawn_counts, holm_rejected, sha256_streams, sha256_words
+from test_count_law import (
+    Cell, drawn_counts, grid_cells, holm_rejected, sha256_streams, sha256_words)
 
 
 def small_grid(seed=7, reps=2, n_target=400):
@@ -57,9 +58,10 @@ def small_grid(seed=7, reps=2, n_target=400):
     )
 
 
-def block(result):
-    """A scenario result's arrays: estimates, then every count column."""
-    return [result.estimates, *vars(result.counts).values()]
+def block(cell):
+    """A drawn cell's arrays (`grid_cells`): estimates, then every count
+    column."""
+    return [cell.estimates, *vars(cell.counts).values()]
 
 
 def assert_same_block(a, b):
@@ -84,7 +86,7 @@ class TestGridConstruction:
                            cs=(1.0,), rules=(ObservationRule.STOP_WHEN_POSITIVE,))
         assert [s.label for s in cells] == ["swp_theta1_r0.6_c1",
                                             "swp_theta1.0000001_r0.6_c1"]
-        a, b = run_grid(cells)
+        a, b = grid_cells(run_grid(cells))
         assert not all(np.array_equal(x, y) for x, y in zip(block(a), block(b)))
 
     def test_repeated_value_is_rejected(self):
@@ -142,22 +144,32 @@ class TestGridConstruction:
                 build_sensitivity("uniform_intertest", *args, **kwargs)
         assert str(exc.value) == message
 
-    def test_numpy_integer_counts_are_counts(self):
+    # uint64 + int64 is float64 in numpy: n_screened was written "834.0"
+    @pytest.mark.parametrize("n_target", [np.uint16(300), np.uint64(300)],
+                             ids=["uint16", "uint64"])
+    def test_numpy_integer_counts_are_counts(self, n_target):
         want = build_grid(3, 2, n_target=300, thetas=(1.0,), rs=(0.6,), cs=(1.0,))
-        got = build_grid(np.int64(3), np.int32(2), n_target=np.uint16(300),
+        got = build_grid(np.int64(3), np.int32(2), n_target=n_target,
                          thetas=(1.0,), rs=(0.6,), cs=(1.0,))
         assert got == want
-        for a, b in zip(run_grid(got), run_grid(want), strict=True):
+        for a, b in zip(grid_cells(run_grid(got)), grid_cells(run_grid(want)),
+                        strict=True):
             assert_same_block(a, b)
+        lines = []
+        for grid in (got, want):
+            fh = io.StringIO(newline="")
+            harness._write_replications(run_grid(grid), fh)
+            lines.append(fh.getvalue())
+        assert lines[0] == lines[1]
 
 
 class TestDeterminism:
     def test_scenario_repeatable(self):
         s = small_grid(reps=4)[0]
-        assert_same_block(run_grid([s])[0], run_grid([s])[0])
+        assert_same_block(grid_cells(run_grid([s]))[0], grid_cells(run_grid([s]))[0])
 
     def test_replications_differ(self):
-        res = run_grid([small_grid(reps=2)[0]])[0]
+        res = grid_cells(run_grid([small_grid(reps=2)[0]]))[0]
         rows = np.column_stack(block(res))
         assert not np.array_equal(rows[0], rows[1])
 
@@ -168,9 +180,10 @@ class TestDeterminism:
         cells = build_grid(3, 9, n_target=300, rs=(0.3,), cs=(1.0,), thetas=(1.5,),
                            uniform_bs=uniform_bs)
         for cell in cells:
-            full = run_grid([cell])[0]
+            full = grid_cells(run_grid([cell]))[0]
             for k in (1, 4):
-                head = run_grid([dataclasses.replace(cell, replications=k)])[0]
+                head = grid_cells(
+                    run_grid([dataclasses.replace(cell, replications=k)]))[0]
                 for x, y in zip(block(full), block(head), strict=True):
                     assert np.array_equal(x[:k], y)
 
@@ -179,8 +192,8 @@ class TestDeterminism:
         files = {}
         for workers in (1, 2):
             out = tmp_path / f"w{workers}"
-            results = run_grid(scenarios, workers=workers)
-            write_results(results, out, config_echo={}, seed=7, wall_time=0.0)
+            result = run_grid(scenarios, workers=workers)
+            write_results(result, out, config_echo={}, seed=7, wall_time=0.0)
             files[workers] = {
                 name: (out / name).read_bytes()
                 for name in ("replications.csv", "summary.csv")
@@ -191,8 +204,8 @@ class TestDeterminism:
     def test_uniform_suite_streams_unchanged(self, tmp_path):
         # sha256 of the files written when each generator's seed words
         # became the SHA-256 digest of (seed, label, stream)
-        results = run_grid(build_sensitivity("uniform_intertest", 11, 2, n_target=500))
-        write_results(results, tmp_path, config_echo={}, seed=11, wall_time=0.0)
+        result = run_grid(build_sensitivity("uniform_intertest", 11, 2, n_target=500))
+        write_results(result, tmp_path, config_echo={}, seed=11, wall_time=0.0)
         digests = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("replications.csv", "summary.csv")
@@ -237,7 +250,8 @@ class TestDeterminism:
         twins = [s for s in build_sensitivity("frr", 7, 2, n_target=300)
                  if s.assay.frr == 0.0]
         assert len(twins) == 2 * 2 * 4 * 2
-        for got, want in zip(run_grid(twins), run_grid([main[s.label] for s in twins]),
+        for got, want in zip(grid_cells(run_grid(twins)),
+                             grid_cells(run_grid([main[s.label] for s in twins])),
                              strict=True):
             assert_same_block(got, want)
 
@@ -282,14 +296,14 @@ class TestSeedStates:
             raise AssertionError("run_grid built a SeedSequence")
 
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
-        results = run_grid(scenarios, workers=1)
-        for res, counts in zip(results, want, strict=True):
+        cells = grid_cells(run_grid(scenarios, workers=1))
+        for res, counts in zip(cells, want, strict=True):
             for name, column in vars(counts).items():
                 assert np.array_equal(getattr(res.counts, name), column), name
 
     def test_empty_grid(self):
         assert harness._scenario_states([]).shape == (0, 2, 4)
-        assert run_grid([]) == []
+        assert grid_cells(run_grid([])) == []
 
     def test_seed_words_are_held_contiguous(self):
         words = np.random.SeedSequence([1, 5, 0]).generate_state(4, np.uint64)
@@ -315,11 +329,11 @@ class TestSeedStates:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_scenario_alone_equals_its_grid_block(self, workers, pool_forced):
         scenarios = small_grid(reps=3)
-        results = run_grid(scenarios, workers=workers)
+        cells = grid_cells(run_grid(scenarios, workers=workers))
         assert pool_forced == ([2] if workers == 2 else [])
-        for s, res in zip(scenarios, results, strict=True):
+        for s, res in zip(scenarios, cells, strict=True):
             assert res.scenario == s
-            assert_same_block(run_grid([s])[0], res)
+            assert_same_block(grid_cells(run_grid([s]))[0], res)
 
 
 class InProcessPool:
@@ -381,8 +395,8 @@ class TestWorkerProcesses:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         scenarios = small_grid()
         assert harness.worker_processes(scenarios, 2) == 1
-        for got, want in zip(run_grid(scenarios, workers=2), run_grid(scenarios),
-                             strict=True):
+        for got, want in zip(grid_cells(run_grid(scenarios, workers=2)),
+                             grid_cells(run_grid(scenarios)), strict=True):
             assert_same_block(got, want)
 
     @pytest.mark.parametrize("cpus, want", [(3, 3), (64, 8)])
@@ -396,10 +410,10 @@ class TestWorkerProcesses:
                             InProcessPool(started))
         scenarios = small_grid()
         assert len(scenarios) == 8
-        results = run_grid(scenarios, workers=5000)
+        cells = grid_cells(run_grid(scenarios, workers=5000))
         assert started == [want]
-        for got, alone in zip(results, scenarios, strict=True):
-            assert_same_block(got, run_grid([alone])[0])
+        for got, alone in zip(cells, scenarios, strict=True):
+            assert_same_block(got, grid_cells(run_grid([alone]))[0])
 
 
 class TestSummaries:
@@ -417,9 +431,9 @@ class TestSummaries:
             replications=20,
             seed=11,
         )
-        res = run_grid([s])[0]
-        est = np.array(res.estimates)
-        summ = summary_row(res)
+        result = run_grid([s])
+        est = np.array(grid_cells(result)[0].estimates)
+        summ = summary_row(result)
         assert summ["median"] == pytest.approx(np.median(est))
         assert summ["mean"] == pytest.approx(np.mean(est))
         positive = est[est > 0]  # var_log drops zero/negative estimates
@@ -441,7 +455,7 @@ class TestSummaries:
             replications=60,
             seed=17,
         )
-        res = run_grid([s])[0]
+        res = grid_cells(run_grid([s]))[0]
         expected = DEFAULT_PARAMS.incidence + analytic_bias(
             DEFAULT_ASSAY, theta, r, c, rule, DEFAULT_PARAMS
         )
@@ -476,20 +490,26 @@ def numpy_summary(est, screened):
 
 
 def summary_row(result):
-    """`result`'s row of `summary_columns`."""
-    return {key: column[0] for key, column in harness.summary_columns([result]).items()}
+    """The row of `summary_columns` of `result`, a grid of one drawn cell."""
+    return {key: column[0] for key, column in harness.summary_columns(result).items()}
 
 
-def with_estimates(result, estimates):
-    """A copy of `result` holding the given estimates in place of those its
-    counts give."""
-    return dataclasses.replace(result, estimates=np.asarray(estimates, dtype=float))
+def grid_of(cells):
+    """The `GridResult` of `grid_cells`' cells, made up cell by cell: each
+    drawn cell's counts and estimates (whatever its counts give) its row."""
+    drawn = [cell for cell in cells if cell.error is None]
+    counts = SurveyCounts(*(np.stack(column) for column in zip(
+        *(vars(cell.counts).values() for cell in drawn))))
+    return GridResult(
+        tuple(cell.scenario for cell in cells), tuple(cell.error for cell in cells),
+        counts, np.stack([np.asarray(cell.estimates, dtype=float) for cell in drawn]),
+        processes=1)
 
 
 def summary_of(est, screened):
     zeros = np.zeros(len(est), dtype=np.int64)
     counts = SurveyCounts(zeros, zeros, zeros, screened)
-    return summary_row(with_estimates(ScenarioResult(small_grid()[0], counts), est))
+    return summary_row(grid_of([Cell(small_grid()[0], None, counts, est)]))
 
 
 def _summary_cases():
@@ -542,8 +562,8 @@ class TestSummaryMatchesNumpy:
 
 
 class TestSummaryBlock:
-    """`summary_columns` over many results at once equals numpy's 1-D
-    reductions of each result alone."""
+    """`summary_columns` over a grid's rows at once equals numpy's 1-D
+    reductions of each row alone."""
 
     # around numpy's pairwise-sum blocks (8, 128) and its buffer (8192)
     COUNTS = (1, 2, 7, 8, 9, 127, 128, 129, 8192, 9001)
@@ -563,12 +583,12 @@ class TestSummaryBlock:
     @staticmethod
     def check(rows, rng):
         screened = [rng.integers(5000, 40_000, len(row)) for row in rows]
-        results = [
-            with_estimates(ScenarioResult(small_grid()[0], SurveyCounts(
-                *[np.zeros(len(row), dtype=np.int64)] * 3, scr)), row)
+        result = grid_of([
+            Cell(small_grid()[0], None, SurveyCounts(
+                *[np.zeros(len(row), dtype=np.int64)] * 3, scr), row)
             for row, scr in zip(rows, screened)
-        ]
-        got = harness.summary_columns(results)
+        ])
+        got = harness.summary_columns(result)
         assert list(got) == list(harness.SUMMARY_STATS)
         for i, (row, scr) in enumerate(zip(rows, screened)):
             want = numpy_summary(row, scr)
@@ -580,17 +600,20 @@ class TestSummaryBlock:
         rng = np.random.default_rng(n)
         self.check(self.rows(n, rng), rng)
 
-    def test_mixed_replication_counts(self):
+    def test_rows_in_any_order(self):
+        # one grid per replication count, a grid holding one count
         rng = np.random.default_rng(99)
-        rows = [row for n in self.COUNTS for row in self.rows(n, rng)]
-        order = rng.permutation(len(rows))
-        self.check([rows[i] for i in order], rng)
+        for n in self.COUNTS:
+            rows = self.rows(n, rng)
+            self.check([rows[i] for i in rng.permutation(len(rows))], rng)
 
     def test_result_without_estimates(self):
-        error = ScenarioResult(small_grid()[0], error="no attendee")
-        assert harness.summary_columns([]) == {
-            key: [] for key in harness.SUMMARY_STATS}
-        got = harness.summary_columns([error])
+        for nothing_drawn in ([], infeasible_cells()):
+            assert harness.summary_columns(run_grid(nothing_drawn)) == {
+                key: [] for key in harness.SUMMARY_STATS}
+        empty = np.zeros(0, dtype=np.int64)
+        got = harness.summary_columns(grid_of([
+            Cell(small_grid()[0], None, SurveyCounts(*[empty] * 4), empty)]))
         assert got["n_negative"] == got["n_undefined"] == [0]
         assert all(math.isnan(got[key][0]) for key in
                    ("median", "mean", "q025", "q975", "var_log", "mean_screened"))
@@ -599,12 +622,12 @@ class TestSummaryBlock:
 SWP_ONLY = (ObservationRule.STOP_WHEN_POSITIVE,)
 
 
-def infeasible_cells():
+def infeasible_cells(reps=2):
     """Two cells no attendee can enter (c = 20 past every gap), whose
     `run_scenario` returns an error (TestInfeasibleCell)."""
-    return [*build_grid(5, 2, n_target=200, thetas=(2.0,), rs=(0.0,), cs=(20.0,),
+    return [*build_grid(5, reps, n_target=200, thetas=(2.0,), rs=(0.0,), cs=(20.0,),
                         rules=SWP_ONLY),
-            *build_grid(5, 2, n_target=200, rs=(0.0,), cs=(20.0,), rules=SWP_ONLY,
+            *build_grid(5, reps, n_target=200, rs=(0.0,), cs=(20.0,), rules=SWP_ONLY,
                         uniform_bs=(3.0,))]
 
 
@@ -656,41 +679,40 @@ class TestGridPasses:
     def test_one_estimate_call_per_block(self, tmp_path, calls, pool_forced, workers):
         scenarios = build_grid(7, 3, n_target=400, thetas=(1.0,), rs=(0.6, 1.0),
                                cs=(0.0, 0.25, 1.0, 1.5, 2.0))
-        infeasible = infeasible_cells()[0]
+        infeasible = infeasible_cells(reps=3)[0]
         grid = [*scenarios, infeasible]
-        results = run_grid(grid, workers=workers)
-        assert results[-1].error is not None
-        write_results(results, tmp_path, config_echo={}, seed=7, wall_time=0.0)
+        result = run_grid(grid, workers=workers)
+        assert result.errors[-1] is not None
+        write_results(result, tmp_path, config_echo={}, seed=7, wall_time=0.0)
         if workers == 1:  # 63 replications: the grid is one block
             assert calls("estimate") == 1
         else:  # 21 cells, 7 chunks of 3, each a block with a feasible cell
             assert pool_forced == [2]
             assert len(pool_chunks(grid)) == calls("estimate") == 7
         assert calls("scenario") == len(grid)
-        assert [len(r.estimates) for r in results] == [3] * len(scenarios) + [0]
+        assert [len(r.estimates) for r in grid_cells(result)] == (
+            [3] * len(scenarios) + [0])
         with pytest.raises(dataclasses.FrozenInstanceError):
-            results[0].estimates = np.empty(0)
+            result.estimates = np.empty(0)
 
     @staticmethod
-    def mixed_grid():
-        """Both assays, frr 0, 0.005 and 0.02, 1, 3 and 7 replications, and
-        two infeasible cells that fill one pool chunk (`pool_chunks`); the
-        assays alternate, so every other chunk mixes them."""
+    def mixed_grid(reps):
+        """Both assays, frr 0, 0.005 and 0.02, and two infeasible cells that
+        fill one pool chunk (`pool_chunks`), each cell of `reps` replications;
+        the assays alternate, so every other chunk mixes them."""
         grids = [
-            [dataclasses.replace(s, replications=n) for s, n in zip(
-                build_grid(9, 1, n_target=300, thetas=(1.0,), rs=(0.6,),
-                           cs=(0.0, 1.0), frrs=(0.0, 0.005, 0.02),
-                           assay_name=assay_name, rules=SWP_ONLY),
-                itertools.cycle(reps))]
-            for assay_name, reps in (("default", (1, 3, 7)), ("long", (7, 1, 3)))]
+            build_grid(9, reps, n_target=300, thetas=(1.0,), rs=(0.6,),
+                       cs=(0.0, 1.0), frrs=(0.0, 0.005, 0.02),
+                       assay_name=assay_name, rules=SWP_ONLY)
+            for assay_name in ("default", "long")]
         cells = [cell for pair in zip(*grids) for cell in pair]
-        return [*cells[:4], *infeasible_cells(), *cells[4:]]
+        return [*cells[:4], *infeasible_cells(reps), *cells[4:]]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_block_holds_at_most_block_rows(self, monkeypatch, calls, pool_forced,
                                               workers):
-        # 20 cells of 3 replications, then one of 2 that cannot be drawn
-        infeasible = infeasible_cells()[0]
+        # 20 cells of 3 replications, then one more that cannot be drawn
+        infeasible = infeasible_cells(reps=3)[0]
         grid = [*build_grid(7, 3, n_target=400, thetas=(1.0,), rs=(0.6, 1.0),
                             cs=(0.0, 0.25, 1.0, 1.5, 2.0)), infeasible]
         monkeypatch.setattr(harness, "_BLOCK_ROWS", 7)
@@ -701,24 +723,26 @@ class TestGridPasses:
         assert calls("estimate") == sum(run != [infeasible] for run in runs)
         assert calls("estimate") == (10 if workers == 1 else 13)
         monkeypatch.setattr(harness, "_BLOCK_ROWS", 4096)
-        for a, b in zip(got, run_grid(grid, workers=workers), strict=True):
+        for a, b in zip(grid_cells(got), grid_cells(run_grid(grid, workers=workers)),
+                        strict=True):
             assert a.error == b.error
             if a.error is None:
                 assert_same_block(a, b)
 
+    @pytest.mark.parametrize("reps", [1, 3, 7])
     @pytest.mark.parametrize("block_rows", [4096, 8])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_block_estimates_are_each_cells_own(self, monkeypatch, pool_forced, workers,
-                                                block_rows):
-        grid = self.mixed_grid()
+                                                block_rows, reps):
+        grid = self.mixed_grid(reps)
         assert [len(chunk) for chunk in pool_chunks(grid)] == [2] * 7
-        assert all(s.replications == 2 for s in pool_chunks(grid)[2])
+        assert pool_chunks(grid)[2] == infeasible_cells(reps)
         monkeypatch.setattr(harness, "_BLOCK_ROWS", block_rows)
-        results = run_grid(grid, workers=workers)
+        cells = grid_cells(run_grid(grid, workers=workers))
         assert pool_forced == ([2] if workers == 2 else [])
-        errors = [r.error is not None for r in results]
+        errors = [r.error is not None for r in cells]
         assert errors == [False] * 4 + [True] * 2 + [False] * 8
-        for res in results:
+        for res in cells:
             if res.error is not None:
                 assert res.counts is None and res.estimates.size == 0
                 continue
@@ -734,11 +758,11 @@ class TestGridPasses:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_grid_of_infeasible_cells(self, calls, pool_forced, workers):
-        # no draws to stack: np.concatenate([]) would raise
-        assert run_grid([], workers=workers) == []
-        results = run_grid(infeasible_cells(), workers=workers)
+        # no draws to stack: np.stack([]) would raise
+        assert grid_cells(run_grid([], workers=workers)) == []
+        result = run_grid(infeasible_cells(), workers=workers)
         assert pool_forced == ([2] if workers == 2 else [])
-        assert [r.error for r in results] == [
+        assert list(result.errors) == [
             "expected draws to fill 200 places exceed 100000000 "
             "(admit probability 4.25e-18 per draw)",
             "no attendee can pass the exclusion window c=20 "
@@ -746,12 +770,53 @@ class TestGridPasses:
         assert calls("estimate") == 0 and calls("scenario") == 2
 
 
-def csv_writer_replications(results):
+class TestGridResult:
+    """`run_grid`'s result: one replication count for the grid, a row of
+    columns per drawn cell."""
+
+    def test_two_replication_counts_raise_before_any_law(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a law was computed")
+
+        monkeypatch.setattr(harness, "survey_law", refuse)
+        cells = small_grid(reps=3)
+        grid = [*cells[:2], dataclasses.replace(cells[2], replications=5), *cells[3:]]
+        with pytest.raises(ValueError) as exc:
+            run_grid(grid)
+        assert str(exc.value) == "a grid runs one replication count, got [3, 5]"
+
+    # the files of a grid with no drawn cell, as written before the grid's
+    # result became one set of columns
+    ERROR_ROWS = (
+        "swp_theta2_r0_c20,swp,exponential,2.0,,,0,20,0,2,200,,,,,,,,,,,"
+        "error:expected draws to fill 200 places exceed 100000000 "
+        "(admit probability 4.25e-18 per draw)\r\n"
+        "swp_uni0-3_r0_c20,swp,uniform,,0.0,3.0,0,20,0,2,200,,,,,,,,,,,"
+        "error:no attendee can pass the exclusion window c=20 "
+        "(admit probability 0 per draw)\r\n")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("nothing_drawn", ["empty", "infeasible"])
+    def test_grid_without_rows_writes_the_same_files(self, tmp_path, pool_forced,
+                                                     workers, nothing_drawn):
+        grid = [] if nothing_drawn == "empty" else infeasible_cells()
+        ok = write_results(run_grid(grid, workers=workers), tmp_path, config_echo={},
+                           seed=5, wall_time=0.0)
+        assert pool_forced == ([2] if workers == 2 and grid else [])
+        assert ok == (not grid)
+        rows = "" if not grid else self.ERROR_ROWS
+        assert (tmp_path / "replications.csv").read_bytes() == (
+            ",".join(harness.REPLICATION_COLUMNS) + "\r\n").encode()
+        assert (tmp_path / "summary.csv").read_bytes() == (
+            ",".join(SUMMARY_COLUMNS) + "\r\n" + rows).encode()
+
+
+def csv_writer_replications(result):
     """replications.csv as csv.writer writes it, row by row."""
     fh = io.StringIO(newline="")
     w = csv.writer(fh)
     w.writerow(harness.REPLICATION_COLUMNS)
-    for res in results:
+    for res in grid_cells(result):
         if res.counts is None:
             continue
         c = res.counts
@@ -766,21 +831,19 @@ def csv_writer_replications(results):
 
 class TestReplicationsWriter:
     def test_byte_identical_to_csv_writer(self):
-        results = run_grid(small_grid(reps=5), workers=1)
-        odd = with_estimates(
-            ScenarioResult(
-                small_grid()[1],
-                SurveyCounts(np.array([4, 0, 3, 10]),
-                             np.array([6, 10, 7, 0]), np.array([1, 0, 0, 2]),
-                             np.array([10, 12, 13, 99])),
-            ),
+        cells = grid_cells(run_grid(small_grid(reps=4), workers=1))
+        odd = Cell(
+            small_grid()[1], None,
+            SurveyCounts(np.array([4, 0, 3, 10]),
+                         np.array([6, 10, 7, 0]), np.array([1, 0, 0, 2]),
+                         np.array([10, 12, 13, 99])),
             [0.0125, 0.0, -3.5e-5, np.nan],
         )
-        error = ScenarioResult(small_grid()[2], error="no attendee")
-        results = [results[0], odd, error, *results[1:]]
+        error = Cell(small_grid()[2], "no attendee", None, np.empty(0))
+        result = grid_of([cells[0], odd, error, *cells[1:]])
         fh = io.StringIO(newline="")
-        harness._write_replications(results, fh)
-        assert fh.getvalue() == csv_writer_replications(results)
+        harness._write_replications(result, fh)
+        assert fh.getvalue() == csv_writer_replications(result)
         # the odd result keeps every status
         statuses = [row[-1] for row in csv.reader(io.StringIO(fh.getvalue()))]
         assert {"ok", "negative", "undefined"} <= set(statuses)
@@ -796,11 +859,11 @@ class TestReplicationsWriter:
             assert fh.getvalue() == f"{s.label},0\r\n"
 
     def test_rejects_a_label_that_needs_quoting(self):
-        res = run_grid([small_grid(reps=1)[0]])[0]
-        res = dataclasses.replace(
-            res, scenario=dataclasses.replace(res.scenario, label="swp,theta1"))
+        res = run_grid([small_grid(reps=1)[0]])
+        res = dataclasses.replace(res, scenarios=(
+            dataclasses.replace(res.scenarios[0], label="swp,theta1"),))
         with pytest.raises(ValueError, match="would need CSV quoting"):
-            harness._write_replications([res], io.StringIO())
+            harness._write_replications(res, io.StringIO())
 
 
 class TestHistogram:
@@ -984,18 +1047,18 @@ class TestTable1:
 
 class TestOutputsAndCli:
     def test_write_results_files(self, tmp_path):
-        results = run_grid(small_grid(), workers=1)
-        ok = write_results(results, tmp_path, config_echo={"x": 1}, seed=7,
+        result = run_grid(small_grid(), workers=1)
+        ok = write_results(result, tmp_path, config_echo={"x": 1}, seed=7,
                            wall_time=1.0)
         assert ok
         with open(tmp_path / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == len(results)
+        assert len(rows) == len(result.scenarios)
         assert all(r["status"] == "ok" for r in rows)
         with open(tmp_path / "manifest.json") as fh:
             manifest = json.load(fh)
         assert manifest["seed"] == 7
-        assert manifest["scenarios"] == len(results)
+        assert manifest["scenarios"] == len(result.scenarios)
         assert manifest["errors"] == []
         # the vectorized streams depend on numpy's version
         assert (manifest["workers"], manifest["processes"]) == (1, 1)
@@ -1004,7 +1067,8 @@ class TestOutputsAndCli:
         assert manifest["scipy"] == __import__("scipy").__version__
 
     def test_write_results_of_no_scenarios(self, tmp_path):
-        assert write_results([], tmp_path, config_echo={}, seed=1, wall_time=0.0)
+        assert write_results(run_grid([]), tmp_path, config_echo={}, seed=1,
+                             wall_time=0.0)
         assert (tmp_path / "replications.csv").read_text() == (
             ",".join(harness.REPLICATION_COLUMNS) + "\n")
         assert (tmp_path / "summary.csv").read_text() == (
@@ -1058,10 +1122,10 @@ class TestOutputsAndCli:
             replications=1,
             seed=3,
         )
-        good = run_grid([scenario])[0]
-        bad = ScenarioResult(scenario=scenario, error="attempt cap hit")
-        assert not write_results([good, bad], tmp_path, config_echo={}, seed=3,
-                                 wall_time=0.0)
+        good = grid_cells(run_grid([scenario]))[0]
+        bad = Cell(scenario, "attempt cap hit", None, np.empty(0))
+        assert not write_results(grid_of([good, bad]), tmp_path, config_echo={},
+                                 seed=3, wall_time=0.0)
         with open(tmp_path / "summary.csv") as fh:
             ok_row, err_row = list(csv.DictReader(fh))
         assert ok_row["status"] == "ok"
@@ -1456,20 +1520,25 @@ class TestInfeasibleCell:
             5, 2, n_target=200, rules=(ObservationRule.STOP_WHEN_POSITIVE,),
             thetas=(2.0,), rs=(0.0,), cs=(20.0,),
         )
-        res = run_grid([infeasible])[0]
+        res = grid_cells(run_grid([infeasible]))[0]
         assert res.error == self.ERROR
         assert res.counts is None and res.estimates.size == 0
 
-    def test_uniform_cell_admits_no_one(self):
+    # c = inf read 1 - F(c) on F's last piece (1, 0, 0) as inf * 0 = nan
+    PAST_EVERY_GAP = pytest.mark.parametrize("c", [20.0, math.inf], ids=["20", "inf"])
+
+    @PAST_EVERY_GAP
+    @pytest.mark.parametrize("rule", list(ObservationRule), ids=lambda r: r.value)
+    def test_uniform_cell_admits_no_one(self, rule, c):
         # with gaps of at most 3 years no attendee passes c = 20: the admit
         # probability is exactly 0, rejected before any draw
         (infeasible,) = build_grid(
-            5, 2, n_target=200, rules=(ObservationRule.STOP_WHEN_POSITIVE,),
-            rs=(0.0,), cs=(20.0,), uniform_bs=(3.0,),
+            5, 2, n_target=200, rules=(rule,),
+            rs=(0.0,), cs=(c,), uniform_bs=(3.0,),
         )
-        res = run_grid([infeasible])[0]
+        res = grid_cells(run_grid([infeasible]))[0]
         assert res.error == (
-            "no attendee can pass the exclusion window c=20 "
+            f"no attendee can pass the exclusion window c={c:g} "
             "(admit probability 0 per draw)"
         )
         assert res.counts is None and res.estimates.size == 0
@@ -1498,37 +1567,40 @@ class TestInfeasibleCell:
         (infeasible,) = build_grid(5, 2, n_target=200, rules=swp, rs=(0.0,),
                                    cs=(20.0,), uniform_bs=(3.0,))
         grid = [*feasible[:3], infeasible, *feasible[3:]]
-        results = run_grid(grid, workers=workers)
+        result = run_grid(grid, workers=workers)
         events = log.read_text().split()
         assert events == ["law"] * len(grid) + ["draw"] * (len(grid) - 1)
         assert pool_forced == ([2] if workers == 2 else [])
-        assert results[3].error == (
+        assert result.errors[3] == (
             "no attendee can pass the exclusion window c=20 "
             "(admit probability 0 per draw)")
         files = {}
-        for name, cells in (("with", results), ("without", run_grid(feasible))):
-            write_results(cells, tmp_path / name, config_echo={}, seed=5,
+        for name, ran in (("with", result), ("without", run_grid(feasible))):
+            write_results(ran, tmp_path / name, config_echo={}, seed=5,
                           wall_time=0.0)
             files[name] = [(tmp_path / name / f).read_text().splitlines()
                            for f in ("replications.csv", "summary.csv")]
         (reps, summary), (reps_without, summary_without) = files.values()
         assert reps == reps_without
         assert summary[4].startswith("swp_uni0-3_r0_c20,")
-        assert summary[4].endswith(f",error:{results[3].error}")
+        assert summary[4].endswith(f",error:{result.errors[3]}")
         assert summary[:4] + summary[5:] == summary_without
 
-    def test_cli_grid_writes_uniform_error_row(self, tmp_path, capsys):
+    @PAST_EVERY_GAP
+    @pytest.mark.parametrize("rule", ["regular", "swp"])
+    def test_cli_grid_writes_uniform_error_row(self, tmp_path, capsys, rule, c):
         cfg = tmp_path / "cfg.yaml"
         out = tmp_path / "out"
+        window = ".inf" if c == math.inf else f"{c:g}"
         cfg.write_text(
             f"replications: 2\nn_target: 200\nout_dir: {out}\ngrid:\n"
-            "  rules: [swp]\n  uniform_b: [3]\n  r: [0]\n  c: [20]\n"
+            f"  rules: [{rule}]\n  uniform_b: [3]\n  r: [0]\n  c: [{window}]\n"
         )
         assert cli_main(["grid", "--config", str(cfg)]) == 1
         capsys.readouterr()
         with open(out / "summary.csv") as fh:
             (row,) = list(csv.DictReader(fh))
-        assert row["scenario"] == "swp_uni0-3_r0_c20"
+        assert row["scenario"] == f"{rule}_uni0-3_r0_c{c:g}"
         assert row["status"].startswith("error:no attendee can pass")
 
     def test_cli_grid_writes_error_row_and_exits_1(self, tmp_path, capsys):
@@ -1708,14 +1780,15 @@ class Boom:
 
 class TestAtomicWriters:
     def test_write_results_keeps_old_files_on_failure(self, tmp_path, monkeypatch):
-        results = run_grid(small_grid(reps=1, n_target=200), workers=1)
-        assert write_results(results, tmp_path, config_echo={}, seed=7,
+        result = run_grid(small_grid(reps=1, n_target=200), workers=1)
+        assert write_results(result, tmp_path, config_echo={}, seed=7,
                              wall_time=0.0)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert sorted(before) == ["manifest.json", "replications.csv", "summary.csv"]
 
         # the summary writer fails on its second row, after the whole
         # replications file and the summary pass
+        reversed_grid = run_grid(small_grid(reps=1, n_target=200)[::-1], workers=1)
         calls = []
         real = harness._law_fields
 
@@ -1727,21 +1800,21 @@ class TestAtomicWriters:
 
         monkeypatch.setattr(harness, "_law_fields", fail_on_second_row)
         with pytest.raises(RuntimeError, match="boom"):
-            write_results(results[::-1], tmp_path, config_echo={"run": 2},
+            write_results(reversed_grid, tmp_path, config_echo={"run": 2},
                           seed=8, wall_time=0.0)
         assert len(calls) == 2
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_write_results_leaves_nothing_on_first_failure(self, tmp_path,
                                                            monkeypatch):
-        results = run_grid(small_grid(reps=1, n_target=200), workers=1)
+        result = run_grid(small_grid(reps=1, n_target=200), workers=1)
 
-        def fail(results):
+        def fail(result):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(harness, "summary_columns", fail)
         with pytest.raises(RuntimeError):
-            write_results(results, tmp_path, config_echo={}, seed=7,
+            write_results(result, tmp_path, config_echo={}, seed=7,
                           wall_time=0.0)
         assert list(tmp_path.iterdir()) == []
 
