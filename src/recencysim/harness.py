@@ -9,23 +9,21 @@ seed words are the SHA-256 digest of that triple (`_scenario_states`).
 Replication i is therefore the same for any replication count, any worker
 count and in whichever grid it appears.
 
-A block of scenarios is finished where it is drawn: `run_grid` computes
-every count law first, in-process; a block step maps `run_scenario`, which
-only draws, then scores the block's stacked counts with one
-`kassanjee_estimate` call, and nothing changes a result after that.  A
-block is `_BLOCK_ROWS // replications` scenarios of a grid (of a chunk on a
-pool), at least one: the whole grid at a few replications a cell.  The
-grid's result is one `GridResult` of (drawn scenarios, replications)
-columns, each block's rows copied in as it is scored; `summary_columns`
-reduces its estimates row by row with numpy's own functions.  Each
-summary row also carries the analytic bias and the delta-method variance
-of the log estimate, from its count law.
+`run_grid` computes every count law and every error first, in-process,
+and cuts the drawable scenarios once into blocks of `_BLOCK_ROWS //
+replications` (at least one: the whole grid at a few replications a cell).
+A block maps `run_scenario`, which only draws, then scores its stacked
+counts with one `kassanjee_estimate` call, and nothing changes a result
+after that.  The grid's result is one `GridResult` of (drawn scenarios,
+replications) columns, each block's rows copied in as it is scored;
+`summary_columns` reduces its estimates row by row with numpy's own
+functions.  Each summary row also carries the analytic bias and the
+delta-method variance of the log estimate, from its count law.
 
-A grid starts worker processes only when its replications can repay the
-pool's start-up and transfer: `workers` is an upper bound, and
-`worker_processes` sizes the pool from the grid's total replications (one
-worker per `_REPLICATIONS_PER_WORKER`), the CPU count and the scenario
-count.  Below two, the grid runs in-process.
+The same blocks run in-process or on a pool of worker processes, which a
+grid starts only when its drawable replications can repay the pool's
+start-up and transfer: `worker_processes` caps `workers` by one worker per
+`_REPLICATIONS_PER_WORKER`, the CPU count and the scenario count.
 """
 
 from __future__ import annotations
@@ -123,19 +121,10 @@ class Scenario:
     seed: int
 
     @functools.cached_property
-    def _law(self):  # the count law, or the error that stops the cell
-        try:
-            return survey_law(self.assay, self.process, self.r, self.c, self.params)
-        except InfeasibleScenarioError as exc:
-            return exc
-
-    @property
     def count_law(self) -> SurveyLaw:
-        """The survey's closed-form count law, computed once; an infeasible
-        cell raises its InfeasibleScenarioError again at every read."""
-        if isinstance(self._law, InfeasibleScenarioError):
-            raise InfeasibleScenarioError(*self._law.args)
-        return self._law
+        """The survey's closed-form count law, computed once; a cell without
+        one raises its InfeasibleScenarioError at every read."""
+        return survey_law(self.assay, self.process, self.r, self.c, self.params)
 
 
 @dataclass(frozen=True)
@@ -268,51 +257,39 @@ def _streams(states: np.ndarray):
             Generator(PCG64(_SeedWords(states[1]))))
 
 
-def run_scenario(scenario: Scenario, states: np.ndarray) -> tuple | str:
-    """A scenario's raw draws (`SurveyLaw.draw`) from its closed-form count
-    law, on the generators of its seed words `states` (`_scenario_states`);
-    or, for a cell that cannot be drawn, its error's message."""
-    try:
-        return scenario.count_law.draw(
-            scenario.n_target, scenario.replications, _streams(states))
-    except InfeasibleScenarioError as exc:
-        return str(exc)
+def run_scenario(scenario: Scenario, states: np.ndarray) -> tuple:
+    """A drawable scenario's raw draws (`SurveyLaw.draw`) from its
+    closed-form count law, on the generators of its seed words `states`
+    (`_scenario_states`)."""
+    return scenario.count_law.draw(
+        scenario.n_target, scenario.replications, _streams(states))
 
 
 def _run_block(scenarios: Sequence[Scenario], states: np.ndarray):
-    """(errors, counts, estimates) of a block of scenarios: `run_scenario`
+    """(counts, estimates) of a block of drawable scenarios: `run_scenario`
     for each, then one `SurveyCounts` of their stacked draws, a row per
-    drawn cell (None if none), and one `kassanjee_estimate` call on each
-    cell's MDRI, frr and T* as (cells, 1) columns, so each entry is its
-    cell's scalar formula's, bit for bit."""
-    drawn = [run_scenario(s, w) for s, w in zip(scenarios, states)]
-    errors = [d if isinstance(d, str) else None for d in drawn]
-    done = [(s, d) for s, d in zip(scenarios, drawn) if not isinstance(d, str)]
-    if not done:  # np.stack([]) raises
-        return errors, None, None
-    cells, draws = zip(*done)
-    rows, extra = zip(*draws)
+    cell, and one `kassanjee_estimate` call on each cell's MDRI, frr and T*
+    as (cells, 1) columns, so each entry is its cell's scalar formula's,
+    bit for bit."""
+    rows, extra = zip(*(run_scenario(s, w) for s, w in zip(scenarios, states)))
     counts = SurveyLaw.counts(np.stack(rows), np.array(
-        [s.n_target for s in cells], dtype=np.int64)[:, None], np.stack(extra))
+        [s.n_target for s in scenarios], dtype=np.int64)[:, None], np.stack(extra))
     assay = np.array([(mdri(s.assay), s.assay.frr, s.assay.recency_cutoff)
-                      for s in cells])
-    return errors, counts, kassanjee_estimate(counts, *assay.T[..., None])
+                      for s in scenarios])
+    return counts, kassanjee_estimate(counts, *assay.T[..., None])
 
 
 def _join(parts, size: int, reps: int):
-    """One (errors, counts, estimates) of the consecutive parts of `size`
-    scenarios of `reps` replications, each part's rows copied in as it
-    comes: concatenating parts held together ran 160 x 1000 slower."""
-    errors, stop = [], 0
+    """One (counts, estimates) of the consecutive parts of `size` scenarios
+    of `reps` replications, each part's rows copied in as it comes:
+    concatenating parts held together ran 160 x 1000 slower."""
     out = [np.empty((size, reps), dtype) for dtype in (np.int64,) * 4 + (float,)]
-    for part_errors, counts, estimates in parts:
-        errors += part_errors
-        if counts is not None:
-            start, stop = stop, stop + len(estimates)
-            for column, part in zip(out, (*vars(counts).values(), estimates)):
-                column[start:stop] = part
-    *counts, estimates = (column[:stop] for column in out)
-    return errors, SurveyCounts(*counts), estimates
+    stop = 0
+    for counts, estimates in parts:
+        start, stop = stop, stop + len(estimates)
+        for column, part in zip(out, (*vars(counts).values(), estimates)):
+            column[start:stop] = part
+    return SurveyCounts(*out[:4]), out[4]
 
 
 #: replications a block holds, one scenario of more being a block alone:
@@ -320,62 +297,65 @@ def _join(parts, size: int, reps: int):
 #: call per scenario, its megabyte arrays fresh memory on every call)
 _BLOCK_ROWS = 4096
 
-
-def _run_blocks(scenarios: Sequence[Scenario], states: np.ndarray):
-    """`_run_block` over runs of `_BLOCK_ROWS // replications` consecutive
-    scenarios (at least one), joined."""
-    reps = scenarios[0].replications if scenarios else 0
-    step = max(1, _BLOCK_ROWS // max(1, reps))
-    return _join((_run_block(scenarios[i:i + step], states[i:i + step])
-                  for i in range(0, len(scenarios), step)), len(scenarios), reps)
-
-
 #: replications one worker must have before a pool repays its start-up and
 #: transfer, measured on the 160-cell main grid (README, `--workers`)
 _REPLICATIONS_PER_WORKER = 500_000
 
 
 def worker_processes(scenarios: Sequence[Scenario], workers: int) -> int:
-    """Worker processes `run_grid` uses for `scenarios` at `workers` (1 means
+    """Worker processes `run_grid` draws its drawable `scenarios` on (1 means
     in-process): `workers`, capped by the CPU count, the scenario count and
-    one worker per `_REPLICATIONS_PER_WORKER` replications of the grid."""
+    one worker per `_REPLICATIONS_PER_WORKER` replications."""
     share = sum(s.replications for s in scenarios) // _REPLICATIONS_PER_WORKER
     return max(1, min(workers, os.cpu_count() or 1, len(scenarios), share))
+
+
+def _error(scenario: Scenario) -> Optional[str]:
+    """The text of the error that stops `scenario` before its first draw,
+    its count law's or its draw cap's (`SurveyLaw.check`); None if it can
+    be drawn."""
+    try:
+        scenario.count_law.check(scenario.n_target)
+    except InfeasibleScenarioError as exc:
+        return str(exc)
+    return None
 
 
 def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> GridResult:
     """The `GridResult` of every scenario, in scenario order (a scenario run
     alone is a grid of one); two replication counts are a ValueError.
 
-    Every scenario's count law (or its error) is computed here first,
-    in-process, and its seed words (`_scenario_states`); both travel with
-    it, so the blocks (`_run_blocks`) only draw and score.  `workers` is an
-    upper bound: the grid runs on `worker_processes(scenarios, workers)`
+    Every scenario's count law and error (`_error`) are computed here,
+    in-process, before the first draw.  The drawable scenarios are cut once
+    into blocks of `_BLOCK_ROWS // replications` (at least one), and each
+    block (`_run_block`) only draws and scores.  `workers` is an upper
+    bound: the blocks run on `worker_processes(drawable, workers)`
     processes, in-process when that is 1, so a grid too small to repay a
-    pool starts none.  In a pool the scenarios go out in chunks, about four
-    per worker, each cut into blocks where it was sent, and each chunk's
-    rows are copied into the grid's columns here as it returns: a
-    scenario's cost is alike across cells, so equal chunks balance.
+    pool, or with nothing to draw, starts none.  A pool maps the same
+    blocks, about four chunks of them per worker.  A block's rows are
+    copied into the grid's columns here as it returns.
     """
     reps = sorted({s.replications for s in scenarios})
     if len(reps) > 1:  # before any law
         raise ValueError(f"a grid runs one replication count, got {reps}")
-    for s in scenarios:
-        s._law  # every law before the first draw
-    states = _scenario_states(scenarios)
-    processes = worker_processes(scenarios, workers)
+    reps = reps[0] if reps else 0
+    errors = [_error(s) for s in scenarios]
+    drawable = [s for s, error in zip(scenarios, errors) if error is None]
+    states = _scenario_states(drawable)
+    step = max(1, _BLOCK_ROWS // max(1, reps))
+    starts = range(0, len(drawable), step)
+    blocks = [drawable[i:i + step] for i in starts], [states[i:i + step] for i in starts]
+    processes = worker_processes(drawable, workers)
     if processes == 1:
-        errors, counts, estimates = _run_blocks(scenarios, states)
+        counts, estimates = _join(map(_run_block, *blocks), len(drawable), reps)
     else:
         # here, not at module top: only a pool needs multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        size = max(1, math.ceil(len(scenarios) / (4 * processes)))
-        starts = range(0, len(scenarios), size)
+        chunksize = math.ceil(len(starts) / (4 * processes))
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            errors, counts, estimates = _join(pool.map(
-                _run_blocks, [scenarios[i:i + size] for i in starts],
-                [states[i:i + size] for i in starts]), len(scenarios), reps[0])
+            counts, estimates = _join(pool.map(_run_block, *blocks, chunksize=chunksize),
+                                      len(drawable), reps)
     return GridResult(tuple(scenarios), tuple(errors), counts, estimates, processes)
 
 
@@ -654,9 +634,12 @@ def emit_histogram(
     (unaware and included), and with r = 0 and c = 0 P(T > u | u)
     (unaware).  All the counts come from one multinomial draw, on the
     generator a grid cell labelled "histogram" would draw its compositions
-    with (stream 0 of `_seed_words`).  Any window c >= 0; `survey_weight`'s
-    (r, c) check rejects any other before the draw.
+    with (stream 0 of `_seed_words`).  Any window c >= 0 and n_infected up
+    to int64's maximum; any other is a ValueError before the draw.
     """
+    if n_infected > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"n_infected must be at most {np.iinfo(np.int64).max}, got {n_infected}")
     process = TestingProcess(law, rule)
     tau = params.horizon
     n_bins = math.ceil(tau / bin_width)

@@ -87,6 +87,19 @@ class SurveyLaw:
         p_star, p_r = self.p_star, self.p_r
         return p_star * p_r, p_star * (1.0 - p_r), 1.0 - p_star
 
+    def check(self, n_target: int) -> None:
+        """A ValueError for n_target <= 0, and InfeasibleScenarioError when
+        the expected population draws to admit n_target, n_target / admit,
+        exceed population.ATTEMPT_CAP; else None: the survey can be drawn."""
+        if n_target <= 0:
+            raise ValueError("n_target must be positive")
+        if n_target > self.admit * population.ATTEMPT_CAP:
+            raise InfeasibleScenarioError(
+                f"expected draws to fill {n_target} places exceed "
+                f"{population.ATTEMPT_CAP} (admit probability {self.admit:.3g} "
+                "per draw)"
+            )
+
     def draw(
         self,
         n_target: int,
@@ -97,18 +110,10 @@ class SurveyLaw:
         rows (size, 3), row i survey i's (n_rec, n_pos - n_rec, n_neg) from
         rngs[0]'s i-th multinomial draw, and the attendees each screened
         beyond n_target, rngs[1]'s negative binomial draws; so the first k
-        surveys are the same for every size >= k.  Raises
-        InfeasibleScenarioError when the expected number of population
-        draws, n_target / admit, exceeds population.ATTEMPT_CAP.
+        surveys are the same for every size >= k.  Raises `check`'s errors
+        first, for a survey that cannot be drawn.
         """
-        if n_target <= 0:
-            raise ValueError("n_target must be positive")
-        if n_target > self.admit * population.ATTEMPT_CAP:
-            raise InfeasibleScenarioError(
-                f"expected draws to fill {n_target} places exceed "
-                f"{population.ATTEMPT_CAP} (admit probability {self.admit:.3g} "
-                "per draw)"
-            )
+        self.check(n_target)
         return (rngs[0].multinomial(n_target, self.composition, size=size),
                 rngs[1].negative_binomial(n_target, self.inclusion, size=size))
 

@@ -11,8 +11,8 @@ from recencysim import harness
 @pytest.fixture
 def pool_forced(monkeypatch):
     """Make `run_grid` start a real pool of two processes at workers >= 2 for
-    any grid of two or more scenarios, however few its replications; the
-    returned list records each pool's `max_workers`."""
+    any grid of two or more drawable scenarios, however few their
+    replications; the returned list records each pool's `max_workers`."""
     started = []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):

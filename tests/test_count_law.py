@@ -314,6 +314,26 @@ class TestSurveyLaw:
         with pytest.raises(ValueError, match="n_target must be positive"):
             drawn_counts(law, 0, 1, _rngs(1))
 
+    @pytest.mark.parametrize("n_target, error, message", [
+        (0, ValueError, "n_target must be positive"),
+        (-3, ValueError, "n_target must be positive"),
+        (4, InfeasibleScenarioError, "expected draws to fill 4 places exceed "
+         "100000000 (admit probability 4.25e-18 per draw)"),
+    ])
+    def test_check_raises_the_errors_of_draw(self, n_target, error, message):
+        # SWP, theta = 2, r = 0, c = 20: admitted with probability e^-40
+        process = TestingProcess(ExponentialInterTest(2.0), SWP)
+        law = survey_law(DEFAULT_ASSAY, process, 0.0, 20.0, DEFAULT_PARAMS)
+        raised = []
+        for call in (lambda: law.check(n_target),
+                     lambda: law.draw(n_target, 2, _rngs(1))):
+            with pytest.raises(error) as exc:
+                call()
+            raised.append((type(exc.value), str(exc.value)))
+        assert raised == [(error, message)] * 2
+        drawable = survey_law(DEFAULT_ASSAY, process, 0.0, 0.0, DEFAULT_PARAMS)
+        assert drawable.check(5000) is None
+
 
 # A duration support shorter than the recency cutoff: tau = 0.996 < T* = 2
 SHORT = PopulationParams(incidence=0.3, prevalence=0.23)

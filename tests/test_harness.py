@@ -399,6 +399,18 @@ class TestWorkerProcesses:
                              grid_cells(run_grid(scenarios)), strict=True):
             assert_same_block(got, want)
 
+    def test_pool_is_sized_from_drawable_replications(self, monkeypatch):
+        # six replications would size two workers; three of them are drawn
+        started = []
+        monkeypatch.setattr(harness, "_REPLICATIONS_PER_WORKER", 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool(started))
+        grid = [small_grid(reps=3)[0], infeasible_cells(reps=3)[0]]
+        result = run_grid(grid, workers=2)
+        assert result.processes == 1 and started == []
+        assert result.errors[0] is None and result.errors[1] is not None
+
     @pytest.mark.parametrize("cpus, want", [(3, 3), (64, 8)])
     def test_many_workers_start_at_most_cpus_and_scenarios(
         self, monkeypatch, cpus, want
@@ -623,23 +635,19 @@ SWP_ONLY = (ObservationRule.STOP_WHEN_POSITIVE,)
 
 
 def infeasible_cells(reps=2):
-    """Two cells no attendee can enter (c = 20 past every gap), whose
-    `run_scenario` returns an error (TestInfeasibleCell)."""
+    """Two cells no attendee can enter (c = 20 past every gap), each with an
+    error before any draw (TestInfeasibleCell): the first capped, the second
+    without a count law."""
     return [*build_grid(5, reps, n_target=200, thetas=(2.0,), rs=(0.0,), cs=(20.0,),
                         rules=SWP_ONLY),
             *build_grid(5, reps, n_target=200, rs=(0.0,), cs=(20.0,), rules=SWP_ONLY,
                         uniform_bs=(3.0,))]
 
 
-def pool_chunks(grid):
-    """The chunks `run_grid` sends a forced two-process pool."""
-    size = math.ceil(len(grid) / (4 * 2))
-    return [grid[i:i + size] for i in range(0, len(grid), size)]
-
-
 def blocks(grid, limit):
     """Runs of consecutive cells of at most `limit` replications, a larger
-    cell alone: the blocks `run_grid` scores at `harness._BLOCK_ROWS` = limit."""
+    cell alone: the blocks `run_grid` scores of a grid's drawable cells at
+    `harness._BLOCK_ROWS` = limit."""
     runs, rows = [[]], 0
     for s in grid:
         if rows and rows + s.replications > limit:
@@ -651,9 +659,9 @@ def blocks(grid, limit):
 
 
 class TestGridPasses:
-    """A grid's scenarios are one `run_scenario` call each, and a block's
-    estimates one estimator call: the whole grid in-process, each chunk on a
-    pool."""
+    """A grid's drawable scenarios are one `run_scenario` call each, and a
+    block's estimates one estimator call: the same blocks in-process and on
+    a pool."""
 
     @pytest.fixture
     def calls(self, monkeypatch, tmp_path):
@@ -684,12 +692,10 @@ class TestGridPasses:
         result = run_grid(grid, workers=workers)
         assert result.errors[-1] is not None
         write_results(result, tmp_path, config_echo={}, seed=7, wall_time=0.0)
-        if workers == 1:  # 63 replications: the grid is one block
-            assert calls("estimate") == 1
-        else:  # 21 cells, 7 chunks of 3, each a block with a feasible cell
-            assert pool_forced == [2]
-            assert len(pool_chunks(grid)) == calls("estimate") == 7
-        assert calls("scenario") == len(grid)
+        # 60 drawable replications: the grid is one block, on a pool too
+        assert pool_forced == ([2] if workers == 2 else [])
+        assert calls("estimate") == 1
+        assert calls("scenario") == len(scenarios)
         assert [len(r.estimates) for r in grid_cells(result)] == (
             [3] * len(scenarios) + [0])
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -697,9 +703,9 @@ class TestGridPasses:
 
     @staticmethod
     def mixed_grid(reps):
-        """Both assays, frr 0, 0.005 and 0.02, and two infeasible cells that
-        fill one pool chunk (`pool_chunks`), each cell of `reps` replications;
-        the assays alternate, so every other chunk mixes them."""
+        """Both assays, frr 0, 0.005 and 0.02, and two infeasible cells after
+        the fourth, each cell of `reps` replications; the assays alternate, so
+        a block of two or more drawable cells mixes them."""
         grids = [
             build_grid(9, reps, n_target=300, thetas=(1.0,), rs=(0.6,),
                        cs=(0.0, 1.0), frrs=(0.0, 0.005, 0.02),
@@ -717,11 +723,9 @@ class TestGridPasses:
                             cs=(0.0, 0.25, 1.0, 1.5, 2.0)), infeasible]
         monkeypatch.setattr(harness, "_BLOCK_ROWS", 7)
         got = run_grid(grid, workers=workers)
-        chunks = [grid] if workers == 1 else pool_chunks(grid)
-        runs = [run for chunk in chunks for run in blocks(chunk, 7)]
-        # the infeasible cell is a block alone, with nothing to score
-        assert calls("estimate") == sum(run != [infeasible] for run in runs)
-        assert calls("estimate") == (10 if workers == 1 else 13)
+        # the infeasible cell is in no block: 10 of two cells, on a pool too
+        assert pool_forced == ([2] if workers == 2 else [])
+        assert calls("estimate") == len(blocks(grid[:-1], 7)) == 10
         monkeypatch.setattr(harness, "_BLOCK_ROWS", 4096)
         for a, b in zip(grid_cells(got), grid_cells(run_grid(grid, workers=workers)),
                         strict=True):
@@ -735,8 +739,11 @@ class TestGridPasses:
     def test_block_estimates_are_each_cells_own(self, monkeypatch, pool_forced, workers,
                                                 block_rows, reps):
         grid = self.mixed_grid(reps)
-        assert [len(chunk) for chunk in pool_chunks(grid)] == [2] * 7
-        assert pool_chunks(grid)[2] == infeasible_cells(reps)
+        assert grid[4:6] == infeasible_cells(reps)
+        runs = blocks(grid[:4] + grid[6:], block_rows)
+        mixed = [len({s.assay.gamma_shape for s in run}) == 2 for run in runs]
+        # a block of two or more drawable cells holds both assays
+        assert all(mixed) == (block_rows // reps >= 2)
         monkeypatch.setattr(harness, "_BLOCK_ROWS", block_rows)
         cells = grid_cells(run_grid(grid, workers=workers))
         assert pool_forced == ([2] if workers == 2 else [])
@@ -761,13 +768,13 @@ class TestGridPasses:
         # no draws to stack: np.stack([]) would raise
         assert grid_cells(run_grid([], workers=workers)) == []
         result = run_grid(infeasible_cells(), workers=workers)
-        assert pool_forced == ([2] if workers == 2 else [])
+        assert pool_forced == [] and result.processes == 1
         assert list(result.errors) == [
             "expected draws to fill 200 places exceed 100000000 "
             "(admit probability 4.25e-18 per draw)",
             "no attendee can pass the exclusion window c=20 "
             "(admit probability 0 per draw)"]
-        assert calls("estimate") == 0 and calls("scenario") == 2
+        assert calls("estimate") == 0 and calls("scenario") == 0
 
 
 class TestGridResult:
@@ -802,7 +809,7 @@ class TestGridResult:
         grid = [] if nothing_drawn == "empty" else infeasible_cells()
         ok = write_results(run_grid(grid, workers=workers), tmp_path, config_echo={},
                            seed=5, wall_time=0.0)
-        assert pool_forced == ([2] if workers == 2 and grid else [])
+        assert pool_forced == []  # nothing to draw
         assert ok == (not grid)
         rows = "" if not grid else self.ERROR_ROWS
         assert (tmp_path / "replications.csv").read_bytes() == (
@@ -1480,6 +1487,9 @@ class TestOutputsAndCli:
              "--n-infected must be a positive integer, got 0"),
             (["histogram", "--n-infected", "-5"],
              "--n-infected must be a positive integer, got -5"),
+            # multinomial's C long overflowed in a traceback, exit status 1
+            (["histogram", "--n-infected", str(2**63)],
+             f"n_infected must be at most {2**63 - 1}, got {2**63}"),
         ],
     )
     def test_cli_rejects_out_of_range_argument(self, tmp_path, capsys, argv,
@@ -1585,6 +1595,35 @@ class TestInfeasibleCell:
         assert summary[4].startswith("swp_uni0-3_r0_c20,")
         assert summary[4].endswith(f",error:{result.errors[3]}")
         assert summary[:4] + summary[5:] == summary_without
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_capped_cell_is_never_drawn(self, tmp_path, monkeypatch, pool_forced,
+                                        workers):
+        # every cell's draw cap is tested in-process before the first
+        # `run_scenario` call, and the capped cell is never drawn; each call
+        # is logged to a file, so a worker's calls are seen too
+        log = tmp_path / "calls.log"
+
+        def logged(event, fn):
+            def call(*args):
+                with open(log, "a") as fh:
+                    fh.write(event + "\n")
+                return fn(*args)
+            return call
+
+        for name in ("check", "draw"):
+            monkeypatch.setattr(harness.SurveyLaw, name,
+                                logged(name, getattr(harness.SurveyLaw, name)))
+        monkeypatch.setattr(harness, "run_scenario",
+                            logged("scenario", harness.run_scenario))
+        cells = build_grid(5, 2, n_target=200, rules=SWP_ONLY, thetas=(2.0,),
+                           rs=(0.0,), cs=(0.0, 1.0, 20.0, 2.0))
+        result = run_grid(cells, workers=workers)
+        assert pool_forced == ([2] if workers == 2 else [])
+        assert result.errors == (None, None, self.ERROR, None)
+        # `draw` tests the cap again, through `check`
+        events = log.read_text().split()
+        assert events == ["check"] * 4 + ["scenario", "draw", "check"] * 3
 
     @PAST_EVERY_GAP
     @pytest.mark.parametrize("rule", ["regular", "swp"])
