@@ -12,27 +12,30 @@ Every analytic quantity is an integral of one survey weight
 integrated in closed form against 1 and against the test-recent curve
 (`survey_weight`).  With F the stationary residual CDF of the test schedule,
 P(c < T <= u | u) is F(u) - F(c) under the Regular rule and F(u - c) under
-Stop-When-Positive, and P(T > u, T > c | u) = 1 - F(max(u, c)).  Between
-knees w is a combination of 1, u, u^2 and e^{-theta*u}: for exponential
-(Poisson) schedules of 1 and e^{-theta*u} (`_exponential_pieces`), for
-uniform ones of 1, u and u^2 (`_uniform_pieces`).  One integrator
-(`_integrate`) walks either law's pieces against either curve, evaluating
-each edge's incomplete gammas once; `survey_weight`, `effective_mdri_closed`
-and `analytic_bias` all go through it.  Numerical quadrature
-(`effective_mdri_numeric`) is kept only as an independent check.
+Stop-When-Positive, and P(T > u, T > c | u) = 1 - F(max(u, c)).  For
+exponential (Poisson) schedules w / e^{-theta*c} is 1 up to c and
+a + (1 - a)*e^{-theta*(u-c)} beyond, so each integral is one two-piece
+expression (`_exponential_integral`), evaluating each edge's incomplete
+gammas once; every exponential entry point calls it.  For uniform ones w
+is a quadratic in u between knees (`_uniform_pieces`), and one integrator
+(`_integrate`) walks those pieces against either curve.  Numerical
+quadrature (`effective_mdri_numeric`) is kept only as an independent
+check.
 
 A cell's terms are W_c (the weight over the duration support, with the
 scale and the negatives' weight P(T > c)), R (the curve up to
 min(T*, support) against the weight) and, with a false-recent rate, W_x
 (the weight up to the same point).  From them come the survey composition
 (p_star, p_r) and the estimator's limit, so its bias, written once
-(`_limit_bias`); `_composition` is the one place that evaluates them, R and
-W_x on W_c's own pieces cut at min(T*, support) (`_cut`).
+(`_limit_bias`); `_composition` is the one place that evaluates them, a
+uniform cell's R and W_x on W_c's own pieces cut at min(T*, support)
+(`_cut`).
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import pairwise
 from typing import Tuple
 
@@ -120,17 +123,19 @@ def _check_weight_args(r: float, c: float):
         raise ValueError(f"c must be nonnegative, got {c!r}")
 
 
-def _exp_conditionals(rule: ObservationRule, theta: float, u: float, c: float):
-    """(P(T<=u, T>c | U=u), P(T>u, T>c | U=u)) for exponential schedules."""
+def _exp_conditionals(rule: ObservationRule, theta: float, u: float, c: float,
+                      growth: float):
+    """(P(T<=u, T>c | U=u), P(T>u, T>c | U=u)) / e^{-theta*c} for exponential
+    schedules, growth = e^{theta*c}: scaled before integrating, so that no
+    term underflows where e^{-theta*c} does."""
+    if u <= c:
+        return 0.0, 1.0
+    above = math.exp(-theta * (u - c))
     if rule is ObservationRule.REGULAR:
         # T independent of U, T ~ Exponential(theta)
-        below = max(0.0, math.exp(-theta * c) - math.exp(-theta * u)) if u > c else 0.0
-        above = math.exp(-theta * max(u, c))
-    else:
-        # piecewise density: theta*e^{-theta(u-t)} on t<=u, theta*e^{-theta t} beyond
-        below = 1.0 - math.exp(-theta * (u - c)) if u > c else 0.0
-        above = math.exp(-theta * max(u, c))
-    return below, above
+        return -math.expm1(-theta * (u - c)), above
+    # piecewise density: theta*e^{-theta(u-t)} on t<=u, theta*e^{-theta t} beyond
+    return -math.expm1(-theta * (u - c)) * growth, above
 
 
 def effective_mdri_numeric(
@@ -144,17 +149,25 @@ def effective_mdri_numeric(
 
     The independent check on `effective_mdri_closed`, with the same
     arguments: exponential (Poisson) schedules, with the piecewise
-    conditional laws of the most recent test time written out directly
-    rather than through the closed-form kernel.
+    conditional laws of the most recent test time written out directly,
+    each divided by e^{-theta*c}, rather than through the closed-form
+    kernel.  Raises the closed form's InfeasibleScenarioError where that
+    scaled weight needs e^{theta*c} past a float (Stop-When-Positive with
+    c < T*).
     """
     # imported here: scipy.integrate adds a quarter second to the CLI import
     from scipy import integrate
 
     _check_effective_mdri_args(assay, theta, r, c)
     tstar = assay.recency_cutoff
+    growth = 1.0
+    if rule is ObservationRule.STOP_WHEN_POSITIVE and c < tstar:
+        growth = _growth(theta, c)
+        if growth == math.inf:
+            raise _past_range(theta, c)
 
     def integrand(u):
-        below, above = _exp_conditionals(rule, theta, u, c)
+        below, above = _exp_conditionals(rule, theta, u, c, growth)
         return phi(u, assay) * (r * below + above)
 
     # split at the kink u = c
@@ -162,33 +175,24 @@ def effective_mdri_numeric(
         integrand, 0.0, tstar, epsabs=1e-9, epsrel=1e-9, limit=200,
         points=[c] if 0.0 < c < tstar else None,
     )
-    return total / math.exp(-theta * c)
+    return total
 
 
 def _growth(theta: float, c: float) -> float:
-    """e^{theta*c}; inf where it overflows, which `_integrate` then rejects."""
+    """e^{theta*c}; inf where it overflows, which `_exponential_integral`
+    then rejects."""
     try:
         return math.exp(theta * c)
     except OverflowError:
         return math.inf
 
 
-def _exponential_pieces(rule, theta, r, c, x):
-    """(scale, negatives, pieces) of the weight up to x for exponential
-    (Poisson) schedules, scale = e^{-theta*c}.
-
-    Divided by the scale, the weight is 1 on u <= c and
-    a + (1 - a) * e^{-theta*(u-c)} beyond, with a = r under the Regular rule
-    and a = r*e^{theta*c} under Stop-When-Positive; the negatives' weight
-    P(T > c) is the scale itself, so 1.
-    """
-    if c >= x:
-        pieces = ((0.0, x, (1.0,), None),)
-    else:
-        a = r if rule is ObservationRule.REGULAR else r * _growth(theta, c)
-        beyond = (c, x, (a,), 1.0 - a)
-        pieces = ((0.0, c, (1.0,), None), beyond) if c > 0.0 else (beyond,)
-    return math.exp(-theta * c), 1.0, pieces
+def _past_range(theta, c):
+    """The error of a cell whose scaled weight needs e^{theta*c} = inf."""
+    return InfeasibleScenarioError(
+        f"theta*c = {theta * c:g} is past the range of the scaled survey "
+        "weight (e^(theta*c) overflows a float)"
+    )
 
 
 def _uniform_pieces(law: UniformInterTest, rule, r, c, x):
@@ -197,9 +201,10 @@ def _uniform_pieces(law: UniformInterTest, rule, r, c, x):
 
     Between consecutive knees of F(u), of F(u - c) and the window c, F is one
     quadratic piece (the one whose knees bracket the midpoint), so w is a
-    quadratic in u there.  F's pieces, F(c)'s too, are read from the law,
-    which builds them once (`UniformInterTest.residual_cdf_pieces`); the
-    knees are cut at x only when one lies past it.
+    quadratic in u there: a piece is (lo, hi, (k0, k1, k2)), w = k0 + k1*u +
+    k2*u^2.  F's pieces, F(c)'s too, are read from the law, which builds
+    them once (`UniformInterTest.residual_cdf_pieces`); the knees are cut at
+    x only when one lies past it.
     """
     a, b = law.a, law.b
     cdf = law.residual_cdf_pieces[1]  # its knees are 0, a and b
@@ -224,105 +229,114 @@ def _uniform_pieces(law: UniformInterTest, rule, r, c, x):
                 g0, g1, g2 = cdf[2 if v >= b else 1 if v >= a else 0]
                 coefs = (r * (g0 - c * (g1 - c * g2)) + 1.0 - k0,
                          r * (g1 - 2.0 * c * g2) - k1, r * g2 - k2)
-        pieces.append((lo, hi, coefs, None))
+        pieces.append((lo, hi, coefs))
     return 1.0, survive_c, pieces
 
 
 # every moment is 0 at u = 0, and Q(s, 0) = 1: edge 0 needs no evaluation
-_EDGE_ZERO = ((0.0, 0.0, 0.0), 1.0, 1.0)
+_EDGE_ZERO = ((0.0, 0.0, 0.0), 1.0)
 
 
-def _curve_terms(assay, y, n, theta):
-    """(moments, Q(s, b*y), Q(s, (b+theta)*y)) of the test-recent curve at an
-    edge y: the moments are int_0^y u^k * Q(s, b*u) du for k < n (1 or 3),
-    and the last gamma is evaluated only given theta.  At the cutoff G(T*)
-    and Q(s, b*T*) are the assay's `cutoff_terms`.
+def _curve_terms(assay, y, n):
+    """(moments, Q(s, b*y)) of the test-recent curve at an edge y: the
+    moments are int_0^y u^k * Q(s, b*u) du for k < n (1 or 3).  At the
+    cutoff G(T*) and Q(s, b*T*) are the assay's `cutoff_terms`.
     """
     if y == 0.0:
         return _EDGE_ZERO
-    s, b = assay.gamma_shape, assay.gamma_rate
     if y == assay.recency_cutoff:
         g, q = assay.cutoff_terms
     else:
-        q = _upper_gamma(s, b * y)
+        q = _upper_gamma(assay.gamma_shape, assay.gamma_rate * y)
         g = curve_moment(assay, y, 0, q)
     if n == 1:
-        moments = (g,)
-    else:
-        moments = (g, curve_moment(assay, y, 1, q), curve_moment(assay, y, 2, q))
-    return moments, q, 1.0 if theta is None else _upper_gamma(s, (b + theta) * y)
+        return (g,), q
+    return (g, curve_moment(assay, y, 1, q), curve_moment(assay, y, 2, q)), q
 
 
-#: theta*(hi - lo) up to which `_integrate` takes a series; its first
-#: omitted term is below (theta*(hi - lo))^3 / 6 of the piece
+#: theta*(x - c) up to which `_exponential_integral` takes a series; its
+#: first omitted term is below (theta*(x - c))^3 / 6 of the integral
 _SERIES_SPAN = 1e-3
 
 
 def _series(assay, lo, hi, q_lo, q_hi, theta):
-    """The series of `_integrate` on [lo, hi], q_lo and q_hi the curve at the
-    edges.  Not inline: a generator inside `_integrate` would turn its loop's
-    locals into closure cells, slower on every piece."""
+    """int_lo^hi Q(s, b*u) * e^{-theta*(u-lo)} du to second order in theta,
+    J0 - theta*J1 + theta^2*J2/2 with J_k = int_lo^hi (u - lo)^k * Q du from
+    the curve's moments, q_lo and q_hi the curve at the edges: the
+    exponential term of `_exponential_integral` where its by-parts form
+    cancels."""
     m0, m1, m2 = (curve_moment(assay, hi, k, q_hi) - curve_moment(assay, lo, k, q_lo)
                   for k in range(3))  # every moment is 0 at u = 0
     j1, j2 = m1 - lo * m0, m2 - lo * (2.0 * m1 - lo * m0)
     return m0 - theta * (j1 - theta * j2 / 2.0)
 
 
-def _integrate(pieces, theta, c, assay=None):
-    """int f(u) * w(u) du over the pieces of a survey weight, in closed form:
-    f = 1, or Q(s, b*u), the test-recent curve below its cutoff, given an
-    assay.
+def _exponential_integral(rule, theta, r, c, x, assay=None):
+    """int_0^x f(u) * w(u) du / e^{-theta*c} for an exponential (Poisson)
+    schedule, in closed form: f = 1, or Q(s, b*u), the test-recent curve
+    below its cutoff, given an assay (x <= T*).
 
-    On a piece (lo, hi, coefs, expo) the weight is
-    sum_k coefs[k] * u^k + expo * e^{-theta*(u-lo)}, expo None where the
-    piece has no exponential term.  Discounting from the piece's start
-    keeps full precision where e^{theta*lo} is large.  Against the curve
-    that term, by parts, divides a difference of incomplete gammas that
-    cancels as theta*(hi - lo) -> 0 by theta; up to `_SERIES_SPAN` it is
-    J0 - theta*J1 + theta^2*J2/2 instead, J_k = int_lo^hi (u - lo)^k * Q du
-    from the curve's moments.  The pieces start at u = 0 and each begins
-    where the last ended, so every edge's terms are evaluated once.  The
-    polynomial part is summed piece by piece and the exponential part added
-    last.  Raises InfeasibleScenarioError where the
-    total is not a finite float: it needed e^{theta*c}, which overflows a
-    float once theta*c exceeds about 709.78.
+    Divided by e^{-theta*c}, the weight is 1 on u <= c and
+    a + (1 - a) * e^{-theta*(u-c)} beyond, a = r (Regular) or r*e^{theta*c}
+    (Stop-When-Positive).  With G(y) = int_0^y f (y, or the curve's `G`),
+    that is G(x) where c >= x, else G(c) + a*(G(x) - G(c)) + (1 - a)*D,
+    each sum started from 0.0, D = int_c^x f(u) * e^{-theta*(u-c)} du:
+    -expm1(-theta*(x - c)) / theta for f = 1, and against the curve, by
+    parts (DLMF 8.2), a difference of incomplete gammas over theta that
+    cancels as theta*(x - c) -> 0, so `_series` up to `_SERIES_SPAN`.
+    Discounting from c keeps full precision where e^{theta*c} is large.
+    Raises InfeasibleScenarioError where the total is not a finite float:
+    it needed e^{theta*c}, which overflows once theta*c exceeds about 709.78.
     """
-    poly = expo_part = 0.0
-    lo_m, lo_q, lo_qt = _EDGE_ZERO
-    for lo, hi, coefs, expo in pieces:
-        n = len(coefs)
-        if assay is not None:
-            hi_m, hi_q, hi_qt = _curve_terms(assay, hi, n, theta)
-        else:  # the moments int_0^hi u^k du, k < n
-            hi_m = (hi,) if n == 1 else (hi, hi ** 2 / 2, hi ** 3 / 3)
-            hi_q = hi_qt = 1.0
-        if n == 1:
-            poly += coefs[0] * (hi_m[0] - lo_m[0])
+    if c >= x:  # the weight is 1 up to x
+        total = 0.0 + (x if assay is None else _curve_terms(assay, x, 1)[0][0])
+    else:
+        a = r if rule is ObservationRule.REGULAR else r * _growth(theta, c)
+        span = theta * (x - c)
+        if assay is None:
+            lo_g, hi_g = c, x
+            discounted = -math.expm1(-span) / theta
         else:
-            a0, a1, a2 = coefs
-            poly += (a0 * (hi_m[0] - lo_m[0]) + a1 * (hi_m[1] - lo_m[1])
-                     + a2 * (hi_m[2] - lo_m[2]))
-        if expo is not None:  # int_lo^hi f(u) * e^{-theta*(u-lo)} du
-            span = theta * (hi - lo)
-            if assay is None:
-                discounted = -math.expm1(-span) / theta
-            elif span <= _SERIES_SPAN:
-                discounted = _series(assay, lo, hi, lo_q, hi_q, theta)
-            else:  # by parts (DLMF 8.2)
+            lo_m, lo_q = _curve_terms(assay, c, 1)
+            hi_m, hi_q = _curve_terms(assay, x, 1)
+            lo_g, hi_g = lo_m[0], hi_m[0]
+            if span <= _SERIES_SPAN:
+                discounted = _series(assay, c, x, lo_q, hi_q, theta)
+            else:  # Q(s, (b+theta)*y) at the edges: 1 at y = 0
                 s, b = assay.gamma_shape, assay.gamma_rate
+                lo_qt = _upper_gamma(s, (b + theta) * c) if c != 0.0 else 1.0
+                hi_qt = _upper_gamma(s, (b + theta) * x)
                 discounted = (
                     lo_q - math.exp(-span) * hi_q
-                    - (b / (b + theta)) ** s * (_growth(theta, lo) * (lo_qt - hi_qt))
+                    - (b / (b + theta)) ** s * (_growth(theta, c) * (lo_qt - hi_qt))
                 ) / theta
-            expo_part += expo * discounted
-        lo_m, lo_q, lo_qt = hi_m, hi_q, hi_qt
-    total = poly + expo_part
+        total = (0.0 + lo_g) + a * (hi_g - lo_g) + (0.0 + (1.0 - a) * discounted)
     if math.isfinite(total):
         return total
-    raise InfeasibleScenarioError(
-        f"theta*c = {theta * c:g} is past the range of the scaled survey "
-        "weight (e^(theta*c) overflows a float)"
-    )
+    raise _past_range(theta, c)
+
+
+def _integrate(pieces, assay=None):
+    """int f(u) * w(u) du over a uniform law's pieces (`_uniform_pieces`),
+    in closed form: f = 1, or Q(s, b*u), the test-recent curve below its
+    cutoff, given an assay.
+
+    On a piece (lo, hi, (a0, a1, a2)) the weight is a0 + a1*u + a2*u^2,
+    integrated from the moments int_0^y u^k * f(u) du at its edges (the
+    curve's from `_curve_terms`).  The pieces start at u = 0 and each
+    begins where the last ended, so every edge's moments are evaluated once.
+    """
+    total = 0.0
+    lo_m = _EDGE_ZERO[0]
+    for _, hi, (a0, a1, a2) in pieces:
+        if assay is not None:
+            hi_m = _curve_terms(assay, hi, 3)[0]
+        else:  # the moments int_0^hi u^k du, k < 3
+            hi_m = (hi, hi ** 2 / 2, hi ** 3 / 3)
+        total += (a0 * (hi_m[0] - lo_m[0]) + a1 * (hi_m[1] - lo_m[1])
+                  + a2 * (hi_m[2] - lo_m[2]))
+        lo_m = hi_m
+    return total
 
 
 def effective_mdri_closed(
@@ -341,8 +355,7 @@ def effective_mdri_closed(
     mdri(assay) when c >= T* or when r = 1 and c = 0.
     """
     _check_effective_mdri_args(assay, theta, r, c)
-    _, _, pieces = _exponential_pieces(rule, theta, r, c, assay.recency_cutoff)
-    return _integrate(pieces, theta, c, assay)
+    return _exponential_integral(rule, theta, r, c, assay.recency_cutoff, assay)
 
 
 def analytic_bias(
@@ -367,8 +380,7 @@ def analytic_bias(
     """
     _check_effective_mdri_args(assay, theta, r, c)
     x = min(assay.recency_cutoff, params.horizon)
-    _, _, pieces = _exponential_pieces(rule, theta, r, c, x)
-    recent = _integrate(pieces, theta, c, assay)
+    recent = _exponential_integral(rule, theta, r, c, x, assay)
     return _limit_bias(assay, params.incidence, recent, 1.0)
 
 
@@ -390,11 +402,12 @@ def _limit_bias(assay, incidence, recent, negatives, below=0.0):
 
 
 def _cut(pieces, x):
-    """The pieces before x > 0, the last one ended at x: every knee below x is
-    an edge either way, so these are the weight's own pieces up to x."""
-    for i, (lo, hi, coefs, expo) in enumerate(pieces):
+    """The uniform pieces before x > 0, the last one ended at x: every knee
+    below x is an edge either way, so these are the weight's own pieces up
+    to x."""
+    for i, (lo, hi, coefs) in enumerate(pieces):
         if hi >= x:  # the piece that holds x
-            return [*pieces[:i], (lo, x, coefs, expo)]
+            return [*pieces[:i], (lo, x, coefs)]
 
 
 def survey_weight(process: TestingProcess, r: float, c: float, x: float, assay=None):
@@ -411,11 +424,9 @@ def survey_weight(process: TestingProcess, r: float, c: float, x: float, assay=N
     law, rule = process.inter_test_law, process.observation_rule
     if isinstance(law, ExponentialInterTest):
         theta = law.theta
-        scale, negatives, pieces = _exponential_pieces(rule, theta, r, c, x)
-    else:
-        theta = None
-        scale, negatives, pieces = _uniform_pieces(law, rule, r, c, x)
-    return scale, negatives, _integrate(pieces, theta, c, assay)
+        return math.exp(-theta * c), 1.0, _exponential_integral(rule, theta, r, c, x, assay)
+    scale, negatives, pieces = _uniform_pieces(law, rule, r, c, x)
+    return scale, negatives, _integrate(pieces, assay)
 
 
 def survey_composition(
@@ -445,9 +456,11 @@ def _composition(assay, process, r, c, params):
     """(weight, p_star, p_r, bias) of a cell, with weight =
     survey_weight(process, r, c, horizon).
 
-    Builds the weight's pieces up to the horizon once, for W_c, and walks
-    them cut at x = min(T*, horizon) (`_cut`) for R and, when frr > 0, W_x:
-    the floats of their own `survey_weight` walks.  `survey_composition` and
+    Evaluates W_c (the weight up to the horizon), R and, when frr > 0, W_x
+    (the curve and the weight up to x = min(T*, horizon)): an exponential
+    cell by `_exponential_integral`, a uniform one by walking W_c's pieces,
+    cut at x (`_cut`) for R and W_x, the floats of their own
+    `survey_weight` walks.  `survey_composition` and
     `screening_analytics.survey_law` share it.  The bias is `_limit_bias`,
     and nan where p_star is not below 1 (the negatives' share rounds to 0,
     so no survey holds a negative and every estimate is undefined).
@@ -456,22 +469,23 @@ def _composition(assay, process, r, c, params):
     range check and to the attempt cap in `SurveyLaw.draw`.
     """
     law, rule, tau = process.inter_test_law, process.observation_rule, params.horizon
-    theta = law.theta if isinstance(law, ExponentialInterTest) else None
-    scale, negatives, pieces = (
-        _uniform_pieces(law, rule, r, c, tau) if theta is None
-        else _exponential_pieces(rule, theta, r, c, tau))
-    total = _integrate(pieces, theta, c)
+    x, frr = min(assay.recency_cutoff, tau), assay.frr
+    if isinstance(law, ExponentialInterTest):
+        theta = law.theta
+        scale, negatives = math.exp(-theta * c), 1.0
+        total = _exponential_integral(rule, theta, r, c, tau)
+        up_to_x = partial(_exponential_integral, rule, theta, r, c, x)
+    else:
+        scale, negatives, pieces = _uniform_pieces(law, rule, r, c, tau)
+        total, up_to_x = _integrate(pieces), partial(_integrate, _cut(pieces, x))
     if not total > 0.0:
         raise InfeasibleScenarioError(
             f"no attendee can pass the exclusion window c={c:g} "
             "(admit probability 0 per draw)"
         )
-    cut = _cut(pieces, min(assay.recency_cutoff, tau))
-    recent = _integrate(cut, theta, c, assay)
-    frr, below, tested_recent = assay.frr, 0.0, recent
-    if frr:
-        below = _integrate(cut, theta, c)
-        tested_recent += frr * (total - below)
+    recent = up_to_x(assay)
+    below = up_to_x() if frr else 0.0
+    tested_recent = recent + frr * (total - below) if frr else recent
     positives = params.incidence * total
     p_star = positives / (positives + negatives)
     if p_star < 1.0:

@@ -332,8 +332,9 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> GridResult:
     bound: the blocks run on `worker_processes(drawable, workers)`
     processes, in-process when that is 1, so a grid too small to repay a
     pool, or with nothing to draw, starts none.  A pool maps the same
-    blocks, about four chunks of them per worker.  A block's rows are
-    copied into the grid's columns here as it returns.
+    blocks, one task per block, so a worker holds one block's results at a
+    time.  A block's rows are copied into the grid's columns here as it
+    returns.
     """
     reps = sorted({s.replications for s in scenarios})
     if len(reps) > 1:  # before any law
@@ -352,10 +353,8 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> GridResult:
         # here, not at module top: only a pool needs multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        chunksize = math.ceil(len(starts) / (4 * processes))
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            counts, estimates = _join(pool.map(_run_block, *blocks, chunksize=chunksize),
-                                      len(drawable), reps)
+            counts, estimates = _join(pool.map(_run_block, *blocks), len(drawable), reps)
     return GridResult(tuple(scenarios), tuple(errors), counts, estimates, processes)
 
 

@@ -8,9 +8,9 @@ Below the cutoff the curve is Q(s, b*u), the regularized upper incomplete
 gamma function, so its integrals against powers of u (1 included) and
 e^{-theta*u} have closed forms in regularized incomplete gammas (DLMF 8.2):
 `curve_moment` here, and the integral against e^{-theta*u} once, in the
-survey-weight integrator (`estimator._integrate`).  The scalar gammas are
-scipy's `cython_special` entry points: the same values as the ufuncs,
-without a ufunc call's overhead.
+exponential survey weight's closed form (`estimator._exponential_integral`).
+The scalar gammas are scipy's `cython_special` entry points: the same
+values as the ufuncs, without a ufunc call's overhead.
 
 Every Q the package evaluates is `_upper_gamma`'s, and `phi` treats its
 array of P alike, so none takes the series scipy sums for x <= 1.1 (4-6 us

@@ -120,21 +120,29 @@ def test_curve_integral(assay, x):
     assert close(curve_integral(assay, x), quad(curve(assay), 0.0, x))
 
 
+def growth(theta, c):
+    """e^{theta*c}, inf where it overflows a float."""
+    try:
+        return math.exp(theta * c)
+    except OverflowError:
+        return math.inf
+
+
 def discounted_curve_integral(assay, theta, x, start=0.0):
     """H(x) = int_start^x Q(s, b*u) * e^{-theta*(u-start)} du, by parts.
 
     With start = 0 this is [1 - e^{-theta*x}*Q(s, b*x) - k*P(s, (b+theta)*x)]
-    / theta, k = (b/(b+theta))^s.  The kernel's exponential term on a piece
-    [lo, hi] is this integral with start = lo, written once in
-    `estimator._integrate`.  Q is read as the package reads it, so the
-    composition below repeats the kernel's floats.
+    / theta, k = (b/(b+theta))^s.  The kernel's exponential term on [c, x]
+    is this integral with start = c, written once in
+    `estimator._exponential_integral`.  Q is read as the package reads it,
+    so the composition below repeats the kernel's floats.
     """
     s, b = assay.gamma_shape, assay.gamma_rate
     k = (b / (b + theta)) ** s
     head = package_q(assay, b * start)
     tail = math.exp(-theta * (x - start)) * package_q(assay, b * x)
     # P(s, (b+theta)*x) - P(s, (b+theta)*start), as a difference of upper tails
-    mixed = math.exp(theta * start) * (
+    mixed = growth(theta, start) * (
         package_q(assay, (b + theta) * start) - package_q(assay, (b + theta) * x)
     )
     return (head - tail - k * mixed) / theta
@@ -190,17 +198,51 @@ def test_effective_mdri_at_any_testing_rate(rule, theta, r, c):
     assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
-def composed_recent_weight_integral(assay, theta, r, c, rule, x):
-    """The exponential kernel as the composition of G and H it writes out:
-    divided by e^{-theta*c} the weight is 1 on u <= c and
+def series_curve_integral(assay, theta, x, start):
+    """H(x) to second order in theta, J0 - theta*(J1 - theta*J2/2) with
+    J_k = int_start^x (u - start)^k * Q(s, b*u) du from the curve's moments:
+    the kernel's H where theta*(x - start) <= 1e-3, since the by-parts form
+    cancels there."""
+    b = assay.gamma_rate
+    m0, m1, m2 = (curve_moment(assay, x, k, package_q(assay, b * x))
+                  - curve_moment(assay, start, k, package_q(assay, b * start))
+                  for k in range(3))
+    j1, j2 = m1 - start * m0, m2 - start * (2.0 * m1 - start * m0)
+    return m0 - theta * (j1 - theta * j2 / 2.0)
+
+
+def share_above_c(theta, r, c, rule):
+    """a: divided by e^{-theta*c} the weight is 1 on u <= c and
     a + (1 - a) * e^{-theta*(u-c)} beyond, a = r (Regular) or r*e^{theta*c}
     (Stop-When-Positive)."""
+    return r if rule is ObservationRule.REGULAR else r * growth(theta, c)
+
+
+def composed_recent_weight_integral(assay, theta, r, c, rule, x):
+    """The exponential kernel against the curve as the composition of G and
+    H it writes out, G(c) + a*(G(x) - G(c)) + (1 - a)*H(x) from start c,
+    each sum started from 0.0 as the kernel's are; G(x) where c >= x.  Not
+    finite where it needed e^{theta*c} past a float."""
     if c >= x:
-        return curve_integral(assay, x)
-    a = r if rule is ObservationRule.REGULAR else r * math.exp(theta * c)
+        return 0.0 + curve_integral(assay, x)
+    a = share_above_c(theta, r, c, rule)
     head = curve_integral(assay, c)
-    return (head + a * (curve_integral(assay, x) - head)
-            + (1.0 - a) * discounted_curve_integral(assay, theta, x, start=c))
+    if theta * (x - c) <= 1e-3:
+        discounted = series_curve_integral(assay, theta, x, c)
+    else:
+        discounted = discounted_curve_integral(assay, theta, x, start=c)
+    return ((0.0 + head) + a * (curve_integral(assay, x) - head)
+            + (0.0 + (1.0 - a) * discounted))
+
+
+def composed_weight_integral(theta, r, c, rule, x):
+    """The f = 1 twin: c + a*(x - c) + (1 - a)*(1 - e^{-theta*(x-c)})/theta,
+    or x where c >= x."""
+    if c >= x:
+        return 0.0 + x
+    a = share_above_c(theta, r, c, rule)
+    discounted = -math.expm1(-theta * (x - c)) / theta
+    return (0.0 + c) + a * (x - c) + (0.0 + (1.0 - a) * discounted)
 
 
 @ASSAYS
@@ -210,11 +252,47 @@ def composed_recent_weight_integral(assay, theta, r, c, rule, x):
 @pytest.mark.parametrize("c", [0.0, 0.25, 1.5, T_STAR, 2.5])
 @pytest.mark.parametrize("x", [T_STAR, 1.645], ids=["cutoff", "short_horizon"])
 def test_recent_kernel_equals_composition(assay, rule, theta, r, c, x):
-    # the integrator's pieces evaluate the same terms in the same order of
+    # the closed form evaluates the same terms in the same order of
     # operations as the composition, so the floats are equal
-    _, _, pieces = estimator._exponential_pieces(rule, theta, r, c, x)
-    got = estimator._integrate(pieces, theta, c, assay)
+    got = estimator._exponential_integral(rule, theta, r, c, x, assay)
     assert got == composed_recent_weight_integral(assay, theta, r, c, rule, x)
+
+
+@RULES
+@pytest.mark.parametrize(
+    "theta", [1e-300, 1e-12, 1e-6, 1e-4, 1e-3, 0.4, 1.0, 3.0, 100.0, 400.0])
+@pytest.mark.parametrize("x", [T_STAR, 1.645, HORIZON, -0.0],
+                         ids=["cutoff", "short_horizon", "horizon", "minus_zero"])
+def test_exponential_integral_bit_for_bit(rule, theta, x):
+    # W and R (R up to x <= T*) equal their compositions as floats, the sign
+    # of zero included; where a composition needed e^{theta*c} past a float
+    # (theta*c > 709.78) the kernel raises, with the kernel's message
+    curves = (None,) if x > T_STAR else (None, DEFAULT_ASSAY, LONG_ASSAY)
+    past_range = 0
+    for r in (0.0, -0.0, 0.6, 1.0):
+        for c in (0.0, -0.0, 1e-9, 0.25, 1.9999, T_STAR, x + 1.0):
+            for assay in curves:
+                if assay is None:
+                    want = composed_weight_integral(theta, r, c, rule, x)
+                else:
+                    want = composed_recent_weight_integral(assay, theta, r, c, rule, x)
+                if not math.isfinite(want):
+                    past_range += 1
+                    with pytest.raises(InfeasibleScenarioError) as exc:
+                        estimator._exponential_integral(rule, theta, r, c, x, assay)
+                    assert str(exc.value) == (
+                        f"theta*c = {theta * c:g} is past the range of the scaled "
+                        "survey weight (e^(theta*c) overflows a float)")
+                    continue
+                got = estimator._exponential_integral(rule, theta, r, c, x, assay)
+                assert got == want, (r, c, assay)
+                assert math.copysign(1.0, got) == math.copysign(1.0, want), (r, c, assay)
+    # theta = 400 reaches past e^{709.78} at c = 1.9999 < T*, under either
+    # rule against the curve
+    if theta == 400.0 and x == T_STAR:
+        assert past_range > 0
+    elif theta < 100.0:
+        assert past_range == 0
 
 
 def count_incomplete_gammas(monkeypatch, evaluate):
@@ -636,7 +714,7 @@ def uniform_pieces_by_filter(law, rule, r, c, x):
                 g0, g1, g2 = cdf[2 if v >= b else 1 if v >= a else 0]
                 coefs = (r * (g0 - c * (g1 - c * g2)) + 1.0 - k0,
                          r * (g1 - 2.0 * c * g2) - k1, r * g2 - k2)
-        pieces.append((lo, hi, coefs, None))
+        pieces.append((lo, hi, coefs))
     return 1.0, survive_c, pieces
 
 

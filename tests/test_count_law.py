@@ -437,22 +437,25 @@ def test_variance_is_the_delta_method(scenario):
 
 @pytest.mark.parametrize(
     "label,calls,lists",
-    [("swp_theta1_r0.6_c1", 3, 2), ("regular_theta0.4_r0.3_c0_frr0.01", 3, 1),
-     ("swp_uni0-3_r0.6_c1", 3, 2), ("swp_theta1_r0.6_c0_frr0.02", 3, 1),
-     ("swp_theta1_r0.6_c2_frr0.02", 4, 2), ("swp_uni0-3_r0.6_c0", 2, 1)],
+    [("swp_theta1_r0.6_c1", 3, 0), ("regular_theta0.4_r0.3_c0_frr0.01", 3, 0),
+     ("swp_uni0-3_r0.6_c1", 3, 2), ("swp_theta1_r0.6_c0_frr0.02", 3, 0),
+     ("swp_theta1_r0.6_c2_frr0.02", 4, 0), ("swp_uni0-3_r0.6_c0", 2, 1)],
 )
 def test_a_cell_evaluates_each_kernel_term_once(monkeypatch, label, calls, lists):
-    # W_c, W_0 and R, and W_x when frr > 0, with W_0 read from W_c at c = 0;
-    # one piece list for W_c, R and W_x, and one for W_0 at c > 0: building
-    # the law and writing the summary row evaluate nothing twice
+    # W_c, W_0 and R, and W_x when frr > 0, with W_0 read from W_c at c = 0,
+    # each one closed-form expression (exponential) or one walk (uniform);
+    # a uniform cell builds one piece list for W_c, R and W_x, and one for
+    # W_0 at c > 0, an exponential cell none: building the law and writing
+    # the summary row evaluate nothing twice
     scenario = _cell(MAIN + FRR + UNIFORM, label)
     scenario = dataclasses.replace(scenario, replications=3)
     counted = []
-    for name in ("_integrate", "_exponential_pieces", "_uniform_pieces"):
+    for name in ("_exponential_integral", "_integrate", "_uniform_pieces"):
         real = getattr(estimator, name)
         monkeypatch.setattr(estimator, name, lambda *args, name=name, real=real: (
             counted.append(name) or real(*args)))
     result = run_grid([scenario])
     harness._write_summary(result, io.StringIO())
-    assert counted.count("_integrate") == calls, counted
-    assert len(counted) - calls == lists, counted
+    terms = counted.count("_exponential_integral") + counted.count("_integrate")
+    assert terms == calls, counted
+    assert counted.count("_uniform_pieces") == lists, counted

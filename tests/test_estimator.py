@@ -12,7 +12,7 @@ from recencysim.estimator import (
     survey_composition,
     survey_weight,
 )
-from recencysim.population import DEFAULT_PARAMS, SurveyCounts
+from recencysim.population import DEFAULT_PARAMS, InfeasibleScenarioError, SurveyCounts
 from recencysim.recency_model import DEFAULT_ASSAY, mdri
 from recencysim.testing_history import (
     ExponentialInterTest,
@@ -172,6 +172,26 @@ class TestEffectiveMdriNumeric:
         num = effective_mdri_numeric(DEFAULT_ASSAY, theta, r, c, rule)
         closed = effective_mdri_closed(DEFAULT_ASSAY, theta, r, c, rule)
         assert num == pytest.approx(closed, rel=1e-6)
+
+    @pytest.mark.parametrize("rule", list(ObservationRule), ids=lambda r: r.value)
+    @pytest.mark.parametrize("theta,r,c", [(1.0, 1.0, 1000.0), (1.0, 0.5, 720.0),
+                                           (300.0, 1.0, 1.9), (300.0, 0.6, 1.0)])
+    def test_matches_where_the_scale_underflows(self, rule, theta, r, c):
+        # e^{-theta*c} is 0 or subnormal: each conditional is divided by it
+        # before integrating, so nothing divides by the scale afterwards
+        num = effective_mdri_numeric(DEFAULT_ASSAY, theta, r, c, rule)
+        closed = effective_mdri_closed(DEFAULT_ASSAY, theta, r, c, rule)
+        assert num == pytest.approx(closed, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0])
+    def test_rejects_what_the_closed_form_rejects(self, r):
+        # Stop-When-Positive below T* needs e^{theta*c} = e^{760}
+        swp = ObservationRule.STOP_WHEN_POSITIVE
+        with pytest.raises(InfeasibleScenarioError) as closed:
+            effective_mdri_closed(DEFAULT_ASSAY, 400.0, r, 1.9, swp)
+        with pytest.raises(InfeasibleScenarioError) as num:
+            effective_mdri_numeric(DEFAULT_ASSAY, 400.0, r, 1.9, swp)
+        assert str(num.value) == str(closed.value)
 
 
 class TestEffectiveMdriArgs:

@@ -23,7 +23,8 @@ from recencysim import estimator, population
 
 from recencysim.cli import main as cli_main
 from recencysim.estimator import (
-    analytic_bias, kassanjee_estimate, log_variance, survey_composition)
+    analytic_bias, effective_mdri_closed, effective_mdri_numeric, kassanjee_estimate,
+    log_variance, survey_composition)
 from recencysim import harness
 from recencysim.harness import (
     SUMMARY_COLUMNS,
@@ -1729,6 +1730,22 @@ class TestKernelRange:
             (row,) = list(csv.DictReader(fh))
         assert (row["scenario"], row["status"]) == ("swp_theta1e-15_r0_c1", "ok")
         assert abs(float(row["analytic_bias"])) < 1e-12
+
+    @pytest.mark.parametrize("c,r", [("1000", "1"), ("720", "0.5")],
+                             ids=["scale_zero", "scale_subnormal"])
+    def test_cli_mdri_numeric_past_the_scale(self, capsys, c, r):
+        # e^{-theta*c} is 0 at c = 1000 (a ZeroDivisionError) and subnormal
+        # at c = 720 (0.266943 read against 0.266985); the numeric integrand
+        # is divided by it before integrating
+        assert cli_main(["mdri", "--theta", "1", "--c", c, "--r", r,
+                         "--check-numeric"]) == 0
+        out = capsys.readouterr().out
+        eff = float(out.split("effective mdri  = ")[1].split()[0])
+        assert float(out.split("numeric mdri    = ")[1].split()[0]) == eff
+        c, r, swp = float(c), float(r), ObservationRule.STOP_WHEN_POSITIVE
+        numeric = effective_mdri_numeric(DEFAULT_ASSAY, 1.0, r, c, swp)
+        closed = effective_mdri_closed(DEFAULT_ASSAY, 1.0, r, c, swp)
+        assert numeric == pytest.approx(closed, rel=0.0, abs=1e-9)
 
     def test_cli_mdri_swp_keeps_computing(self, capsys):
         # e^{570} is finite; the value is the parent's
