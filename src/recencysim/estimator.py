@@ -9,16 +9,18 @@ Every analytic quantity is an integral of one survey weight
 
     w(u) = r * P(T <= u, T > c | U = u) + P(T > u, T > c | U = u),
 
-integrated in closed form against 1 and against the test-recent curve
-(`survey_weight`).  With F the stationary residual CDF of the test schedule,
-P(c < T <= u | u) is F(u) - F(c) under the Regular rule and F(u - c) under
+integrated in closed form against 1 and against the test-recent curve.
+With F the stationary residual CDF of the test schedule, P(c < T <= u | u)
+is F(u) - F(c) under the Regular rule and F(u - c) under
 Stop-When-Positive, and P(T > u, T > c | u) = 1 - F(max(u, c)).  For
 exponential (Poisson) schedules w / e^{-theta*c} is 1 up to c and
 a + (1 - a)*e^{-theta*(u-c)} beyond, so each integral is one two-piece
 expression (`_exponential_integral`), evaluating each edge's incomplete
 gammas once; every exponential entry point calls it.  For uniform ones w
 is a quadratic in u between knees (`_uniform_pieces`), and one integrator
-(`_integrate`) walks those pieces against either curve.  Numerical
+(`_integrate`) walks those pieces against either curve, up to any point.
+`_weight` is the one reader of the inter-test law: it returns a cell's
+scale, its negatives' weight and its integral from 0 to any x.  Numerical
 quadrature (`effective_mdri_numeric`) is kept only as an independent
 check.
 
@@ -27,9 +29,8 @@ scale and the negatives' weight P(T > c)), R (the curve up to
 min(T*, support) against the weight) and, with a false-recent rate, W_x
 (the weight up to the same point).  From them come the survey composition
 (p_star, p_r) and the estimator's limit, so its bias, written once
-(`_limit_bias`); `_composition` is the one place that evaluates them, a
-uniform cell's R and W_x on W_c's own pieces cut at min(T*, support)
-(`_cut`).
+(`_limit_bias`); `_composition` is the one place that evaluates them, all
+three from one `_weight`: a uniform cell's on one piece list.
 """
 
 from __future__ import annotations
@@ -259,14 +260,13 @@ def _curve_terms(assay, y, n):
 _SERIES_SPAN = 1e-3
 
 
-def _series(assay, lo, hi, q_lo, q_hi, theta):
+def _series(lo, lo_m, hi_m, theta):
     """int_lo^hi Q(s, b*u) * e^{-theta*(u-lo)} du to second order in theta,
     J0 - theta*J1 + theta^2*J2/2 with J_k = int_lo^hi (u - lo)^k * Q du from
-    the curve's moments, q_lo and q_hi the curve at the edges: the
+    the curve's moments at the edges, lo_m and hi_m (`_curve_terms`): the
     exponential term of `_exponential_integral` where its by-parts form
     cancels."""
-    m0, m1, m2 = (curve_moment(assay, hi, k, q_hi) - curve_moment(assay, lo, k, q_lo)
-                  for k in range(3))  # every moment is 0 at u = 0
+    m0, m1, m2 = (h - l for h, l in zip(hi_m, lo_m))
     j1, j2 = m1 - lo * m0, m2 - lo * (2.0 * m1 - lo * m0)
     return m0 - theta * (j1 - theta * j2 / 2.0)
 
@@ -283,7 +283,8 @@ def _exponential_integral(rule, theta, r, c, x, assay=None):
     each sum started from 0.0, D = int_c^x f(u) * e^{-theta*(u-c)} du:
     -expm1(-theta*(x - c)) / theta for f = 1, and against the curve, by
     parts (DLMF 8.2), a difference of incomplete gammas over theta that
-    cancels as theta*(x - c) -> 0, so `_series` up to `_SERIES_SPAN`.
+    cancels as theta*(x - c) -> 0, so `_series` up to `_SERIES_SPAN`, on
+    the edges' three moments.
     Discounting from c keeps full precision where e^{theta*c} is large.
     Raises InfeasibleScenarioError where the total is not a finite float:
     it needed e^{theta*c}, which overflows once theta*c exceeds about 709.78.
@@ -297,11 +298,12 @@ def _exponential_integral(rule, theta, r, c, x, assay=None):
             lo_g, hi_g = c, x
             discounted = -math.expm1(-span) / theta
         else:
-            lo_m, lo_q = _curve_terms(assay, c, 1)
-            hi_m, hi_q = _curve_terms(assay, x, 1)
+            series = span <= _SERIES_SPAN
+            lo_m, lo_q = _curve_terms(assay, c, 3 if series else 1)
+            hi_m, hi_q = _curve_terms(assay, x, 3 if series else 1)
             lo_g, hi_g = lo_m[0], hi_m[0]
-            if span <= _SERIES_SPAN:
-                discounted = _series(assay, c, x, lo_q, hi_q, theta)
+            if series:
+                discounted = _series(c, lo_m, hi_m, theta)
             else:  # Q(s, (b+theta)*y) at the edges: 1 at y = 0
                 s, b = assay.gamma_shape, assay.gamma_rate
                 lo_qt = _upper_gamma(s, (b + theta) * c) if c != 0.0 else 1.0
@@ -316,25 +318,33 @@ def _exponential_integral(rule, theta, r, c, x, assay=None):
     raise _past_range(theta, c)
 
 
-def _integrate(pieces, assay=None):
-    """int f(u) * w(u) du over a uniform law's pieces (`_uniform_pieces`),
-    in closed form: f = 1, or Q(s, b*u), the test-recent curve below its
-    cutoff, given an assay.
+def _integrate(pieces, x, assay=None):
+    """int_0^x f(u) * w(u) du over a uniform law's pieces (`_uniform_pieces`)
+    that reach x, in closed form: f = 1, or Q(s, b*u), the test-recent curve
+    below its cutoff, given an assay.
 
     On a piece (lo, hi, (a0, a1, a2)) the weight is a0 + a1*u + a2*u^2,
     integrated from the moments int_0^y u^k * f(u) du at its edges (the
     curve's from `_curve_terms`).  The pieces start at u = 0 and each
-    begins where the last ended, so every edge's moments are evaluated once.
+    begins where the last ended, so every edge's moments are evaluated
+    once.  The walk stops on the piece that holds x, ended at x: every knee
+    below x is an edge either way, so these are the weight's own pieces up
+    to x.
     """
     total = 0.0
     lo_m = _EDGE_ZERO[0]
     for _, hi, (a0, a1, a2) in pieces:
+        last = hi >= x  # the piece that holds x, ended at x
+        if last:
+            hi = x
         if assay is not None:
             hi_m = _curve_terms(assay, hi, 3)[0]
         else:  # the moments int_0^hi u^k du, k < 3
             hi_m = (hi, hi ** 2 / 2, hi ** 3 / 3)
         total += (a0 * (hi_m[0] - lo_m[0]) + a1 * (hi_m[1] - lo_m[1])
                   + a2 * (hi_m[2] - lo_m[2]))
+        if last:
+            break
         lo_m = hi_m
     return total
 
@@ -401,32 +411,24 @@ def _limit_bias(assay, incidence, recent, negatives, below=0.0):
     return incidence * ((recent - frr * below) / negatives / denom - 1.0)
 
 
-def _cut(pieces, x):
-    """The uniform pieces before x > 0, the last one ended at x: every knee
-    below x is an edge either way, so these are the weight's own pieces up
-    to x."""
-    for i, (lo, hi, coefs) in enumerate(pieces):
-        if hi >= x:  # the piece that holds x
-            return [*pieces[:i], (lo, x, coefs)]
+def _weight(process: TestingProcess, r, c, tau):
+    """(scale, negatives, integral) of the survey weight at (r, c), for
+    either inter-test law: the one reader of the law's type.
 
-
-def survey_weight(process: TestingProcess, r: float, c: float, x: float, assay=None):
-    """The survey weight integrated in closed form, for either inter-test law.
-
-    Returns (scale, negatives, integral): integral = int_0^x w(u) du, or
-    int_0^x Q(s, b*u) * w(u) du (x <= T*) when an assay is given, and
-    negatives = P(T > c), both divided by `scale`.  Exponential schedules
-    use scale = e^{-theta*c}, so negatives = 1; uniform ones use scale = 1,
-    so a window past the longest gap (P(T > c) = 0) divides by nothing.
-    (r, c) gets the check of every public entry point.
+    integral(x, assay=None) is int_0^x w(u) du, or int_0^x Q(s, b*u) * w(u)
+    du (x <= T*) when an assay is given, for any x <= tau, and negatives is
+    P(T > c), both divided by `scale`.  Exponential schedules use scale =
+    e^{-theta*c}, so negatives = 1, and integrate in closed form
+    (`_exponential_integral`); uniform ones use scale = 1, so a window past
+    the longest gap (P(T > c) = 0) divides by nothing, and walk pieces
+    built once up to tau (`_integrate`).  (r, c) is the caller's to check.
     """
-    _check_weight_args(r, c)
     law, rule = process.inter_test_law, process.observation_rule
     if isinstance(law, ExponentialInterTest):
         theta = law.theta
-        return math.exp(-theta * c), 1.0, _exponential_integral(rule, theta, r, c, x, assay)
-    scale, negatives, pieces = _uniform_pieces(law, rule, r, c, x)
-    return scale, negatives, _integrate(pieces, assay)
+        return math.exp(-theta * c), 1.0, partial(_exponential_integral, rule, theta, r, c)
+    scale, negatives, pieces = _uniform_pieces(law, rule, r, c, tau)
+    return scale, negatives, partial(_integrate, pieces)
 
 
 def survey_composition(
@@ -453,38 +455,30 @@ def survey_composition(
 
 
 def _composition(assay, process, r, c, params):
-    """(weight, p_star, p_r, bias) of a cell, with weight =
-    survey_weight(process, r, c, horizon).
+    """(weight, p_star, p_r, bias) of a cell, with weight = (scale,
+    negatives, W_c) of `_weight`.
 
     Evaluates W_c (the weight up to the horizon), R and, when frr > 0, W_x
-    (the curve and the weight up to x = min(T*, horizon)): an exponential
-    cell by `_exponential_integral`, a uniform one by walking W_c's pieces,
-    cut at x (`_cut`) for R and W_x, the floats of their own
-    `survey_weight` walks.  `survey_composition` and
-    `screening_analytics.survey_law` share it.  The bias is `_limit_bias`,
-    and nan where p_star is not below 1 (the negatives' share rounds to 0,
-    so no survey holds a negative and every estimate is undefined).
-    Raises InfeasibleScenarioError where W_c = 0: no one passes the window.
-    An admit probability that only underflows is left to the kernel's
-    range check and to the attempt cap in `SurveyLaw.draw`.
+    (the curve and the weight up to x = min(T*, horizon)), all three on one
+    `_weight`.  `survey_composition` and `screening_analytics.survey_law`
+    share it.  The bias is `_limit_bias`, and nan where p_star is not below
+    1 (the negatives' share rounds to 0, so no survey holds a negative and
+    every estimate is undefined).  Raises InfeasibleScenarioError where
+    W_c = 0: no one passes the window.  An admit probability that only
+    underflows is left to the kernel's range check and to the attempt cap
+    in `SurveyLaw.draw`.
     """
-    law, rule, tau = process.inter_test_law, process.observation_rule, params.horizon
+    tau = params.horizon
     x, frr = min(assay.recency_cutoff, tau), assay.frr
-    if isinstance(law, ExponentialInterTest):
-        theta = law.theta
-        scale, negatives = math.exp(-theta * c), 1.0
-        total = _exponential_integral(rule, theta, r, c, tau)
-        up_to_x = partial(_exponential_integral, rule, theta, r, c, x)
-    else:
-        scale, negatives, pieces = _uniform_pieces(law, rule, r, c, tau)
-        total, up_to_x = _integrate(pieces), partial(_integrate, _cut(pieces, x))
+    scale, negatives, integral = _weight(process, r, c, tau)
+    total = integral(tau)
     if not total > 0.0:
         raise InfeasibleScenarioError(
             f"no attendee can pass the exclusion window c={c:g} "
             "(admit probability 0 per draw)"
         )
-    recent = up_to_x(assay)
-    below = up_to_x() if frr else 0.0
+    recent = integral(x, assay)
+    below = integral(x) if frr else 0.0
     tested_recent = recent + frr * (total - below) if frr else recent
     positives = params.incidence * total
     p_star = positives / (positives + negatives)

@@ -49,7 +49,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import __version__
 from .estimator import (
-    _check_weight_args, analytic_bias, kassanjee_estimate, survey_weight)
+    _check_weight_args, _weight, analytic_bias, kassanjee_estimate)
 from .population import (
     DEFAULT_PARAMS,
     InfeasibleScenarioError,
@@ -508,6 +508,15 @@ def _atomic_open(path: Path, newline=None):
         raise
 
 
+def _write_report(path: Path, header, rows):
+    """A report CSV, replaced atomically: the header, then each row's values
+    through `_fmt`."""
+    with _atomic_open(path, newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_fmt(v) for v in row] for row in rows)
+
+
 def write_results(
     result: GridResult, out_dir: Path, config_echo: dict, seed: int,
     wall_time: float, workers: int = 1,
@@ -631,27 +640,27 @@ def emit_histogram(
     of the survey weight over its bin, divided by tau: with r = 1 the weight
     is P(T > c | u) (included), with r = 0 it is P(T > u, T > c | u)
     (unaware and included), and with r = 0 and c = 0 P(T > u | u)
-    (unaware).  All the counts come from one multinomial draw, on the
-    generator a grid cell labelled "histogram" would draw its compositions
-    with (stream 0 of `_seed_words`).  Any window c >= 0 and n_infected up
-    to int64's maximum; any other is a ValueError before the draw.
+    (unaware).  Each of the three weights is built once (`_weight`) and
+    integrated up to every bin edge.  All the counts come from one
+    multinomial draw, on the generator a grid cell labelled "histogram"
+    would draw its compositions with (stream 0 of `_seed_words`).  Any
+    window c >= 0 and n_infected up to int64's maximum; any other is a
+    ValueError before the draw.
     """
     if n_infected > np.iinfo(np.int64).max:
         raise ValueError(
             f"n_infected must be at most {np.iinfo(np.int64).max}, got {n_infected}")
+    _check_weight_args(1.0, c)
     process = TestingProcess(law, rule)
     tau = params.horizon
     n_bins = math.ceil(tau / bin_width)
     edges = np.arange(0, n_bins + 1) * bin_width
-
-    def mass(r, window, x):
-        scale, _, integral = survey_weight(process, r, window, x)
-        return scale * integral
-
+    weights = [_weight(process, r, window, tau)
+               for r, window in ((1.0, c), (0.0, 0.0), (0.0, c))]
     cumulative = []
     for x in np.minimum(edges, tau).tolist():
-        included, unaware = mass(1.0, c, x), mass(0.0, 0.0, x)
-        unaware_included = mass(0.0, c, x)
+        included, unaware, unaware_included = (
+            scale * integral(x) for scale, _, integral in weights)
         aware_included = included - unaware_included
         cumulative.append((aware_included, x - unaware - aware_included,
                            unaware_included, unaware - unaware_included))
@@ -666,13 +675,8 @@ def emit_histogram(
 
 
 def write_histogram(rows, out_path: Path):
-    with _atomic_open(out_path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["bin_lo", "bin_hi", "aware_included", "aware_excluded",
-             "unaware_included", "unaware_excluded"]
-        )
-        w.writerows([_fmt(v) for v in row] for row in rows)
+    _write_report(out_path, ["bin_lo", "bin_hi", "aware_included", "aware_excluded",
+                             "unaware_included", "unaware_excluded"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -747,11 +751,8 @@ def emit_table1(
 
 
 def write_table1(rows, out_path: Path):
-    with _atomic_open(out_path, newline="") as fh:
-        w = csv.writer(fh)
-        cols = list(rows[0].keys())
-        w.writerow(cols)
-        w.writerows([_fmt(row[c]) for c in cols] for row in rows)
+    cols = list(rows[0])
+    _write_report(out_path, cols, ([row[c] for c in cols] for row in rows))
 
 
 def default_out_dir() -> Path:

@@ -8,10 +8,12 @@ Admitted attendees are iid, so a whole survey's counts follow one
 multinomial and one negative binomial law (`survey_law`).  The law also
 carries the cell's analytic bias and the delta-method variance of the log
 estimate, from the same kernel terms: W_c, W_0, R and, with a false-recent
-rate, W_x, each evaluated once per cell: an exponential cell's as one
-closed-form expression each, with no piece list, and a uniform cell's by
-walking two piece lists, R and W_x on W_c's own pieces.  Every window
-c >= 0 is valid, also past the horizon.
+rate, W_x, each evaluated once per cell from `estimator._weight`: an
+exponential cell's as one closed-form expression each, with no piece list,
+and a uniform cell's by walking two piece lists, R and W_x on W_c's own
+pieces.  The inclusion rule, admission over attendance, is written once
+(`_inclusion`) for the count law and the forecast.  Every window c >= 0 is
+valid, also past the horizon.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import population
 from .estimator import (_check_weight_args, _composition, _exponential_integral,
-                        log_variance, survey_weight)
+                        _weight, log_variance)
 from .population import InfeasibleScenarioError, PopulationParams, SurveyCounts
 from .recency_model import RecencyAssay
 from .testing_history import ObservationRule, TestingProcess, _check_theta
@@ -36,19 +38,21 @@ class ScreeningForecast:
     required_screened: int
 
 
-def _admission_terms(params, weight, w0):
-    """Per-draw probabilities of (admission, attendance) over 1 - p.
+def _inclusion(params, weight, w0):
+    """(s, admit): the inclusion probability s = P(admitted | attends) and
+    the probability that one draw from the population is admitted.
 
-    admitted = P(T > c) + incidence * W_c and attending = 1 + incidence * W_0,
-    with W_c the survey weight at window c integrated over the horizon,
-    `weight` = survey_weight(process, r, c, horizon), and W_0 = `w0` the
-    same at c = 0; their ratio is the inclusion probability.  At c == 0 the
+    Per draw, over 1 - p, admitted = P(T > c) + incidence * W_c and
+    attending = 1 + incidence * W_0, with `weight` = (scale, negatives, W_c)
+    of the survey weight at window c over the horizon and W_0 = `w0` the
+    same at c = 0; s = admitted / attending, at most 1.  At c == 0 the
     callers pass W_c itself: the same arguments, so the same float,
     evaluated once.  Valid for every c >= 0.
     """
     lam = params.incidence
     scale, negatives, total = weight
-    return scale * (negatives + lam * total), 1.0 + lam * w0
+    admitted = scale * (negatives + lam * total)
+    return min(admitted / (1.0 + lam * w0), 1.0), (1.0 - params.prevalence) * admitted
 
 
 @dataclass(frozen=True)
@@ -141,22 +145,23 @@ def survey_law(
     c >= 0 (also past the horizon) and false-recent rate; the arguments of
     `survey_composition`, with its (r, c) check.  Evaluates the kernel once
     per term: W_c, R, W_x when frr > 0, and W_0 at c > 0 (at c = 0, W_0 is
-    W_c).  An exponential cell's terms are one expression each; a uniform
-    cell walks two piece lists, W_c's, cut for R and W_x, and at c > 0
-    W_0's.  The kernel and `_composition`
-    raise InfeasibleScenarioError, unconverted, when the exponential kernel
-    cannot represent the cell (theta*c too large) or when no draw can be
-    admitted.
+    W_c), each from `_weight`.  An exponential cell's terms are one
+    expression each; a uniform cell walks two piece lists, W_c's, up to
+    min(T*, horizon) for R and W_x, and at c > 0 W_0's.  The kernel and
+    `_composition` raise InfeasibleScenarioError, unconverted, when the
+    exponential kernel cannot represent the cell (theta*c too large) or
+    when no draw can be admitted.
     """
     _check_weight_args(r, c)
+    tau = params.horizon
     weight, p_star, p_r, bias = _composition(assay, process, r, c, params)
-    w0 = weight[2] if c == 0.0 else survey_weight(process, r, 0.0, params.horizon)[2]
-    admitted, attending = _admission_terms(params, weight, w0)
+    w0 = weight[2] if c == 0.0 else _weight(process, r, 0.0, tau)[2](tau)
+    inclusion, admit = _inclusion(params, weight, w0)
     return SurveyLaw(
         p_star=p_star,
         p_r=p_r,
-        inclusion=min(admitted / attending, 1.0),
-        admit=(1.0 - params.prevalence) * admitted,
+        inclusion=inclusion,
+        admit=admit,
         frr=assay.frr,
         analytic_bias=bias,
     )
@@ -190,8 +195,8 @@ def forecast(
     n_target: int,
 ) -> ScreeningForecast:
     """The inclusion probability s = P(admitted | attends) of exponential
-    (Poisson) schedules, by the count law's rule (`SurveyLaw.inclusion`)
-    from W_c and W_0 in closed form (`_exponential_integral`), and the
+    (Poisson) schedules, by the count law's rule (`_inclusion`) from W_c
+    and W_0 in closed form (`_exponential_integral`), and the
     attendees needed to admit n_target (`required_screening`).  theta and
     (r, c) get the checks of every entry point.  Raises
     InfeasibleScenarioError where s is 0 or n_target / s overflows.
@@ -201,8 +206,7 @@ def forecast(
     tau = params.horizon
     total = _exponential_integral(rule, theta, r, c, tau)
     w0 = total if c == 0.0 else _exponential_integral(rule, theta, r, 0.0, tau)
-    admitted, attending = _admission_terms(params, (math.exp(-theta * c), 1.0, total), w0)
-    s = min(admitted / attending, 1.0)
+    s = _inclusion(params, (math.exp(-theta * c), 1.0, total), w0)[0]
     if not s > 0.0:
         raise InfeasibleScenarioError(
             f"inclusion probability {s} outside (0, 1]; check parameters"

@@ -6,7 +6,7 @@ infection duration,
 
     w(u) = r * P(T <= u, T > c | U = u) + P(T > u, T > c | U = u),
 
-and the package's W (`survey_weight`) and R (`effective_mdri_closed`) are
+and the package's W (`estimator._weight`) and R (`effective_mdri_closed`) are
 int_0^horizon w and int_0^{T*} phi * w, both divided by e^{-theta*c}.
 For uniform inter-test laws the conditionals are written from the
 stationary residual CDF F (`residual_cdf_from_definition`): P(c < T <= u | u)
@@ -14,12 +14,14 @@ is F(u) - F(c) under the Regular rule and F(u - c) under Stop-When-Positive,
 and P(T > u, T > c | u) = 1 - F(max(u, c)).
 """
 
+import ast
 import hashlib
 import importlib
 import math
 import pickle
 import pkgutil
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,13 +29,12 @@ from scipy import integrate, special
 from scipy.special import cython_special, gammaincc
 
 import recencysim
-from recencysim import estimator, recency_model
+from recencysim import estimator, recency_model, screening_analytics, testing_history
 from recencysim.estimator import (
     analytic_bias,
     effective_mdri_closed,
     effective_mdri_numeric,
     survey_composition,
-    survey_weight,
 )
 from recencysim.harness import (
     FRR_GRID,
@@ -169,7 +170,7 @@ def test_discounted_curve_integral(assay, theta, start, x):
 def test_survey_weight_integral(rule, theta, r, c):
     want = quad(lambda u: weight(rule, theta, r, c, u), 0.0, HORIZON, kink=c)
     process = TestingProcess(ExponentialInterTest(theta), rule)
-    assert close(survey_weight(process, r, c, HORIZON)[2], want)
+    assert close(estimator._weight(process, r, c, HORIZON)[2](HORIZON), want)
 
 
 @ASSAYS
@@ -320,6 +321,49 @@ def test_kernel_evaluates_each_incomplete_gamma_once(monkeypatch):
     assert 0 < len(calls) <= 4
 
 
+@pytest.mark.parametrize("c,most", [(0.25, 6), (0.0, 2)])
+def test_series_reads_the_edge_moments(monkeypatch, c, most):
+    # theta*(T* - c) within _SERIES_SPAN: Q(s, b*c) and P(s+k+1, b*c),
+    # k <= 2, at c and P(s+2, b*T*), P(s+3, b*T*) at T*, each once for both
+    # the kernel and its series; edge 0 needs none, and G(T*) and
+    # Q(s, b*T*) come from the per-assay cache
+    args = (DEFAULT_ASSAY, 1e-6, 0.6, c, ObservationRule.STOP_WHEN_POSITIVE)
+    calls = count_incomplete_gammas(
+        monkeypatch, lambda: effective_mdri_closed(*args))
+    assert 0 < len(calls) <= most
+
+
+def law_type_tests(tree):
+    """The function around each `isinstance` test of an inter-test law."""
+    laws = [name for name in vars(testing_history) if name.endswith("InterTest")]
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "isinstance"
+                    and any(law in ast.unparse(child.args[1]) for law in laws)):
+                found.append(where)
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_reader_of_the_inter_test_law():
+    # the analytic modules test a law's type in `estimator._weight` alone,
+    # so a new law plugs in there
+    found = [
+        (module.__name__, where)
+        for module in (estimator, screening_analytics)
+        for where in law_type_tests(ast.parse(Path(module.__file__).read_text()))
+    ]
+    assert found == [("recencysim.estimator", "_weight")]
+
+
 @RULES
 @pytest.mark.parametrize("c", [0.25, 1.0])
 def test_uniform_kernel_evaluates_each_incomplete_gamma_once(monkeypatch, rule, c):
@@ -328,7 +372,8 @@ def test_uniform_kernel_evaluates_each_incomplete_gamma_once(monkeypatch, rule, 
     # Q(s, b*T*) come from the per-assay cache
     process = TestingProcess(UniformInterTest(0.0, 3.0), rule)
     calls = count_incomplete_gammas(
-        monkeypatch, lambda: survey_weight(process, 0.6, c, T_STAR, DEFAULT_ASSAY))
+        monkeypatch,
+        lambda: estimator._weight(process, 0.6, c, T_STAR)[2](T_STAR, DEFAULT_ASSAY))
     assert 0 < len(calls) <= 6
 
 
@@ -527,11 +572,12 @@ def uniform_oracle(rule, law, r, c, x, f=None):
 def test_uniform_weight_integrals(law, c, rule, r, params):
     process = TestingProcess(law, rule)
     tau, x = params.horizon, min(T_STAR, params.horizon)
-    scale, negatives, total = survey_weight(process, r, c, tau)
+    scale, negatives, integral = estimator._weight(process, r, c, tau)
+    total = integral(tau)
     assert scale == 1.0
     assert close(negatives, 1.0 - residual_cdf_from_definition(c, law))
     assert close(total, uniform_oracle(rule, law, r, c, tau))
-    recent = survey_weight(process, r, c, x, DEFAULT_ASSAY)[2]
+    recent = integral(x, DEFAULT_ASSAY)
     assert close(recent, uniform_oracle(rule, law, r, c, x, curve(DEFAULT_ASSAY)))
 
 
@@ -636,17 +682,18 @@ def test_limit_bias_undefined_estimator():
 
 def composed_from_walks(assay, process, r, c, params):
     """(p_star, p_r, inclusion, admit, bias) of a cell from one
-    `survey_weight` walk per term, each on its own piece list; None where
+    `estimator._weight` walk per term, each on its own piece list; None where
     no attendee passes the window."""
     lam, tau = params.incidence, params.horizon
     x = min(assay.recency_cutoff, tau)
-    scale, negatives, total = survey_weight(process, r, c, tau)
+    scale, negatives, integral = estimator._weight(process, r, c, tau)
+    total = integral(tau)
     if not total > 0.0:
         return None
-    recent = survey_weight(process, r, c, x, assay)[2]
-    below = survey_weight(process, r, c, x)[2] if assay.frr else 0.0
+    recent = estimator._weight(process, r, c, x)[2](x, assay)
+    below = estimator._weight(process, r, c, x)[2](x) if assay.frr else 0.0
     tested_recent = recent + assay.frr * (total - below) if assay.frr else recent
-    w0 = survey_weight(process, r, 0.0, tau)[2]
+    w0 = estimator._weight(process, r, 0.0, tau)[2](tau)
     positives = lam * total
     p_star = positives / (positives + negatives)
     admitted = scale * (negatives + lam * total)
@@ -743,10 +790,10 @@ REGULAR = ObservationRule.REGULAR
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: survey_weight(TestingProcess(ExponentialInterTest(100.0), SWP),
-                              1.0, 10.0, HORIZON),
-        lambda: survey_weight(TestingProcess(ExponentialInterTest(100.0), SWP),
-                              0.0, 7.1, HORIZON),
+        lambda: estimator._weight(TestingProcess(ExponentialInterTest(100.0), SWP),
+                                  1.0, 10.0, HORIZON)[2](HORIZON),
+        lambda: estimator._weight(TestingProcess(ExponentialInterTest(100.0), SWP),
+                                  0.0, 7.1, HORIZON)[2](HORIZON),
         lambda: effective_mdri_closed(DEFAULT_ASSAY, 1e308, 1.0, 0.5, REGULAR),
         lambda: effective_mdri_closed(DEFAULT_ASSAY, 710.0, 0.6, 1.0, REGULAR),
         lambda: analytic_bias(DEFAULT_ASSAY, 400.0, 1.0, 1.9, SWP, DEFAULT_PARAMS),
@@ -775,9 +822,10 @@ def test_kernel_keeps_cells_within_its_range():
     eff = effective_mdri_closed(DEFAULT_ASSAY, 300.0, 1.0, 1.9, SWP)
     assert eff == 5.182632637987685e244
     # the Regular weight needs no e^{theta*c}; the scale underflows to 0
-    scale, negatives, total = survey_weight(
+    scale, negatives, integral = estimator._weight(
         TestingProcess(ExponentialInterTest(800.0), REGULAR), 1.0, 1.0, HORIZON
     )
+    total = integral(HORIZON)
     assert (scale, negatives) == (0.0, 1.0) and math.isfinite(total)
     # a window past the curve's range needs no e^{theta*c} either
     eff = effective_mdri_closed(DEFAULT_ASSAY, 100.0, 1.0, 10.0, SWP)

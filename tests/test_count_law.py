@@ -31,7 +31,6 @@ from recencysim.estimator import (
     kassanjee_estimate,
     log_variance,
     survey_composition,
-    survey_weight,
 )
 from recencysim.harness import build_grid, build_sensitivity, run_grid
 from recencysim.population import (
@@ -241,7 +240,8 @@ class TestSurveyLaw:
         s = forecast(rule, DEFAULT_PARAMS, 1.5, r, c, 5000).inclusion_probability
         assert law.inclusion == s
         # admit = P(attend) * s, P(attend) = (1 - p) * (1 + lam * W_0)
-        w_0 = survey_weight(process, r, 0.0, DEFAULT_PARAMS.horizon)[2]
+        tau = DEFAULT_PARAMS.horizon
+        w_0 = estimator._weight(process, r, 0.0, tau)[2](tau)
         attending = (1.0 - DEFAULT_PARAMS.prevalence) * (
             1.0 + DEFAULT_PARAMS.incidence * w_0
         )

@@ -10,10 +10,10 @@ from recencysim.estimator import (
     kassanjee_estimate,
     log_variance,
     survey_composition,
-    survey_weight,
 )
 from recencysim.population import DEFAULT_PARAMS, InfeasibleScenarioError, SurveyCounts
 from recencysim.recency_model import DEFAULT_ASSAY, mdri
+from recencysim.screening_analytics import survey_law
 from recencysim.testing_history import (
     ExponentialInterTest,
     ObservationRule,
@@ -227,17 +227,19 @@ class TestEffectiveMdriArgs:
             assert fn(DEFAULT_ASSAY, 1.0, r, 0.0, ObservationRule.REGULAR) > 0.0
 
 
-class TestSurveyWeightArgs:
-    """The kernel checks (r, c) itself: a negative window read scale e for
-    Exponential(1) and P(T > c) = 1.667 for Uniform(0, 3)."""
+class TestEitherLawArgs:
+    """The entry points that read either inter-test law check (r, c): a
+    negative window would read scale e for Exponential(1) and
+    P(T > c) = 1.667 for Uniform(0, 3)."""
 
+    @pytest.mark.parametrize("entry", [survey_composition, survey_law])
     @pytest.mark.parametrize("rule", list(ObservationRule), ids=lambda r: r.value)
     @pytest.mark.parametrize(
         "law", [ExponentialInterTest(1.0), UniformInterTest(0.0, 3.0)],
         ids=["exponential", "uniform"])
-    def test_rejects_a_negative_window(self, rule, law):
+    def test_rejects_a_negative_window(self, entry, rule, law):
         with pytest.raises(ValueError) as exc:
-            survey_weight(TestingProcess(law, rule), 0.5, -1.0, DEFAULT_PARAMS.horizon)
+            entry(DEFAULT_ASSAY, TestingProcess(law, rule), 0.5, -1.0, DEFAULT_PARAMS)
         assert str(exc.value) == "c must be nonnegative, got -1.0"
 
 

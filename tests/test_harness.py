@@ -923,6 +923,20 @@ class TestHistogram:
             for seed in (0, 12345, 2**64 + 7)]
         assert states == want
 
+    def test_builds_each_weight_once(self, monkeypatch):
+        # three weights, each built once and integrated to every bin edge,
+        # after one (r, c) check: a uniform law builds three piece lists
+        counted = []
+        for module, name in ((estimator, "_uniform_pieces"),
+                             (estimator, "_check_weight_args"),
+                             (harness, "_check_weight_args")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, real=real: (
+                counted.append(name) or real(*args)))
+        emit_histogram(ObservationRule.REGULAR, UniformInterTest(0.0, 3.0), 0.5, seed=1)
+        assert counted.count("_uniform_pieces") == 3, len(counted)
+        assert counted.count("_check_weight_args") == 1, len(counted)
+
     @pytest.mark.parametrize("c", [-1.0, -1e-300, math.nan])
     def test_a_bad_window_raises_before_any_draw(self, monkeypatch, c):
         def refuse(words):
@@ -1174,6 +1188,27 @@ class TestOutputsAndCli:
         assert rc == 0
         assert (tmp_path / "histogram_swp_theta1_c2.csv").exists()
         capsys.readouterr()
+
+    def test_report_bytes_unchanged(self, tmp_path, capsys):
+        # sha256 of table1.csv, a CLI histogram and a uniform-law histogram,
+        # as written before the inter-test law was read in one place
+        assert cli_main(["table1", "--out-dir", str(tmp_path)]) == 0
+        assert cli_main(["histogram", "--rule", "swp", "--theta", "1", "--c", "2",
+                         "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        write_histogram(emit_histogram(ObservationRule.REGULAR, UniformInterTest(0.0, 3.0),
+                                       0.5), tmp_path / "uniform.csv")
+        assert {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.iterdir())
+        } == {
+            "histogram_swp_theta1_c2.csv":
+                "dcdb00194f928a62c704bdb5f2340f0432cded27fa9cdb7bfacce6167eb8a3ea",
+            "table1.csv":
+                "fbd5e97e491008ed1009abbe49edb3ff6a5f9ecea80a47b296f28bd58893b6fe",
+            "uniform.csv":
+                "09c90855c109c0fca6b99ec869cc83d7b2fcf730828903c9534834d86ff4b453",
+        }
 
     def test_cli_histogram_names_each_theta_exactly(self, tmp_path, capsys):
         for theta in ("1", "1.0000001"):
