@@ -163,6 +163,9 @@ def cmd_grid(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     cfg = _load_config(args.config)
+    if cfg.get("grid"):
+        raise ConfigError(f"the grid: block of {args.config} does not apply to "
+                          f"sensitivity, whose suites fix their grids")
     opts = _resolved(args, cfg)
     scenarios = build_sensitivity(
         args.suite, opts["seed"], opts["reps"], opts["n_target"]

@@ -5,7 +5,7 @@ scenario for a number of replications and writes one per-replication CSV,
 one summary CSV, and a JSON run manifest.  A scenario's replications are
 arrays: their counts come from two vectorized draws of its count law, on
 two PCG64 generators keyed by (seed, scenario label, stream): each one's
-seed words are the SHA-256 digest of that triple (`_scenario_states`).
+seed words are the SHA-256 digest of that triple (`_seed_words`).
 Replication i is therefore the same for any replication count, any worker
 count and in whichever grid it appears.
 
@@ -29,8 +29,10 @@ start-up and transfer: `worker_processes` caps `workers` by one worker per
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -143,8 +145,8 @@ class GridResult:
 
 
 #: `summary_columns` keys; the statistics columns of summary.csv
-SUMMARY_STATS = ("median", "mean", "q025", "q975", "var_log", "n_negative",
-                 "n_undefined", "mean_screened")
+SUMMARY_STATS = tuple(SUMMARY_COLUMNS[
+    SUMMARY_COLUMNS.index("median"):SUMMARY_COLUMNS.index("analytic_bias")])
 
 
 def summary_columns(result: GridResult) -> dict:
@@ -196,11 +198,12 @@ def _block_stats(cols, rows, ordered, finite, positive):
         cols["var_log"][rows] = np.var(np.log(positive), axis=1, ddof=1)
 
 
-def _law_fields(process: TestingProcess):
-    law = process.inter_test_law
+def _law_fields(law):
+    """An inter-test law's text in a cell label and its summary fields
+    (law, theta, a, b): the harness's one reader of the law's type."""
     if isinstance(law, ExponentialInterTest):
-        return "exponential", law.theta, "", ""
-    return "uniform", "", law.a, law.b
+        return f"theta{exact_g(law.theta)}", ("exponential", law.theta, "", "")
+    return f"uni{exact_g(law.a)}-{exact_g(law.b)}", ("uniform", "", law.a, law.b)
 
 
 #: uint64 words PCG64 seeds from
@@ -212,7 +215,11 @@ def _seed_words(cells) -> np.ndarray:
     """Block i holds the seed words of cell i = (seed, label), one row per
     stream k (0, 1): the SHA-256 digest of f"{seed:d}\\n{label}\\n{k}"
     (UTF-8), read as 4 little-endian uint64 words.  A seed must be an
-    integer (`operator.index`, so a float is a TypeError) >= 0."""
+    integer (`operator.index`, so a float is a TypeError) >= 0.
+
+    Keying on the label (not the grid position) makes a scenario's streams
+    independent of which grid it appears in, so e.g. an frr=0 sensitivity
+    scenario reproduces its main-grid counterpart exactly."""
     sha256, digests = hashlib.sha256, []
     for seed, label in cells:
         seed = operator.index(seed)
@@ -222,11 +229,6 @@ def _seed_words(cells) -> np.ndarray:
         digests += (sha256(key + b"0").digest(), sha256(key + b"1").digest())
     words = np.frombuffer(b"".join(digests), dtype="<u8")
     return words.astype(_UINT64, copy=False).reshape(-1, 2, _WORDS)
-
-
-def _scenario_states(scenarios: Sequence[Scenario]) -> np.ndarray:
-    """Block i: scenario i's seed words (`_seed_words` of seed and label)."""
-    return _seed_words([(s.seed, s.label) for s in scenarios])
 
 
 class _SeedWords(ISeedSequence):
@@ -244,25 +246,18 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def _streams(states: np.ndarray):
-    """A scenario's two generators, built from its seed words (`_scenario_states`):
-    stream 0 draws the survey compositions and stream 1 the screening counts.
-
-    The words are keyed by (seed, scenario label, stream).  Keying on the
-    label (not the grid position) makes a scenario's stream independent of
-    which grid it appears in, so e.g. an frr=0 sensitivity scenario
-    reproduces its main-grid counterpart exactly.
-    """
-    return (Generator(PCG64(_SeedWords(states[0]))),
-            Generator(PCG64(_SeedWords(states[1]))))
+def _generator(words: np.ndarray) -> Generator:
+    """The PCG64 generator of one stream's seed words (a row of `_seed_words`)."""
+    return Generator(PCG64(_SeedWords(words)))
 
 
 def run_scenario(scenario: Scenario, states: np.ndarray) -> tuple:
     """A drawable scenario's raw draws (`SurveyLaw.draw`) from its
     closed-form count law, on the generators of its seed words `states`
-    (`_scenario_states`)."""
+    (`_seed_words`): stream 0 draws the survey compositions and stream 1
+    the screening counts."""
     return scenario.count_law.draw(
-        scenario.n_target, scenario.replications, _streams(states))
+        scenario.n_target, scenario.replications, tuple(map(_generator, states)))
 
 
 def _run_block(scenarios: Sequence[Scenario], states: np.ndarray):
@@ -342,7 +337,7 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> GridResult:
     reps = reps[0] if reps else 0
     errors = [_error(s) for s in scenarios]
     drawable = [s for s, error in zip(scenarios, errors) if error is None]
-    states = _scenario_states(drawable)
+    states = _seed_words([(s.seed, s.label) for s in drawable])
     step = max(1, _BLOCK_ROWS // max(1, reps))
     starts = range(0, len(drawable), step)
     blocks = [drawable[i:i + step] for i in starts], [states[i:i + step] for i in starts]
@@ -370,11 +365,7 @@ def exact_g(x) -> str:
 
 
 def _scenario_label(rule, law, r, c, frr, assay_name):
-    if isinstance(law, ExponentialInterTest):
-        lawtxt = f"theta{exact_g(law.theta)}"
-    else:
-        lawtxt = f"uni{exact_g(law.a)}-{exact_g(law.b)}"
-    txt = f"{rule.value}_{lawtxt}_r{exact_g(r)}_c{exact_g(c)}"
+    txt = f"{rule.value}_{_law_fields(law)[0]}_r{exact_g(r)}_c{exact_g(c)}"
     if frr:
         txt += f"_frr{exact_g(frr)}"
     if assay_name != "default":
@@ -398,30 +389,36 @@ def build_grid(
         ObservationRule.REGULAR,
         ObservationRule.STOP_WHEN_POSITIVE,
     ),
-    thetas: Sequence[float] = THETA_GRID,
+    thetas: Optional[Sequence[float]] = None,
     rs: Sequence[float] = R_GRID,
     cs: Sequence[float] = C_GRID,
     frrs: Sequence[float] = (0.0,),
     uniform_bs: Optional[Sequence[float]] = None,
     assay_name: str = "default",
-    params: PopulationParams = DEFAULT_PARAMS,
 ) -> List[Scenario]:
     """Every (rule, law, frr, r, c) cell, in that nesting order.  The laws
-    are Exponential(theta) for each of `thetas`, or with `uniform_bs`
-    Uniform(0, b) for each b.  Each list must hold a value, every one a
-    real number but for the rules (YAML's `on` is a bool, `1e-9` text): an
-    empty list or another value is a ValueError naming its config key, and
-    each (r, c) gets the analytic layer's check before its cell is built.  A
-    label keys its cell's random streams, so two cells with one label (a
-    value listed twice) are a ValueError naming the label.  `seed` must be
-    an integer >= 0, and `replications` and `n_target` >= 1, as in the CLI
-    (`_check_count`), before any cell is built."""
+    are Exponential(theta) for each of `thetas` (`THETA_GRID` by default),
+    or with `uniform_bs` Uniform(0, b) for each b; setting both is a
+    ValueError.  Each list must hold a value, every one a real number but
+    for the rules (YAML's `on` is a bool, `1e-9` text): an empty list or
+    another value is a ValueError naming its config key.  Each frr's assay
+    is built once and each (r, c) gets the analytic layer's check once,
+    before any cell is built.  A label keys its cell's random streams, so
+    two cells with one label (a value listed twice) are a ValueError naming
+    the label.  `seed` must be an integer >= 0, and `replications` and
+    `n_target` >= 1, as in the CLI (`_check_count`), before any cell is
+    built."""
     _check_count(seed, "seed", 0)
     _check_count(replications, "replications")
     _check_count(n_target, "n_target")
-    lists = {"rules": rules, "theta": thetas, "r": rs, "c": cs, "frr": frrs}
-    if uniform_bs is not None:
-        lists["uniform_b"] = uniform_bs
+    if uniform_bs is None:
+        law_key, law_values = "theta", THETA_GRID if thetas is None else thetas
+    elif thetas is None:
+        law_key, law_values = "uniform_b", uniform_bs
+    else:
+        raise ValueError("theta and uniform_b cannot both be set: a grid's "
+                         "laws are exponential or uniform")
+    lists = {"rules": rules, law_key: law_values, "r": rs, "c": cs, "frr": frrs}
     for key, values in lists.items():
         values = list(values)
         if not values:
@@ -433,34 +430,27 @@ def build_grid(
         raise ValueError(
             f"unknown assay {assay_name!r}; expected one of: {', '.join(ASSAYS)}"
         )
-    base = ASSAYS[assay_name]
     if uniform_bs is None:
-        laws: List = [ExponentialInterTest(t) for t in thetas]
+        laws: List = [ExponentialInterTest(t) for t in law_values]
     else:
-        laws = [UniformInterTest(0.0, b) for b in uniform_bs]
-    scenarios = []
-    for rule in rules:
-        for law in laws:
-            for frr in frrs:
-                assay = RecencyAssay(
-                    base.gamma_shape, base.gamma_rate, base.recency_cutoff, frr
-                )
-                for r in rs:
-                    for c in cs:
-                        _check_weight_args(r, c)
-                        scenarios.append(
-                            Scenario(
-                                label=_scenario_label(rule, law, r, c, frr, assay_name),
-                                assay=assay,
-                                process=TestingProcess(law, rule),
-                                r=r,
-                                c=c,
-                                params=params,
-                                n_target=n_target,
-                                replications=replications,
-                                seed=seed,
-                            )
-                        )
+        laws = [UniformInterTest(0.0, b) for b in law_values]
+    assays = [dataclasses.replace(ASSAYS[assay_name], frr=frr) for frr in frrs]
+    for r, c in itertools.product(rs, cs):
+        _check_weight_args(r, c)
+    scenarios = [
+        Scenario(
+            label=_scenario_label(rule, law, r, c, assay.frr, assay_name),
+            assay=assay,
+            process=TestingProcess(law, rule),
+            r=r,
+            c=c,
+            params=DEFAULT_PARAMS,
+            n_target=n_target,
+            replications=replications,
+            seed=seed,
+        )
+        for rule, law, assay, r, c in itertools.product(rules, laws, assays, rs, cs)
+    ]
     seen = set()
     for s in scenarios:
         if s.label in seen:
@@ -595,14 +585,14 @@ def _write_summary(result: GridResult, fh) -> bool:
     ))
     rows = [SUMMARY_COLUMNS]
     for sc, error in zip(result.scenarios, result.errors):
-        law, theta, a, b = _law_fields(sc.process)
         row = [
-            sc.label, sc.process.observation_rule.value, law, theta, a, b,
+            sc.label, sc.process.observation_rule.value,
+            *_law_fields(sc.process.inter_test_law)[1],
             _fmt(sc.r), _fmt(sc.c), _fmt(sc.assay.frr), sc.replications,
             sc.n_target,
         ]
         if error is not None:
-            row += ["", "", "", "", "", "", "", "", "", "", f"error:{error}"]
+            row += [""] * 10 + [f"error:{error}"]
         else:
             law = sc.count_law
             row += [
@@ -626,7 +616,6 @@ def emit_histogram(
     n_infected: int = 50_000,
     bin_width: float = 0.25,
     seed: int = 0,
-    params: PopulationParams = DEFAULT_PARAMS,
 ):
     """Composition of the infected population by duration bin.
 
@@ -652,7 +641,7 @@ def emit_histogram(
             f"n_infected must be at most {np.iinfo(np.int64).max}, got {n_infected}")
     _check_weight_args(1.0, c)
     process = TestingProcess(law, rule)
-    tau = params.horizon
+    tau = DEFAULT_PARAMS.horizon
     n_bins = math.ceil(tau / bin_width)
     edges = np.arange(0, n_bins + 1) * bin_width
     weights = [_weight(process, r, window, tau)
@@ -666,7 +655,7 @@ def emit_histogram(
                            unaware_included, unaware - unaware_included))
     # differences of nearly equal masses can fall a few ulps below 0
     p = np.clip(np.diff(cumulative, axis=0) / tau, 0.0, None)
-    rng = Generator(PCG64(_SeedWords(_seed_words([(seed, "histogram")])[0, 0])))
+    rng = _generator(_seed_words([(seed, "histogram")])[0, 0])
     counts = rng.multinomial(n_infected, p.ravel()).reshape(p.shape)
     return [
         (lo, hi, *cells)
@@ -709,7 +698,6 @@ def _table_grid_k(u, p, tstar, theta, c):
 
 def emit_table1(
     n_target: int = 5000,
-    params: PopulationParams = DEFAULT_PARAMS,
     assay: RecencyAssay = DEFAULT_ASSAY,
 ):
     """Analytic bias and screening-burden report under Stop-When-Positive.
@@ -720,6 +708,7 @@ def emit_table1(
     probability.
     """
     u, p, omega = _table_grid(assay)
+    swp, params = ObservationRule.STOP_WHEN_POSITIVE, DEFAULT_PARAMS
     rows = []
     for c, clabel in TABLE1_C:
         for theta in TABLE1_THETA:
@@ -727,12 +716,8 @@ def emit_table1(
             for r in TABLE1_R:
                 omega_eff = omega - (1.0 - r * math.exp(theta * c)) * k
                 bias_grid = params.incidence * (omega_eff / omega - 1.0)
-                bias_exact = analytic_bias(
-                    assay, theta, r, c, ObservationRule.STOP_WHEN_POSITIVE, params
-                )
-                fc = forecast(
-                    ObservationRule.STOP_WHEN_POSITIVE, params, theta, r, c, n_target
-                )
+                bias_exact = analytic_bias(assay, theta, r, c, swp, params)
+                fc = forecast(swp, params, theta, r, c, n_target)
                 unbiased = c >= assay.recency_cutoff or (r == 1.0 and c == 0.0)
                 rows.append(
                     {

@@ -29,7 +29,8 @@ from scipy import integrate, special
 from scipy.special import cython_special, gammaincc
 
 import recencysim
-from recencysim import estimator, recency_model, screening_analytics, testing_history
+from recencysim import (
+    estimator, harness, recency_model, screening_analytics, testing_history)
 from recencysim.estimator import (
     analytic_bias,
     effective_mdri_closed,
@@ -355,13 +356,15 @@ def law_type_tests(tree):
 
 def test_one_reader_of_the_inter_test_law():
     # the analytic modules test a law's type in `estimator._weight` alone,
-    # so a new law plugs in there
+    # and the harness in `_law_fields` alone (labels and summary fields), so
+    # a new law plugs in there
     found = [
         (module.__name__, where)
-        for module in (estimator, screening_analytics)
+        for module in (estimator, screening_analytics, harness)
         for where in law_type_tests(ast.parse(Path(module.__file__).read_text()))
     ]
-    assert found == [("recencysim.estimator", "_weight")]
+    assert found == [("recencysim.estimator", "_weight"),
+                     ("recencysim.harness", "_law_fields")]
 
 
 @RULES

@@ -99,6 +99,37 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             build_sensitivity("nope", 1, 1)
 
+    @pytest.mark.parametrize("build,assays,checks", [
+        (lambda: build_grid(1, 1), 1, 4 * 5),
+        (lambda: build_sensitivity("frr", 1, 1), 4, 4 * 2),
+        (lambda: build_sensitivity("long_mdri", 1, 1), 1, 4 * 5),
+    ], ids=["main", "frr", "long_mdri"])
+    def test_one_assay_per_frr_and_one_check_per_pair(self, monkeypatch, build,
+                                                      assays, checks):
+        # every cell of one frr shares its assay object, and each (r, c) is
+        # checked once, whatever the rules and laws
+        made, checked = [], []
+        real_init = harness.RecencyAssay.__post_init__
+        real_check = harness._check_weight_args
+        monkeypatch.setattr(harness.RecencyAssay, "__post_init__",
+                            lambda self: made.append(self) or real_init(self))
+        monkeypatch.setattr(harness, "_check_weight_args",
+                            lambda r, c: checked.append((r, c)) or real_check(r, c))
+        cells = build()
+        assert len(made) == assays
+        assert len({id(s.assay) for s in cells}) == assays
+        assert len(checked) == len(set(checked)) == checks
+        assert {(s.r, s.c) for s in cells} == set(checked)
+
+    def test_theta_and_uniform_b_together_are_rejected(self, monkeypatch):
+        # theta beside uniform_b was dropped without a word
+        def refuse(**fields):
+            raise AssertionError("a cell was built")
+
+        monkeypatch.setattr(harness, "Scenario", refuse)
+        with pytest.raises(ValueError, match="theta and uniform_b cannot both be set"):
+            build_grid(1, 1, thetas=(1.0,), uniform_bs=(3.0,))
+
     def test_assay_by_name(self):
         long = build_grid(1, 1, thetas=(1.0,), rs=(1.0,), cs=(0.0,), assay_name="long")
         assert [s.label for s in long] == ["regular_theta1_r1_c0_long",
@@ -178,7 +209,8 @@ class TestDeterminism:
     def test_first_replications_do_not_depend_on_the_count(self, uniform_bs):
         # the block draws are R sequential draws on each generator, so the
         # first k replications of an R-replication run are a k-replication run
-        cells = build_grid(3, 9, n_target=300, rs=(0.3,), cs=(1.0,), thetas=(1.5,),
+        cells = build_grid(3, 9, n_target=300, rs=(0.3,), cs=(1.0,),
+                           thetas=(1.5,) if uniform_bs is None else None,
                            uniform_bs=uniform_bs)
         for cell in cells:
             full = grid_cells(run_grid([cell]))[0]
@@ -271,7 +303,7 @@ class TestSeedStates:
         mixed = [dataclasses.replace(s, seed=seed)
                  for s, seed in zip(cells, itertools.cycle(self.SEEDS))]
         for scenarios in (mixed, build_grid(2**64 + 7, 1)):
-            got = harness._scenario_states(scenarios)
+            got = harness._seed_words([(s.seed, s.label) for s in scenarios])
             assert got.shape == (len(scenarios), 2, 4) and got.dtype == np.uint64
             assert got.flags.c_contiguous
             np.testing.assert_array_equal(got, self.reference_words(scenarios))
@@ -284,7 +316,7 @@ class TestSeedStates:
         cells = small_grid()
         bad = [cells[0], dataclasses.replace(cells[1], seed=seed)]
         with pytest.raises(error):
-            harness._scenario_states(bad)
+            harness._seed_words([(s.seed, s.label) for s in bad])
         with pytest.raises(error):
             run_grid(bad)
 
@@ -303,7 +335,7 @@ class TestSeedStates:
                 assert np.array_equal(getattr(res.counts, name), column), name
 
     def test_empty_grid(self):
-        assert harness._scenario_states([]).shape == (0, 2, 4)
+        assert harness._seed_words([]).shape == (0, 2, 4)
         assert grid_cells(run_grid([])) == []
 
     def test_seed_words_are_held_contiguous(self):
@@ -1388,6 +1420,41 @@ class TestOutputsAndCli:
         assert [(r["scenario"], r["theta"], r["status"]) for r in rows] == [
             ("regular_theta1e-09_r0_c1", "1e-09", "ok"),
             ("swp_theta1e-09_r0_c1", "1e-09", "ok")]
+
+    def test_cli_rejects_theta_beside_uniform_b(self, tmp_path, capsys):
+        # ran the 40 uniform cells and exited 0, theta dropped
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"out_dir: {tmp_path / 'out'}\ngrid:\n  theta: [1.0]\n"
+                       "  uniform_b: [3.0]\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["grid", "--config", str(cfg), "--reps", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"bad value in the grid: block of {cfg}" in err
+        assert "theta and uniform_b cannot both be set" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("block", ["theta: [2.0]", "assay: long", "rules: []"])
+    def test_cli_sensitivity_rejects_a_grid_block(self, tmp_path, capsys, block):
+        # the frr suite ran theta 0.4 and 1.0 whatever the block set
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"out_dir: {tmp_path / 'out'}\ngrid:\n  {block}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sensitivity", "frr", "--config", str(cfg), "--reps", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"the grid: block of {cfg} does not apply to sensitivity" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("block", ["", " null", " {}"], ids=["empty", "null", "{}"])
+    def test_cli_sensitivity_accepts_an_empty_grid_block(self, tmp_path, capsys,
+                                                         block):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"n_target: 200\nout_dir: {tmp_path / 'out'}\ngrid:{block}\n")
+        assert cli_main(["sensitivity", "uniform_intertest", "--config", str(cfg),
+                         "--reps", "1"]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "out" / "summary.csv").exists()
 
     @pytest.mark.parametrize("key", ["rules", "theta", "r", "c", "frr", "uniform_b"])
     def test_cli_rejects_empty_grid_list(self, tmp_path, capsys, key):

@@ -1,6 +1,6 @@
 """The package's source holds no unused code: every import is read by its
 module (or exported through `__all__`), and every module-level private
-function or class is referenced somewhere in the package."""
+function, class or constant is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -34,7 +34,7 @@ def imported(tree):
 def referenced(tree):
     """Every name a module reads, takes as an attribute or imports."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -49,14 +49,24 @@ def test_every_import_is_used(name):
     assert [n for n in imported(tree) if n not in read | exported(tree)] == []
 
 
+def defined(node):
+    """The names a module-level statement defines: a function's or class's,
+    or those an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def test_every_private_definition_is_referenced():
     used = {n for tree in TREES.values() for n in referenced(tree)}
     unused = [
-        (name, node.name)
+        (name, defined_name)
         for name, tree in TREES.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
-        and node.name not in used
+        for defined_name in defined(node)
+        if defined_name.startswith("_") and not defined_name.startswith("__")
+        and defined_name not in used
     ]
     assert unused == []
