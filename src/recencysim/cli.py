@@ -8,7 +8,8 @@ Subcommands:
   mdri         one-shot effective-MDRI query
 
 A YAML config file can set any grid parameter; CLI flags override it.
-Unknown config keys and out-of-range values are usage errors (exit 2).
+Unknown config keys, keys the command does not read and out-of-range
+values are usage errors (exit 2).
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ def _add_common(p, *counts):
 
 
 CONFIG_KEYS = {"seed", "replications", "n_target", "out_dir", "workers", "grid"}
+#: the config keys each command reads; setting another is a usage error
+COMMAND_KEYS = {
+    "grid": CONFIG_KEYS,
+    "sensitivity": CONFIG_KEYS - {"grid"},
+    "table1": {"out_dir", "n_target"},
+    "histogram": {"seed", "out_dir"},
+}
 #: `grid:` keys and the `build_grid` arguments they set; a key the config
 #: leaves out keeps build_grid's default
 GRID_ARGS = {
@@ -71,7 +79,10 @@ def _check_keys(block, allowed, where):
         )
 
 
-def _load_config(path):
+def _load_config(path, command):
+    """The config file at `path` as a mapping ({} for None) of the keys
+    `command` reads (`COMMAND_KEYS`); another key is a ConfigError, after
+    the mapping and key checks, unless it is null or empty (unset)."""
     if path is None:
         return {}
     import yaml  # here, not at module top: only --config needs it
@@ -86,7 +97,13 @@ def _load_config(path):
     _check_keys(cfg, CONFIG_KEYS, f"config {path}")
     grid = {} if cfg.get("grid") is None else cfg["grid"]
     _check_keys(grid, set(GRID_ARGS), f"the grid: block of {path}")
-    return cfg
+    read = COMMAND_KEYS[command]
+    for key, value in cfg.items():
+        if key not in read and value not in (None, {}, [], ""):
+            raise ConfigError(
+                f"the {key}: {'block' if key == 'grid' else 'key'} of {path} does "
+                f"not apply to {command}, which reads only: {', '.join(sorted(read))}")
+    return {key: value for key, value in cfg.items() if key in read}
 
 
 def _out_dir(path):
@@ -141,7 +158,7 @@ def _run_and_write(scenarios, opts, cfg, label):
 
 
 def cmd_grid(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.command)
     opts = _resolved(args, cfg)
     grid_cfg = cfg.get("grid") or {}
     try:
@@ -162,10 +179,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    cfg = _load_config(args.config)
-    if cfg.get("grid"):
-        raise ConfigError(f"the grid: block of {args.config} does not apply to "
-                          f"sensitivity, whose suites fix their grids")
+    cfg = _load_config(args.config, args.command)
     opts = _resolved(args, cfg)
     scenarios = build_sensitivity(
         args.suite, opts["seed"], opts["reps"], opts["n_target"]
@@ -174,7 +188,7 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_histogram(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.command)
     opts = _resolved(args, cfg)
     rule = ObservationRule(args.rule)
     _check_count(args.n_infected, "--n-infected", 1, ConfigError)
@@ -193,7 +207,7 @@ def cmd_histogram(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.command)
     opts = _resolved(args, cfg)
     out_dir = opts["out_dir"]
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -905,6 +905,86 @@ class TestReplicationsWriter:
         with pytest.raises(ValueError, match="would need CSV quoting"):
             harness._write_replications(res, io.StringIO())
 
+    def test_chunks_byte_identical_to_csv_writer(self, monkeypatch):
+        # two drawn cells a chunk at 4 replications, error cells between
+        # drawn ones: the chunks' lines are the one csv.writer writes
+        monkeypatch.setattr(harness, "_WRITE_ROWS", 8)
+        cells = [*grid_cells(run_grid(small_grid(reps=4))),
+                 *grid_cells(run_grid(small_grid(seed=8, reps=4, n_target=300)))]
+        error = Cell(small_grid()[0], "no attendee", None, np.empty(0))
+        result = grid_of([cells[0], error, *cells[1:4], error, error,
+                          *cells[4:7], error, cells[7]])
+
+        class Writes(io.StringIO):
+            calls = 0
+
+            def write(self, text):
+                Writes.calls += 1
+                return super().write(text)
+
+        fh = Writes(newline="")
+        harness._write_replications(result, fh)
+        assert fh.getvalue() == csv_writer_replications(result)
+        assert Writes.calls == 1 + 4  # the header, then 8 drawn cells 2 a chunk
+
+
+def csv_writer_summary(result):
+    """summary.csv as csv.writer writes it, row by row: a cell's fields
+    (theta, a and b as they are, r, c and frr through `_fmt`), then its
+    `summary_columns` statistics (counts as integers, the others with
+    .10g) and its analytic columns, or ten empty fields and its error."""
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    w.writerow(SUMMARY_COLUMNS)
+    columns = harness.summary_columns(result)
+    rows = iter(zip(*columns.values()))
+    for s, error in zip(result.scenarios, result.errors, strict=True):
+        law = s.process.inter_test_law
+        fields = (("exponential", law.theta, "", "")
+                  if isinstance(law, ExponentialInterTest) else
+                  ("uniform", "", law.a, law.b))
+        row = [s.label, s.process.observation_rule.value, *fields,
+               harness._fmt(s.r), harness._fmt(s.c), harness._fmt(s.assay.frr),
+               s.replications, s.n_target]
+        if error is not None:
+            w.writerow(row + [""] * 10 + [f"error:{error}"])
+            continue
+        stats = [value if key in ("n_negative", "n_undefined") else f"{value:.10g}"
+                 for key, value in zip(columns, next(rows))]
+        law = s.count_law
+        w.writerow(row + stats + [harness._fmt(law.analytic_bias),
+                                  harness._fmt(law.analytic_variance(s.n_target)),
+                                  "ok"])
+    assert next(rows, None) is None
+    return fh.getvalue()
+
+
+class TestSummaryWriter:
+    @pytest.mark.parametrize("suite", ["main", "frr", "uniform_intertest", "long_mdri"])
+    def test_byte_identical_to_csv_writer(self, suite):
+        scenarios = (build_grid(1, 3, n_target=500) if suite == "main"
+                     else build_sensitivity(suite, 1, 3, n_target=500))
+        result = run_grid(scenarios)
+        fh = io.StringIO(newline="")
+        assert harness._write_summary(result, fh)
+        assert fh.getvalue() == csv_writer_summary(result)
+
+    def test_free_text_quoted_as_csv_writer_quotes_it(self):
+        # the error text and a hand-made label hold every character that
+        # needs quoting; csv.reader reads both back as they were
+        message = 'gap "b" too short,\nsee c\r\nnext'
+        cells = grid_cells(run_grid(small_grid(reps=3)))
+        odd = dataclasses.replace(cells[1].scenario, label='swp,"theta"1')
+        result = grid_of([cells[0], Cell(cells[2].scenario, message, None, np.empty(0)),
+                          cells[1]._replace(scenario=odd), *cells[3:]])
+        fh = io.StringIO(newline="")
+        assert not harness._write_summary(result, fh)
+        assert fh.getvalue() == csv_writer_summary(result)
+        rows = list(csv.reader(io.StringIO(fh.getvalue(), newline="")))
+        assert len(rows) == 1 + len(cells)
+        assert rows[2][-1] == f"error:{message}"
+        assert (rows[3][0], rows[3][-1]) == (odd.label, "ok")
+
 
 class TestHistogram:
     def test_no_exclusion_no_excluded_mass(self):
@@ -1455,6 +1535,47 @@ class TestOutputsAndCli:
                          "--reps", "1"]) == 0
         capsys.readouterr()
         assert (tmp_path / "out" / "summary.csv").exists()
+
+    @pytest.mark.parametrize("argv,body,key,kind", [
+        (["table1"], "replications: 7\ngrid: {theta: [2.0]}\n", "replications", "key"),
+        (["table1"], "grid:\n  theta: [2.0]\n", "grid", "block"),
+        (["table1"], "seed: 3\n", "seed", "key"),
+        (["table1"], "workers: 2\n", "workers", "key"),
+        (["histogram", "--n-infected", "100"], "n_target: 200\n", "n_target", "key"),
+        (["histogram", "--n-infected", "100"], "replications: 0\n", "replications",
+         "key"),
+        (["histogram", "--n-infected", "100"], "grid: {rules: [swp]}\n", "grid",
+         "block"),
+    ], ids=["table1-replications", "table1-grid", "table1-seed", "table1-workers",
+            "histogram-n_target", "histogram-replications", "histogram-grid"])
+    def test_cli_rejects_a_config_key_the_command_ignores(self, tmp_path, capsys,
+                                                          monkeypatch, argv, body,
+                                                          key, kind):
+        # table1 wrote the fixed table and histogram the theta = 1 one, exit 0
+        self.refuse_work(monkeypatch)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(body + f"out_dir: {tmp_path / 'out'}\n")
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*argv, "--config", str(cfg)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"the {key}: {kind} of {cfg} does not apply to {argv[0]}" in captured.err
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("argv,name", [
+        (["table1"], "table1.csv"),
+        (["histogram", "--n-infected", "100"], "histogram_swp_theta1_c1.csv"),
+    ], ids=["table1", "histogram"])
+    def test_cli_reads_a_null_or_empty_key_as_unset(self, tmp_path, capsys, argv,
+                                                    name):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"out_dir: {tmp_path / 'out'}\nreplications: null\n"
+                       "workers:\ngrid: {}\n")
+        assert cli_main([*argv, "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [name]
 
     @pytest.mark.parametrize("key", ["rules", "theta", "r", "c", "frr", "uniform_b"])
     def test_cli_rejects_empty_grid_list(self, tmp_path, capsys, key):
