@@ -1,13 +1,16 @@
 """Command-line entry point.
 
 Subcommands:
-  grid         run the main scenario grid
-  sensitivity  run one of the preset sensitivity suites
+  grid         run the main scenario grid, or the config's `grid:` block
+  sensitivity  run `grid` on one sensitivity suite's `grid:` block
+               (`harness.SUITES`)
   histogram    emit the infected-population composition histogram
   table1       emit the analytic bias / screening-burden table
   mdri         one-shot effective-MDRI query
 
-A YAML config file can set any grid parameter; CLI flags override it.
+A YAML config file can set any grid parameter, its `grid:` block holding
+`build_grid`'s axes by their names (`harness.GRID_KEYS`); CLI flags
+override it.
 Unknown config keys, keys the command does not read and out-of-range
 values are usage errors (exit 2).
 """
@@ -21,9 +24,10 @@ from pathlib import Path
 
 from .estimator import analytic_bias, effective_mdri_closed, effective_mdri_numeric
 from .harness import (
+    GRID_KEYS,
+    SUITES,
     _check_count,
     build_grid,
-    build_sensitivity,
     default_out_dir,
     emit_histogram,
     emit_table1,
@@ -55,12 +59,6 @@ COMMAND_KEYS = {
     "sensitivity": CONFIG_KEYS - {"grid"},
     "table1": {"out_dir", "n_target"},
     "histogram": {"seed", "out_dir"},
-}
-#: `grid:` keys and the `build_grid` arguments they set; a key the config
-#: leaves out keeps build_grid's default
-GRID_ARGS = {
-    "rules": "rules", "theta": "thetas", "r": "rs", "c": "cs", "frr": "frrs",
-    "uniform_b": "uniform_bs", "assay": "assay_name",
 }
 
 
@@ -96,7 +94,7 @@ def _load_config(path, command):
     cfg = {} if cfg is None else cfg
     _check_keys(cfg, CONFIG_KEYS, f"config {path}")
     grid = {} if cfg.get("grid") is None else cfg["grid"]
-    _check_keys(grid, set(GRID_ARGS), f"the grid: block of {path}")
+    _check_keys(grid, set(GRID_KEYS), f"the grid: block of {path}")
     read = COMMAND_KEYS[command]
     for key, value in cfg.items():
         if key not in read and value not in (None, {}, [], ""):
@@ -142,7 +140,19 @@ def _resolved(args, cfg):
     }
 
 
-def _run_and_write(scenarios, opts, cfg, label):
+def cmd_grid(args) -> int:
+    """`grid` on the config's `grid:` block, or `sensitivity <suite>`: `grid`
+    on the suite's block (`SUITES`); a block key left out keeps
+    `build_grid`'s default."""
+    cfg = _load_config(args.config, args.command)
+    opts = _resolved(args, cfg)
+    suite = getattr(args, "suite", None)
+    label, axes = (("grid", cfg.get("grid") or {}) if suite is None
+                   else (f"sensitivity:{suite}", SUITES[suite]))
+    try:
+        scenarios = build_grid(opts["seed"], opts["reps"], opts["n_target"], **axes)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value in the grid: block of {args.config}: {exc}")
     t0 = time.perf_counter()  # monotonic: a wall-clock step cannot skew it
     result = run_grid(scenarios, workers=opts["workers"])
     ok = write_results(
@@ -155,36 +165,6 @@ def _run_and_write(scenarios, opts, cfg, label):
     )
     print(f"{label}: {len(result.scenarios)} scenarios -> {opts['out_dir']}")
     return 0 if ok else 1
-
-
-def cmd_grid(args) -> int:
-    cfg = _load_config(args.config, args.command)
-    opts = _resolved(args, cfg)
-    grid_cfg = cfg.get("grid") or {}
-    try:
-        kwargs = {
-            arg: grid_cfg[key] for key, arg in GRID_ARGS.items() if key in grid_cfg
-        }
-        if "rules" in kwargs:
-            kwargs["rules"] = [ObservationRule(r) for r in kwargs["rules"]]
-        scenarios = build_grid(
-            seed=opts["seed"],
-            replications=opts["reps"],
-            n_target=opts["n_target"],
-            **kwargs,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value in the grid: block of {args.config}: {exc}")
-    return _run_and_write(scenarios, opts, cfg, "grid")
-
-
-def cmd_sensitivity(args) -> int:
-    cfg = _load_config(args.config, args.command)
-    opts = _resolved(args, cfg)
-    scenarios = build_sensitivity(
-        args.suite, opts["seed"], opts["reps"], opts["n_target"]
-    )
-    return _run_and_write(scenarios, opts, cfg, f"sensitivity:{args.suite}")
 
 
 def cmd_histogram(args) -> int:
@@ -261,9 +241,9 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("sensitivity", help="run a sensitivity suite")
-    p.add_argument("suite", choices=["frr", "uniform_intertest", "long_mdri"])
+    p.add_argument("suite", choices=list(SUITES))
     _add_common(p, "seed", "reps", "workers")
-    p.set_defaults(func=cmd_sensitivity)
+    p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("histogram", help="emit infected-population histogram data")
     p.add_argument("--rule", choices=["regular", "swp"], default="swp")

@@ -9,6 +9,10 @@ seed words are the SHA-256 digest of that triple (`_seed_words`).
 Replication i is therefore the same for any replication count, any worker
 count and in whichever grid it appears.
 
+`build_grid` builds a grid from its axes, named as the keys of a config's
+`grid:` block (`GRID_KEYS`).  Each sensitivity suite is one such block
+(`SUITES`), so `build_sensitivity` is `build_grid` on it.
+
 `run_grid` computes every count law and every error first, in-process,
 and cuts the drawable scenarios once into blocks of `_BLOCK_ROWS //
 replications` (at least one: the whole grid at a few replications a cell).
@@ -39,6 +43,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -46,6 +51,7 @@ import numbers
 import operator
 import os
 import platform
+from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -206,11 +212,13 @@ def _block_stats(cols, rows, ordered, finite, positive):
 
 
 def _law_fields(law):
-    """An inter-test law's text in a cell label and its summary fields
-    (law, theta, a, b): the harness's one reader of the law's type."""
+    """An inter-test law's name and parameters in a cell label, and its
+    summary fields (law, theta, a, b): the harness's one reader of the law's
+    type.  Only a label formats the parameters (`_scenario_label`), so a
+    summary row reads its fields as they are."""
     if isinstance(law, ExponentialInterTest):
-        return f"theta{exact_g(law.theta)}", ("exponential", law.theta, "", "")
-    return f"uni{exact_g(law.a)}-{exact_g(law.b)}", ("uniform", "", law.a, law.b)
+        return "theta", (law.theta,), ("exponential", law.theta, "", "")
+    return "uni", (law.a, law.b), ("uniform", "", law.a, law.b)
 
 
 #: uint64 words PCG64 seeds from
@@ -372,7 +380,9 @@ def exact_g(x) -> str:
 
 
 def _scenario_label(rule, law, r, c, frr, assay_name):
-    txt = f"{rule.value}_{_law_fields(law)[0]}_r{exact_g(r)}_c{exact_g(c)}"
+    name, values, _ = _law_fields(law)
+    txt = (f"{rule.value}_{name}{'-'.join(map(exact_g, values))}"
+           f"_r{exact_g(r)}_c{exact_g(c)}")
     if frr:
         txt += f"_frr{exact_g(frr)}"
     if assay_name != "default":
@@ -392,22 +402,22 @@ def build_grid(
     seed: int,
     replications: int,
     n_target: int = 5000,
-    rules: Sequence[ObservationRule] = (
-        ObservationRule.REGULAR,
-        ObservationRule.STOP_WHEN_POSITIVE,
-    ),
-    thetas: Optional[Sequence[float]] = None,
-    rs: Sequence[float] = R_GRID,
-    cs: Sequence[float] = C_GRID,
-    frrs: Sequence[float] = (0.0,),
-    uniform_bs: Optional[Sequence[float]] = None,
-    assay_name: str = "default",
+    rules: Sequence = (ObservationRule.REGULAR, ObservationRule.STOP_WHEN_POSITIVE),
+    theta: Optional[Sequence[float]] = None,
+    r: Sequence[float] = R_GRID,
+    c: Sequence[float] = C_GRID,
+    frr: Sequence[float] = (0.0,),
+    uniform_b: Optional[Sequence[float]] = None,
+    assay: str = "default",
 ) -> List[Scenario]:
-    """Every (rule, law, frr, r, c) cell, in that nesting order.  The laws
-    are Exponential(theta) for each of `thetas` (`THETA_GRID` by default),
-    or with `uniform_bs` Uniform(0, b) for each b; setting both is a
-    ValueError.  Each list must hold a value, every one a real number but
-    for the rules (YAML's `on` is a bool, `1e-9` text): an empty list or
+    """Every (rule, law, frr, r, c) cell, in that nesting order.  The axes
+    after `n_target` are the keys of a config's `grid:` block (`GRID_KEYS`).
+    A rule is an `ObservationRule` or its value.  The laws are
+    Exponential(theta) for each `theta` (`THETA_GRID` by default), or with
+    `uniform_b` Uniform(0, b) for each b; setting both is a ValueError.
+    Each axis must be a list (not a string, a mapping or a single value)
+    that holds a value, every one a real number but for the rules (YAML's
+    `on` is a bool, `1e-9` text), and `assay` the name of one of `ASSAYS`:
     another value is a ValueError naming its config key.  Each frr's assay
     is built once and each (r, c) gets the analytic layer's check once,
     before any cell is built.  A label keys its cell's random streams, so
@@ -418,45 +428,50 @@ def build_grid(
     _check_count(seed, "seed", 0)
     _check_count(replications, "replications")
     _check_count(n_target, "n_target")
-    if uniform_bs is None:
-        law_key, law_values = "theta", THETA_GRID if thetas is None else thetas
-    elif thetas is None:
-        law_key, law_values = "uniform_b", uniform_bs
+    if uniform_b is None:
+        law_key, law_values = "theta", THETA_GRID if theta is None else theta
+    elif theta is None:
+        law_key, law_values = "uniform_b", uniform_b
     else:
         raise ValueError("theta and uniform_b cannot both be set: a grid's "
                          "laws are exponential or uniform")
-    lists = {"rules": rules, law_key: law_values, "r": rs, "c": cs, "frr": frrs}
-    for key, values in lists.items():
-        values = list(values)
+    axes = {"rules": rules, law_key: law_values, "r": r, "c": c, "frr": frr}
+    for key, values in axes.items():
+        if isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
+            raise ValueError(f"{key} must be a list of values, got {values!r}")
+        axes[key] = values = list(values)
         if not values:
             raise ValueError(f"{key} must list at least one value, got []")
         for value in values if key != "rules" else ():
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{key} values must be numbers, got {value!r}")
-    if assay_name not in ASSAYS:
+    if not isinstance(assay, str) or assay not in ASSAYS:
         raise ValueError(
-            f"unknown assay {assay_name!r}; expected one of: {', '.join(ASSAYS)}"
+            f"unknown assay {assay!r}; expected one of: {', '.join(ASSAYS)}"
         )
-    if uniform_bs is None:
-        laws: List = [ExponentialInterTest(t) for t in law_values]
+    rules = [ObservationRule(rule) for rule in axes["rules"]]
+    if uniform_b is None:
+        laws: List = [ExponentialInterTest(t) for t in axes[law_key]]
     else:
-        laws = [UniformInterTest(0.0, b) for b in law_values]
-    assays = [dataclasses.replace(ASSAYS[assay_name], frr=frr) for frr in frrs]
-    for r, c in itertools.product(rs, cs):
-        _check_weight_args(r, c)
+        laws = [UniformInterTest(0.0, b) for b in axes[law_key]]
+    assays = [dataclasses.replace(ASSAYS[assay], frr=x) for x in axes["frr"]]
+    pairs = list(itertools.product(axes["r"], axes["c"]))
+    for pair in pairs:
+        _check_weight_args(*pair)
     scenarios = [
         Scenario(
-            label=_scenario_label(rule, law, r, c, assay.frr, assay_name),
-            assay=assay,
+            label=_scenario_label(rule, law, ratio, window, cell_assay.frr, assay),
+            assay=cell_assay,
             process=TestingProcess(law, rule),
-            r=r,
-            c=c,
+            r=ratio,
+            c=window,
             params=DEFAULT_PARAMS,
             n_target=n_target,
             replications=replications,
             seed=seed,
         )
-        for rule, law, assay, r, c in itertools.product(rules, laws, assays, rs, cs)
+        for rule, law, cell_assay, (ratio, window)
+        in itertools.product(rules, laws, assays, pairs)
     ]
     seen = set()
     for s in scenarios:
@@ -466,17 +481,24 @@ def build_grid(
     return scenarios
 
 
+#: the keys of a config's `grid:` block: `build_grid`'s axes, by name
+GRID_KEYS = tuple(inspect.signature(build_grid).parameters)[3:]
+
+#: the sensitivity suites, each the `grid:` block `build_grid` runs for it
+SUITES = {
+    "frr": {"theta": (0.4, 1.0), "c": (0.0, 2.0), "frr": FRR_GRID},
+    "uniform_intertest": {"uniform_b": (3.0, 4.0)},
+    "long_mdri": {"assay": "long"},
+}
+
+
 def build_sensitivity(suite: str, seed: int, replications: int, n_target: int = 5000):
-    if suite == "frr":
-        return build_grid(
-            seed, replications, n_target,
-            thetas=(0.4, 1.0), cs=(0.0, 2.0), frrs=FRR_GRID,
-        )
-    if suite == "uniform_intertest":
-        return build_grid(seed, replications, n_target, uniform_bs=(3.0, 4.0))
-    if suite == "long_mdri":
-        return build_grid(seed, replications, n_target, assay_name="long")
-    raise ValueError(f"unknown sensitivity suite: {suite}")
+    """The grid of the sensitivity suite `suite` (`SUITES`); an unknown
+    name is a ValueError listing the suites."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown sensitivity suite: {suite}; "
+                         f"expected one of: {', '.join(SUITES)}")
+    return build_grid(seed, replications, n_target, **SUITES[suite])
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +644,7 @@ def _write_summary(result: GridResult, fh) -> bool:
     ))
     lines = [",".join(SUMMARY_COLUMNS) + "\r\n"]
     for s, error in zip(result.scenarios, result.errors):
-        law, theta, a, b = _law_fields(s.process.inter_test_law)[1]
+        law, theta, a, b = _law_fields(s.process.inter_test_law)[2]
         line = (f"{_quoted(s.label)},{s.process.observation_rule.value},{law},"
                 f"{theta},{a},{b},{_fmt(s.r)},{_fmt(s.c)},{_fmt(s.assay.frr)},"
                 f"{s.replications},{s.n_target},")

@@ -218,9 +218,9 @@ def test_every_law_draws_from_the_count_law(monkeypatch):
 
     monkeypatch.setattr(harness, "survey_law", counting)
     for uniform_bs in (None, (3.0,)):
-        (cell,) = build_grid(3, 1, n_target=200, rs=(0.6,), cs=(1.0,), rules=(SWP,),
-                             thetas=(1.0,) if uniform_bs is None else None,
-                             uniform_bs=uniform_bs)
+        (cell,) = build_grid(3, 1, n_target=200, r=(0.6,), c=(1.0,), rules=(SWP,),
+                             theta=(1.0,) if uniform_bs is None else None,
+                             uniform_b=uniform_bs)
         counts = grid_cells(run_grid([cell]))[0].counts
         want = drawn_counts(cell.count_law, 200, 1, sha256_streams(cell))
         assert vars(counts).keys() == vars(want).keys()

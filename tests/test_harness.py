@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from scipy import stats
 
 import recencysim
@@ -27,6 +29,8 @@ from recencysim.estimator import (
     log_variance, survey_composition)
 from recencysim import harness
 from recencysim.harness import (
+    GRID_KEYS,
+    SUITES,
     SUMMARY_COLUMNS,
     GridResult,
     Scenario,
@@ -55,7 +59,7 @@ from test_count_law import (
 def small_grid(seed=7, reps=2, n_target=400):
     return build_grid(
         seed, reps, n_target=n_target,
-        thetas=(1.0,), rs=(0.6, 1.0), cs=(0.0, 1.0),
+        theta=(1.0,), r=(0.6, 1.0), c=(0.0, 1.0),
     )
 
 
@@ -83,8 +87,8 @@ class TestGridConstruction:
 
     def test_labels_keep_values_beyond_g(self):
         # `:g` writes both thetas as "1"; one label would key one stream
-        cells = build_grid(1, 4, n_target=300, thetas=(1.0, 1.0000001), rs=(0.6,),
-                           cs=(1.0,), rules=(ObservationRule.STOP_WHEN_POSITIVE,))
+        cells = build_grid(1, 4, n_target=300, theta=(1.0, 1.0000001), r=(0.6,),
+                           c=(1.0,), rules=(ObservationRule.STOP_WHEN_POSITIVE,))
         assert [s.label for s in cells] == ["swp_theta1_r0.6_c1",
                                             "swp_theta1.0000001_r0.6_c1"]
         a, b = grid_cells(run_grid(cells))
@@ -93,11 +97,25 @@ class TestGridConstruction:
     def test_repeated_value_is_rejected(self):
         with pytest.raises(ValueError,
                            match="two cells share the label 'regular_theta1_r0_c0'"):
-            build_grid(1, 1, thetas=(1.0, 1.0))
+            build_grid(1, 1, theta=(1.0, 1.0))
 
     def test_unknown_suite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown sensitivity suite: nope; "
+                           "expected one of: frr, uniform_intertest, long_mdri"):
             build_sensitivity("nope", 1, 1)
+
+    def test_axes_are_the_grid_keys(self):
+        # a config's grid: block passes its keys to build_grid as they are
+        params = list(inspect.signature(build_grid).parameters)
+        assert GRID_KEYS == ("rules", "theta", "r", "c", "frr", "uniform_b", "assay")
+        assert params == ["seed", "replications", "n_target", *GRID_KEYS]
+        assert all(set(block) <= set(GRID_KEYS) for block in SUITES.values())
+
+    def test_rule_by_value(self):
+        axes = dict(theta=(1.0,), r=(0.6,), c=(1.0,))
+        assert build_grid(1, 1, rules=["swp", "regular"], **axes) == build_grid(
+            1, 1, rules=(ObservationRule.STOP_WHEN_POSITIVE, ObservationRule.REGULAR),
+            **axes)
 
     @pytest.mark.parametrize("build,assays,checks", [
         (lambda: build_grid(1, 1), 1, 4 * 5),
@@ -128,19 +146,19 @@ class TestGridConstruction:
 
         monkeypatch.setattr(harness, "Scenario", refuse)
         with pytest.raises(ValueError, match="theta and uniform_b cannot both be set"):
-            build_grid(1, 1, thetas=(1.0,), uniform_bs=(3.0,))
+            build_grid(1, 1, theta=(1.0,), uniform_b=(3.0,))
 
     def test_assay_by_name(self):
-        long = build_grid(1, 1, thetas=(1.0,), rs=(1.0,), cs=(0.0,), assay_name="long")
+        long = build_grid(1, 1, theta=(1.0,), r=(1.0,), c=(0.0,), assay="long")
         assert [s.label for s in long] == ["regular_theta1_r1_c0_long",
                                            "swp_theta1_r1_c0_long"]
         assert long[0].assay.gamma_shape == LONG_ASSAY.gamma_shape
-        default = build_grid(1, 1, thetas=(1.0,), rs=(1.0,), cs=(0.0,))
+        default = build_grid(1, 1, theta=(1.0,), r=(1.0,), c=(0.0,))
         assert default[0].assay == DEFAULT_ASSAY
 
     def test_unknown_assay(self):
         with pytest.raises(ValueError, match="unknown assay 'defualt'"):
-            build_grid(1, 1, assay_name="defualt")
+            build_grid(1, 1, assay="defualt")
 
     @pytest.mark.parametrize(
         "args,kwargs,message",
@@ -180,9 +198,9 @@ class TestGridConstruction:
     @pytest.mark.parametrize("n_target", [np.uint16(300), np.uint64(300)],
                              ids=["uint16", "uint64"])
     def test_numpy_integer_counts_are_counts(self, n_target):
-        want = build_grid(3, 2, n_target=300, thetas=(1.0,), rs=(0.6,), cs=(1.0,))
+        want = build_grid(3, 2, n_target=300, theta=(1.0,), r=(0.6,), c=(1.0,))
         got = build_grid(np.int64(3), np.int32(2), n_target=n_target,
-                         thetas=(1.0,), rs=(0.6,), cs=(1.0,))
+                         theta=(1.0,), r=(0.6,), c=(1.0,))
         assert got == want
         for a, b in zip(grid_cells(run_grid(got)), grid_cells(run_grid(want)),
                         strict=True):
@@ -209,9 +227,9 @@ class TestDeterminism:
     def test_first_replications_do_not_depend_on_the_count(self, uniform_bs):
         # the block draws are R sequential draws on each generator, so the
         # first k replications of an R-replication run are a k-replication run
-        cells = build_grid(3, 9, n_target=300, rs=(0.3,), cs=(1.0,),
-                           thetas=(1.5,) if uniform_bs is None else None,
-                           uniform_bs=uniform_bs)
+        cells = build_grid(3, 9, n_target=300, r=(0.3,), c=(1.0,),
+                           theta=(1.5,) if uniform_bs is None else None,
+                           uniform_b=uniform_bs)
         for cell in cells:
             full = grid_cells(run_grid([cell]))[0]
             for k in (1, 4):
@@ -671,10 +689,10 @@ def infeasible_cells(reps=2):
     """Two cells no attendee can enter (c = 20 past every gap), each with an
     error before any draw (TestInfeasibleCell): the first capped, the second
     without a count law."""
-    return [*build_grid(5, reps, n_target=200, thetas=(2.0,), rs=(0.0,), cs=(20.0,),
+    return [*build_grid(5, reps, n_target=200, theta=(2.0,), r=(0.0,), c=(20.0,),
                         rules=SWP_ONLY),
-            *build_grid(5, reps, n_target=200, rs=(0.0,), cs=(20.0,), rules=SWP_ONLY,
-                        uniform_bs=(3.0,))]
+            *build_grid(5, reps, n_target=200, r=(0.0,), c=(20.0,), rules=SWP_ONLY,
+                        uniform_b=(3.0,))]
 
 
 def blocks(grid, limit):
@@ -718,8 +736,8 @@ class TestGridPasses:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_estimate_call_per_block(self, tmp_path, calls, pool_forced, workers):
-        scenarios = build_grid(7, 3, n_target=400, thetas=(1.0,), rs=(0.6, 1.0),
-                               cs=(0.0, 0.25, 1.0, 1.5, 2.0))
+        scenarios = build_grid(7, 3, n_target=400, theta=(1.0,), r=(0.6, 1.0),
+                               c=(0.0, 0.25, 1.0, 1.5, 2.0))
         infeasible = infeasible_cells(reps=3)[0]
         grid = [*scenarios, infeasible]
         result = run_grid(grid, workers=workers)
@@ -740,9 +758,9 @@ class TestGridPasses:
         the fourth, each cell of `reps` replications; the assays alternate, so
         a block of two or more drawable cells mixes them."""
         grids = [
-            build_grid(9, reps, n_target=300, thetas=(1.0,), rs=(0.6,),
-                       cs=(0.0, 1.0), frrs=(0.0, 0.005, 0.02),
-                       assay_name=assay_name, rules=SWP_ONLY)
+            build_grid(9, reps, n_target=300, theta=(1.0,), r=(0.6,),
+                       c=(0.0, 1.0), frr=(0.0, 0.005, 0.02),
+                       assay=assay_name, rules=SWP_ONLY)
             for assay_name in ("default", "long")]
         cells = [cell for pair in zip(*grids) for cell in pair]
         return [*cells[:4], *infeasible_cells(reps), *cells[4:]]
@@ -752,8 +770,8 @@ class TestGridPasses:
                                               workers):
         # 20 cells of 3 replications, then one more that cannot be drawn
         infeasible = infeasible_cells(reps=3)[0]
-        grid = [*build_grid(7, 3, n_target=400, thetas=(1.0,), rs=(0.6, 1.0),
-                            cs=(0.0, 0.25, 1.0, 1.5, 2.0)), infeasible]
+        grid = [*build_grid(7, 3, n_target=400, theta=(1.0,), r=(0.6, 1.0),
+                            c=(0.0, 0.25, 1.0, 1.5, 2.0)), infeasible]
         monkeypatch.setattr(harness, "_BLOCK_ROWS", 7)
         got = run_grid(grid, workers=workers)
         # the infeasible cell is in no block: 10 of two cells, on a pool too
@@ -1200,6 +1218,17 @@ class TestOutputsAndCli:
             platform.python_version(), np.__version__)
         assert manifest["scipy"] == __import__("scipy").__version__
 
+    def test_summary_writer_formats_no_label(self, monkeypatch):
+        # each row built its law's label text only to drop it: 160 exact_g
+        # calls per main-grid write
+        result = run_grid([*build_grid(1, 1, n_target=200),
+                           *build_grid(1, 1, n_target=200, uniform_b=(3.0,))])
+        calls = []
+        real = harness.exact_g
+        monkeypatch.setattr(harness, "exact_g", lambda x: calls.append(x) or real(x))
+        harness._write_summary(result, io.StringIO(newline=""))
+        assert calls == []
+
     def test_write_results_of_no_scenarios(self, tmp_path):
         assert write_results(run_grid([]), tmp_path, config_echo={}, seed=1,
                              wall_time=0.0)
@@ -1465,7 +1494,6 @@ class TestOutputsAndCli:
             ("uniform_b: [0]", "need 0 <= a < b, got a=0.0, b=0"),
             ("theta: [.inf]", "theta must be finite, got inf"),
             ("uniform_b: [.inf]", "b must be finite, got inf"),
-            ("theta: 1.0", "not iterable"),
             ("theta: [1, 1]", "two cells share the label 'regular_theta1_r0_c0'"),
             # YAML 1.1 reads on/off/yes/no/true/false as bools, 1e-9 as text
             ("r: [on]", "r values must be numbers, got True"),
@@ -1474,6 +1502,14 @@ class TestOutputsAndCli:
             ("uniform_b: [yes]", "uniform_b values must be numbers, got True"),
             ("theta: [1e-9]", "theta values must be numbers, got '1e-9'"),
             ('c: ["1"]', "c values must be numbers, got '1'"),
+            # a float is not iterable, a string was read one character at a
+            # time and a list was unhashable: no error named its key
+            ("theta: 1.0", "theta must be a list of values, got 1.0"),
+            ("frr: 0.01", "frr must be a list of values, got 0.01"),
+            ("rules: swp", "rules must be a list of values, got 'swp'"),
+            ("r: '0.5'", "r must be a list of values, got '0.5'"),
+            ("c: {a: 1}", "c must be a list of values, got {'a': 1}"),
+            ("assay: [long]", "unknown assay ['long']; expected one of: default, long"),
         ],
     )
     def test_cli_rejects_bad_grid_value(self, tmp_path, capsys, grid, message):
@@ -1482,10 +1518,31 @@ class TestOutputsAndCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["grid", "--config", str(cfg)])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert f"bad value in the grid: block of {cfg}" in err
-        assert message in err
+        captured = capsys.readouterr()
+        assert f"bad value in the grid: block of {cfg}" in captured.err
+        assert message in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_cli_sensitivity_is_grid_on_its_block(self, tmp_path, capsys, suite):
+        # a suite is only data: its grid: block run by `grid`
+        cfg = tmp_path / "cfg.yaml"
+        block = {key: list(v) if isinstance(v, tuple) else v
+                 for key, v in SUITES[suite].items()}
+        cfg.write_text(yaml.safe_dump({"grid": block}))
+        runs = {"grid": ["grid", "--config", str(cfg)],
+                "sensitivity": ["sensitivity", suite]}
+        for name, argv in runs.items():
+            assert cli_main([*argv, "--reps", "3",
+                             "--out-dir", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        for name in ("replications.csv", "summary.csv"):
+            assert ((tmp_path / "grid" / name).read_bytes()
+                    == (tmp_path / "sensitivity" / name).read_bytes())
+        assert [json.loads((tmp_path / name / "manifest.json").read_text())
+                ["config"]["command"] for name in runs] == ["grid",
+                                                           f"sensitivity:{suite}"]
 
     def test_cli_reads_a_dotted_exponent(self, tmp_path, capsys):
         # 1.0e-9 is a YAML float, where 1e-9 is text
@@ -1752,7 +1809,7 @@ class TestInfeasibleCell:
     def test_run_scenario_records_error(self):
         (infeasible,) = build_grid(
             5, 2, n_target=200, rules=(ObservationRule.STOP_WHEN_POSITIVE,),
-            thetas=(2.0,), rs=(0.0,), cs=(20.0,),
+            theta=(2.0,), r=(0.0,), c=(20.0,),
         )
         res = grid_cells(run_grid([infeasible]))[0]
         assert res.error == self.ERROR
@@ -1768,7 +1825,7 @@ class TestInfeasibleCell:
         # probability is exactly 0, rejected before any draw
         (infeasible,) = build_grid(
             5, 2, n_target=200, rules=(rule,),
-            rs=(0.0,), cs=(c,), uniform_bs=(3.0,),
+            r=(0.0,), c=(c,), uniform_b=(3.0,),
         )
         res = grid_cells(run_grid([infeasible]))[0]
         assert res.error == (
@@ -1796,10 +1853,10 @@ class TestInfeasibleCell:
         monkeypatch.setattr(harness.SurveyLaw, "draw",
                             logged("draw", harness.SurveyLaw.draw))
         swp = (ObservationRule.STOP_WHEN_POSITIVE,)
-        feasible = build_grid(5, 2, n_target=200, rs=(0.0, 0.6), cs=(0.0, 1.0),
-                              uniform_bs=(3.0,))
-        (infeasible,) = build_grid(5, 2, n_target=200, rules=swp, rs=(0.0,),
-                                   cs=(20.0,), uniform_bs=(3.0,))
+        feasible = build_grid(5, 2, n_target=200, r=(0.0, 0.6), c=(0.0, 1.0),
+                              uniform_b=(3.0,))
+        (infeasible,) = build_grid(5, 2, n_target=200, rules=swp, r=(0.0,),
+                                   c=(20.0,), uniform_b=(3.0,))
         grid = [*feasible[:3], infeasible, *feasible[3:]]
         result = run_grid(grid, workers=workers)
         events = log.read_text().split()
@@ -1840,8 +1897,8 @@ class TestInfeasibleCell:
                                 logged(name, getattr(harness.SurveyLaw, name)))
         monkeypatch.setattr(harness, "run_scenario",
                             logged("scenario", harness.run_scenario))
-        cells = build_grid(5, 2, n_target=200, rules=SWP_ONLY, thetas=(2.0,),
-                           rs=(0.0,), cs=(0.0, 1.0, 20.0, 2.0))
+        cells = build_grid(5, 2, n_target=200, rules=SWP_ONLY, theta=(2.0,),
+                           r=(0.0,), c=(0.0, 1.0, 20.0, 2.0))
         result = run_grid(cells, workers=workers)
         assert pool_forced == ([2] if workers == 2 else [])
         assert result.errors == (None, None, self.ERROR, None)

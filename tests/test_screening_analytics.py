@@ -135,7 +135,7 @@ class TestForecast:
             lambda: analytic_bias(DEFAULT_ASSAY, 1.0, r, c, rule, DEFAULT_PARAMS),
             lambda: survey_composition(DEFAULT_ASSAY, process, r, c, DEFAULT_PARAMS),
             lambda: survey_law(DEFAULT_ASSAY, process, r, c, DEFAULT_PARAMS),
-            lambda: build_grid(1, 1, rules=(rule,), thetas=(1.0,), rs=(r,), cs=(c,)),
+            lambda: build_grid(1, 1, rules=(rule,), theta=(1.0,), r=(r,), c=(c,)),
         ]
         if 0.0 <= r <= 1.0:
             calls.append(lambda: emit_histogram(

@@ -1,6 +1,8 @@
 """The package's source holds no unused code: every import is read by its
-module (or exported through `__all__`), and every module-level private
-function, class or constant is referenced somewhere in the package."""
+module (or exported through `__all__`), every module-level private
+function, class or constant is referenced somewhere in the package, and
+every module-level public function or class is read by the package (its
+`__init__` re-exports count) or by `perfbench/`, a caller."""
 
 import ast
 from pathlib import Path
@@ -11,6 +13,8 @@ import recencysim
 
 SOURCES = sorted(Path(recencysim.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+CALLERS = [ast.parse(path.read_text(), filename=str(path)) for path in
+           sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))]
 
 
 def exported(tree):
@@ -70,3 +74,15 @@ def test_every_private_definition_is_referenced():
         and defined_name not in used
     ]
     assert unused == []
+
+
+def test_every_public_function_and_class_is_read():
+    read = {n for tree in [*TREES.values(), *CALLERS] for n in referenced(tree)}
+    unread = [
+        (name, node.name)
+        for name, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in read
+    ]
+    assert unread == []
