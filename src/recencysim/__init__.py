@@ -18,7 +18,6 @@ from .population import (
 from .estimator import (
     analytic_bias,
     effective_mdri_closed,
-    effective_mdri_numeric,
     kassanjee_estimate,
     log_variance,
     survey_composition,
@@ -44,7 +43,6 @@ __all__ = [
     "SurveyCounts",
     "analytic_bias",
     "effective_mdri_closed",
-    "effective_mdri_numeric",
     "kassanjee_estimate",
     "log_variance",
     "survey_composition",

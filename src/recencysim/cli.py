@@ -22,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from .estimator import analytic_bias, effective_mdri_closed, effective_mdri_numeric
+from .estimator import analytic_bias, effective_mdri_closed
 from .harness import (
     GRID_KEYS,
     SUITES,
@@ -66,7 +66,9 @@ class ConfigError(ValueError):
     """A config file or argument the program cannot use; a usage error."""
 
 
-def _check_keys(block, allowed, where):
+def _set_keys(block, allowed, where):
+    """The keys of `block` set to a value: a key set to null is unset.  A
+    ConfigError if `block` is not a mapping or has a key not in `allowed`."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a mapping, got {type(block).__name__}")
     unknown = sorted(set(block) - allowed, key=str)
@@ -75,12 +77,14 @@ def _check_keys(block, allowed, where):
             f"unknown key(s) {', '.join(map(repr, unknown))} in {where}; "
             f"expected some of: {', '.join(sorted(allowed))}"
         )
+    return {key: value for key, value in block.items() if value is not None}
 
 
 def _load_config(path, command):
     """The config file at `path` as a mapping ({} for None) of the keys
     `command` reads (`COMMAND_KEYS`); another key is a ConfigError, after
-    the mapping and key checks, unless it is null or empty (unset)."""
+    the mapping and key checks, unless it is empty.  A key set to null, at
+    the top level or in the `grid:` block, is unset: it is dropped here."""
     if path is None:
         return {}
     import yaml  # here, not at module top: only --config needs it
@@ -90,14 +94,14 @@ def _load_config(path, command):
             cfg = yaml.safe_load(fh)
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    # only an empty file or a missing or null grid: block reads as {}
-    cfg = {} if cfg is None else cfg
-    _check_keys(cfg, CONFIG_KEYS, f"config {path}")
-    grid = {} if cfg.get("grid") is None else cfg["grid"]
-    _check_keys(grid, set(GRID_KEYS), f"the grid: block of {path}")
+    # only an empty file reads as {}
+    cfg = _set_keys({} if cfg is None else cfg, CONFIG_KEYS, f"config {path}")
+    if "grid" in cfg:
+        cfg["grid"] = _set_keys(cfg["grid"], set(GRID_KEYS),
+                                f"the grid: block of {path}")
     read = COMMAND_KEYS[command]
     for key, value in cfg.items():
-        if key not in read and value not in (None, {}, [], ""):
+        if key not in read and value not in ({}, [], ""):
             raise ConfigError(
                 f"the {key}: {'block' if key == 'grid' else 'key'} of {path} does "
                 f"not apply to {command}, which reads only: {', '.join(sorted(read))}")
@@ -147,7 +151,7 @@ def cmd_grid(args) -> int:
     cfg = _load_config(args.config, args.command)
     opts = _resolved(args, cfg)
     suite = getattr(args, "suite", None)
-    label, axes = (("grid", cfg.get("grid") or {}) if suite is None
+    label, axes = (("grid", cfg.get("grid", {})) if suite is None
                    else (f"sensitivity:{suite}", SUITES[suite]))
     try:
         scenarios = build_grid(opts["seed"], opts["reps"], opts["n_target"], **axes)
@@ -189,9 +193,12 @@ def cmd_histogram(args) -> int:
 def cmd_table1(args) -> int:
     cfg = _load_config(args.config, args.command)
     opts = _resolved(args, cfg)
+    try:
+        rows = emit_table1(n_target=opts["n_target"])
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     out_dir = opts["out_dir"]
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = emit_table1(n_target=opts["n_target"])
     out = out_dir / "table1.csv"
     write_table1(rows, out)
     for row in rows:
@@ -217,9 +224,6 @@ def cmd_mdri(args) -> int:
     print(f"mdri            = {omega:.6f} years ({omega * DAYS_PER_YEAR:.1f} days)")
     print(f"effective mdri  = {_fixed(omega_eff, '.6f')} years")
     print(f"analytic bias   = {_fixed(bias * 1e3, '+.3f')} x 1e-3 per person-year")
-    if args.check_numeric:
-        numeric = effective_mdri_numeric(assay, args.theta, args.r, args.c, rule)
-        print(f"numeric mdri    = {_fixed(numeric, '.6f')} years")
     return 0
 
 
@@ -263,7 +267,6 @@ def main(argv=None) -> int:
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--assay", choices=list(ASSAYS), default="default")
-    p.add_argument("--check-numeric", action="store_true")
     p.set_defaults(func=cmd_mdri)
 
     args = parser.parse_args(argv)

@@ -20,9 +20,9 @@ gammas once; every exponential entry point calls it.  For uniform ones w
 is a quadratic in u between knees (`_uniform_pieces`), and one integrator
 (`_integrate`) walks those pieces against either curve, up to any point.
 `_weight` is the one reader of the inter-test law: it returns a cell's
-scale, its negatives' weight and its integral from 0 to any x.  Numerical
-quadrature (`effective_mdri_numeric`) is kept only as an independent
-check.
+scale, its negatives' weight and its integral from 0 to any x.  The package
+integrates nothing numerically: quadrature of the defining integrals is the
+tests' independent oracle.
 
 A cell's terms are W_c (the weight over the duration support, with the
 scale and the negatives' weight P(T > c)), R (the curve up to
@@ -43,7 +43,7 @@ from typing import Tuple
 import numpy as np
 
 from .population import InfeasibleScenarioError, PopulationParams, SurveyCounts
-from .recency_model import RecencyAssay, _upper_gamma, curve_moment, mdri, phi
+from .recency_model import RecencyAssay, _upper_gamma, curve_moment, mdri
 from .testing_history import (
     ExponentialInterTest,
     ObservationRule,
@@ -109,7 +109,7 @@ def log_variance(n_total: int, p_star: float, p_r: float, frr: float = 0.0) -> f
 
 
 def _check_effective_mdri_args(assay: RecencyAssay, theta: float, r: float, c: float):
-    """Input checks shared by the closed form and the numeric oracle."""
+    """The input checks of `effective_mdri_closed` and `analytic_bias`."""
     if assay.frr != 0.0:
         raise ValueError("effective MDRI is defined for zero-FRR assays only")
     _check_theta(theta)
@@ -122,61 +122,6 @@ def _check_weight_args(r: float, c: float):
         raise ValueError(f"r must lie in [0, 1], got {r!r}")
     if not c >= 0.0:
         raise ValueError(f"c must be nonnegative, got {c!r}")
-
-
-def _exp_conditionals(rule: ObservationRule, theta: float, u: float, c: float,
-                      growth: float):
-    """(P(T<=u, T>c | U=u), P(T>u, T>c | U=u)) / e^{-theta*c} for exponential
-    schedules, growth = e^{theta*c}: scaled before integrating, so that no
-    term underflows where e^{-theta*c} does."""
-    if u <= c:
-        return 0.0, 1.0
-    above = math.exp(-theta * (u - c))
-    if rule is ObservationRule.REGULAR:
-        # T independent of U, T ~ Exponential(theta)
-        return -math.expm1(-theta * (u - c)), above
-    # piecewise density: theta*e^{-theta(u-t)} on t<=u, theta*e^{-theta t} beyond
-    return -math.expm1(-theta * (u - c)) * growth, above
-
-
-def effective_mdri_numeric(
-    assay: RecencyAssay,
-    theta: float,
-    r: float,
-    c: float,
-    rule: ObservationRule,
-) -> float:
-    """Effective MDRI by `scipy.integrate.quad` of its defining integral.
-
-    The independent check on `effective_mdri_closed`, with the same
-    arguments: exponential (Poisson) schedules, with the piecewise
-    conditional laws of the most recent test time written out directly,
-    each divided by e^{-theta*c}, rather than through the closed-form
-    kernel.  Raises the closed form's InfeasibleScenarioError where that
-    scaled weight needs e^{theta*c} past a float (Stop-When-Positive with
-    c < T*).
-    """
-    # imported here: scipy.integrate adds a quarter second to the CLI import
-    from scipy import integrate
-
-    _check_effective_mdri_args(assay, theta, r, c)
-    tstar = assay.recency_cutoff
-    growth = 1.0
-    if rule is ObservationRule.STOP_WHEN_POSITIVE and c < tstar:
-        growth = _growth(theta, c)
-        if growth == math.inf:
-            raise _past_range(theta, c)
-
-    def integrand(u):
-        below, above = _exp_conditionals(rule, theta, u, c, growth)
-        return phi(u, assay) * (r * below + above)
-
-    # split at the kink u = c
-    total, _ = integrate.quad(
-        integrand, 0.0, tstar, epsabs=1e-9, epsrel=1e-9, limit=200,
-        points=[c] if 0.0 < c < tstar else None,
-    )
-    return total
 
 
 def _growth(theta: float, c: float) -> float:

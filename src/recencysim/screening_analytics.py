@@ -170,14 +170,18 @@ def survey_law(
 def required_screening(n_target: int, s: float) -> int:
     """Attendees needed (ceiling of n_target / s) to admit n_target.
 
-    A subnormal `s` can put n_target / s past the largest float; such a
-    cell admits too few to count, an InfeasibleScenarioError as for s = 0.
+    A subnormal `s` or a huge n_target can put n_target / s past the largest
+    float; such a cell admits too few to count, an InfeasibleScenarioError
+    as for s = 0.
     """
     if n_target <= 0:
         raise ValueError("n_target must be positive")
     if not 0.0 < s <= 1.0:
         raise ValueError("inclusion probability must lie in (0, 1]")
-    needed = n_target / s
+    try:
+        needed = n_target / s
+    except OverflowError:  # an int past the largest float
+        needed = math.inf
     if needed == math.inf:
         raise InfeasibleScenarioError(
             f"inclusion probability {s} too small: admitting {n_target} needs "

@@ -15,7 +15,6 @@ from scipy import stats
 
 from recencysim.estimator import (
     effective_mdri_closed,
-    effective_mdri_numeric,
     log_variance,
     survey_composition,
 )
@@ -41,6 +40,7 @@ from recencysim.testing_history import (
     TestingProcess,
     UniformInterTest,
 )
+from quadrature_oracle import effective_mdri_quad
 from reference_sampler import observe_most_recent_many, residual_cdf, sample_residual
 
 SEED = 20240915
@@ -170,7 +170,7 @@ def test_criterion_3_closed_vs_quadrature():
             for r in (0.0, 0.3, 0.6, 1.0):
                 for c in (0.0, 0.25, 1.0, 1.5, 2.0):
                     closed = effective_mdri_closed(DEFAULT_ASSAY, theta, r, c, rule)
-                    numeric = effective_mdri_numeric(DEFAULT_ASSAY, theta, r, c, rule)
+                    numeric = effective_mdri_quad(DEFAULT_ASSAY, theta, r, c, rule)
                     worst = max(worst, abs(numeric - closed) / closed)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 10.0

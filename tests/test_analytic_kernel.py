@@ -1,6 +1,7 @@
-"""Closed-form analytic layer against scipy.integrate.quad of its defining integrals.
+"""Closed-form analytic layer against the quadrature oracle of its defining
+integrals (`quadrature_oracle`).
 
-The survey weight is written here from the model, independently of the
+The oracle writes the survey weight from the model, independently of the
 package: with T the time since the most recent observed test and U the
 infection duration,
 
@@ -25,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate, special
-from scipy.special import cython_special, gammaincc
+from scipy import special
+from scipy.special import cython_special
 
 import recencysim
 from recencysim import (
@@ -34,7 +35,6 @@ from recencysim import (
 from recencysim.estimator import (
     analytic_bias,
     effective_mdri_closed,
-    effective_mdri_numeric,
     survey_composition,
 )
 from recencysim.harness import (
@@ -64,6 +64,7 @@ from recencysim.testing_history import (
     TestingProcess,
     UniformInterTest,
 )
+from quadrature_oracle import curve, effective_mdri_quad, growth, quad, weight
 from reference_sampler import residual_cdf
 
 RTOL = 1e-10
@@ -77,34 +78,9 @@ CS = pytest.mark.parametrize("c", [0.0, 0.25, 1.99, T_STAR, 2.5, HORIZON + 2.0])
 XS = pytest.mark.parametrize("x", [0.0, 0.25, 1.0, 1.99, T_STAR])
 
 
-def quad(f, a, b, kink=None):
-    """int_a^b f, split at `kink` (a number or a tuple of them)."""
-    kinks = kink if isinstance(kink, tuple) else (kink,)
-    points = sorted({k for k in kinks if k is not None and a < k < b}) or None
-    value, _ = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500,
-                              points=points)
-    return value
-
-
-def curve(assay):
-    """The test-recent curve below its cutoff, from scipy: the oracles'."""
-    return lambda u: gammaincc(assay.gamma_shape, assay.gamma_rate * u)
-
-
 def package_q(assay, x):
     """Q(s, x) as the package evaluates it (`recency_model._upper_gamma`)."""
     return recency_model._upper_gamma(assay.gamma_shape, x)
-
-
-def weight(rule, theta, r, c, u):
-    above = math.exp(-theta * max(u, c))
-    if u <= c:
-        below = 0.0
-    elif rule is ObservationRule.REGULAR:  # T ~ Exp(theta), independent of U
-        below = math.exp(-theta * c) - math.exp(-theta * u)
-    else:  # Stop-When-Positive: u - T ~ Exp(theta) for the first post-infection test
-        below = 1.0 - math.exp(-theta * (u - c))
-    return (r * below + above) / math.exp(-theta * c)
 
 
 def close(got, want):
@@ -120,14 +96,6 @@ def curve_integral(assay, x):
 @XS
 def test_curve_integral(assay, x):
     assert close(curve_integral(assay, x), quad(curve(assay), 0.0, x))
-
-
-def growth(theta, c):
-    """e^{theta*c}, inf where it overflows a float."""
-    try:
-        return math.exp(theta * c)
-    except OverflowError:
-        return math.inf
 
 
 def discounted_curve_integral(assay, theta, x, start=0.0):
@@ -180,9 +148,7 @@ def test_survey_weight_integral(rule, theta, r, c):
 @RS
 @CS
 def test_recent_weight_integral(assay, rule, theta, r, c):
-    f = curve(assay)
-    tstar = assay.recency_cutoff
-    want = quad(lambda u: f(u) * weight(rule, theta, r, c, u), 0.0, tstar, kink=c)
+    want = effective_mdri_quad(assay, theta, r, c, rule)
     assert close(effective_mdri_closed(assay, theta, r, c, rule), want)
 
 
@@ -195,7 +161,7 @@ def test_effective_mdri_at_any_testing_rate(rule, theta, r, c):
     # theta*(hi - lo) -> 0 on the exponential piece, where the by-parts
     # difference of incomplete gammas cancels; c = 1.9999 makes a short piece
     # at every theta
-    want = effective_mdri_numeric(DEFAULT_ASSAY, theta, r, c, rule)
+    want = effective_mdri_quad(DEFAULT_ASSAY, theta, r, c, rule)
     got = effective_mdri_closed(DEFAULT_ASSAY, theta, r, c, rule)
     assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 

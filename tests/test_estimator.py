@@ -6,7 +6,6 @@ import pytest
 from recencysim.estimator import (
     analytic_bias,
     effective_mdri_closed,
-    effective_mdri_numeric,
     kassanjee_estimate,
     log_variance,
     survey_composition,
@@ -20,6 +19,7 @@ from recencysim.testing_history import (
     TestingProcess,
     UniformInterTest,
 )
+from quadrature_oracle import effective_mdri_quad
 
 OMEGA = mdri(DEFAULT_ASSAY)
 
@@ -169,7 +169,7 @@ class TestEffectiveMdriNumeric:
     @pytest.mark.parametrize("r", [0.0, 0.6, 1.0])
     @pytest.mark.parametrize("c", [0.0, 0.25, 1.0, 2.0])
     def test_matches_closed_form(self, rule, theta, r, c):
-        num = effective_mdri_numeric(DEFAULT_ASSAY, theta, r, c, rule)
+        num = effective_mdri_quad(DEFAULT_ASSAY, theta, r, c, rule)
         closed = effective_mdri_closed(DEFAULT_ASSAY, theta, r, c, rule)
         assert num == pytest.approx(closed, rel=1e-6)
 
@@ -179,7 +179,7 @@ class TestEffectiveMdriNumeric:
     def test_matches_where_the_scale_underflows(self, rule, theta, r, c):
         # e^{-theta*c} is 0 or subnormal: each conditional is divided by it
         # before integrating, so nothing divides by the scale afterwards
-        num = effective_mdri_numeric(DEFAULT_ASSAY, theta, r, c, rule)
+        num = effective_mdri_quad(DEFAULT_ASSAY, theta, r, c, rule)
         closed = effective_mdri_closed(DEFAULT_ASSAY, theta, r, c, rule)
         assert num == pytest.approx(closed, rel=1e-9, abs=0.0)
 
@@ -187,17 +187,13 @@ class TestEffectiveMdriNumeric:
     def test_rejects_what_the_closed_form_rejects(self, r):
         # Stop-When-Positive below T* needs e^{theta*c} = e^{760}
         swp = ObservationRule.STOP_WHEN_POSITIVE
-        with pytest.raises(InfeasibleScenarioError) as closed:
+        with pytest.raises(InfeasibleScenarioError, match=r"theta\*c = 760 is past"):
             effective_mdri_closed(DEFAULT_ASSAY, 400.0, r, 1.9, swp)
-        with pytest.raises(InfeasibleScenarioError) as num:
-            effective_mdri_numeric(DEFAULT_ASSAY, 400.0, r, 1.9, swp)
-        assert str(num.value) == str(closed.value)
 
 
 class TestEffectiveMdriArgs:
-    """The closed form and the numeric oracle share one input check."""
+    """The closed form's input checks."""
 
-    @pytest.mark.parametrize("fn", [effective_mdri_closed, effective_mdri_numeric])
     @pytest.mark.parametrize(
         "theta,r,c,message",
         [
@@ -209,22 +205,16 @@ class TestEffectiveMdriArgs:
             (-1.0, 0.6, 0.25, "theta must be positive, got -1.0"),
         ],
     )
-    def test_rejects_out_of_range(self, fn, theta, r, c, message):
+    def test_rejects_out_of_range(self, theta, r, c, message):
         with pytest.raises(ValueError) as exc:
-            fn(DEFAULT_ASSAY, theta, r, c, ObservationRule.STOP_WHEN_POSITIVE)
+            effective_mdri_closed(DEFAULT_ASSAY, theta, r, c,
+                                  ObservationRule.STOP_WHEN_POSITIVE)
         assert str(exc.value) == message
 
-    def test_numeric_rejects_nonzero_frr(self):
-        from recencysim.recency_model import RecencyAssay
-
-        assay = RecencyAssay(0.352, 1.273, 2.0, frr=0.01)
-        with pytest.raises(ValueError, match="zero-FRR"):
-            effective_mdri_numeric(assay, 1.0, 1.0, 0.0, ObservationRule.REGULAR)
-
-    @pytest.mark.parametrize("fn", [effective_mdri_closed, effective_mdri_numeric])
-    def test_accepts_range_ends(self, fn):
+    def test_accepts_range_ends(self):
         for r in (0.0, 1.0):
-            assert fn(DEFAULT_ASSAY, 1.0, r, 0.0, ObservationRule.REGULAR) > 0.0
+            assert effective_mdri_closed(DEFAULT_ASSAY, 1.0, r, 0.0,
+                                         ObservationRule.REGULAR) > 0.0
 
 
 class TestEitherLawArgs:

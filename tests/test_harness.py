@@ -23,10 +23,10 @@ from scipy import stats
 import recencysim
 from recencysim import estimator, population
 
-from recencysim.cli import main as cli_main
+from recencysim.cli import CONFIG_KEYS, main as cli_main
 from recencysim.estimator import (
-    analytic_bias, effective_mdri_closed, effective_mdri_numeric, kassanjee_estimate,
-    log_variance, survey_composition)
+    analytic_bias, effective_mdri_closed, kassanjee_estimate, log_variance,
+    survey_composition)
 from recencysim import harness
 from recencysim.harness import (
     GRID_KEYS,
@@ -51,6 +51,7 @@ from recencysim.testing_history import (
     TestingProcess,
     UniformInterTest,
 )
+from quadrature_oracle import effective_mdri_quad
 from reference_sampler import observe_most_recent_many, sample_residual
 from test_count_law import (
     Cell, drawn_counts, grid_cells, holm_rejected, sha256_streams, sha256_words)
@@ -1332,7 +1333,8 @@ class TestOutputsAndCli:
 
     def test_report_bytes_unchanged(self, tmp_path, capsys):
         # sha256 of table1.csv, a CLI histogram and a uniform-law histogram,
-        # as written before the inter-test law was read in one place
+        # as written before the inter-test law was read in one place, and of
+        # `mdri` stdout, as printed before its quadrature check left the CLI
         assert cli_main(["table1", "--out-dir", str(tmp_path)]) == 0
         assert cli_main(["histogram", "--rule", "swp", "--theta", "1", "--c", "2",
                          "--seed", "3", "--out-dir", str(tmp_path)]) == 0
@@ -1350,6 +1352,23 @@ class TestOutputsAndCli:
             "uniform.csv":
                 "09c90855c109c0fca6b99ec869cc83d7b2fcf730828903c9534834d86ff4b453",
         }
+        printed = {}
+        for query in ("--rule swp --theta 1 --r 0.6 --c 0.25",
+                      "--rule regular --theta 1e-300 --r 0 --c 0",
+                      "--rule swp --theta 300 --c 1.9", "--assay long"):
+            assert cli_main(["mdri", *query.split()]) == 0
+            printed[query] = hashlib.sha256(
+                capsys.readouterr().out.encode()).hexdigest()
+        assert printed == {
+            "--rule swp --theta 1 --r 0.6 --c 0.25":
+                "31e23a895c95c66e219d7d4f29fccff85770fd42d0ae9f42d28d6773345b5114",
+            "--rule regular --theta 1e-300 --r 0 --c 0":
+                "0663931ce6c05969d17b56e11776f7b3c7527d197887c2c1949c83652ec1ce98",
+            "--rule swp --theta 300 --c 1.9":
+                "c4fd4fa72bf432eefd27269536fba6a97c838ae0b8c0576b13eae3438d98347c",
+            "--assay long":
+                "d54d76dde2e64f265662bd56527c2593dd6ad2bdf0eb78472c95d8f5a705537d",
+        }
 
     def test_cli_histogram_names_each_theta_exactly(self, tmp_path, capsys):
         for theta in ("1", "1.0000001"):
@@ -1362,7 +1381,7 @@ class TestOutputsAndCli:
     def test_cli_mdri(self, capsys):
         rc = cli_main(
             ["mdri", "--rule", "swp", "--theta", "1.0", "--r", "0.6", "--c",
-             "0.25", "--check-numeric"]
+             "0.25"]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -1371,21 +1390,18 @@ class TestOutputsAndCli:
         assert "effective mdri  = 0.255606 years\n" in out
         assert "analytic bias   = -1.364 x 1e-3 per person-year\n" in out
 
-    @pytest.mark.parametrize("extra", [[], ["--check-numeric"]],
-                             ids=["plain", "numeric"])
-    def test_cli_mdri_lines_stay_short(self, capsys, extra):
+    def test_cli_mdri_lines_stay_short(self, capsys):
         # effective MDRI 5.18e244 years: e notation, not 245 digits
-        assert cli_main(["mdri", "--rule", "swp", "--theta", "300", "--c", "1.9",
-                         *extra]) == 0
+        assert cli_main(["mdri", "--rule", "swp", "--theta", "300", "--c", "1.9"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 3 + len(extra)
+        assert len(lines) == 3
         assert all(len(line) < 100 for line in lines), lines
 
     @pytest.mark.parametrize(
         "argv",
         [["table1", "--seed", "1"], ["table1", "--reps", "2"],
          ["table1", "--workers", "2"], ["histogram", "--reps", "2"],
-         ["histogram", "--workers", "2"]],
+         ["histogram", "--workers", "2"], ["mdri", "--check-numeric"]],
         ids=" ".join,
     )
     def test_cli_rejects_a_flag_the_command_ignores(self, tmp_path, capsys, argv):
@@ -1634,6 +1650,47 @@ class TestOutputsAndCli:
         capsys.readouterr()
         assert [p.name for p in (tmp_path / "out").iterdir()] == [name]
 
+    @pytest.mark.parametrize(
+        "block,key", [*((None, k) for k in sorted(CONFIG_KEYS)),
+                      *(("grid", k) for k in GRID_KEYS)],
+        ids=lambda v: v or "top")
+    def test_cli_reads_a_null_value_as_unset(self, tmp_path, capsys, monkeypatch,
+                                            block, key):
+        # every top-level key but grid:, and five grid: keys, set to null were
+        # usage errors; grid:, theta and uniform_b ran the defaults
+        grid = {"rules": ["swp"], "theta": [1.0], "r": [0.6], "c": [1.0],
+                "frr": [0.0], "assay": "default"}
+        base = {"seed": 3, "replications": 2, "n_target": 200, "workers": 1}
+
+        def outputs(name, null):
+            cfg = {**base, "grid": dict(grid)}
+            where = cfg if block is None else cfg["grid"]
+            where.pop(key, None)
+            if null:
+                where[key] = None
+            out = tmp_path / name
+            monkeypatch.setenv("RECENCYSIM_OUT_DIR", str(out))
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(cfg))
+            assert cli_main(["grid", "--config", str(path)]) == 0
+            return [(out / f).read_bytes() for f in ("replications.csv", "summary.csv")]
+
+        assert outputs("null", True) == outputs("unset", False)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("n_target", [10**308, 10**400], ids=["inf", "overflow"])
+    def test_cli_table1_rejects_a_target_past_a_float(self, tmp_path, capsys,
+                                                      n_target):
+        # an InfeasibleScenarioError, and for 401 digits an OverflowError,
+        # ended in a traceback and left an empty out_dir behind
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"n_target: {n_target}\nout_dir: {tmp_path / 'out'}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["table1", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "inclusion probability" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["rules", "theta", "r", "c", "frr", "uniform_b"])
     def test_cli_rejects_empty_grid_list(self, tmp_path, capsys, key):
         cfg = tmp_path / "cfg.yaml"
@@ -1691,8 +1748,8 @@ class TestOutputsAndCli:
 
     @WRITING_COMMANDS
     @pytest.mark.parametrize("value,shown", [("5", "5"), ("[a]", "['a']"),
-                                             ("", "None"), ("yes", "True")],
-                             ids=["int", "list", "null", "bool"])
+                                             ("yes", "True")],
+                             ids=["int", "list", "bool"])
     def test_cli_rejects_out_dir_that_is_not_a_path(self, tmp_path, capsys,
                                                     monkeypatch, argv, value,
                                                     shown):
@@ -1709,6 +1766,17 @@ class TestOutputsAndCli:
         assert f"out_dir must be a path, got {shown}" in captured.err
         assert captured.out == ""
         assert sorted(tmp_path.iterdir()) == before
+
+    @WRITING_COMMANDS
+    def test_cli_reads_a_null_out_dir_as_unset(self, tmp_path, capsys, monkeypatch,
+                                               argv):
+        # "out_dir must be a path, got None" before; unset, it is the default
+        monkeypatch.setenv("RECENCYSIM_OUT_DIR", str(tmp_path / "out"))
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("out_dir:\n")
+        assert cli_main([*argv, "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("command", [["grid"], ["sensitivity", "frr"]])
     @pytest.mark.parametrize(
@@ -1748,8 +1816,6 @@ class TestOutputsAndCli:
         [
             (["mdri", "--r", "1.5", "--c", "0.25"], "r must lie in [0, 1], got 1.5"),
             (["mdri", "--c", "-1"], "c must be nonnegative, got -1.0"),
-            (["mdri", "--c", "-1", "--check-numeric"],
-             "c must be nonnegative, got -1.0"),
             (["mdri", "--theta", "0"], "theta must be positive, got 0.0"),
             (["histogram", "--theta", "-1"], "theta must be positive, got -1.0"),
             (["mdri", "--theta", "inf"], "theta must be finite, got inf"),
@@ -1989,12 +2055,13 @@ class TestKernelRange:
     def test_cli_mdri_at_a_vanishing_testing_rate(self, capsys):
         # no one is ever tested, so the weight is 1 and R is the MDRI; the
         # by-parts form read 0 here, a difference that cancels divided by theta
-        assert cli_main(["mdri", "--theta", "1e-300", "--r", "0", "--c", "0",
-                         "--check-numeric"]) == 0
+        assert cli_main(["mdri", "--theta", "1e-300", "--r", "0", "--c", "0"]) == 0
         out = capsys.readouterr().out
         assert "effective mdri  = 0.266985 years\n" in out
         assert "analytic bias   = +0.000 x 1e-3 per person-year\n" in out
-        assert "numeric mdri    = 0.266985 years\n" in out
+        numeric = effective_mdri_quad(DEFAULT_ASSAY, 1e-300, 0.0, 0.0,
+                                      ObservationRule.STOP_WHEN_POSITIVE)
+        assert f"{numeric:.6f}" == "0.266985"
 
     def test_cli_grid_at_a_vanishing_testing_rate(self, tmp_path, capsys):
         # the by-parts form gave p_r < 0 here, and the draw a numpy traceback
@@ -2015,15 +2082,14 @@ class TestKernelRange:
                              ids=["scale_zero", "scale_subnormal"])
     def test_cli_mdri_numeric_past_the_scale(self, capsys, c, r):
         # e^{-theta*c} is 0 at c = 1000 (a ZeroDivisionError) and subnormal
-        # at c = 720 (0.266943 read against 0.266985); the numeric integrand
-        # is divided by it before integrating
-        assert cli_main(["mdri", "--theta", "1", "--c", c, "--r", r,
-                         "--check-numeric"]) == 0
+        # at c = 720 (0.266943 read against 0.266985); the quadrature
+        # oracle's integrand is divided by it before integrating
+        assert cli_main(["mdri", "--theta", "1", "--c", c, "--r", r]) == 0
         out = capsys.readouterr().out
         eff = float(out.split("effective mdri  = ")[1].split()[0])
-        assert float(out.split("numeric mdri    = ")[1].split()[0]) == eff
         c, r, swp = float(c), float(r), ObservationRule.STOP_WHEN_POSITIVE
-        numeric = effective_mdri_numeric(DEFAULT_ASSAY, 1.0, r, c, swp)
+        numeric = effective_mdri_quad(DEFAULT_ASSAY, 1.0, r, c, swp)
+        assert float(f"{numeric:.6f}") == eff
         closed = effective_mdri_closed(DEFAULT_ASSAY, 1.0, r, c, swp)
         assert numeric == pytest.approx(closed, rel=0.0, abs=1e-9)
 
@@ -2089,10 +2155,9 @@ class TestAnalyticColumns:
 
 
 def test_cli_import_leaves_scipy_integrate_and_stats_unloaded():
-    # the numeric oracle imports scipy.integrate lazily, only --config
-    # needs yaml and only a pool needs multiprocessing; loading any of them
-    # (or scipy.stats) at CLI import time would add to every command's
-    # start-up
+    # the package never imports scipy.integrate, only --config needs yaml
+    # and only a pool needs multiprocessing; loading any of them (or
+    # scipy.stats) at CLI import time would add to every command's start-up
     src = str(Path(recencysim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = (

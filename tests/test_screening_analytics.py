@@ -98,6 +98,12 @@ class TestRequiredScreening:
             required_screening(5000, 5e-324)
         assert required_screening(1, 2.0**-1000) == 2**1000
 
+    @pytest.mark.parametrize("n_target", [10**308, 10**400], ids=["inf", "overflow"])
+    def test_huge_target_is_an_inclusion_error(self, n_target):
+        # 10**308 / 0.5 is inf; 10**400 / 0.5 raised OverflowError
+        with pytest.raises(InfeasibleScenarioError, match="inclusion probability 0.5"):
+            required_screening(n_target, 0.5)
+
 
 class TestForecast:
     def test_bundles_both_numbers(self):

@@ -2,7 +2,8 @@
 module (or exported through `__all__`), every module-level private
 function, class or constant is referenced somewhere in the package, and
 every module-level public function or class is read by the package (its
-`__init__` re-exports count) or by `perfbench/`, a caller."""
+`__init__` re-exports count) or by `perfbench/`, a caller.  No module
+imports `scipy.integrate`: numerical quadrature lives in the tests."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,17 @@ SOURCES = sorted(Path(recencysim.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
 CALLERS = [ast.parse(path.read_text(), filename=str(path)) for path in
            sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))]
+
+
+def imported_modules(tree):
+    """The dotted names of the modules a module's imports load, at any
+    depth (a function's lazy import too)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{a.name}" for a in node.names)
 
 
 def exported(tree):
@@ -51,6 +63,14 @@ def test_every_import_is_used(name):
     tree = TREES[name]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [n for n in imported(tree) if n not in read | exported(tree)] == []
+
+
+@pytest.mark.parametrize("name", TREES)
+def test_no_module_imports_scipy_integrate(name):
+    # the closed forms integrate everything; quadrature is the tests' oracle
+    # (tests/quadrature_oracle.py)
+    assert [m for m in imported_modules(TREES[name])
+            if m == "scipy.integrate" or m.startswith("scipy.integrate.")] == []
 
 
 def defined(node):
