@@ -8,11 +8,15 @@ Subcommands:
   table1       emit the analytic bias / screening-burden table
   mdri         one-shot effective-MDRI query
 
-A YAML config file can set any grid parameter, its `grid:` block holding
-`build_grid`'s axes by their names (`harness.GRID_KEYS`); CLI flags
-override it.
-Unknown config keys, keys the command does not read and out-of-range
-values are usage errors (exit 2).
+A YAML config file sets a command's settings by their config keys: the
+integer ones (`SETTINGS`), `out_dir`, and for `grid` a `grid:` block
+holding `build_grid`'s axes by their names (`harness.GRID_KEYS`).
+`SETTINGS` is the one place that gives an integer setting's flag, default
+and lowest value, and `COMMAND_KEYS` the keys each command reads, so a
+command has the flags of its own settings only; a flag overrides the
+config.  Unknown config keys, keys the command does not read and
+out-of-range values are usage errors (exit 2).  A grid's manifest echoes
+each setting once, under its config key, with the value that ran.
 """
 
 from __future__ import annotations
@@ -42,24 +46,33 @@ from .recency_model import ASSAYS, DAYS_PER_YEAR, mdri
 from .testing_history import ExponentialInterTest, ObservationRule
 
 
-def _add_common(p, *counts):
-    """--out-dir and --config, and the integer flags in `counts` (of seed,
-    reps, workers): only those the command reads, so any other is a usage
-    error."""
-    for flag in counts:
-        p.add_argument(f"--{flag}", type=int, default=None)
-    p.add_argument("--out-dir", type=Path, default=None)
-    p.add_argument("--config", type=Path, default=None, help="YAML config file")
-
-
-CONFIG_KEYS = {"seed", "replications", "n_target", "out_dir", "workers", "grid"}
+#: each integer setting, by config key: its flag (None: config only),
+#: default and lowest value
+SETTINGS = {
+    "seed": ("--seed", 12345, 0),
+    "replications": ("--reps", 1000, 1),
+    "workers": ("--workers", 1, 1),
+    "n_target": (None, 5000, 1),
+}
 #: the config keys each command reads; setting another is a usage error
 COMMAND_KEYS = {
-    "grid": CONFIG_KEYS,
-    "sensitivity": CONFIG_KEYS - {"grid"},
-    "table1": {"out_dir", "n_target"},
+    "grid": {*SETTINGS, "out_dir", "grid"},
+    "sensitivity": {*SETTINGS, "out_dir"},
+    "table1": {"n_target", "out_dir"},
     "histogram": {"seed", "out_dir"},
 }
+CONFIG_KEYS = set().union(*COMMAND_KEYS.values())
+
+
+def _add_common(p, command):
+    """The flags of the settings `command` reads (`COMMAND_KEYS`), each
+    stored under its config key, then --out-dir and --config: a flag the
+    command does not read is a usage error."""
+    for key, (flag, _, _) in SETTINGS.items():
+        if flag and key in COMMAND_KEYS[command]:
+            p.add_argument(flag, dest=key, metavar=flag[2:].upper(), type=int)
+    p.add_argument("--out-dir")
+    p.add_argument("--config", type=Path, help="YAML config file")
 
 
 class ConfigError(ValueError):
@@ -92,7 +105,8 @@ def _load_config(path, command):
     try:
         with open(path) as fh:
             cfg = yaml.safe_load(fh)
-    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+    # ValueError: also an integer past Python's digit limit for int()
+    except (OSError, ValueError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     # only an empty file reads as {}
     cfg = _set_keys({} if cfg is None else cfg, CONFIG_KEYS, f"config {path}")
@@ -111,8 +125,10 @@ def _load_config(path, command):
 def _out_dir(path):
     """`path` as a Path if it is a directory or can be made one; a usage
     error, before any work, if it is not a path (a config value that is not
-    a string) or it or a parent exists as something else."""
-    if not isinstance(path, (str, Path)):
+    a string, or an empty flag, config value or `RECENCYSIM_OUT_DIR`, which
+    would be the working directory) or it or a parent exists as something
+    else."""
+    if not isinstance(path, str) or not path:
         raise ConfigError(f"out_dir must be a path, got {path!r}")
     path = Path(path)
     existing = next((p for p in (path, *path.parents) if p.exists()), None)
@@ -123,25 +139,21 @@ def _out_dir(path):
 
 
 def _resolved(args, cfg):
-    """Merge config-file values and CLI overrides (CLI wins)."""
-
-    def pick(flag, key, default, low=1):
-        value = getattr(args, flag, None)
-        if value is not None:
-            return _check_count(value, f"--{flag}", low, ConfigError)
-        return _check_count(cfg.get(key, default), key, low, ConfigError)
-
-    return {
-        "seed": pick("seed", "seed", 12345, low=0),
-        "reps": pick("reps", "replications", 1000),
-        "out_dir": _out_dir(
-            args.out_dir
-            if args.out_dir is not None
-            else cfg.get("out_dir", default_out_dir())
-        ),
-        "workers": pick("workers", "workers", 1),
-        "n_target": _check_count(cfg.get("n_target", 5000), "n_target", 1, ConfigError),
-    }
+    """The settings `args.command` reads (`COMMAND_KEYS`), by config key:
+    each integer one its flag's value, else the config's, else its default
+    (`SETTINGS`), checked against its lowest value under the name it was
+    given by; and out_dir the flag's, the config's or `default_out_dir()`."""
+    opts = {}
+    for key, (flag, default, low) in SETTINGS.items():
+        if key not in COMMAND_KEYS[args.command]:
+            continue
+        value = getattr(args, key, None)  # None: no flag given, or none exists
+        if value is None:
+            value, flag = cfg.get(key, default), key
+        opts[key] = _check_count(value, flag, low, ConfigError)
+    out_dir = args.out_dir if args.out_dir is not None else cfg.get(
+        "out_dir", default_out_dir())
+    return {**opts, "out_dir": _out_dir(out_dir)}
 
 
 def cmd_grid(args) -> int:
@@ -154,7 +166,8 @@ def cmd_grid(args) -> int:
     label, axes = (("grid", cfg.get("grid", {})) if suite is None
                    else (f"sensitivity:{suite}", SUITES[suite]))
     try:
-        scenarios = build_grid(opts["seed"], opts["reps"], opts["n_target"], **axes)
+        scenarios = build_grid(opts["seed"], opts["replications"], opts["n_target"],
+                               **axes)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value in the grid: block of {args.config}: {exc}")
     t0 = time.perf_counter()  # monotonic: a wall-clock step cannot skew it
@@ -181,9 +194,7 @@ def cmd_histogram(args) -> int:
                               n_infected=args.n_infected, seed=opts["seed"])
     except ValueError as exc:
         raise ConfigError(str(exc))
-    out_dir = opts["out_dir"]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / (
+    out = opts["out_dir"] / (
         f"histogram_{rule.value}_theta{exact_g(args.theta)}_c{exact_g(args.c)}.csv")
     write_histogram(rows, out)
     print(f"histogram -> {out}")
@@ -197,9 +208,7 @@ def cmd_table1(args) -> int:
         rows = emit_table1(n_target=opts["n_target"])
     except ValueError as exc:
         raise ConfigError(str(exc))
-    out_dir = opts["out_dir"]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "table1.csv"
+    out = opts["out_dir"] / "table1.csv"
     write_table1(rows, out)
     for row in rows:
         mark = "ok" if not row["unbiased"] else "unbiased"
@@ -241,12 +250,12 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("grid", help="run the main scenario grid")
-    _add_common(p, "seed", "reps", "workers")
+    _add_common(p, "grid")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("sensitivity", help="run a sensitivity suite")
     p.add_argument("suite", choices=list(SUITES))
-    _add_common(p, "seed", "reps", "workers")
+    _add_common(p, "sensitivity")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("histogram", help="emit infected-population histogram data")
@@ -254,11 +263,11 @@ def main(argv=None) -> int:
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--n-infected", type=int, default=50_000)
-    _add_common(p, "seed")
+    _add_common(p, "histogram")
     p.set_defaults(func=cmd_histogram)
 
     p = sub.add_parser("table1", help="emit the analytic bias/screening table")
-    _add_common(p)
+    _add_common(p, "table1")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("mdri", help="one-shot effective-MDRI query")

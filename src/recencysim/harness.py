@@ -29,17 +29,18 @@ grid starts only when its drawable replications can repay the pool's
 start-up and transfer: `worker_processes` caps `workers` by one worker per
 `_REPLICATIONS_PER_WORKER`, the CPU count and the scenario count.
 
-The two grid CSVs are hand-joined in one form, the bytes csv.writer
-writes, with one quoting rule (`_quoted`) for their only free text, the
-labels and an error row's message.  Their numbers come from whole-column
-lists: replications.csv takes one `.tolist()` per column of each chunk of
+Every CSV file (the two grid CSVs, Table 1 and the histogram) is
+hand-joined in one form, the bytes csv.writer writes, with one quoting rule
+(`_quoted`) for every field, such as a label or an error row's message.
+Each file is written through `_atomic_open`, which also makes its
+directory.  The grid CSVs' numbers come from whole-column lists:
+replications.csv takes one `.tolist()` per column of each chunk of
 `_WRITE_ROWS // replications` scenarios and writes the chunk at once, and
 summary.csv is one write of every scenario's line.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import hashlib
@@ -509,14 +510,28 @@ def _fmt(x) -> str:
     return f"{x:.10g}" if isinstance(x, float) else str(x)
 
 
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def _quoted(text: str) -> str:
+    """`text` as one field of a CSV, as csv.writer writes it: as it is,
+    or in double quotes with each quote doubled if it holds a comma, a
+    quote or a line break."""
+    if _CSV_SPECIAL.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 @contextmanager
 def _atomic_open(path: Path, newline=None):
-    """Open a sibling temporary file; os.replace it onto `path` on success.
+    """Open a sibling temporary file, making `path`'s directory first;
+    os.replace it onto `path` on success.
 
     If the body raises, the temporary file is removed and `path` is left as
     it was, so no reader ever sees a half-written file.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline=newline) as fh:
@@ -528,12 +543,12 @@ def _atomic_open(path: Path, newline=None):
 
 
 def _write_report(path: Path, header, rows):
-    """A report CSV, replaced atomically: the header, then each row's values
-    through `_fmt`."""
+    """A report CSV, replaced atomically and in one write, as csv.writer
+    would write it: the header, then each row's values through `_fmt`, each
+    field through `_quoted`."""
     with _atomic_open(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([_fmt(v) for v in row] for row in rows)
+        fh.write("".join([",".join([_quoted(_fmt(v)) for v in row]) + "\r\n"
+                          for row in [header, *rows]]))
 
 
 def write_results(
@@ -550,7 +565,6 @@ def write_results(
     numpy's.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with _atomic_open(out_dir / "replications.csv", newline="") as rep_fh, \
             _atomic_open(out_dir / "summary.csv", newline="") as sum_fh, \
             _atomic_open(out_dir / "manifest.json") as man_fh:
@@ -574,21 +588,10 @@ def write_results(
     return ok
 
 
-_CSV_SPECIAL = frozenset(',"\r\n')
-
 #: lines a chunk of replications.csv holds, one scenario of more being a
 #: chunk alone: at 160 x 1000, chunks of 4,096 lines raised the process's
 #: peak RSS by 1.38 MB and these by 0.12 MB, at the same speed
 _WRITE_ROWS = 1024
-
-
-def _quoted(text: str) -> str:
-    """`text` as one field of a grid CSV, as csv.writer writes it: as it is,
-    or in double quotes with each quote doubled if it holds a comma, a
-    quote or a line break."""
-    if _CSV_SPECIAL.isdisjoint(text):
-        return text
-    return '"' + text.replace('"', '""') + '"'
 
 
 def _write_replications(result: GridResult, fh):
@@ -597,17 +600,13 @@ def _write_replications(result: GridResult, fh):
     The drawn scenarios go in chunks of `_WRITE_ROWS // replications` (at
     least one): each column's rows of a chunk are one `.tolist()` and the
     chunk's lines one write, so memory stays a chunk's at any grid size.
-    Labels never need quoting (they are built from numbers and fixed
-    names); one that would (`_quoted`) is rejected before any line is
-    written.  The status is "undefined" for a nan estimate, "negative"
-    below 0, else "ok".
+    Each label goes through `_quoted` once, as in summary.csv.  The
+    status is "undefined" for a nan estimate, "negative" below 0, else
+    "ok".
     """
     fh.write(",".join(REPLICATION_COLUMNS) + "\r\n")
-    labels = [s.label for s, error in zip(result.scenarios, result.errors)
+    labels = [_quoted(s.label) for s, error in zip(result.scenarios, result.errors)
               if error is None]
-    for label in labels:
-        if _quoted(label) != label:
-            raise ValueError(f"scenario label {label!r} would need CSV quoting")
     c = result.counts
     # n_total added per line: `c.n_total` is an array of the whole grid
     columns = (c.n_pos, c.n_neg, c.n_rec, c.n_screened, result.estimates)
@@ -794,5 +793,6 @@ def write_table1(rows, out_path: Path):
     _write_report(out_path, cols, ([row[c] for c in cols] for row in rows))
 
 
-def default_out_dir() -> Path:
-    return Path(os.environ.get("RECENCYSIM_OUT_DIR", "results"))
+def default_out_dir() -> str:
+    """`RECENCYSIM_OUT_DIR` as it is set, else "results"."""
+    return os.environ.get("RECENCYSIM_OUT_DIR", "results")

@@ -170,21 +170,27 @@ def survey_law(
 def required_screening(n_target: int, s: float) -> int:
     """Attendees needed (ceiling of n_target / s) to admit n_target.
 
-    A subnormal `s` or a huge n_target can put n_target / s past the largest
-    float; such a cell admits too few to count, an InfeasibleScenarioError
-    as for s = 0.
+    An n_target past the largest float, or a subnormal `s` or a huge
+    n_target that puts n_target / s past it, is an InfeasibleScenarioError,
+    as for s = 0: the first names n_target by its digit count (an int of
+    over 4,300 digits cannot become text), the second names s.
     """
     if n_target <= 0:
         raise ValueError("n_target must be positive")
     if not 0.0 < s <= 1.0:
         raise ValueError("inclusion probability must lie in (0, 1]")
     try:
-        needed = n_target / s
-    except OverflowError:  # an int past the largest float
-        needed = math.inf
+        target = float(n_target)  # as n_target / s converts it
+    except OverflowError:
+        # n_target has `digits` or one more
+        digits = math.floor((n_target.bit_length() - 1) * math.log10(2)) + 1
+        digits += n_target >= 10**digits
+        raise InfeasibleScenarioError(
+            f"n_target of {digits} digits is past the largest float")
+    needed = target / s
     if needed == math.inf:
         raise InfeasibleScenarioError(
-            f"inclusion probability {s} too small: admitting {n_target} needs "
+            f"inclusion probability {s} too small: admitting {target:.15g} needs "
             "more attendees than a float can count"
         )
     return math.ceil(needed)

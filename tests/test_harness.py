@@ -21,9 +21,9 @@ import yaml
 from scipy import stats
 
 import recencysim
-from recencysim import estimator, population
+from recencysim import cli, estimator, population
 
-from recencysim.cli import CONFIG_KEYS, main as cli_main
+from recencysim.cli import COMMAND_KEYS, CONFIG_KEYS, SETTINGS, main as cli_main
 from recencysim.estimator import (
     analytic_bias, effective_mdri_closed, kassanjee_estimate, log_variance,
     survey_composition)
@@ -917,12 +917,21 @@ class TestReplicationsWriter:
             csv.writer(fh).writerow([s.label, 0])
             assert fh.getvalue() == f"{s.label},0\r\n"
 
-    def test_rejects_a_label_that_needs_quoting(self):
-        res = run_grid([small_grid(reps=1)[0]])
-        res = dataclasses.replace(res, scenarios=(
-            dataclasses.replace(res.scenarios[0], label="swp,theta1"),))
-        with pytest.raises(ValueError, match="would need CSV quoting"):
-            harness._write_replications(res, io.StringIO())
+    def test_label_quoted_in_both_grid_csvs(self, tmp_path):
+        # replications.csv rejected a label that needs quoting, which
+        # summary.csv quoted: both files now write it as csv.writer does
+        res = run_grid(small_grid(reps=2)[:3])
+        odd = dataclasses.replace(res.scenarios[1], label='swp,"theta"1')
+        res = dataclasses.replace(res, scenarios=(res.scenarios[0], odd,
+                                                  *res.scenarios[2:]))
+        assert write_results(res, tmp_path, config_echo={}, seed=7, wall_time=0.0)
+        assert (tmp_path / "replications.csv").read_bytes() == (
+            csv_writer_replications(res).encode())
+        assert (tmp_path / "summary.csv").read_bytes() == (
+            csv_writer_summary(res).encode())
+        for name in ("replications.csv", "summary.csv"):
+            with open(tmp_path / name, newline="") as fh:
+                assert odd.label in [row[0] for row in csv.reader(fh)]
 
     def test_chunks_byte_identical_to_csv_writer(self, monkeypatch):
         # two drawn cells a chunk at 4 replications, error cells between
@@ -1198,6 +1207,45 @@ class TestTable1:
             assert all(a >= b for a, b in zip(screened, screened[1:])), cell
 
 
+HISTOGRAM_COLUMNS = ["bin_lo", "bin_hi", "aware_included", "aware_excluded",
+                     "unaware_included", "unaware_excluded"]
+
+
+def csv_writer_report(header, rows):
+    """A report CSV as csv.writer writes it: the header, then each row's
+    values through `_fmt`."""
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    w.writerow(header)
+    w.writerows([harness._fmt(v) for v in row] for row in rows)
+    return fh.getvalue()
+
+
+class TestReportWriters:
+    # Table 1 and the histogram are hand-joined like the grid CSVs
+    FREE_TEXT = 'none, "at all",\r\nreally'
+
+    def test_table1_bytes_are_csv_writers(self, tmp_path):
+        rows = emit_table1()
+        rows[1] = {**rows[1], "exclusion_period": self.FREE_TEXT}
+        write_table1(rows, tmp_path / "table1.csv")
+        assert (tmp_path / "table1.csv").read_bytes() == csv_writer_report(
+            list(rows[0]), [list(row.values()) for row in rows]).encode()
+
+    def test_histogram_bytes_are_csv_writers(self, tmp_path):
+        rows = emit_histogram(ObservationRule.STOP_WHEN_POSITIVE,
+                              ExponentialInterTest(1.0), 1.0, n_infected=1000)
+        rows[1] = (self.FREE_TEXT, *rows[1][1:])
+        write_histogram(rows, tmp_path / "histogram.csv")
+        assert (tmp_path / "histogram.csv").read_bytes() == csv_writer_report(
+            HISTOGRAM_COLUMNS, rows).encode()
+
+    def test_the_directory_is_made_where_a_file_is_written(self, tmp_path):
+        out = tmp_path / "a" / "b" / "table1.csv"
+        write_table1([{"c": 0.0, "r": 1.0}], out)
+        assert out.read_bytes() == b"c,r\r\n0,1\r\n"
+
+
 class TestOutputsAndCli:
     def test_write_results_files(self, tmp_path):
         result = run_grid(small_grid(), workers=1)
@@ -1239,6 +1287,35 @@ class TestOutputsAndCli:
             ",".join(SUMMARY_COLUMNS) + "\n")
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert (manifest["scenarios"], manifest["errors"]) == (0, [])
+
+    def test_cli_manifest_echoes_each_setting_once(self, tmp_path, capsys):
+        # `replications: 7` and `--reps 3` ran 3 replications, but the echo
+        # held "replications": 7 beside "reps": "3"
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("replications: 7\nn_target: 200\ngrid:\n  theta: [1.0]\n"
+                       "  r: [1.0]\n  c: [0.0]\n")
+        assert cli_main(["grid", "--config", str(cfg), "--reps", "3",
+                         "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        echo = json.loads((out / "manifest.json").read_text())["config"]
+        assert echo == {
+            "command": "grid", "grid": {"theta": [1.0], "r": [1.0], "c": [0.0]},
+            "seed": "12345", "replications": "3", "workers": "1", "n_target": "200",
+            "out_dir": str(out)}
+        with open(out / "summary.csv") as fh:
+            assert {row["replications"] for row in csv.DictReader(fh)} == {"3"}
+
+    @pytest.mark.parametrize("command", [*COMMAND_KEYS, "mdri"])
+    def test_cli_flags_are_the_commands_settings(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli_main([command, "--help"])
+        flags = set(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M))
+        settings = {key: flag for key, (flag, _, _) in SETTINGS.items() if flag}
+        read = COMMAND_KEYS.get(command, set())
+        assert flags & {*settings.values()} == {
+            flag for key, flag in settings.items() if key in read}
+        assert ({"--out-dir", "--config"} <= flags) == (command != "mdri")
 
     def test_cli_manifest_records_workers(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1434,8 +1511,12 @@ class TestOutputsAndCli:
         "body,message",
         [("seed: [1\n", "expected ',' or ']'"),
          (b"seed: \xff\n", "can't decode byte 0xff"),
-         (None, "No such file or directory")],
-        ids=["malformed", "not_utf8", "missing"],
+         (None, "No such file or directory"),
+         # past Python's 4,300-digit limit: a ValueError traceback from
+         # inside yaml.safe_load
+         (f"n_target: 1{'0' * 5000}\n", "Exceeds the limit (4300 digits)"),
+         (f"seed: 1{'0' * 5000}\n", "Exceeds the limit (4300 digits)")],
+        ids=["malformed", "not_utf8", "missing", "huge_n_target", "huge_seed"],
     )
     def test_cli_rejects_unreadable_config(self, tmp_path, capsys, command,
                                            body, message):
@@ -1678,17 +1759,23 @@ class TestOutputsAndCli:
         assert outputs("null", True) == outputs("unset", False)
         capsys.readouterr()
 
-    @pytest.mark.parametrize("n_target", [10**308, 10**400], ids=["inf", "overflow"])
+    @pytest.mark.parametrize("n_target,message", [
+        (10**308, r"error: inclusion probability 0\.1\d+ too small: admitting "
+                  r"1e\+308 needs more attendees"),
+        (10**400, "error: n_target of 401 digits is past the largest float"),
+    ], ids=["inf", "overflow"])
     def test_cli_table1_rejects_a_target_past_a_float(self, tmp_path, capsys,
-                                                      n_target):
+                                                      n_target, message):
         # an InfeasibleScenarioError, and for 401 digits an OverflowError,
-        # ended in a traceback and left an empty out_dir behind
+        # ended in a traceback and left an empty out_dir behind; then the
+        # 401 digits were blamed on s = 1 and printed whole
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(f"n_target: {n_target}\nout_dir: {tmp_path / 'out'}\n")
         with pytest.raises(SystemExit) as exc:
             cli_main(["table1", "--config", str(cfg)])
         assert exc.value.code == 2
-        assert "inclusion probability" in capsys.readouterr().err
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert re.search(message, error) and len(error) < 200
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["rules", "theta", "r", "c", "frr", "uniform_b"])
@@ -1720,6 +1807,20 @@ class TestOutputsAndCli:
             monkeypatch.setattr(f"recencysim.cli.{name}", refuse)
 
     @WRITING_COMMANDS
+    def test_cli_resolves_only_the_commands_settings(self, tmp_path, monkeypatch,
+                                                     argv):
+        # table1 and histogram resolved (and checked) every setting
+        resolved = []
+        real = cli._resolved
+        monkeypatch.setattr(cli, "_resolved",
+                            lambda args, cfg: resolved.append(real(args, cfg))
+                            or resolved[-1])
+        self.refuse_work(monkeypatch)
+        with pytest.raises(AssertionError, match="work started"):
+            cli_main([*argv, "--out-dir", str(tmp_path / "out")])
+        assert set(resolved[0]) == COMMAND_KEYS[argv[0]] - {"grid"}
+
+    @WRITING_COMMANDS
     @pytest.mark.parametrize("where", ["flag", "under_file", "config", "env"])
     def test_cli_rejects_out_dir_that_is_a_file(self, tmp_path, capsys,
                                                 monkeypatch, argv, where):
@@ -1747,20 +1848,27 @@ class TestOutputsAndCli:
         assert taken.read_text() == "a file\n"
 
     @WRITING_COMMANDS
-    @pytest.mark.parametrize("value,shown", [("5", "5"), ("[a]", "['a']"),
-                                             ("yes", "True")],
-                             ids=["int", "list", "bool"])
+    @pytest.mark.parametrize(
+        "where,value,shown",
+        [("config", "5", "5"), ("config", "[a]", "['a']"), ("config", "yes", "True"),
+         ("config", '""', "''"), ("flag", "", "''"), ("env", "", "''")],
+        ids=["int", "list", "bool", "empty", "empty_flag", "empty_env"])
     def test_cli_rejects_out_dir_that_is_not_a_path(self, tmp_path, capsys,
-                                                    monkeypatch, argv, value,
-                                                    shown):
-        # a config value that is not a string was a TypeError traceback
+                                                    monkeypatch, argv, where,
+                                                    value, shown):
+        # a config value that is not a string was a TypeError traceback; an
+        # empty one, --out-dir "" or RECENCYSIM_OUT_DIR= wrote into the
+        # working directory
         self.refuse_work(monkeypatch)
         monkeypatch.chdir(tmp_path)
+        if where == "env":
+            monkeypatch.setenv("RECENCYSIM_OUT_DIR", value)
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(f"out_dir: {value}\n")
+        cfg.write_text(f"out_dir: {value}\n" if where == "config" else "")
+        flag = ["--out-dir", value] if where == "flag" else []
         before = sorted(tmp_path.iterdir())
         with pytest.raises(SystemExit) as exc:
-            cli_main([*argv, "--config", str(cfg)])
+            cli_main([*argv, "--config", str(cfg), *flag])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert f"out_dir must be a path, got {shown}" in captured.err

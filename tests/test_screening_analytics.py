@@ -98,11 +98,25 @@ class TestRequiredScreening:
             required_screening(5000, 5e-324)
         assert required_screening(1, 2.0**-1000) == 2**1000
 
-    @pytest.mark.parametrize("n_target", [10**308, 10**400], ids=["inf", "overflow"])
-    def test_huge_target_is_an_inclusion_error(self, n_target):
-        # 10**308 / 0.5 is inf; 10**400 / 0.5 raised OverflowError
-        with pytest.raises(InfeasibleScenarioError, match="inclusion probability 0.5"):
-            required_screening(n_target, 0.5)
+    def test_huge_target_over_s_is_an_inclusion_error(self):
+        # 10**308 is a float, and 10**308 / 0.5 is inf
+        with pytest.raises(InfeasibleScenarioError) as exc:
+            required_screening(10**308, 0.5)
+        assert str(exc.value) == (
+            "inclusion probability 0.5 too small: admitting 1e+308 needs more "
+            "attendees than a float can count")
+
+    @pytest.mark.parametrize("n_target,digits", [
+        (2**1024, 309), (10**309 - 1, 309), (10**309, 310), (10**400, 401),
+        (10**5000, 5001)], ids=["2^1024", "10^309-1", "10^309", "10^400", "10^5000"])
+    def test_target_past_a_float_is_named(self, n_target, digits):
+        # blamed s = 1 and printed all 401 digits; past 4,300 digits the
+        # message's own formatting raised a plain ValueError
+        with pytest.raises(InfeasibleScenarioError) as exc:
+            required_screening(n_target, 1.0)
+        assert str(exc.value) == (
+            f"n_target of {digits} digits is past the largest float")
+        assert len(str(exc.value)) < 200
 
 
 class TestForecast:

@@ -3,7 +3,9 @@ module (or exported through `__all__`), every module-level private
 function, class or constant is referenced somewhere in the package, and
 every module-level public function or class is read by the package (its
 `__init__` re-exports count) or by `perfbench/`, a caller.  No module
-imports `scipy.integrate`: numerical quadrature lives in the tests."""
+imports `scipy.integrate`: numerical quadrature lives in the tests.  No
+module imports `csv`: every CSV file is hand-joined in one dialect
+(`harness._quoted`)."""
 
 import ast
 from pathlib import Path
@@ -71,6 +73,14 @@ def test_no_module_imports_scipy_integrate(name):
     # (tests/quadrature_oracle.py)
     assert [m for m in imported_modules(TREES[name])
             if m == "scipy.integrate" or m.startswith("scipy.integrate.")] == []
+
+
+@pytest.mark.parametrize("name", TREES)
+def test_no_module_imports_csv(name):
+    # every CSV file is written one way, csv.writer's bytes joined by hand;
+    # csv.writer stays the tests' oracle
+    assert [m for m in imported_modules(TREES[name])
+            if m == "csv" or m.startswith("csv.")] == []
 
 
 def defined(node):
