@@ -15,8 +15,9 @@ holding `build_grid`'s axes by their names (`harness.GRID_KEYS`).
 and lowest value, and `COMMAND_KEYS` the keys each command reads, so a
 command has the flags of its own settings only; a flag overrides the
 config.  Unknown config keys, keys the command does not read and
-out-of-range values are usage errors (exit 2).  A grid's manifest echoes
-each setting once, under its config key, with the value that ran.
+out-of-range values are usage errors (exit 2).  A grid's manifest is the
+one record of its settings: it echoes each once, under its config key,
+with the value that ran (an integer as an integer).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from pathlib import Path
 from .estimator import analytic_bias, effective_mdri_closed
 from .harness import (
     GRID_KEYS,
+    N_TARGET,
     SUITES,
     _check_count,
     build_grid,
@@ -52,7 +54,7 @@ SETTINGS = {
     "seed": ("--seed", 12345, 0),
     "replications": ("--reps", 1000, 1),
     "workers": ("--workers", 1, 1),
-    "n_target": (None, 5000, 1),
+    "n_target": (None, N_TARGET, 1),
 }
 #: the config keys each command reads; setting another is a usage error
 COMMAND_KEYS = {
@@ -172,14 +174,8 @@ def cmd_grid(args) -> int:
         raise ConfigError(f"bad value in the grid: block of {args.config}: {exc}")
     t0 = time.perf_counter()  # monotonic: a wall-clock step cannot skew it
     result = run_grid(scenarios, workers=opts["workers"])
-    ok = write_results(
-        result,
-        opts["out_dir"],
-        config_echo={"command": label, **cfg, **{k: str(v) for k, v in opts.items()}},
-        seed=opts["seed"],
-        wall_time=time.perf_counter() - t0,
-        workers=opts["workers"],
-    )
+    echo = {"command": label, **cfg, **opts, "out_dir": str(opts["out_dir"])}
+    ok = write_results(result, opts["out_dir"], echo, time.perf_counter() - t0)
     print(f"{label}: {len(result.scenarios)} scenarios -> {opts['out_dir']}")
     return 0 if ok else 1
 

@@ -153,7 +153,7 @@ def _uniform_pieces(law: UniformInterTest, rule, r, c, x):
     x only when one lies past it.
     """
     a, b = law.a, law.b
-    cdf = law.residual_cdf_pieces[1]  # its knees are 0, a and b
+    cdf = law.residual_cdf_pieces  # its knees are 0, a and b
     k0, k1, k2 = cdf[2 if c >= b else 1 if c >= a else 0]
     # F's last piece is 1: c = inf would read inf * 0 there
     survive_c = 0.0 if c >= b else 1.0 - (k0 + c * (k1 + c * k2))

@@ -85,6 +85,8 @@ THETA_GRID = (0.4, 1.0, 1.5, 2.0)
 R_GRID = (0.0, 0.3, 0.6, 1.0)
 C_GRID = (0.0, 0.25, 1.0, 1.5, 2.0)
 FRR_GRID = (0.0, 0.005, 0.01, 0.02)
+#: the surveys' size: the positives and negatives a survey admits
+N_TARGET = 5000
 
 REPLICATION_COLUMNS = [
     "scenario",
@@ -402,7 +404,7 @@ def _check_count(value, what: str, low: int = 1, error=ValueError):
 def build_grid(
     seed: int,
     replications: int,
-    n_target: int = 5000,
+    n_target: int = N_TARGET,
     rules: Sequence = (ObservationRule.REGULAR, ObservationRule.STOP_WHEN_POSITIVE),
     theta: Optional[Sequence[float]] = None,
     r: Sequence[float] = R_GRID,
@@ -419,9 +421,11 @@ def build_grid(
     Each axis must be a list (not a string, a mapping or a single value)
     that holds a value, every one a real number but for the rules (YAML's
     `on` is a bool, `1e-9` text), and `assay` the name of one of `ASSAYS`:
-    another value is a ValueError naming its config key.  Each frr's assay
-    is built once and each (r, c) gets the analytic layer's check once,
-    before any cell is built.  A label keys its cell's random streams, so
+    another value is a ValueError naming its config key.  Each number is
+    read once as a float, -0.0 as 0.0, so `theta: [2]` is the cell of 2.0;
+    one past the largest float is a ValueError naming its key.  Each frr's
+    assay is built once and each (r, c) gets the analytic layer's check
+    once, before any cell is built.  A label keys its cell's random streams, so
     two cells with one label (a value listed twice) are a ValueError naming
     the label.  `seed` must be an integer >= 0, and `replications` and
     `n_target` >= 1, as in the CLI (`_check_count`), before any cell is
@@ -443,9 +447,13 @@ def build_grid(
         axes[key] = values = list(values)
         if not values:
             raise ValueError(f"{key} must list at least one value, got []")
-        for value in values if key != "rules" else ():
+        for i, value in enumerate(values if key != "rules" else ()):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{key} values must be numbers, got {value!r}")
+            try:  # one float, -0.0 read as 0.0: one value, one label
+                values[i] = float(value) + 0.0
+            except OverflowError:
+                raise ValueError(f"a {key} value is past the largest float") from None
     if not isinstance(assay, str) or assay not in ASSAYS:
         raise ValueError(
             f"unknown assay {assay!r}; expected one of: {', '.join(ASSAYS)}"
@@ -493,13 +501,13 @@ SUITES = {
 }
 
 
-def build_sensitivity(suite: str, seed: int, replications: int, n_target: int = 5000):
+def build_sensitivity(suite: str, seed: int, replications: int):
     """The grid of the sensitivity suite `suite` (`SUITES`); an unknown
     name is a ValueError listing the suites."""
     if suite not in SUITES:
         raise ValueError(f"unknown sensitivity suite: {suite}; "
                          f"expected one of: {', '.join(SUITES)}")
-    return build_grid(seed, replications, n_target, **SUITES[suite])
+    return build_grid(seed, replications, **SUITES[suite])
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +531,9 @@ def _quoted(text: str) -> str:
 
 
 @contextmanager
-def _atomic_open(path: Path, newline=None):
-    """Open a sibling temporary file, making `path`'s directory first;
-    os.replace it onto `path` on success.
+def _atomic_open(path: Path):
+    """Open a sibling temporary file, with no newline translation, making
+    `path`'s directory first; os.replace it onto `path` on success.
 
     If the body raises, the temporary file is removed and `path` is left as
     it was, so no reader ever sees a half-written file.
@@ -534,7 +542,7 @@ def _atomic_open(path: Path, newline=None):
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -546,46 +554,45 @@ def _write_report(path: Path, header, rows):
     """A report CSV, replaced atomically and in one write, as csv.writer
     would write it: the header, then each row's values through `_fmt`, each
     field through `_quoted`."""
-    with _atomic_open(path, newline="") as fh:
+    with _atomic_open(path) as fh:
         fh.write("".join([",".join([_quoted(_fmt(v)) for v in row]) + "\r\n"
                           for row in [header, *rows]]))
 
 
 def write_results(
-    result: GridResult, out_dir: Path, config_echo: dict, seed: int,
-    wall_time: float, workers: int = 1,
+    result: GridResult, out_dir: Path, config_echo: dict, wall_time: float,
 ) -> bool:
     """Write per-replication CSV, summary CSV, and the JSON manifest.
 
-    Returns True when every scenario completed without error.  The three
-    files are replaced together only after all of them are written.  The
-    manifest records the requested `workers`, the worker processes the run
-    used (`result.processes`, 1 meaning in-process), and the Python, numpy
-    and scipy versions, since the vectorized random streams depend on
-    numpy's.
+    Returns True when every scenario completed without error: when the
+    manifest's error list is empty.  The three files are replaced only
+    after all of them are written, the manifest last, so a new manifest
+    means both CSVs were replaced.  The manifest records the run's settings
+    once, in `config_echo`, beside the worker processes the run used
+    (`result.processes`, 1 meaning in-process) and the Python, numpy and
+    scipy versions, since the vectorized random streams depend on numpy's.
     """
     out_dir = Path(out_dir)
-    with _atomic_open(out_dir / "replications.csv", newline="") as rep_fh, \
-            _atomic_open(out_dir / "summary.csv", newline="") as sum_fh, \
-            _atomic_open(out_dir / "manifest.json") as man_fh:
+    errors = [s.label for s, error in zip(result.scenarios, result.errors)
+              if error is not None]
+    with _atomic_open(out_dir / "manifest.json") as man_fh, \
+            _atomic_open(out_dir / "replications.csv") as rep_fh, \
+            _atomic_open(out_dir / "summary.csv") as sum_fh:
         _write_replications(result, rep_fh)
-        ok = _write_summary(result, sum_fh)
+        _write_summary(result, sum_fh)
         manifest = {
             "config": config_echo,
-            "seed": seed,
             "version": __version__,
             "scenarios": len(result.scenarios),
-            "errors": [s.label for s, error in zip(result.scenarios, result.errors)
-                       if error is not None],
+            "errors": errors,
             "wall_time_s": round(wall_time, 3),
-            "workers": workers,
             "processes": result.processes,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         }
         man_fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return ok
+    return not errors
 
 
 #: lines a chunk of replications.csv holds, one scenario of more being a
@@ -626,7 +633,7 @@ def _write_replications(result: GridResult, fh):
         ]))
 
 
-def _write_summary(result: GridResult, fh) -> bool:
+def _write_summary(result: GridResult, fh):
     """One line per scenario, as csv.writer would write it, in one write.
 
     Every drawn scenario's statistics come from one `summary_columns` pass,
@@ -635,7 +642,7 @@ def _write_summary(result: GridResult, fh) -> bool:
     fields, r, c, frr and the two analytic columns are written with `.10g`
     (`_fmt`), theta, a, b, replications and n_target with `str`.  The label
     and an error row's status, "error:" and the error's text, go through
-    `_quoted`.  True when no scenario stopped on an error."""
+    `_quoted`."""
     counted = ("n_negative", "n_undefined")
     stats = zip(*(
         list(map(str, column)) if key in counted else [f"{x:.10g}" for x in column]
@@ -655,7 +662,6 @@ def _write_summary(result: GridResult, fh) -> bool:
             line += "," * 10 + _quoted(f"error:{error}") + "\r\n"  # 10 empty fields
         lines.append(line)
     fh.write("".join(lines))
-    return all(error is None for error in result.errors)
 
 
 # ---------------------------------------------------------------------------
@@ -749,19 +755,17 @@ def _table_grid_k(u, p, tstar, theta, c):
     return (p[m] * (1.0 - np.exp(theta * (c - u[m])))).sum() * TABLE_GRID_STEP
 
 
-def emit_table1(
-    n_target: int = 5000,
-    assay: RecencyAssay = DEFAULT_ASSAY,
-):
-    """Analytic bias and screening-burden report under Stop-When-Positive.
+def emit_table1(n_target: int = N_TARGET):
+    """Analytic bias and screening-burden report under Stop-When-Positive,
+    for the default assay.
 
     One row per (exclusion period, testing frequency, attendance ratio).
     Bias is reported both at the table grid convention and in exact closed
     form; screening burden comes from the closed inclusion
     probability.
     """
+    assay, swp, params = DEFAULT_ASSAY, ObservationRule.STOP_WHEN_POSITIVE, DEFAULT_PARAMS
     u, p, omega = _table_grid(assay)
-    swp, params = ObservationRule.STOP_WHEN_POSITIVE, DEFAULT_PARAMS
     rows = []
     for c, clabel in TABLE1_C:
         for theta in TABLE1_THETA:

@@ -56,23 +56,21 @@ class UniformInterTest:
             raise ValueError(f"need 0 <= a < b, got a={self.a!r}, b={self.b!r}")
         if not math.isfinite(self.b):
             raise ValueError(f"b must be finite, got {self.b!r}")
+        m = self.b * self.b - self.a * self.a
+        if not (m > 0 and math.isfinite(1.0 / m)):  # the CDF's coefficients
+            raise ValueError(f"1/(b^2 - a^2) is not finite at a={self.a!r}, b={self.b!r}")
 
     @functools.cached_property
     def residual_cdf_pieces(self):
-        """Knees and quadratic pieces of the stationary residual CDF, built
-        once per law.
-
-        Returns (knees, coefs) with knees = (0, a, b): from knees[i] up to
-        the next knee, F(x) = k0 + k1*x + k2*x^2 with (k0, k1, k2) =
-        coefs[i].  That is x/mu below a, 1 - (b - x)^2 / (b^2 - a^2) up to b,
-        and 1 beyond.
+        """The quadratic pieces of the stationary residual CDF, built once
+        per law: from the i-th knee of (0, a, b) up to the next, F(x) = k0 +
+        k1*x + k2*x^2 with (k0, k1, k2) the i-th piece.  That is x/mu below
+        a, 1 - (b - x)^2 / (b^2 - a^2) up to b, and 1 beyond.
         """
         a, b = self.a, self.b
         m = b * b - a * a
-        knees = (0.0, a, b)
-        coefs = ((0.0, 2.0 / (a + b), 0.0), (-a * a / m, 2.0 * b / m, -1.0 / m),
-                 (1.0, 0.0, 0.0))
-        return knees, coefs
+        return ((0.0, 2.0 / (a + b), 0.0), (-a * a / m, 2.0 * b / m, -1.0 / m),
+                (1.0, 0.0, 0.0))
 
 
 InterTestLaw = Union[ExponentialInterTest, UniformInterTest]

@@ -41,7 +41,7 @@ def residual_cdf(x: float, law: InterTestLaw) -> float:
     if isinstance(law, ExponentialInterTest):
         return 1.0 - math.exp(-law.theta * x)
     piece = 2 if x >= law.b else 1 if x >= law.a else 0
-    k0, k1, k2 = law.residual_cdf_pieces[1][piece]
+    k0, k1, k2 = law.residual_cdf_pieces[piece]
     return k0 + x * (k1 + x * k2)
 
 

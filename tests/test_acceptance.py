@@ -325,7 +325,7 @@ def test_criterion_9_determinism(tmp_path_factory, pool_forced):
     for workers in (1, 2):
         out = tmp_path_factory.mktemp(f"grid_w{workers}")
         result = run_grid(scenarios, workers=workers)
-        write_results(result, out, config_echo={}, seed=777, wall_time=0.0)
+        write_results(result, out, config_echo={}, wall_time=0.0)
         outputs[workers] = {
             name: (out / name).read_bytes()
             for name in ("replications.csv", "summary.csv")

@@ -162,28 +162,37 @@ class TestGridConstruction:
             build_grid(1, 1, assay="defualt")
 
     @pytest.mark.parametrize(
-        "args,kwargs,message",
+        "build,args,kwargs,message",
         [
-            # a float seed ran silently as seed 1 through int()
-            ((1.9, 2), {}, "seed must be a nonnegative integer, got 1.9"),
-            ((True, 2), {}, "seed must be a nonnegative integer, got True"),
-            ((-1, 2), {}, "seed must be a nonnegative integer, got -1"),
-            # drew surveys of 100 and wrote n_screened as 100.5
-            ((1, 2), {"n_target": 100.5},
-             "n_target must be a positive integer, got 100.5"),
-            ((1, 2), {"n_target": 0}, "n_target must be a positive integer, got 0"),
-            # failed inside numpy, after every law was computed
-            ((1, 2.5), {}, "replications must be a positive integer, got 2.5"),
-            ((1, False), {}, "replications must be a positive integer, got False"),
-            ((1, 0), {}, "replications must be a positive integer, got 0"),
+            pytest.param(build, args, kwargs, message, id=f"{build}-{name}")
+            for build in ("grid", "sensitivity")
+            for name, args, kwargs, message in [
+                # a float seed ran silently as seed 1 through int()
+                ("seed-float", (1.9, 2), {},
+                 "seed must be a nonnegative integer, got 1.9"),
+                ("seed-bool", (True, 2), {},
+                 "seed must be a nonnegative integer, got True"),
+                ("seed-negative", (-1, 2), {},
+                 "seed must be a nonnegative integer, got -1"),
+                # drew surveys of 100 and wrote n_screened as 100.5
+                ("n_target-float", (1, 2), {"n_target": 100.5},
+                 "n_target must be a positive integer, got 100.5"),
+                ("n_target-zero", (1, 2), {"n_target": 0},
+                 "n_target must be a positive integer, got 0"),
+                # failed inside numpy, after every law was computed
+                ("replications-float", (1, 2.5), {},
+                 "replications must be a positive integer, got 2.5"),
+                ("replications-bool", (1, False), {},
+                 "replications must be a positive integer, got False"),
+                ("replications-zero", (1, 0), {},
+                 "replications must be a positive integer, got 0"),
+            ]
+            # a suite runs at the default n_target
+            if not (build == "sensitivity" and kwargs)
         ],
-        ids=["seed-float", "seed-bool", "seed-negative", "n_target-float",
-             "n_target-zero", "replications-float", "replications-bool",
-             "replications-zero"],
     )
-    @pytest.mark.parametrize("build", ["grid", "sensitivity"])
-    def test_rejects_a_bad_count_before_any_cell(self, monkeypatch, args, kwargs,
-                                                 message, build):
+    def test_rejects_a_bad_count_before_any_cell(self, monkeypatch, build, args,
+                                                 kwargs, message):
         def refuse(**fields):
             raise AssertionError("a cell was built")
 
@@ -245,7 +254,7 @@ class TestDeterminism:
         for workers in (1, 2):
             out = tmp_path / f"w{workers}"
             result = run_grid(scenarios, workers=workers)
-            write_results(result, out, config_echo={}, seed=7, wall_time=0.0)
+            write_results(result, out, config_echo={}, wall_time=0.0)
             files[workers] = {
                 name: (out / name).read_bytes()
                 for name in ("replications.csv", "summary.csv")
@@ -256,8 +265,8 @@ class TestDeterminism:
     def test_uniform_suite_streams_unchanged(self, tmp_path):
         # sha256 of the files written when each generator's seed words
         # became the SHA-256 digest of (seed, label, stream)
-        result = run_grid(build_sensitivity("uniform_intertest", 11, 2, n_target=500))
-        write_results(result, tmp_path, config_echo={}, seed=11, wall_time=0.0)
+        result = run_grid(build_grid(11, 2, 500, **SUITES["uniform_intertest"]))
+        write_results(result, tmp_path, config_echo={}, wall_time=0.0)
         digests = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("replications.csv", "summary.csv")
@@ -287,10 +296,8 @@ class TestDeterminism:
         # sha256 of the files written when each generator's seed words
         # became the SHA-256 digest of (seed, label, stream) (the frr suite's
         # rows include negative estimates)
-        scenarios = (build_grid(1, 3, n_target=500) if suite == "main"
-                     else build_sensitivity(suite, 1, 3, n_target=500))
-        write_results(run_grid(scenarios), tmp_path, config_echo={}, seed=1,
-                      wall_time=0.0)
+        scenarios = build_grid(1, 3, 500, **SUITES.get(suite, {}))  # "main" sets no axis
+        write_results(run_grid(scenarios), tmp_path, config_echo={}, wall_time=0.0)
         assert {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in digests
@@ -299,7 +306,7 @@ class TestDeterminism:
     def test_label_keyed_streams_match_across_grids(self):
         # every frr=0 sensitivity scenario reproduces its main-grid twin
         main = {s.label: s for s in build_grid(7, 2, n_target=300)}
-        twins = [s for s in build_sensitivity("frr", 7, 2, n_target=300)
+        twins = [s for s in build_grid(7, 2, 300, **SUITES["frr"])
                  if s.assay.frr == 0.0]
         assert len(twins) == 2 * 2 * 4 * 2
         for got, want in zip(grid_cells(run_grid(twins)),
@@ -743,7 +750,7 @@ class TestGridPasses:
         grid = [*scenarios, infeasible]
         result = run_grid(grid, workers=workers)
         assert result.errors[-1] is not None
-        write_results(result, tmp_path, config_echo={}, seed=7, wall_time=0.0)
+        write_results(result, tmp_path, config_echo={}, wall_time=0.0)
         # 60 drawable replications: the grid is one block, on a pool too
         assert pool_forced == ([2] if workers == 2 else [])
         assert calls("estimate") == 1
@@ -860,7 +867,7 @@ class TestGridResult:
                                                      workers, nothing_drawn):
         grid = [] if nothing_drawn == "empty" else infeasible_cells()
         ok = write_results(run_grid(grid, workers=workers), tmp_path, config_echo={},
-                           seed=5, wall_time=0.0)
+                           wall_time=0.0)
         assert pool_forced == []  # nothing to draw
         assert ok == (not grid)
         rows = "" if not grid else self.ERROR_ROWS
@@ -924,7 +931,7 @@ class TestReplicationsWriter:
         odd = dataclasses.replace(res.scenarios[1], label='swp,"theta"1')
         res = dataclasses.replace(res, scenarios=(res.scenarios[0], odd,
                                                   *res.scenarios[2:]))
-        assert write_results(res, tmp_path, config_echo={}, seed=7, wall_time=0.0)
+        assert write_results(res, tmp_path, config_echo={}, wall_time=0.0)
         assert (tmp_path / "replications.csv").read_bytes() == (
             csv_writer_replications(res).encode())
         assert (tmp_path / "summary.csv").read_bytes() == (
@@ -990,11 +997,10 @@ def csv_writer_summary(result):
 class TestSummaryWriter:
     @pytest.mark.parametrize("suite", ["main", "frr", "uniform_intertest", "long_mdri"])
     def test_byte_identical_to_csv_writer(self, suite):
-        scenarios = (build_grid(1, 3, n_target=500) if suite == "main"
-                     else build_sensitivity(suite, 1, 3, n_target=500))
+        scenarios = build_grid(1, 3, 500, **SUITES.get(suite, {}))  # "main" sets no axis
         result = run_grid(scenarios)
         fh = io.StringIO(newline="")
-        assert harness._write_summary(result, fh)
+        harness._write_summary(result, fh)
         assert fh.getvalue() == csv_writer_summary(result)
 
     def test_free_text_quoted_as_csv_writer_quotes_it(self):
@@ -1006,7 +1012,7 @@ class TestSummaryWriter:
         result = grid_of([cells[0], Cell(cells[2].scenario, message, None, np.empty(0)),
                           cells[1]._replace(scenario=odd), *cells[3:]])
         fh = io.StringIO(newline="")
-        assert not harness._write_summary(result, fh)
+        harness._write_summary(result, fh)
         assert fh.getvalue() == csv_writer_summary(result)
         rows = list(csv.reader(io.StringIO(fh.getvalue(), newline="")))
         assert len(rows) == 1 + len(cells)
@@ -1167,9 +1173,8 @@ class TestTable1:
             if row["c"] == 0.0 and row["r"] == 1.0:
                 assert abs(row["bias_x1e3"]) < 5e-9
 
-    @pytest.mark.parametrize("assay", [DEFAULT_ASSAY, LONG_ASSAY],
-                             ids=["default", "long"])
-    def test_bias_is_the_rows_left_endpoint_sum(self, assay, monkeypatch):
+    def test_bias_is_the_rows_left_endpoint_sum(self, monkeypatch):
+        assay = DEFAULT_ASSAY
         phi_assays = []
 
         def counted_phi(u, a):
@@ -1177,7 +1182,7 @@ class TestTable1:
             return phi(u, a)
 
         monkeypatch.setattr(harness, "phi", counted_phi)
-        rows = emit_table1(assay=assay)
+        rows = emit_table1()
         assert phi_assays == [assay]  # one grid per table, not one per row
         step, tstar = harness.TABLE_GRID_STEP, assay.recency_cutoff
         assert len(rows) == 18
@@ -1249,8 +1254,7 @@ class TestReportWriters:
 class TestOutputsAndCli:
     def test_write_results_files(self, tmp_path):
         result = run_grid(small_grid(), workers=1)
-        ok = write_results(result, tmp_path, config_echo={"x": 1}, seed=7,
-                           wall_time=1.0)
+        ok = write_results(result, tmp_path, config_echo={"x": 1}, wall_time=1.0)
         assert ok
         with open(tmp_path / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -1258,11 +1262,13 @@ class TestOutputsAndCli:
         assert all(r["status"] == "ok" for r in rows)
         with open(tmp_path / "manifest.json") as fh:
             manifest = json.load(fh)
-        assert manifest["seed"] == 7
+        # the echo is the one record of the run's settings
+        assert manifest["config"] == {"x": 1}
+        assert not {"seed", "workers"} & set(manifest)
         assert manifest["scenarios"] == len(result.scenarios)
         assert manifest["errors"] == []
+        assert manifest["processes"] == 1
         # the vectorized streams depend on numpy's version
-        assert (manifest["workers"], manifest["processes"]) == (1, 1)
         assert (manifest["python"], manifest["numpy"]) == (
             platform.python_version(), np.__version__)
         assert manifest["scipy"] == __import__("scipy").__version__
@@ -1279,8 +1285,7 @@ class TestOutputsAndCli:
         assert calls == []
 
     def test_write_results_of_no_scenarios(self, tmp_path):
-        assert write_results(run_grid([]), tmp_path, config_echo={}, seed=1,
-                             wall_time=0.0)
+        assert write_results(run_grid([]), tmp_path, config_echo={}, wall_time=0.0)
         assert (tmp_path / "replications.csv").read_text() == (
             ",".join(harness.REPLICATION_COLUMNS) + "\n")
         assert (tmp_path / "summary.csv").read_text() == (
@@ -1290,7 +1295,8 @@ class TestOutputsAndCli:
 
     def test_cli_manifest_echoes_each_setting_once(self, tmp_path, capsys):
         # `replications: 7` and `--reps 3` ran 3 replications, but the echo
-        # held "replications": 7 beside "reps": "3"
+        # held "replications": 7 beside "reps": "3"; the echo held each
+        # setting as text, beside an integer seed and workers at the top
         out = tmp_path / "out"
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("replications: 7\nn_target: 200\ngrid:\n  theta: [1.0]\n"
@@ -1298,11 +1304,12 @@ class TestOutputsAndCli:
         assert cli_main(["grid", "--config", str(cfg), "--reps", "3",
                          "--out-dir", str(out)]) == 0
         capsys.readouterr()
-        echo = json.loads((out / "manifest.json").read_text())["config"]
-        assert echo == {
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {
             "command": "grid", "grid": {"theta": [1.0], "r": [1.0], "c": [0.0]},
-            "seed": "12345", "replications": "3", "workers": "1", "n_target": "200",
+            "seed": 12345, "replications": 3, "workers": 1, "n_target": 200,
             "out_dir": str(out)}
+        assert not {"seed", "workers"} & set(manifest)
         with open(out / "summary.csv") as fh:
             assert {row["replications"] for row in csv.DictReader(fh)} == {"3"}
 
@@ -1327,7 +1334,7 @@ class TestOutputsAndCli:
         capsys.readouterr()
         manifest = json.loads((out / "manifest.json").read_text())
         # two replications in all: too few to repay a pool
-        assert (manifest["workers"], manifest["processes"]) == (2, 1)
+        assert (manifest["config"]["workers"], manifest["processes"]) == (2, 1)
 
     def test_cli_manifest_records_pool_processes(self, tmp_path, capsys,
                                                  monkeypatch):
@@ -1346,7 +1353,7 @@ class TestOutputsAndCli:
         capsys.readouterr()
         manifest = json.loads((out / "manifest.json").read_text())
         assert started == [2]
-        assert (manifest["workers"], manifest["processes"]) == (5000, 2)
+        assert (manifest["config"]["workers"], manifest["processes"]) == (5000, 2)
 
     def test_error_rows_formatted_like_ok_rows(self, tmp_path):
         # r = 1.0, c = 0.0 and frr = 0.0 are floats that _fmt prints as 1 / 0
@@ -1366,7 +1373,7 @@ class TestOutputsAndCli:
         good = grid_cells(run_grid([scenario]))[0]
         bad = Cell(scenario, "attempt cap hit", None, np.empty(0))
         assert not write_results(grid_of([good, bad]), tmp_path, config_echo={},
-                                 seed=3, wall_time=0.0)
+                                 wall_time=0.0)
         with open(tmp_path / "summary.csv") as fh:
             ok_row, err_row = list(csv.DictReader(fh))
         assert ok_row["status"] == "ok"
@@ -1591,7 +1598,14 @@ class TestOutputsAndCli:
             ("uniform_b: [0]", "need 0 <= a < b, got a=0.0, b=0"),
             ("theta: [.inf]", "theta must be finite, got inf"),
             ("uniform_b: [.inf]", "b must be finite, got inf"),
+            # the count law's inclusion was nan, and 1e-300 divided by zero
+            ("uniform_b: [1.0e-160]",
+             "1/(b^2 - a^2) is not finite at a=0.0, b=1e-160"),
+            ("uniform_b: [1.0e-300]",
+             "1/(b^2 - a^2) is not finite at a=0.0, b=1e-300"),
             ("theta: [1, 1]", "two cells share the label 'regular_theta1_r0_c0'"),
+            # two labels, c0 and c-0, drew different streams for one window
+            ("c: [0.0, -0.0]", "two cells share the label 'regular_theta0.4_r0_c0'"),
             # YAML 1.1 reads on/off/yes/no/true/false as bools, 1e-9 as text
             ("r: [on]", "r values must be numbers, got True"),
             ("c: [false]", "c values must be numbers, got False"),
@@ -1620,6 +1634,47 @@ class TestOutputsAndCli:
         assert message in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["theta", "c", "uniform_b"])
+    def test_cli_rejects_a_grid_value_past_the_largest_float(self, tmp_path, capsys,
+                                                             key):
+        # OverflowError: int too large to convert to float, a traceback
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"out_dir: {tmp_path / 'out'}\ngrid:\n  {key}: [1{'0' * 400}]\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["grid", "--config", str(cfg)])
+        assert exc.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        message = f"a {key} value is past the largest float"
+        assert error.endswith(f"bad value in the grid: block of {cfg}: {message}")
+        assert len(error) - len(str(cfg)) < 200
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "given,read,column,text",
+        [({"theta": [2]}, {"theta": [2.0]}, "theta", "2.0"),
+         ({"uniform_b": [3]}, {"uniform_b": [3.0]}, "b", "3.0"),
+         ({"r": [-0.0]}, {"r": [0.0]}, "r", "0")],
+        ids=["theta-int", "uniform_b-int", "r-negative-zero"],
+    )
+    def test_cli_reads_a_grid_value_as_one_float(self, tmp_path, capsys, given,
+                                                  read, column, text):
+        # theta: [2] wrote 2 where the main grid's 2.0 writes 2.0, and
+        # r: [-0.0] wrote -0, for the same cells and streams
+        files = []
+        for name, axis in (("given", given), ("read", read)):
+            cfg = tmp_path / f"{name}.yaml"
+            block = {"rules": ["swp"], "r": [0.6], "c": [1.0], **axis}
+            cfg.write_text(yaml.safe_dump({"n_target": 200, "grid": block}))
+            out = tmp_path / name
+            assert cli_main(["grid", "--config", str(cfg), "--reps", "2",
+                             "--out-dir", str(out)]) == 0
+            files.append([(out / f).read_bytes()
+                          for f in ("replications.csv", "summary.csv")])
+        capsys.readouterr()
+        assert files[0] == files[1]
+        with open(tmp_path / "given" / "summary.csv", newline="") as fh:
+            assert {row[column] for row in csv.DictReader(fh)} == {text}
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_cli_sensitivity_is_grid_on_its_block(self, tmp_path, capsys, suite):
@@ -2041,8 +2096,7 @@ class TestInfeasibleCell:
             "(admit probability 0 per draw)")
         files = {}
         for name, ran in (("with", result), ("without", run_grid(feasible))):
-            write_results(ran, tmp_path / name, config_echo={}, seed=5,
-                          wall_time=0.0)
+            write_results(ran, tmp_path / name, config_echo={}, wall_time=0.0)
             files[name] = [(tmp_path / name / f).read_text().splitlines()
                            for f in ("replications.csv", "summary.csv")]
         (reps, summary), (reps_without, summary_without) = files.values()
@@ -2290,8 +2344,7 @@ class Boom:
 class TestAtomicWriters:
     def test_write_results_keeps_old_files_on_failure(self, tmp_path, monkeypatch):
         result = run_grid(small_grid(reps=1, n_target=200), workers=1)
-        assert write_results(result, tmp_path, config_echo={}, seed=7,
-                             wall_time=0.0)
+        assert write_results(result, tmp_path, config_echo={}, wall_time=0.0)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert sorted(before) == ["manifest.json", "replications.csv", "summary.csv"]
 
@@ -2310,7 +2363,7 @@ class TestAtomicWriters:
         monkeypatch.setattr(harness, "_law_fields", fail_on_second_row)
         with pytest.raises(RuntimeError, match="boom"):
             write_results(reversed_grid, tmp_path, config_echo={"run": 2},
-                          seed=8, wall_time=0.0)
+                          wall_time=0.0)
         assert len(calls) == 2
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
@@ -2323,9 +2376,24 @@ class TestAtomicWriters:
 
         monkeypatch.setattr(harness, "summary_columns", fail)
         with pytest.raises(RuntimeError):
-            write_results(result, tmp_path, config_echo={}, seed=7,
-                          wall_time=0.0)
+            write_results(result, tmp_path, config_echo={}, wall_time=0.0)
         assert list(tmp_path.iterdir()) == []
+
+    def test_cli_replaces_the_manifest_last(self, tmp_path, capsys):
+        # the manifest was replaced first: a directory named summary.csv
+        # stopped the run after the new manifest (seed 2) was in place,
+        # beside the last run's replications.csv (seed 1, 2 replications)
+        grid = ["grid", "--out-dir", str(tmp_path)]
+        assert cli_main([*grid, "--seed", "1", "--reps", "2"]) == 0
+        capsys.readouterr()
+        (tmp_path / "summary.csv").unlink()
+        (tmp_path / "summary.csv").mkdir()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        with pytest.raises(IsADirectoryError):
+            cli_main([*grid, "--seed", "2", "--reps", "3"])
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert after == before
+        assert json.loads(after["manifest.json"])["config"]["seed"] == 1
 
     @pytest.mark.parametrize(
         "writer,good,bad",

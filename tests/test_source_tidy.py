@@ -5,9 +5,15 @@ every module-level public function or class is read by the package (its
 `__init__` re-exports count) or by `perfbench/`, a caller.  No module
 imports `scipy.integrate`: numerical quadrature lives in the tests.  No
 module imports `csv`: every CSV file is hand-joined in one dialect
-(`harness._quoted`)."""
+(`harness._quoted`).
+
+`code_lines` counts a module's code lines, the measure of the package's
+size; `PYTHONPATH=src python tests/test_source_tidy.py` prints each
+module's count and the total."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -116,3 +122,58 @@ def test_every_public_function_and_class_is_read():
         and not node.name.startswith("_") and node.name not in read
     ]
     assert unread == []
+
+
+#: tokens that hold no code
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(source):
+    """The lines of one module's `source` that hold code: each line a token
+    other than a comment spans (every line of a multi-line statement), less
+    the lines of each module, class and function docstring.  A blank or
+    comment line holds no such token."""
+    docstrings = set()
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, kinds) and ast.get_docstring(node) is not None:
+            first = node.body[0]
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_code_lines_counts_only_code():
+    source = '''"""A module docstring,
+over two lines."""
+
+import os  # a comment after code
+
+
+class A:
+    """A class docstring."""
+
+    # a comment line
+    x = (1,
+         2)
+
+    def f(self):
+        """A function
+        docstring."""
+        s = """a string
+        that is no docstring"""
+        return os.sep + s
+'''
+    # import; class; both lines of x; def; both lines of s; return
+    assert code_lines(source) == 8
+
+
+if __name__ == "__main__":
+    counts = {path.name: code_lines(path.read_text()) for path in SOURCES}
+    for name, count in counts.items():
+        print(f"{name:24}{count:6d}")
+    print(f"{'total':24}{sum(counts.values()):6d}")

@@ -1,10 +1,15 @@
 import hashlib
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from recencysim.population import DEFAULT_PARAMS, InfeasibleScenarioError
+from recencysim.recency_model import ASSAYS
+from recencysim.screening_analytics import survey_law
 from recencysim.testing_history import (
     ExponentialInterTest,
     ObservationRule,
@@ -298,3 +303,30 @@ class TestLawValidation:
             UniformInterTest(2.0, 1.0)
         with pytest.raises(ValueError):
             UniformInterTest(-1.0, 1.0)
+
+    # the smallest b at a = 0 whose 1/(b^2 - a^2) is a finite float
+    SMALLEST_B = 7.458340731200208e-155
+
+    @pytest.mark.parametrize("b", [7.458340731200207e-155, 1e-160, 1e-300, 5e-324])
+    def test_rejects_a_law_past_the_float_range(self, b):
+        # b = 1e-160 made a count law's inclusion nan, and 1e-300 divided
+        # by zero in residual_cdf_pieces
+        with pytest.raises(ValueError, match=re.escape(
+                f"1/(b^2 - a^2) is not finite at a=0.0, b={b!r}")):
+            UniformInterTest(0.0, b)
+
+    @pytest.mark.parametrize("b", [SMALLEST_B, 7.5e-155, 1e-120])
+    def test_accepts_a_law_down_to_the_float_range(self, b):
+        law = UniformInterTest(0.0, b)
+        assert all(math.isfinite(k) for piece in law.residual_cdf_pieces for k in piece)
+        for rule, r, c, assay in itertools.product(
+                ObservationRule, (0.0, 0.5, 1.0), (0.0, 1e-156, 1e-154, 0.1, 1.0),
+                ASSAYS.values()):
+            try:
+                got = survey_law(assay, TestingProcess(law, rule), r, c, DEFAULT_PARAMS)
+            except InfeasibleScenarioError:  # no attendee passes c
+                continue
+            assert all(map(math.isfinite, (got.p_star, got.p_r, got.inclusion,
+                                           got.admit)))
+            # the bias is undefined only where no survey holds a negative
+            assert math.isfinite(got.analytic_bias) == (got.p_star < 1.0)
