@@ -21,8 +21,11 @@ counts with one `kassanjee_estimate` call, and nothing changes a result
 after that.  The grid's result is one `GridResult` of (drawn scenarios,
 replications) columns, each block's rows copied in as it is scored;
 `summary_columns` reduces its estimates row by row with numpy's own
-functions.  Each summary row also carries the analytic bias and the
-delta-method variance of the log estimate, from its count law.
+functions.  summary.csv's columns after a scenario's own fields are one
+table, `SUMMARY_TABLE`: each entry names a column, gives its format and
+its values, a statistic of `summary_columns` or a value of the count law,
+such as the analytic bias and the delta-method variance of the log
+estimate.
 
 The same blocks run in-process or on a pool of worker processes, which a
 grid starts only when its drawable replications can repay the pool's
@@ -36,7 +39,8 @@ Each file is written through `_atomic_open`, which also makes its
 directory.  The grid CSVs' numbers come from whole-column lists:
 replications.csv takes one `.tolist()` per column of each chunk of
 `_WRITE_ROWS // replications` scenarios and writes the chunk at once, and
-summary.csv is one write of every scenario's line.
+summary.csv formats each table column as one list and is one write of
+every scenario's line.
 """
 
 from __future__ import annotations
@@ -100,31 +104,6 @@ REPLICATION_COLUMNS = [
     "status",
 ]
 
-SUMMARY_COLUMNS = [
-    "scenario",
-    "rule",
-    "law",
-    "theta",
-    "a",
-    "b",
-    "r",
-    "c",
-    "frr",
-    "replications",
-    "n_target",
-    "median",
-    "mean",
-    "q025",
-    "q975",
-    "var_log",
-    "n_negative",
-    "n_undefined",
-    "mean_screened",
-    "analytic_bias",
-    "analytic_variance",
-    "status",
-]
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -159,15 +138,18 @@ class GridResult:
     estimates: np.ndarray
     processes: int
 
-
-#: `summary_columns` keys; the statistics columns of summary.csv
-SUMMARY_STATS = tuple(SUMMARY_COLUMNS[
-    SUMMARY_COLUMNS.index("median"):SUMMARY_COLUMNS.index("analytic_bias")])
+    @functools.cached_property
+    def statistics(self) -> dict:
+        """`summary_columns(self)`, computed once."""
+        return summary_columns(self)
 
 
 def summary_columns(result: GridResult) -> dict:
     """The summary statistics of every drawn scenario of `result`, as
-    columns of Python floats and ints (entry j for row j).
+    columns of Python floats and ints (entry j for row j), keyed by their
+    `SUMMARY_TABLE` names in the table's order.  The table only names,
+    orders and formats what this one pass returns; `GridResult.statistics`
+    holds it for the table's entries.
 
     Each value is np.median, np.percentile (2.5, 97.5), np.mean or
     np.var(np.log(positive), ddof=1) of the row's finite estimates, on the
@@ -177,7 +159,8 @@ def summary_columns(result: GridResult) -> dict:
     """
     est = result.estimates
     size, n = est.shape
-    cols = {key: np.full(size, math.nan) for key in SUMMARY_STATS}
+    cols = {key: np.full(size, math.nan) for key in
+            ("median", "mean", "q025", "q975", "var_log", "mean_screened")}
     cols["n_negative"] = np.zeros(size, dtype=np.int64)
     cols["n_undefined"] = np.zeros(size, dtype=np.int64)
     if est.size:  # a sorted row's first entry needs one
@@ -199,7 +182,7 @@ def summary_columns(result: GridResult) -> dict:
             rows = np.flatnonzero(regular)
             ordered, est = ordered[rows], est[rows]
         _block_stats(cols, rows, ordered, est, est)
-    return {key: col.tolist() for key, col in cols.items()}
+    return {name: cols[name].tolist() for name, _, _ in SUMMARY_TABLE if name in cols}
 
 
 def _block_stats(cols, rows, ordered, finite, positive):
@@ -212,6 +195,30 @@ def _block_stats(cols, rows, ordered, finite, positive):
     cols["mean"][rows] = np.mean(finite, axis=1)
     if positive.shape[1] > 1:
         cols["var_log"][rows] = np.var(np.log(positive), axis=1, ddof=1)
+
+
+def _statistic(name: str, spec: str = ".10g"):
+    """The `SUMMARY_TABLE` entry of `summary_columns`' column `name`."""
+    return name, spec, lambda result, drawn: result.statistics[name]
+
+
+#: summary.csv's first columns: the scenario's own fields
+SUMMARY_FIELDS = ("scenario", "rule", "law", "theta", "a", "b", "r", "c", "frr",
+                  "replications", "n_target")
+
+#: summary.csv's columns between `SUMMARY_FIELDS` and `status`, in order:
+#: (name, format spec, values), `values(result, drawn)` the column's value
+#: for each drawn scenario of `result`, `drawn` in order.  A spec of ""
+#: writes an int as `str` does.
+SUMMARY_TABLE = (
+    _statistic("median"), _statistic("mean"), _statistic("q025"),
+    _statistic("q975"), _statistic("var_log"), _statistic("n_negative", ""),
+    _statistic("n_undefined", ""), _statistic("mean_screened"),
+    ("analytic_bias", ".10g",
+     lambda result, drawn: [s.count_law.analytic_bias for s in drawn]),
+    ("analytic_variance", ".10g",
+     lambda result, drawn: [s.count_law.analytic_variance(s.n_target) for s in drawn]),
+)
 
 
 def _law_fields(law):
@@ -636,30 +643,27 @@ def _write_replications(result: GridResult, fh):
 def _write_summary(result: GridResult, fh):
     """One line per scenario, as csv.writer would write it, in one write.
 
-    Every drawn scenario's statistics come from one `summary_columns` pass,
-    formatted a column at a time: the counts n_negative and n_undefined as
-    integers, the other statistics with `.10g`.  Of the scenario's own
-    fields, r, c, frr and the two analytic columns are written with `.10g`
-    (`_fmt`), theta, a, b, replications and n_target with `str`.  The label
-    and an error row's status, "error:" and the error's text, go through
-    `_quoted`."""
-    counted = ("n_negative", "n_undefined")
-    stats = zip(*(
-        list(map(str, column)) if key in counted else [f"{x:.10g}" for x in column]
-        for key, column in summary_columns(result).items()
-    ))
-    lines = [",".join(SUMMARY_COLUMNS) + "\r\n"]
+    The header, and a drawn scenario's fields between its own
+    (`SUMMARY_FIELDS`) and its status, come from `SUMMARY_TABLE` as it is
+    at the call: each column's values formatted with its entry's spec, as
+    one list; an error row leaves each of them empty.  Of the scenario's
+    own fields, r, c and frr are written with `.10g` (`_fmt`), theta, a, b,
+    replications and n_target with `str`.  The label and an error row's
+    status, "error:" and the error's text, go through `_quoted`."""
+    drawn = [s for s, error in zip(result.scenarios, result.errors) if error is None]
+    fields = zip(*([f"{x:{spec}}" for x in values(result, drawn)]
+                   for _, spec, values in SUMMARY_TABLE))
+    names = [name for name, _, _ in SUMMARY_TABLE]
+    lines = [",".join([*SUMMARY_FIELDS, *names, "status"]) + "\r\n"]
     for s, error in zip(result.scenarios, result.errors):
         law, theta, a, b = _law_fields(s.process.inter_test_law)[2]
         line = (f"{_quoted(s.label)},{s.process.observation_rule.value},{law},"
                 f"{theta},{a},{b},{_fmt(s.r)},{_fmt(s.c)},{_fmt(s.assay.frr)},"
                 f"{s.replications},{s.n_target},")
         if error is None:
-            count_law = s.count_law
-            line += (f"{','.join(next(stats))},{_fmt(count_law.analytic_bias)},"
-                     f"{_fmt(count_law.analytic_variance(s.n_target))},ok\r\n")
+            line += ",".join(next(fields)) + ",ok\r\n"
         else:
-            line += "," * 10 + _quoted(f"error:{error}") + "\r\n"  # 10 empty fields
+            line += "," * len(names) + _quoted(f"error:{error}") + "\r\n"
         lines.append(line)
     fh.write("".join(lines))
 

@@ -31,7 +31,6 @@ from recencysim import harness
 from recencysim.harness import (
     GRID_KEYS,
     SUITES,
-    SUMMARY_COLUMNS,
     GridResult,
     Scenario,
     build_grid,
@@ -55,6 +54,15 @@ from quadrature_oracle import effective_mdri_quad
 from reference_sampler import observe_most_recent_many, sample_residual
 from test_count_law import (
     Cell, drawn_counts, grid_cells, holm_rejected, sha256_streams, sha256_words)
+
+
+#: summary.csv's header: the scenario's own fields, the `SUMMARY_TABLE`
+#: columns and the status
+SUMMARY_COLUMNS = [
+    "scenario", "rule", "law", "theta", "a", "b", "r", "c", "frr", "replications",
+    "n_target", "median", "mean", "q025", "q975", "var_log", "n_negative",
+    "n_undefined", "mean_screened", "analytic_bias", "analytic_variance", "status",
+]
 
 
 def small_grid(seed=7, reps=2, n_target=400):
@@ -290,6 +298,12 @@ class TestDeterminism:
                 "6d4f22fc15419145c9d0fe31f4dbf3c0b359815c65aeb41ba63ae6f65d9cf299",
             "summary.csv":
                 "313319d97727dc97ab21e0ba0029a6a1f7a006b8a11203717e3713d1ec3b9099",
+        }),
+        ("long_mdri", {
+            "replications.csv":
+                "6321157bac6ba1cbc14271d23d2286c6b77ef9a22780db34a65b4bc8ab9b1d11",
+            "summary.csv":
+                "a3fa7cd018be399d3af50db730dd32118a9c428d527c4d13732c2ad5e653849b",
         }),
     ])
     def test_grid_outputs_unchanged(self, tmp_path, suite, digests):
@@ -560,6 +574,11 @@ def numpy_summary(est, screened):
     }
 
 
+#: `summary_columns` keys, in the order of their `SUMMARY_TABLE` entries
+STATISTICS = ["median", "mean", "q025", "q975", "var_log", "n_negative",
+              "n_undefined", "mean_screened"]
+
+
 def summary_row(result):
     """The row of `summary_columns` of `result`, a grid of one drawn cell."""
     return {key: column[0] for key, column in harness.summary_columns(result).items()}
@@ -660,7 +679,7 @@ class TestSummaryBlock:
             for row, scr in zip(rows, screened)
         ])
         got = harness.summary_columns(result)
-        assert list(got) == list(harness.SUMMARY_STATS)
+        assert list(got) == STATISTICS
         for i, (row, scr) in enumerate(zip(rows, screened)):
             want = numpy_summary(row, scr)
             for key in want:
@@ -681,7 +700,7 @@ class TestSummaryBlock:
     def test_result_without_estimates(self):
         for nothing_drawn in ([], infeasible_cells()):
             assert harness.summary_columns(run_grid(nothing_drawn)) == {
-                key: [] for key in harness.SUMMARY_STATS}
+                key: [] for key in STATISTICS}
         empty = np.zeros(0, dtype=np.int64)
         got = harness.summary_columns(grid_of([
             Cell(small_grid()[0], None, SurveyCounts(*[empty] * 4), empty)]))
@@ -1002,6 +1021,29 @@ class TestSummaryWriter:
         fh = io.StringIO(newline="")
         harness._write_summary(result, fh)
         assert fh.getvalue() == csv_writer_summary(result)
+
+    def test_a_column_added_through_the_table_alone(self, monkeypatch):
+        # one more table entry is one more header name, its values written
+        # with its spec in the drawn rows and left empty in the error rows
+        def write(result):
+            fh = io.StringIO(newline="")
+            harness._write_summary(result, fh)
+            return list(csv.reader(io.StringIO(fh.getvalue(), newline="")))
+
+        cells = grid_cells(run_grid(small_grid(reps=3)))
+        error = Cell(small_grid()[0], "no attendee", None, np.empty(0))
+        result = grid_of([error, *cells[:2], error, *cells[2:]])
+        before = write(result)
+        extra = ("extra", ".3f", lambda result, drawn: [
+            s.n_target / 7 + j for j, s in enumerate(drawn)])
+        monkeypatch.setattr(harness, "SUMMARY_TABLE", (*harness.SUMMARY_TABLE, extra))
+        header, *rows = write(result)
+        assert header == [*SUMMARY_COLUMNS[:-1], "extra", "status"]
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[-2] for row in rows if row[-1] == "ok"] == [
+            f"{400 / 7 + j:.3f}" for j in range(len(cells))]
+        assert [row[-2] for row in rows if row[-1] != "ok"] == ["", ""]
+        assert [row[:-2] + row[-1:] for row in rows] == before[1:]
 
     def test_free_text_quoted_as_csv_writer_quotes_it(self):
         # the error text and a hand-made label hold every character that
@@ -1378,7 +1420,7 @@ class TestOutputsAndCli:
             ok_row, err_row = list(csv.DictReader(fh))
         assert ok_row["status"] == "ok"
         assert err_row["status"] == "error:attempt cap hit"
-        shared = SUMMARY_COLUMNS[: SUMMARY_COLUMNS.index("n_target") + 1]
+        shared = harness.SUMMARY_FIELDS
         assert [err_row[k] for k in shared] == [ok_row[k] for k in shared]
         assert (ok_row["r"], ok_row["c"], ok_row["frr"]) == ("1", "0", "0")
 
@@ -2165,10 +2207,10 @@ class TestInfeasibleCell:
         assert (ok_row["scenario"], ok_row["status"]) == ("swp_theta2_r0_c0", "ok")
         assert err_row["scenario"] == "swp_theta2_r0_c20"
         assert err_row["status"] == f"error:{self.ERROR}"
-        for key in SUMMARY_COLUMNS[1:SUMMARY_COLUMNS.index("n_target") + 1]:
+        for key in harness.SUMMARY_FIELDS[1:]:
             want = "20" if key == "c" else ok_row[key]
             assert err_row[key] == want, key
-        for key in SUMMARY_COLUMNS[SUMMARY_COLUMNS.index("median"):-1]:
+        for key, _, _ in harness.SUMMARY_TABLE:
             assert err_row[key] == "", key
         with open(out / "replications.csv") as fh:
             reps = list(csv.DictReader(fh))
